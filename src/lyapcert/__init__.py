@@ -45,13 +45,10 @@ from .lyapunov import (
     build_v_half,
     build_w_plain,
     build_w_q,
-    coercivity_bounds,
     contraction_similarity,
-    factorize,
 )
 from .models import (
     MODEL_NAMES,
-    ModelDescriptor,
     build_model,
     counterexample_system,
     custom_rule_system,

@@ -20,9 +20,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from .systems import MatrixSystem, SpectralSystem, extrapolation_norm
+from .systems import extrapolation_norm
 
 __all__ = [
     "AdmissibilityEstimate",
@@ -176,26 +175,6 @@ def _graded_backward_grid(fastest_rate, horizon, steps):
     return np.concatenate([[0.0], nodes])
 
 
-def _segment_columns(sys, nodes):
-    # Column j holds int over the j-th backward segment of T(tau) B dtau,
-    # integrated exactly per interval.
-    lo = nodes[:-1]
-    hi = nodes[1:]
-    if isinstance(sys, SpectralSystem):
-        lam = sys.eigenvalues[:, None]
-        b = sys.input_coeffs[:, None]
-        return b * (np.exp(-lam * lo[None, :]) - np.exp(-lam * hi[None, :])) / lam
-    a = sys.a_matrix
-    b = sys.b_matrix[:, 0]
-    cols = []
-    inv_b = np.linalg.solve(a, b)
-    for a_lo, a_hi in zip(lo, hi):
-        e_lo = scipy.linalg.expm(a * a_lo) @ inv_b
-        e_hi = scipy.linalg.expm(a * a_hi) @ inv_b
-        cols.append(e_hi - e_lo)
-    return np.stack(cols, axis=1)
-
-
 def _constant_from_columns(sys, q, nodes, columns):
     widths = np.diff(nodes)
     if q == 2.0:
@@ -208,16 +187,7 @@ def _constant_from_columns(sys, q, nodes, columns):
         return float(np.linalg.norm(np.sum(np.abs(columns), axis=1)))
     # q = 1: concentrated inputs; the constant is the largest kernel norm
     # over the grid nodes.
-    if isinstance(sys, SpectralSystem):
-        lam = sys.eigenvalues[:, None]
-        b = sys.input_coeffs[:, None]
-        kernel = b * np.exp(-lam * nodes[None, :])
-        return float(np.linalg.norm(kernel, axis=0).max())
-    values = [
-        float(np.linalg.norm(scipy.linalg.expm(sys.a_matrix * tau) @ sys.b_matrix[:, 0]))
-        for tau in nodes
-    ]
-    return float(max(values))
+    return float(sys.input_orbit_norms(nodes).max())
 
 
 def admissibility_constant(sys, q, horizon, steps=512, nodes=None) -> AdmissibilityEstimate:
@@ -233,18 +203,14 @@ def admissibility_constant(sys, q, horizon, steps=512, nodes=None) -> Admissibil
         raise ValueError("horizon must be positive")
     if steps < 8:
         raise ValueError("need at least 8 discretization steps")
-    if isinstance(sys, MatrixSystem) and sys.input_dim != 1:
+    if sys.input_dim != 1:
         # TODO: lift the input map to matrix-valued kernels for input_dim > 1
         raise ValueError("only scalar input columns are supported")
     if nodes is None:
-        fastest = (
-            float(sys.eigenvalues[-1])
-            if isinstance(sys, SpectralSystem)
-            else float(np.abs(np.linalg.eigvals(sys.a_matrix)).max())
-        )
-        nodes = _graded_backward_grid(fastest, horizon, steps)
+        nodes = _graded_backward_grid(sys.fastest_rate, horizon, steps)
     nodes = np.asarray(nodes, dtype=float)
-    columns = _segment_columns(sys, nodes)
+    # Column j integrates T(tau) B exactly over the j-th backward segment.
+    columns = sys.input_segment_integrals(nodes[:-1], nodes[1:])
     constant = _constant_from_columns(sys, q, nodes, columns)
     modes = sys.dimension
     return AdmissibilityEstimate(
@@ -270,11 +236,7 @@ def admissibility_trend(systems, q, horizons, steps=512) -> AdmissibilityEstimat
     horizons = sorted(float(t) for t in horizons)
     if not systems or not horizons:
         raise ValueError("need at least one system and one horizon")
-    fastest = max(
-        float(s.eigenvalues[-1]) if isinstance(s, SpectralSystem)
-        else float(np.abs(np.linalg.eigvals(s.a_matrix)).max())
-        for s in systems
-    )
+    fastest = max(s.fastest_rate for s in systems)
     master = _graded_backward_grid(fastest, horizons[-1], steps)
     master = np.unique(np.concatenate([master, np.asarray(horizons)]))
     rows = []
@@ -314,7 +276,7 @@ def l2_iss_verdict(sys, estimate: AdmissibilityEstimate, thresholds=DEFAULT_THRE
     else:  # unreachable through the constructors, kept for config-driven systems
         reasons.append("semigroup is not exponentially stable")
         return IssVerdict(verdict="not-ISS", reasons=tuple(reasons))
-    if isinstance(sys, SpectralSystem) and np.all(sys.input_coeffs == 0.0):
+    if not np.any(sys.input_vector(1.0)):
         reasons.append("zero input operator")
         return IssVerdict(verdict="ISS", reasons=tuple(reasons))
     horizon = max(t for t, _, _ in estimate.trend)

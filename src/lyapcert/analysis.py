@@ -49,6 +49,7 @@ __all__ = [
     "AnalysisConfig",
     "ConfigError",
     "InvariantViolationError",
+    "admissibility_stages",
     "run_analyze",
     "run_simulate",
 ]
@@ -146,7 +147,7 @@ def _family(config: AnalysisConfig):
         sys = system_from_config(doc)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    if isinstance(sys, SpectralSystem):
+    if doc.get("type") == "spectral":
         usable = [n for n in modes if n <= sys.mode_count]
         if not usable:
             raise ConfigError(
@@ -363,11 +364,16 @@ def _validate_config(config: AnalysisConfig):
         raise ConfigError(str(exc)) from None
 
 
-def run_analyze(config: AnalysisConfig):
-    """Full analysis of one family; returns (report dict, artifact paths)."""
+def admissibility_stages(config: AnalysisConfig):
+    """The stability, scan, input-constant and ISS stages of one family.
+
+    Returns ``(label, family, slots, rows)``: the slots
+    ``exponentially_stable``, ``gamma_scans``, ``two_admissibility`` and
+    ``l2_iss``, plus their ``trends.csv`` rows.  ``run_analyze`` builds on
+    them; ``admissibility-scan`` reports them alone.
+    """
     _validate_config(config)
     label, family = _family(config)
-    largest = family[-1]
     thresholds = config.thresholds
     rows = []
 
@@ -383,11 +389,10 @@ def run_analyze(config: AnalysisConfig):
         "provenance": "positive spectral gap of the generator",
     }
 
-    spectral_family = [s for s in family if isinstance(s, SpectralSystem)]
     scans = {}
-    if len(spectral_family) >= 3:
+    if len(family) >= 3:
         for gamma in config.gammas:
-            scan = operator_class_scan(spectral_family, gamma, thresholds)
+            scan = operator_class_scan(family, gamma, thresholds)
             scans[f"{gamma:g}"] = {
                 "verdict": scan.verdict,
                 "exponent": scan.growth_exponent,
@@ -433,17 +438,25 @@ def run_analyze(config: AnalysisConfig):
     for n, v in trend_rows:
         rows.append((label, "input-map", "admissibility_constant", _q_label(config.q), n, config.horizon, v))
 
-    verdict = l2_iss_verdict(largest, estimate, thresholds)
+    verdict = l2_iss_verdict(family[-1], estimate, thresholds)
     slots["l2_iss"] = {
         "value": verdict.verdict,
         "reasons": list(verdict.reasons),
         "provenance": "stability combined with the constant trend",
     }
+    return label, family, slots, rows
+
+
+def run_analyze(config: AnalysisConfig):
+    """Full analysis of one family; returns (report dict, artifact paths)."""
+    label, family, slots, rows = admissibility_stages(config)
+    largest = family[-1]
+    diagonal = isinstance(largest, SpectralSystem)
 
     # For diagonal (self-adjoint) systems the square-function candidate IS
     # half the squared norm; for dense systems it is the Lyapunov-solve
     # form, the correct coercive witness for non-normal generators.
-    coercive_builder = build_half_norm if spectral_family else build_v_half
+    coercive_builder = build_half_norm if diagonal else build_v_half
     slots["coercive_quadratic_l2"] = _certificate_trend(
         label, family, coercive_builder, config, rows
     )
@@ -451,12 +464,14 @@ def run_analyze(config: AnalysisConfig):
         label, family, build_w_plain, config, rows
     )
 
-    for q_power in (0.0, 0.25, 0.5):
-        for sys in spectral_family:
-            form = build_w_q(sys, q_power)
-            rows.append(
-                (label, form.provenance, "coercivity_lower", f"{q_power:g}", sys.dimension, None, form.a1)
-            )
+    if diagonal:
+        for q_power in (0.0, 0.25, 0.5):
+            for sys in family:
+                form = build_w_q(sys, q_power)
+                rows.append(
+                    (label, form.provenance, "coercivity_lower", f"{q_power:g}", sys.dimension,
+                     None, form.a1)
+                )
 
     for power in (0.0, 0.25, 0.5):
         bound = decay_bound_estimate(largest, power, delta=config.delta_override)
@@ -484,7 +499,7 @@ def run_analyze(config: AnalysisConfig):
     edges = _check_edges(slots)
 
     findings = []
-    if verdict.verdict == "not-ISS":
+    if slots["l2_iss"]["value"] == "not-ISS":
         findings.append("input-map constants diverge across truncations")
     for slot_name in ("coercive_quadratic_l2", "noncoercive_w0"):
         status = slots[slot_name]["value"]
@@ -525,17 +540,22 @@ def _q_label(q):
     return f"{float(q):g}"
 
 
+def _write_trajectory_csv(path, traj):
+    """One row per node: the time, every state coordinate, the input level."""
+    header = ["t"] + [f"mode_{k}" for k in range(1, traj.states.shape[1] + 1)] + ["u"]
+    rows = [
+        tuple([t] + list(state) + [traj.input.value_at(t)])
+        for t, state in zip(traj.times, traj.states)
+    ]
+    _write_csv(path, header, rows)
+
+
 def _write_trajectory(path, sys, config):
     gap = sys.spectral_gap
     t_end = min(config.horizon, max(1.0, 4.0 / gap))
     grid = np.linspace(0.0, t_end, 101)
     traj = simulate_mild(sys, np.zeros(sys.dimension), InputSignal.constant(1.0), grid)
-    header = ["t"] + [f"mode_{k}" for k in range(1, sys.dimension + 1)] + ["u"]
-    rows = [
-        tuple([t] + [x for x in state] + [traj.input.value_at(t)])
-        for t, state in zip(traj.times, traj.states)
-    ]
-    _write_csv(path, header, rows)
+    _write_trajectory_csv(path, traj)
 
 
 def run_simulate(config: AnalysisConfig):
@@ -555,7 +575,7 @@ def run_simulate(config: AnalysisConfig):
 
     zero_state = np.zeros(n)
     ensemble = [
-        simulate_mild(sys, np.eye(n)[0], InputSignal.zero(), grid),
+        simulate_mild(sys, np.eye(1, n, 0)[0], InputSignal.zero(), grid),
         simulate_mild(sys, unit(rng.standard_normal(n)), InputSignal.zero(), grid),
         simulate_mild(sys, unit(rng.standard_normal(n)), InputSignal.zero(), grid),
         simulate_mild(sys, zero_state, InputSignal.constant(1.0), grid),
@@ -588,13 +608,8 @@ def run_simulate(config: AnalysisConfig):
         gain_path = os.path.join(config.out_dir, "gainfit.json")
         _write_json(gain_path, doc)
         artifacts["gainfit"] = gain_path
-        header = ["t"] + [f"mode_{k}" for k in range(1, n + 1)] + ["u"]
         for index, traj in enumerate(ensemble):
-            rows = [
-                tuple([t] + [x for x in state] + [traj.input.value_at(t)])
-                for t, state in zip(traj.times, traj.states)
-            ]
             traj_path = os.path.join(config.out_dir, f"trajectory_{index:02d}.csv")
-            _write_csv(traj_path, header, rows)
+            _write_trajectory_csv(traj_path, traj)
             artifacts[f"trajectory_{index:02d}"] = traj_path
     return doc, artifacts

@@ -21,6 +21,7 @@ from .analysis import (
     AnalysisConfig,
     ConfigError,
     InvariantViolationError,
+    admissibility_stages,
     run_analyze,
     run_simulate,
 )
@@ -141,16 +142,16 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_admissibility_scan(args) -> int:
     config = _build_config(args)
-    report, artifacts = run_analyze(dataclasses.replace(config, out_dir=None))
-    scans = report["slots"]["gamma_scans"]["value"]
-    adm = report["slots"]["two_admissibility"]
+    label, _, slots, _ = admissibility_stages(config)
+    scans = slots["gamma_scans"]["value"]
+    adm = slots["two_admissibility"]
     verdict_doc = {
         "schema": "1",
-        "system": report["system"],
+        "system": label,
         "scans": scans,
         "constants": adm["constants"],
         "constant_verdict": adm["value"],
-        "l2_iss": report["slots"]["l2_iss"],
+        "l2_iss": slots["l2_iss"],
     }
     if config.out_dir:
         os.makedirs(config.out_dir, exist_ok=True)
@@ -162,8 +163,8 @@ def _cmd_admissibility_scan(args) -> int:
     for gamma, entry in sorted(scans.items(), key=lambda kv: float(kv[0])):
         print(f"  gamma={gamma}: {entry['verdict']} (exponent {entry['exponent']:.4g})")
     print(f"  q={args.q if args.q is not None else config.q}: {adm['value']}")
-    print(f"  verdict: {report['slots']['l2_iss']['value']}")
-    return EXIT_FINDING if report["slots"]["l2_iss"]["value"] == "not-ISS" else EXIT_OK
+    print(f"  verdict: {slots['l2_iss']['value']}")
+    return EXIT_FINDING if slots["l2_iss"]["value"] == "not-ISS" else EXIT_OK
 
 
 def _cmd_lyapunov_eval(args) -> int:

@@ -20,13 +20,7 @@ import numpy as np
 import scipy.integrate
 import scipy.linalg
 
-from .systems import (
-    MatrixSystem,
-    SpectralSystem,
-    as_state,
-    matrix_neg_power,
-    semigroup_apply,
-)
+from .systems import MatrixSystem, SpectralSystem, as_state, semigroup_apply
 
 __all__ = [
     "ContractionReport",
@@ -37,9 +31,7 @@ __all__ = [
     "build_v_half",
     "build_w_plain",
     "build_w_q",
-    "coercivity_bounds",
     "contraction_similarity",
-    "factorize",
 ]
 
 _PSD_TOL = 1e-10
@@ -154,16 +146,6 @@ class QuadraticForm:
         return doc
 
 
-def coercivity_bounds(form: QuadraticForm) -> tuple[float, float]:
-    """Extremal constants (a1, a2) of the sandwich a1||x||^2 <= V <= a2||x||^2."""
-    return form.a1, form.a2
-
-
-def factorize(form: QuadraticForm) -> np.ndarray:
-    """Return F with V(x) = ||Fx||^2; raises IndefiniteFormError if P is not PSD."""
-    return form.factor_matrix
-
-
 def _wq_weights(eigenvalues, q):
     # int_0^inf lam^(2q) exp(-2 lam t) dt = lam^(2q-1) / 2, per mode.
     return eigenvalues ** (2.0 * q - 1.0) / 2.0
@@ -172,37 +154,43 @@ def _wq_weights(eigenvalues, q):
 def _matrix_square_function(sys: MatrixSystem, q) -> np.ndarray:
     # P solves A^H P + P A = -S^H S with S = (-A)^q, so that
     # <P x, x> = int ||S exp(At) x||^2 dt.
-    s = matrix_neg_power(sys, q)
+    s = sys.neg_power(q)
     rhs = -(s.conj().T @ s)
     p = scipy.linalg.solve_continuous_lyapunov(sys.a_matrix.conj().T, rhs)
     return (p + p.conj().T) / 2.0
 
 
-def _quadrature_square_function(sys, q, x, rtol=1e-11) -> float:
+def _quadrature_square_function(sys: MatrixSystem, q, x, rtol=1e-11) -> float:
     # Direct quadrature of the defining integral, used as an internal
     # consistency probe for dense solves.
     x = as_state(sys, x)
-    gap = sys.spectral_gap
-    horizon = 25.0 / gap
-    s = None if isinstance(sys, SpectralSystem) else matrix_neg_power(sys, q)
+    horizon = 25.0 / sys.spectral_gap
+    s = sys.neg_power(q)
 
     def integrand(t):
-        if s is None:
-            lam = sys.eigenvalues
-            return float(np.sum(lam ** (2.0 * q) * np.exp(-2.0 * lam * t) * np.abs(x) ** 2))
         vec = s @ semigroup_apply(sys, t, x)
         return float(np.real(np.vdot(vec, vec)))
 
     value, _ = scipy.integrate.quad(
         integrand, 0.0, horizon, epsabs=1e-13, epsrel=rtol, limit=500
     )
-    if isinstance(sys, SpectralSystem):
-        lam = sys.eigenvalues
-        tail = float(
-            np.sum(lam ** (2.0 * q - 1.0) / 2.0 * np.exp(-2.0 * lam * horizon) * np.abs(x) ** 2)
-        )
-        value += tail
     return value
+
+
+def _square_function_form(sys, q, provenance) -> QuadraticForm:
+    # The one realization decision of the square-function family: explicit
+    # per-mode weights for diagonal generators, a Lyapunov solve otherwise.
+    if isinstance(sys, SpectralSystem):
+        return QuadraticForm(
+            weights=_wq_weights(sys.eigenvalues, q),
+            provenance=provenance,
+            generator_power=q,
+        )
+    return QuadraticForm(
+        p_matrix=_matrix_square_function(sys, q),
+        provenance=provenance + " (Lyapunov solve)",
+        generator_power=q,
+    )
 
 
 def build_v_half(sys) -> QuadraticForm:
@@ -213,18 +201,9 @@ def build_v_half(sys) -> QuadraticForm:
     A^H P + P A = -S^H S with S = (-A)^(1/2) and cross-check the solve
     against direct quadrature.
     """
-    if isinstance(sys, SpectralSystem):
-        return QuadraticForm(
-            weights=_wq_weights(sys.eigenvalues, 0.5),
-            provenance="square-function integral, exponent one half",
-            generator_power=0.5,
-        )
-    p = _matrix_square_function(sys, 0.5)
-    form = QuadraticForm(
-        p_matrix=p,
-        provenance="square-function integral, exponent one half (Lyapunov solve)",
-        generator_power=0.5,
-    )
+    form = _square_function_form(sys, 0.5, "square-function integral, exponent one half")
+    if form.p_matrix is None:
+        return form
     probe = np.ones(sys.dimension) / np.sqrt(sys.dimension)
     direct = _quadrature_square_function(sys, 0.5, probe)
     if abs(direct - form.value(probe)) > 1e-6 * max(1.0, abs(direct)):
@@ -245,18 +224,7 @@ def build_w_q(sys, q) -> QuadraticForm:
     if not 0.0 <= q <= 0.5 + 1e-12:
         raise ValueError("q must lie in [0, 1/2]")
     q = min(float(q), 0.5)
-    provenance = f"square-function integral, exponent {q:g}"
-    if isinstance(sys, SpectralSystem):
-        return QuadraticForm(
-            weights=_wq_weights(sys.eigenvalues, q),
-            provenance=provenance,
-            generator_power=q,
-        )
-    return QuadraticForm(
-        p_matrix=_matrix_square_function(sys, q),
-        provenance=provenance + " (Lyapunov solve)",
-        generator_power=q,
-    )
+    return _square_function_form(sys, q, f"square-function integral, exponent {q:g}")
 
 
 def build_w_plain(sys) -> QuadraticForm:

@@ -20,8 +20,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .rules import RuleError, evaluate_rule
@@ -29,7 +27,6 @@ from .systems import SpectralSystem
 
 __all__ = [
     "MODEL_NAMES",
-    "ModelDescriptor",
     "build_model",
     "counterexample_system",
     "custom_rule_system",
@@ -43,13 +40,6 @@ COUNTEREXAMPLE_MAX_MODES = 300
 # Guard for rule-generated sequences: refuse magnitudes past 2^40, where
 # downstream exponentials and products stop being meaningful at desk scale.
 RULE_VALUE_CEILING = 2.0**40
-
-
-@dataclass(frozen=True)
-class ModelDescriptor:
-    name: str
-    modes: int
-    note: str
 
 
 def heat_system(boundary: str, modes: int) -> SpectralSystem:
@@ -111,18 +101,9 @@ def _neumann(modes):
 
 
 _REGISTRY = {
-    "heat-dirichlet": (
-        _dirichlet,
-        "heat equation, boundary value input at xi = 1 (sine eigenbasis)",
-    ),
-    "heat-neumann": (
-        _neumann,
-        "heat equation, boundary flux input at xi = 1 (mixed eigenbasis)",
-    ),
-    "counterexample": (
-        counterexample_system,
-        "dyadic spectrum with matched square-root input growth",
-    ),
+    "heat-dirichlet": _dirichlet,
+    "heat-neumann": _neumann,
+    "counterexample": counterexample_system,
 }
 
 MODEL_NAMES = tuple(sorted(_REGISTRY))
@@ -131,14 +112,10 @@ MODEL_NAMES = tuple(sorted(_REGISTRY))
 def build_model(name: str, modes: int) -> SpectralSystem:
     """Instantiate a registered model at the requested truncation size."""
     try:
-        factory, _ = _REGISTRY[name]
+        factory = _REGISTRY[name]
     except KeyError:
         raise ValueError(
             f"unknown model {name!r}; available: {', '.join(MODEL_NAMES)}"
         ) from None
     return factory(modes)
 
-
-def describe_model(name: str, modes: int) -> ModelDescriptor:
-    factory, note = _REGISTRY[name]
-    return ModelDescriptor(name=name, modes=modes, note=note)

@@ -2,9 +2,25 @@
 
 Two realizations of an exponentially stable linear system ``x' = Ax + Bu``
 are supported: :class:`SpectralSystem` (diagonal generator, the workhorse)
-and :class:`MatrixSystem` (dense Hurwitz matrix).  States are plain 1-D
-numpy arrays; helpers here validate their length against the owning
-system.
+and :class:`MatrixSystem` (dense Hurwitz matrix).  Both expose one surface,
+so callers never branch on the realization to get these quantities:
+
+* ``dimension``, ``input_dim``, ``spectral_gap`` and ``fastest_rate``
+  (the largest eigenvalue modulus, computed once per instance);
+* ``input_vector(u)``, the state-space column ``B u`` of a scalar input;
+* ``step(x, u, h)``, the exact state after ``h`` under the constant input
+  ``u`` (``u=None`` is the free flow ``T(h) x``);
+* ``neg_power(alpha)`` and ``neg_power_apply(alpha, x)``, the operator
+  ``(-A)^alpha`` (per-mode factors for diagonal systems), cached per
+  instance and exponent as read-only arrays;
+* ``power_semigroup_norm(r, t)``, the operator norm ``||(-A)^r T(t)||``;
+* ``input_segment_integrals(lo, hi)`` and ``input_orbit_norms(times)``,
+  the input map ``int T(tau) B dtau`` over segments and the kernel norms
+  ``||T(tau) B||``;
+* ``to_config()``, the JSON document :func:`system_from_config` reads.
+
+States are plain 1-D numpy arrays; helpers here validate their length
+against the owning system.
 """
 
 from __future__ import annotations
@@ -49,6 +65,17 @@ def _readonly(array):
     return array
 
 
+def _cached_power(sys, alpha, compute):
+    # Per-instance cache of read-only arrays keyed by the exponent.  The
+    # dataclasses are frozen and carry unhashable array fields, so a
+    # functools cache cannot key on the instance.
+    cache = sys.__dict__.setdefault("_neg_powers", {})
+    key = float(alpha)
+    if key not in cache:
+        cache[key] = _readonly(compute())
+    return cache[key]
+
+
 @dataclass(frozen=True)
 class SpectralSystem:
     """Diagonal generator A = -diag(lam_n) with a rank-one input column.
@@ -90,13 +117,70 @@ class SpectralSystem:
         return self.mode_count
 
     @property
+    def input_dim(self) -> int:
+        return 1
+
+    @property
     def spectral_gap(self) -> float:
         """Smallest eigenvalue; ||T(t)x|| <= exp(-gap*t)||x|| holds exactly."""
         return float(self.eigenvalues[0])
 
+    @property
+    def fastest_rate(self) -> float:
+        """Largest eigenvalue, the inverse of the shortest relaxation time."""
+        return float(self.eigenvalues[-1])
+
     def input_vector(self, u=1.0) -> np.ndarray:
         """The state-space column B*u."""
         return self.input_coeffs * float(u)
+
+    def step(self, x, u, h) -> np.ndarray:
+        """Exact state after h under the constant input u (None: free flow).
+
+        Per mode ``exp(-lam h) x + b u (1 - exp(-lam h)) / lam``.
+        """
+        lam = self.eigenvalues
+        decay = np.exp(-lam * h)
+        if u is None:
+            return decay * x
+        # 1 - exp(-lam h) through expm1 to keep small lam*h exact.
+        gain = -np.expm1(-lam * h) / lam
+        return decay * x + self.input_coeffs * (u * gain)
+
+    def neg_power(self, alpha) -> np.ndarray:
+        """Per-mode factors lam_n^alpha of (-A)^alpha."""
+        return _cached_power(self, alpha, lambda: self.eigenvalues ** float(alpha))
+
+    def neg_power_apply(self, alpha, x) -> np.ndarray:
+        return self.neg_power(alpha) * x
+
+    def power_semigroup_norm(self, r, t) -> float:
+        """||(-A)^r T(t)||, the largest per-mode factor lam^r exp(-lam t)."""
+        lam = self.eigenvalues
+        if t == 0:
+            return float(lam[-1] ** r) if r > 0 else 1.0
+        return float(np.max(self.neg_power(r) * np.exp(-lam * t)))
+
+    def input_segment_integrals(self, lo, hi) -> np.ndarray:
+        """Column j holds int_{lo_j}^{hi_j} T(tau) B dtau, exact per mode."""
+        lam = self.eigenvalues[:, None]
+        b = self.input_coeffs[:, None]
+        return b * (np.exp(-lam * lo[None, :]) - np.exp(-lam * hi[None, :])) / lam
+
+    def input_orbit_norms(self, times) -> np.ndarray:
+        """||T(tau) B|| at each time tau."""
+        lam = self.eigenvalues[:, None]
+        b = self.input_coeffs[:, None]
+        return np.linalg.norm(b * np.exp(-lam * times[None, :]), axis=0)
+
+    def to_config(self) -> dict:
+        return {
+            "type": "spectral",
+            "eigenvalues": [float(v) for v in self.eigenvalues],
+            "input_coeffs": [float(v) for v in self.input_coeffs],
+            "modes": self.mode_count,
+            "label": self.label,
+        }
 
 
 @dataclass(frozen=True)
@@ -132,6 +216,7 @@ class MatrixSystem:
         object.__setattr__(self, "a_matrix", _readonly(a))
         object.__setattr__(self, "b_matrix", _readonly(b))
         object.__setattr__(self, "_abscissa", float(spectrum.real.max()))
+        object.__setattr__(self, "_fastest", float(np.abs(spectrum).max()))
 
     @property
     def dimension(self) -> int:
@@ -146,10 +231,72 @@ class MatrixSystem:
         """Distance of the spectrum from the imaginary axis."""
         return -self._abscissa
 
+    @property
+    def fastest_rate(self) -> float:
+        """Largest eigenvalue modulus, from the construction-time spectrum."""
+        return self._fastest
+
     def input_vector(self, u=1.0) -> np.ndarray:
         if self.input_dim != 1:
             raise DimensionMismatchError("scalar input requested for multi-input system")
         return self.b_matrix[:, 0] * u
+
+    def step(self, x, u, h) -> np.ndarray:
+        """Exact state after h under the constant scalar input u (None: free flow).
+
+        The forced step exponentiates the augmented matrix ``[[A h, B u h],
+        [0, 0]]``, whose last column carries the input integral.
+        """
+        if u is None:
+            return scipy.linalg.expm(self.a_matrix * h) @ x
+        n = self.dimension
+        forcing = self.input_vector(u)
+        aug = np.zeros((n + 1, n + 1), dtype=np.result_type(self.a_matrix, forcing, float))
+        aug[:n, :n] = self.a_matrix * h
+        aug[:n, n] = forcing * h
+        propagator = scipy.linalg.expm(aug)
+        return propagator[:n, :n] @ x + propagator[:n, n]
+
+    def neg_power(self, alpha) -> np.ndarray:
+        """The matrix (-A)^alpha; see :func:`matrix_neg_power`."""
+        return _cached_power(self, alpha, lambda: matrix_neg_power(self, alpha))
+
+    def neg_power_apply(self, alpha, x) -> np.ndarray:
+        return self.neg_power(alpha) @ x
+
+    def power_semigroup_norm(self, r, t) -> float:
+        """||(-A)^r T(t)|| in the Euclidean operator norm."""
+        return float(
+            np.linalg.norm(self.neg_power(r) @ scipy.linalg.expm(self.a_matrix * t), 2)
+        )
+
+    def input_segment_integrals(self, lo, hi) -> np.ndarray:
+        """Column j holds int_{lo_j}^{hi_j} T(tau) B dtau = A^-1 (T(hi_j) - T(lo_j)) B."""
+        a = self.a_matrix
+        inv_b = np.linalg.solve(a, self.b_matrix[:, 0])
+        cols = []
+        for a_lo, a_hi in zip(lo, hi):
+            e_lo = scipy.linalg.expm(a * a_lo) @ inv_b
+            e_hi = scipy.linalg.expm(a * a_hi) @ inv_b
+            cols.append(e_hi - e_lo)
+        return np.stack(cols, axis=1)
+
+    def input_orbit_norms(self, times) -> np.ndarray:
+        """||T(tau) B|| at each time tau."""
+        b = self.b_matrix[:, 0]
+        return np.array(
+            [float(np.linalg.norm(scipy.linalg.expm(self.a_matrix * tau) @ b)) for tau in times]
+        )
+
+    def to_config(self) -> dict:
+        if np.iscomplexobj(self.a_matrix) or np.iscomplexobj(self.b_matrix):
+            raise ValueError("complex matrix systems have no JSON representation")
+        return {
+            "type": "matrix",
+            "a": self.a_matrix.tolist(),
+            "b": self.b_matrix.tolist(),
+            "label": self.label,
+        }
 
 
 def as_state(sys, x) -> np.ndarray:
@@ -179,9 +326,7 @@ def semigroup_apply(sys, t, x) -> np.ndarray:
     x = as_state(sys, x)
     if t == 0:
         return x.copy()
-    if isinstance(sys, SpectralSystem):
-        return np.exp(-sys.eigenvalues * t) * x
-    return scipy.linalg.expm(sys.a_matrix * t) @ x
+    return sys.step(x, None, t)
 
 
 def _half_integer_matrix_power(matrix, k):
@@ -235,10 +380,7 @@ def matrix_neg_power(sys: MatrixSystem, alpha, cond_limit=EIGENVECTOR_COND_LIMIT
 
 def fractional_power_apply(sys, alpha, x) -> np.ndarray:
     """Apply (-A)^alpha to a state; exact per mode for diagonal systems."""
-    x = as_state(sys, x)
-    if isinstance(sys, SpectralSystem):
-        return sys.eigenvalues**float(alpha) * x
-    return matrix_neg_power(sys, alpha) @ x
+    return sys.neg_power_apply(alpha, as_state(sys, x))
 
 
 def extrapolation_norm(sys, gamma, v) -> float:
@@ -250,17 +392,6 @@ def extrapolation_norm(sys, gamma, v) -> float:
     if gamma < 0:
         raise ValueError("gamma must be nonnegative")
     return float(np.linalg.norm(fractional_power_apply(sys, -gamma, v)))
-
-
-def _operator_norm_power_semigroup(sys, r, t):
-    # ||(-A)^r T(t)|| in the Euclidean operator norm.
-    if isinstance(sys, SpectralSystem):
-        lam = sys.eigenvalues
-        if t == 0:
-            return float(lam[-1] ** r) if r > 0 else 1.0
-        return float(np.max(lam**r * np.exp(-lam * t)))
-    power = matrix_neg_power(sys, r)
-    return float(np.linalg.norm(power @ scipy.linalg.expm(sys.a_matrix * t), 2))
 
 
 @dataclass(frozen=True)
@@ -297,18 +428,14 @@ def decay_bound_estimate(sys, r, delta=None, grid=None) -> DecayBound:
     if not 0 < delta <= gap:
         raise ValueError(f"delta must lie in (0, {gap:.6g}]")
     if grid is None:
-        if isinstance(sys, SpectralSystem):
-            fastest = float(sys.eigenvalues[-1])
-        else:
-            fastest = float(np.abs(np.linalg.eigvals(sys.a_matrix)).max())
-        grid = np.geomspace(1e-4 / fastest, 60.0 / delta, 600)
+        grid = np.geomspace(1e-4 / sys.fastest_rate, 60.0 / delta, 600)
         if r == 0:
             grid = np.concatenate([[0.0], grid])
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise ValueError("time grid must not be empty")
     values = np.array(
-        [_operator_norm_power_semigroup(sys, r, t) * t**r * np.exp(delta * t) for t in grid]
+        [sys.power_semigroup_norm(r, t) * t**r * np.exp(delta * t) for t in grid]
     )
     return DecayBound(prefactor=float(values.max()), rate=float(delta), power=float(r))
 
@@ -359,21 +486,4 @@ def system_from_config(doc: dict):
 
 def system_to_config(sys) -> dict:
     """Serialize a system back to its JSON configuration document."""
-    if isinstance(sys, SpectralSystem):
-        return {
-            "type": "spectral",
-            "eigenvalues": [float(v) for v in sys.eigenvalues],
-            "input_coeffs": [float(v) for v in sys.input_coeffs],
-            "modes": sys.mode_count,
-            "label": sys.label,
-        }
-    if isinstance(sys, MatrixSystem):
-        if np.iscomplexobj(sys.a_matrix) or np.iscomplexobj(sys.b_matrix):
-            raise ValueError("complex matrix systems have no JSON representation")
-        return {
-            "type": "matrix",
-            "a": sys.a_matrix.tolist(),
-            "b": sys.b_matrix.tolist(),
-            "label": sys.label,
-        }
-    raise TypeError(f"unsupported system {type(sys).__name__}")
+    return sys.to_config()

@@ -16,7 +16,7 @@ from lyapcert.admissibility import (
     operator_class_scan,
 )
 from lyapcert.models import counterexample_system, heat_system
-from lyapcert.systems import SpectralSystem
+from lyapcert.systems import MatrixSystem, SpectralSystem
 
 
 def test_classify_trend_basic():
@@ -202,6 +202,19 @@ def test_verdicts():
     silent = SpectralSystem([1.0, 2.0], [0.0, 0.0])
     est = admissibility_trend([silent], 2, [5.0])
     assert l2_iss_verdict(silent, est).verdict == "ISS"
+
+
+def test_zero_input_verdict_is_realization_independent():
+    # A zero input column makes any exponentially stable system ISS, even
+    # with a single truncation and hence no constant trend.
+    for silent in (
+        SpectralSystem([1.0, 2.0], [0.0, 0.0]),
+        MatrixSystem(np.array([[-1.0, 2.0], [0.0, -3.0]]), np.zeros((2, 1))),
+    ):
+        est = admissibility_trend([silent], 2, [5.0])
+        verdict = l2_iss_verdict(silent, est)
+        assert verdict.verdict == "ISS"
+        assert "zero input operator" in verdict.reasons
 
 
 def test_thresholds_are_configurable():

@@ -240,6 +240,28 @@ def test_cli_admissibility_scan(tmp_path, capsys):
     assert "gamma=0.5: diverging" in out
 
 
+def test_cli_admissibility_scan_runs_only_its_stages(tmp_path, monkeypatch):
+    import lyapcert.analysis as analysis
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("admissibility-scan must not fit dissipation certificates")
+
+    monkeypatch.setattr(analysis, "fit_dissipation", refuse)
+    code = main([
+        "admissibility-scan", "--model", "counterexample", "--modes", "64,128,256",
+        "--out", str(tmp_path),
+    ])
+    assert code == 0
+    doc = json.loads(_read(tmp_path / "admissibility.json"))
+    assert doc["constant_verdict"] == "bounded"
+    # The config checks of the full analysis still apply.
+    code = main([
+        "admissibility-scan", "--model", "heat-neumann", "--modes", SMALL,
+        "--delta-override", "100",
+    ])
+    assert code == 2
+
+
 def test_cli_lyapunov_eval(tmp_path):
     code = main([
         "lyapunov-eval", "--model", "heat-neumann", "--modes", "8", "--out", str(tmp_path),

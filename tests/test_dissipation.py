@@ -194,10 +194,33 @@ def test_fit_neumann_stable_across_modes():
         cloud = default_sample_cloud(sys, form, count=48, seed=0)
         report = fit_dissipation(form, sys, cloud)
         assert not report.infeasible
+        # a3 is the cap of the unforced samples, and it certifies every sample.
+        unforced = [-v / xx for xx, uu, v in report.samples if uu == 0.0 and xx > 0.0]
+        assert report.a3 == min(unforced)
+        assert report.worst_residual <= report.tolerance
         values.append((report.a3, report.a4))
     a3s = [a for a, _ in values]
     assert max(a3s) / min(a3s) <= 1.001
     assert a3s[0] == pytest.approx((math.pi / 2.0) ** 2, rel=1e-6)
+
+
+def test_sample_cloud_memory_is_linear_in_the_dimension():
+    # Coordinate probes are single rows; an n x n identity would take
+    # 128 MB at n = 4096.
+    import tracemalloc
+
+    n = 4096
+    sys = heat_system("neumann", n)
+    form = build_half_norm(sys)
+    tracemalloc.start()
+    try:
+        cloud = default_sample_cloud(sys, form, count=4, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    for probe, k in zip(cloud[4:7], (0, 1, n - 1)):
+        assert probe[k] == 1.0 and np.count_nonzero(probe) == 1
 
 
 def test_fit_dirichlet_input_coefficient_grows():

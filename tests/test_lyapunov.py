@@ -14,9 +14,7 @@ from lyapcert.lyapunov import (
     build_v_half,
     build_w_plain,
     build_w_q,
-    coercivity_bounds,
     contraction_similarity,
-    factorize,
 )
 from lyapcert.systems import MatrixSystem, SpectralSystem
 
@@ -107,25 +105,25 @@ def test_half_norm_matches_v_half():
 
 def test_coercivity_bounds_constant_weights():
     form = QuadraticForm(weights=np.full(4, 0.5))
-    assert coercivity_bounds(form) == (0.5, 0.5)
+    assert (form.a1, form.a2) == (0.5, 0.5)
 
 
 def test_coercivity_bounds_w_zero_quartic():
     sys = SpectralSystem([1.0, 4.0, 9.0, 16.0], [1.0] * 4, label="n-squared")
     form = build_w_q(sys, 0.0)
-    assert coercivity_bounds(form) == pytest.approx((1.0 / 32.0, 0.5), rel=1e-15)
+    assert (form.a1, form.a2) == pytest.approx((1.0 / 32.0, 0.5), rel=1e-15)
 
 
 def test_coercivity_bounds_dense():
     form = QuadraticForm(p_matrix=np.diag([1.0, 3.0]))
-    assert coercivity_bounds(form) == pytest.approx((1.0, 3.0))
+    assert (form.a1, form.a2) == pytest.approx((1.0, 3.0))
 
 
 def test_coercivity_bounds_sandwich_rayleigh():
     # Randomized Rayleigh quotients stay inside [a1, a2] on 10^3 samples.
     sys, rng = _random_system(13, n=8, hi=200.0)
     for form in (build_w_q(sys, 0.0), build_w_q(sys, 0.25)):
-        a1, a2 = coercivity_bounds(form)
+        a1, a2 = form.a1, form.a2
         for _ in range(1000):
             x = rng.normal(size=8)
             quotient = form.value(x) / float(x @ x)
@@ -147,14 +145,14 @@ def test_coercivity_trend_exact_scaling():
 
 def test_factorize_diagonal():
     form = QuadraticForm(weights=np.array([0.25, 0.25]))
-    f = factorize(form)
+    f = form.factor_matrix
     assert np.allclose(f, np.diag([0.5, 0.5]), rtol=1e-15)
 
 
 def test_factorize_dense():
     p = np.array([[2.0, 1.0], [1.0, 2.0]])
     form = QuadraticForm(p_matrix=p)
-    f = factorize(form)
+    f = form.factor_matrix
     assert np.allclose(f @ f, p, rtol=1e-12)
     x = np.array([1.0, 0.0])
     assert np.linalg.norm(f @ x) ** 2 == pytest.approx(2.0, rel=1e-12)
@@ -162,7 +160,7 @@ def test_factorize_dense():
 
 def test_factor_of_v_half():
     sys, _ = _random_system(7)
-    f = factorize(build_v_half(sys))
+    f = build_v_half(sys).factor_matrix
     assert np.allclose(np.diag(f), np.full(6, 1.0 / math.sqrt(2.0)), rtol=1e-15)
 
 

@@ -267,3 +267,58 @@ def test_decay_bound_type_validation():
         DecayBound(prefactor=0.0, rate=1.0, power=0.0)
     with pytest.raises(ValueError):
         DecayBound(prefactor=1.0, rate=-1.0, power=0.0)
+
+
+# ------------------------------------------------- the realization surface
+
+# Tolerance of the existing matrix-realization checks (selftest semigroup-law,
+# test_matrix_realization_matches_diagonal).
+REALIZATION_RTOL = 1e-9
+
+
+def _norm_close(dense, diagonal):
+    scale = max(float(np.linalg.norm(diagonal)), np.finfo(float).tiny)
+    return float(np.linalg.norm(np.asarray(dense) - diagonal)) <= REALIZATION_RTOL * scale
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6))
+def test_surface_agrees_across_realizations(seed, n):
+    rng = np.random.default_rng(seed)
+    lam = np.sort(rng.uniform(0.2, 30.0, n))
+    b = rng.normal(size=n)
+    diagonal = SpectralSystem(lam, b)
+    dense = MatrixSystem(np.diag(-lam), b.reshape(-1, 1))
+    assert dense.fastest_rate == pytest.approx(diagonal.fastest_rate, rel=1e-12)
+    assert dense.input_dim == diagonal.input_dim == 1
+    x = rng.normal(size=n)
+    for h in (1e-3, 0.1, 1.0):
+        for u in (None, 0.0, -0.7):
+            assert _norm_close(dense.step(x, u, h), diagonal.step(x, u, h))
+    for alpha in (-0.5, 0.25, 0.5, 1.0):
+        assert _norm_close(dense.neg_power_apply(alpha, x), diagonal.neg_power_apply(alpha, x))
+    for r in (0.0, 0.25, 0.5):
+        for t in (0.0, 1e-3, 0.5, 3.0):
+            assert dense.power_semigroup_norm(r, t) == pytest.approx(
+                diagonal.power_semigroup_norm(r, t), rel=REALIZATION_RTOL
+            )
+
+
+def test_decay_bound_computes_each_dense_power_once(monkeypatch):
+    import lyapcert.systems as systems
+
+    calls = []
+    original = systems.matrix_neg_power
+
+    def counted(sys, alpha, *args, **kwargs):
+        calls.append(alpha)
+        return original(sys, alpha, *args, **kwargs)
+
+    monkeypatch.setattr(systems, "matrix_neg_power", counted)
+    sys = MatrixSystem(np.array([[-1.0, 3.0], [0.0, -2.0]]), np.ones((2, 1)))
+    for r in (0.0, 0.25, 0.5):
+        decay_bound_estimate(sys, r)
+    assert sorted(calls) == [0.0, 0.25, 0.5]
+    decay_bound_estimate(sys, 0.25)
+    assert len(calls) == 3
+    assert not sys.neg_power(0.25).flags.writeable
