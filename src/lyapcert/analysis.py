@@ -482,9 +482,7 @@ def run_analyze(config: AnalysisConfig):
 
     condition_numbers = []
     for sys in family:
-        _, similarity = contraction_similarity(
-            sys, epsilon=config.epsilon, probes=200, seed=config.seed
-        )
+        _, similarity = contraction_similarity(sys, epsilon=config.epsilon)
         condition_numbers.append([sys.dimension, similarity.condition_number])
         rows.append(
             (label, "similarity", "condition_number", "", sys.dimension, None, similarity.condition_number)

@@ -21,6 +21,8 @@ from .analysis import (
     AnalysisConfig,
     ConfigError,
     InvariantViolationError,
+    _family,
+    _write_json,
     admissibility_stages,
     run_analyze,
     run_simulate,
@@ -156,9 +158,7 @@ def _cmd_admissibility_scan(args) -> int:
     if config.out_dir:
         os.makedirs(config.out_dir, exist_ok=True)
         path = os.path.join(config.out_dir, "admissibility.json")
-        with open(path, "w", encoding="utf-8", newline="\n") as handle:
-            json.dump(verdict_doc, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        _write_json(path, verdict_doc)
         print(f"wrote verdicts: {path}")
     for gamma, entry in sorted(scans.items(), key=lambda kv: float(kv[0])):
         print(f"  gamma={gamma}: {entry['verdict']} (exponent {entry['exponent']:.4g})")
@@ -169,8 +169,6 @@ def _cmd_admissibility_scan(args) -> int:
 
 def _cmd_lyapunov_eval(args) -> int:
     config = _build_config(args)
-    from .analysis import _family  # shares family construction with analyze
-
     label, family = _family(config)
     sys = family[-1]
     forms = {
@@ -188,15 +186,13 @@ def _cmd_lyapunov_eval(args) -> int:
             for name, form in forms.items()
         },
     }
-    rendered = json.dumps(doc, indent=2, sort_keys=True)
     if config.out_dir:
         os.makedirs(config.out_dir, exist_ok=True)
         path = os.path.join(config.out_dir, "forms.json")
-        with open(path, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(rendered + "\n")
+        _write_json(path, doc)
         print(f"wrote forms: {path}")
     else:
-        print(rendered)
+        print(json.dumps(doc, indent=2, sort_keys=True))
     return EXIT_OK
 
 

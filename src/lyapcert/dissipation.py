@@ -8,6 +8,9 @@ piecewise-constant inputs every step is evaluated in closed form
 
 so simulation introduces no discretization error beyond round-off; matrix
 systems use an exponential integrator on each constant-input segment.
+
+Dini derivatives of V come from one table: each input level and step size
+takes one exact ``sys.step`` of a stack of states (:func:`_dini_quotients`).
 """
 
 from __future__ import annotations
@@ -182,13 +185,6 @@ def simulate_mild(sys, x0, u, grid) -> Trajectory:
     return Trajectory(times=grid.copy(), states=np.vstack(states), input=u)
 
 
-def _default_h_sequence(u: InputSignal, h0=1e-2, levels=7):
-    positive = u.breakpoints[u.breakpoints > 0.0]
-    if positive.size:
-        h0 = min(h0, float(positive[0]) / 2.0)
-    return h0 * 2.0 ** (-np.arange(levels))
-
-
 def _stiff_h_sequence(sys, u: InputSignal, levels=7):
     # Difference quotients only see a mode once lam * h <= O(1); stiff
     # truncations therefore need the whole sequence pulled below the
@@ -196,31 +192,46 @@ def _stiff_h_sequence(sys, u: InputSignal, levels=7):
     # round-off of V when the spectrum spans too many decades to resolve.
     h0 = min(1e-2, 0.25 / sys.fastest_rate)
     h0 = max(h0, 1e-10)
-    positive = u.breakpoints[u.breakpoints > 0.0]
-    if positive.size:
-        h0 = min(h0, float(positive[0]) / 2.0)
+    if u.breakpoints.size > 1:  # breakpoints[1] is the first input switch
+        h0 = min(h0, float(u.breakpoints[1]) / 2.0)
     return h0 * 2.0 ** (-np.arange(levels))
 
 
 def _neville_limit(hs, values):
-    # Polynomial extrapolation of (h, D(h)) to h = 0; returns the limit and
-    # the spread of the last two diagonal entries as an error bar.
-    hs = np.asarray(hs, dtype=float)
-    table = list(np.asarray(values, dtype=float))
-    diagonal = [table[-1]]
-    current = table
-    for level in range(1, len(table)):
-        nxt = []
-        for i in range(len(current) - 1):
-            num = current[i + 1] * hs[i] - current[i] * hs[i + level]
-            nxt.append(num / (hs[i] - hs[i + level]))
-        current = nxt
-        diagonal.append(current[-1])
+    # Polynomial extrapolation of (h, D(h)) to h = 0 along the last axis;
+    # returns the limits and the spread of the last two diagonal entries.
+    current = np.asarray(values, dtype=float)
+    diagonal = [current[..., -1]]
+    for level in range(1, current.shape[-1]):
+        num = current[..., 1:] * hs[:-level] - current[..., :-1] * hs[level:]
+        current = num / (hs[:-level] - hs[level:])
+        diagonal.append(current[..., -1])
     if len(diagonal) >= 2:
-        bar = abs(diagonal[-1] - diagonal[-2])
+        bar = np.abs(diagonal[-1] - diagonal[-2])
     else:
-        bar = abs(diagonal[-1])
+        bar = np.abs(diagonal[-1])
     return diagonal[-1], bar
+
+
+def _dini_quotients(form: QuadraticForm, sys, states, u: InputSignal, hs):
+    """Dini estimates of a stack of states from its forward-quotient table.
+
+    Each step stays inside the first input segment, so ``x(h)`` is one
+    exact ``sys.step`` of the whole stack per step size.  Returns the
+    extrapolated derivatives, their error bars and the (states, steps)
+    table of quotients ``(V(x(h)) - V(x))/h``.
+    """
+    v0 = form.values(states)
+    quotients = np.stack(
+        [(form.values(sys.step(states, u.value0, h)) - v0) / h for h in hs], axis=-1
+    )
+    value, bar = _neville_limit(hs, quotients)
+    # Round-off floor: the difference quotient carries eps*|V|/h of noise,
+    # amplified by the extrapolation weights.
+    noise = 32.0 * np.finfo(float).eps * (
+        np.abs(v0) / hs[-1] + np.abs(quotients).max(axis=-1)
+    )
+    return value, 4.0 * np.where(noise > bar, noise, bar), quotients
 
 
 @dataclass(frozen=True)
@@ -241,33 +252,26 @@ def dini_derivative(form: QuadraticForm, sys, x, u, steps=None) -> DiniEstimate:
     smooth, so the raw limsup is reached polynomially fast.  The error bar
     is the spread of the last two extrapolants, floored at the round-off
     level of the difference quotient, with a safety factor of four.
+    Explicit ``steps`` must stay inside the first input segment.
     """
     u = _coerce_input(u)
     x = as_state(sys, x)
     if steps is None:
-        hs = _default_h_sequence(u)
+        hs = _stiff_h_sequence(sys, u)
     else:
         hs = np.asarray(steps, dtype=float).reshape(-1)
         if hs.size < 4:
             raise ValueError("need at least four step sizes")
         if np.any(np.diff(hs) >= 0.0) or np.any(hs <= 0.0):
             raise ValueError("step sizes must be positive and strictly decreasing")
-    v0 = form.value(x)
-    quotients = []
-    for h in hs:
-        xh = simulate_mild(sys, x, u, np.array([0.0, h])).states[-1]
-        quotients.append((form.value(xh) - v0) / h)
-    value, bar = _neville_limit(hs, quotients)
-    # Round-off floor: the difference quotient carries eps*|V|/h of noise,
-    # amplified by the extrapolation weights.
-    noise = 32.0 * np.finfo(float).eps * (
-        abs(v0) / hs[-1] + max(abs(q) for q in quotients)
-    )
+        if u.breakpoints.size > 1 and hs[0] > u.breakpoints[1]:
+            raise ValueError("step sizes must not pass the first input breakpoint")
+    value, bar, quotients = _dini_quotients(form, sys, x[None, :], u, hs)
     return DiniEstimate(
-        value=float(value),
-        error_bar=float(4.0 * max(bar, noise)),
+        value=float(value[0]),
+        error_bar=float(bar[0]),
         step_sizes=tuple(float(h) for h in hs),
-        quotients=tuple(float(d) for d in quotients),
+        quotients=tuple(float(d) for d in quotients[0]),
     )
 
 
@@ -355,17 +359,20 @@ def fit_dissipation(
     residual above the tolerance (only possible for non-finite derivative
     estimates) is reported as a violation and makes the fit infeasible.
     """
-    states = [as_state(sys, s) for s in sample_states]
+    states = np.stack([as_state(sys, s) for s in sample_states])
     if not any(np.linalg.norm(s) > 0 for s in states):
         raise ValueError("need at least one nonzero sample state")
     inputs = [_coerce_input(u) for u in sample_inputs]
-    samples = []
-    dini_steps = None
-    for x in states:
-        for u in inputs:
-            est = dini_derivative(form, sys, x, u, steps=_stiff_h_sequence(sys, u))
-            dini_steps = est.step_sizes
-            samples.append((float(np.vdot(x, x).real), u.value0**2, est.value))
+    step_sequences = [_stiff_h_sequence(sys, u) for u in inputs]
+    columns = [
+        _dini_quotients(form, sys, states, u, hs)[0] for u, hs in zip(inputs, step_sequences)
+    ]
+    dini_steps = tuple(float(h) for h in step_sequences[-1]) if inputs else None
+    samples = [
+        (float(np.vdot(x, x).real), u.value0**2, float(column[k]))
+        for k, x in enumerate(states)
+        for u, column in zip(inputs, columns)
+    ]
     scale = max(
         1.0,
         max(abs(v) for _, _, v in samples),

@@ -100,14 +100,18 @@ class QuadraticForm:
             return int(self.weights.size)
         return int(self.p_matrix.shape[0])
 
-    def value(self, x) -> float:
-        """Evaluate V(x)."""
-        x = np.asarray(x).reshape(-1)
-        if x.size != self.dimension:
+    def values(self, states) -> np.ndarray:
+        """V of each row of a stack of states, bit-identical to ``value``."""
+        states = np.atleast_2d(states)
+        if states.shape[1] != self.dimension:
             raise ValueError("state length does not match the form")
         if self.weights is not None:
-            return float(np.sum(self.weights * np.abs(x) ** 2))
-        return float(np.real(np.vdot(x, self.p_matrix @ x)))
+            return np.sum(self.weights * np.abs(states) ** 2, axis=-1)
+        return np.array([np.real(np.vdot(x, self.p_matrix @ x)) for x in states])
+
+    def value(self, x) -> float:
+        """Evaluate V(x)."""
+        return float(self.values(np.reshape(x, (1, -1)))[0])
 
     def p_apply(self, x) -> np.ndarray:
         """Apply the representing operator P to a state."""
@@ -261,51 +265,42 @@ class ContractionReport:
     satisfied: bool
 
 
-def contraction_similarity(sys, epsilon=1.0, probes=1000, seed=0, tol=1e-10):
+def contraction_similarity(sys, epsilon=1.0, tol=1e-10):
     """Solve A^H P + P A = -eps*I and verify dissipativity in <Px, x>.
 
-    Returns ``(P, report)``.  In the new scalar product the generator obeys
-    Re <Ax, Px> = -eps/2 ||x||^2, so the margin over random probes must be
-    nonpositive up to ``tol``.  ``condition_number`` of P measures how far
-    the similarity transform P^(1/2) distorts the original norm; its growth
-    across truncations is the quantity worth tracking.  ``decay_rate`` is
-    the certified rate a = eps / (2 lam_max(P)) of the norm candidate
-    W(x) = ||P^(1/2) x||.
+    Returns ``(form, report)``; diagonal generators get P = eps / (2 lam)
+    in closed form.  In the new scalar product Re <Ax, Px> = -eps/2 ||x||^2,
+    so the margin, the exact sup of Re <Ax, Px> / ||x||^2, must be
+    nonpositive up to ``tol``.  ``condition_number`` a2/a1 of P measures how
+    far the similarity transform P^(1/2) distorts the original norm; its
+    growth across truncations is the quantity worth tracking.  ``decay_rate``
+    is the certified rate a = eps / (2 a2) of W(x) = ||P^(1/2) x||.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
+    provenance = f"contraction similarity, epsilon {epsilon:g}"
     if isinstance(sys, SpectralSystem):
-        diag = epsilon / (2.0 * sys.eigenvalues)
-        p = np.diag(diag)
-        a_matrix = np.diag(-sys.eigenvalues)
+        lam = sys.eigenvalues
+        form = QuadraticForm(weights=epsilon / (2.0 * lam), provenance=provenance)
+        margin = float(np.max(-form.weights * lam))
     else:
         a_matrix = sys.a_matrix
-        n = sys.dimension
         p = scipy.linalg.solve_continuous_lyapunov(
-            a_matrix.conj().T, -epsilon * np.eye(n)
+            a_matrix.conj().T, -epsilon * np.eye(sys.dimension)
         )
-        p = (p + p.conj().T) / 2.0
-    eigs = np.linalg.eigvalsh(p)
-    if eigs[0] <= 0:
+        form = QuadraticForm(p_matrix=(p + p.conj().T) / 2.0, provenance=provenance)
+        pa = form.p_matrix @ a_matrix
+        margin = float(np.linalg.eigvalsh((pa + pa.conj().T) / 2.0)[-1])
+    if form.a1 <= 0:
         raise RuntimeError("Lyapunov solve returned a non-positive operator")
-    rng = np.random.default_rng(seed)
-    n = p.shape[0]
-    margin = -np.inf
-    for _ in range(int(probes)):
-        x = rng.standard_normal(n)
-        if np.iscomplexobj(a_matrix):
-            x = x + 1j * rng.standard_normal(n)
-        ax = a_matrix @ x
-        value = float(np.real(np.vdot(p @ x, ax))) / float(np.real(np.vdot(x, x)))
-        margin = max(margin, value)
     report = ContractionReport(
         epsilon=float(epsilon),
-        condition_number=float(eigs[-1] / eigs[0]),
-        dissipativity_margin=float(margin),
-        decay_rate=float(epsilon / (2.0 * eigs[-1])),
+        condition_number=float(form.a2 / form.a1),
+        dissipativity_margin=margin,
+        decay_rate=float(epsilon / (2.0 * form.a2)),
         satisfied=bool(margin <= tol),
     )
-    return p, report
+    return form, report
 
 
 @dataclass(frozen=True)

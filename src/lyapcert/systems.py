@@ -9,7 +9,8 @@ so callers never branch on the realization to get these quantities:
   (the largest eigenvalue modulus, computed once per instance);
 * ``input_vector(u)``, the state-space column ``B u`` of a scalar input;
 * ``step(x, u, h)``, the exact state after ``h`` under the constant input
-  ``u`` (``u=None`` is the free flow ``T(h) x``);
+  ``u`` (``u=None`` is the free flow ``T(h) x``) of one state or of each
+  row of a stack;
 * ``neg_power(alpha)`` and ``neg_power_apply(alpha, x)``, the operator
   ``(-A)^alpha`` (per-mode factors for diagonal systems), cached per
   instance and exponent as read-only arrays;
@@ -245,17 +246,19 @@ class MatrixSystem:
         """Exact state after h under the constant scalar input u (None: free flow).
 
         The forced step exponentiates the augmented matrix ``[[A h, B u h],
-        [0, 0]]``, whose last column carries the input integral.
+        [0, 0]]``, whose last column carries the input integral.  Stacked
+        matrix-vector products keep each row of a stack bit-identical to
+        its own step; ``x @ E.T`` would not.
         """
         if u is None:
-            return scipy.linalg.expm(self.a_matrix * h) @ x
+            return (scipy.linalg.expm(self.a_matrix * h) @ x[..., None])[..., 0]
         n = self.dimension
         forcing = self.input_vector(u)
         aug = np.zeros((n + 1, n + 1), dtype=np.result_type(self.a_matrix, forcing, float))
         aug[:n, :n] = self.a_matrix * h
         aug[:n, n] = forcing * h
         propagator = scipy.linalg.expm(aug)
-        return propagator[:n, :n] @ x + propagator[:n, n]
+        return (propagator[:n, :n] @ x[..., None])[..., 0] + propagator[:n, n]
 
     def neg_power(self, alpha) -> np.ndarray:
         """The matrix (-A)^alpha; see :func:`matrix_neg_power`."""

@@ -181,15 +181,18 @@ def test_criterion_08_contraction_similarity():
         raw = rng.normal(size=(n, n))
         shift = np.abs(np.linalg.eigvals(raw).real).max() + rng.uniform(0.2, 1.0)
         sys = MatrixSystem(raw - shift * np.eye(n), np.ones((n, 1)))
-        p, report = contraction_similarity(sys, epsilon=1.0, probes=1000, seed=trial)
-        assert np.linalg.eigvalsh(p)[0] > 0.0
+        form, report = contraction_similarity(sys, epsilon=1.0)
+        assert np.linalg.eigvalsh(form.p_matrix)[0] > 0.0
         assert report.dissipativity_margin <= 1e-10
 
         grid = np.linspace(0.0, 3.0 / sys.spectral_gap, 40)
         x0 = rng.normal(size=n)
         traj = simulate_mild(sys, x0, InputSignal.zero(), grid)
         w_values = np.array(
-            [math.sqrt(max(float(np.real(np.vdot(s, p @ s))), 0.0)) for s in traj.states]
+            [
+                math.sqrt(max(float(np.real(np.vdot(s, form.p_apply(s)))), 0.0))
+                for s in traj.states
+            ]
         )
         rate = report.decay_rate
         for earlier, later, h in zip(w_values[:-1], w_values[1:], np.diff(grid)):

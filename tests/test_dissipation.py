@@ -15,6 +15,7 @@ from lyapcert.dissipation import (
     proof_decomposition,
     simulate_mild,
     upgrade_check,
+    _stiff_h_sequence,
 )
 from lyapcert.lyapunov import build_half_norm, build_v_half, build_w_plain, build_w_q
 from lyapcert.models import heat_system
@@ -166,6 +167,17 @@ def test_dini_step_validation():
         dini_derivative(form, SCALAR, [1.0], 0.0, steps=[1e-2, 1e-3, 1e-4, 1e-3])
 
 
+def test_dini_steps_must_stay_in_the_first_input_segment():
+    # Each quotient holds u(0) over [0, h], so steps past the first
+    # breakpoint would silently ignore the input switch.
+    form = build_half_norm(SCALAR)
+    u = InputSignal.piecewise([0.0, 0.01], [1.0, -1.0])
+    with pytest.raises(ValueError):
+        dini_derivative(form, SCALAR, [1.0], u, steps=[0.02, 0.01, 0.005, 0.0025])
+    est = dini_derivative(form, SCALAR, [1.0], u, steps=[0.01, 0.005, 0.0025, 0.00125])
+    assert est.value == pytest.approx(0.0, abs=1e-10)
+
+
 # ------------------------------------------------------------ certificates
 
 
@@ -202,6 +214,46 @@ def test_fit_neumann_stable_across_modes():
     a3s = [a for a, _ in values]
     assert max(a3s) / min(a3s) <= 1.001
     assert a3s[0] == pytest.approx((math.pi / 2.0) ** 2, rel=1e-6)
+
+
+def _dense_system(n, seed):
+    rng = np.random.default_rng(seed)
+    raw = rng.normal(size=(n, n))
+    shift = np.abs(np.linalg.eigvals(raw).real).max() + 0.5
+    return MatrixSystem(raw - shift * np.eye(n), rng.normal(size=(n, 1)))
+
+
+@pytest.mark.parametrize("kind", ["heat-neumann", "dense"])
+def test_fit_samples_equal_single_state_dini(kind):
+    # The batched table is the per-sample Dini estimate, bit for bit.
+    sys = heat_system("neumann", 64) if kind == "heat-neumann" else _dense_system(6, 5)
+    form = build_v_half(sys)
+    cloud = default_sample_cloud(sys, form, count=12, seed=0)
+    levels = (0.0, 0.5, -0.5, 1.0, -1.0)
+    report = fit_dissipation(form, sys, cloud, sample_inputs=levels)
+    steps = _stiff_h_sequence(sys, InputSignal.zero())
+    expected = [dini_derivative(form, sys, x, u, steps=steps).value for x in cloud for u in levels]
+    assert [v for _, _, v in report.samples] == expected
+    assert report.dini_steps == tuple(steps)
+
+
+def test_dense_fit_exponentiates_once_per_level_and_step(monkeypatch):
+    import scipy.linalg
+
+    sys = _dense_system(6, 7)
+    form = build_v_half(sys)
+    cloud = default_sample_cloud(sys, form, count=20, seed=0)
+    calls = []
+    original = scipy.linalg.expm
+
+    def counted(matrix):
+        calls.append(matrix.shape)
+        return original(matrix)
+
+    monkeypatch.setattr(scipy.linalg, "expm", counted)
+    levels = (0.0, 0.5, -0.5, 1.0, -1.0)
+    fit_dissipation(form, sys, cloud, sample_inputs=levels)
+    assert len(calls) == len(levels) * 7
 
 
 def test_sample_cloud_memory_is_linear_in_the_dimension():

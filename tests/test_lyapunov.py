@@ -205,8 +205,8 @@ def test_homogeneity_general_scale():
 
 def test_contraction_similarity_diagonal_example():
     sys = MatrixSystem(np.diag([-1.0, -2.0]), np.ones((2, 1)))
-    p, report = contraction_similarity(sys, epsilon=2.0)
-    assert np.allclose(p, np.diag([1.0, 0.5]), atol=1e-12)
+    form, report = contraction_similarity(sys, epsilon=2.0)
+    assert np.allclose(form.p_matrix, np.diag([1.0, 0.5]), atol=1e-12)
     assert report.satisfied
     assert report.dissipativity_margin == pytest.approx(-1.0, rel=1e-9)
 
@@ -217,17 +217,47 @@ def test_contraction_similarity_restores_dissipativity():
     # In the plain scalar product the generator is not dissipative here.
     assert float(x @ a @ x) == pytest.approx(4.0, rel=1e-12)
     sys = MatrixSystem(a, np.ones((2, 1)))
-    p, report = contraction_similarity(sys, epsilon=1.0)
+    form, report = contraction_similarity(sys, epsilon=1.0)
     assert report.satisfied
-    assert float(np.real(np.vdot(p @ x, a @ x))) <= 1e-10
+    assert float(np.real(np.vdot(form.p_apply(x), a @ x))) <= 1e-10
 
 
 def test_contraction_similarity_self_adjoint_condition():
     sys = SpectralSystem([1.0, 2.0, 8.0], [1.0, 1.0, 1.0])
-    p, report = contraction_similarity(sys, epsilon=1.0)
+    form, report = contraction_similarity(sys, epsilon=1.0)
+    p = np.column_stack([form.p_apply(e) for e in np.eye(3)])
     a = np.diag(-sys.eigenvalues)
     assert np.allclose(p @ a, a @ p, atol=1e-12)
     assert report.condition_number == pytest.approx(8.0, rel=1e-12)
+
+
+def test_diagonal_contraction_similarity_is_linear_in_memory():
+    # The closed form P = eps/(2 lam) needs no N x N array; np.diag at
+    # N = 2048 would take 32 MB.
+    import tracemalloc
+
+    sys = SpectralSystem(np.arange(1.0, 2049.0) ** 2, np.ones(2048))
+    tracemalloc.start()
+    try:
+        form, report = contraction_similarity(sys, epsilon=1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert np.array_equal(form.weights, 1.0 / (2.0 * sys.eigenvalues))
+    assert report.condition_number == 2048.0**2
+    assert report.dissipativity_margin == pytest.approx(-0.5, rel=1e-15)
+    assert report.satisfied
+
+
+def test_values_rows_equal_single_values():
+    rng = np.random.default_rng(4)
+    sys, _ = _random_system(4)
+    stack = rng.normal(size=(5, 6))
+    for form in (build_w_q(sys, 0.25), QuadraticForm(p_matrix=np.diag(np.arange(1.0, 7.0)))):
+        assert form.values(stack).tolist() == [form.value(x) for x in stack]
+        with pytest.raises(ValueError):
+            form.values(np.ones((2, 5)))
 
 
 def test_contraction_decay_rate_certificate():
@@ -235,8 +265,8 @@ def test_contraction_decay_rate_certificate():
     raw = rng.normal(size=(4, 4))
     shift = np.abs(np.linalg.eigvals(raw).real).max() + 0.5
     sys = MatrixSystem(raw - shift * np.eye(4), np.ones((4, 1)))
-    p, report = contraction_similarity(sys, epsilon=1.0)
-    lam_max = np.linalg.eigvalsh(p)[-1]
+    form, report = contraction_similarity(sys, epsilon=1.0)
+    lam_max = np.linalg.eigvalsh(form.p_matrix)[-1]
     assert report.decay_rate == pytest.approx(1.0 / (2.0 * lam_max), rel=1e-12)
 
 

@@ -322,3 +322,21 @@ def test_decay_bound_computes_each_dense_power_once(monkeypatch):
     decay_bound_estimate(sys, 0.25)
     assert len(calls) == 3
     assert not sys.neg_power(0.25).flags.writeable
+
+
+@pytest.mark.parametrize("kind", ["spectral", "matrix"])
+def test_step_on_a_stack_equals_each_row(kind):
+    rng = np.random.default_rng(3)
+    n = 9
+    if kind == "spectral":
+        sys = SpectralSystem(np.sort(rng.uniform(0.1, 40.0, n)), rng.normal(size=n))
+    else:
+        raw = rng.normal(size=(n, n))
+        shift = np.abs(np.linalg.eigvals(raw).real).max() + 0.5
+        sys = MatrixSystem(raw - shift * np.eye(n), rng.normal(size=(n, 1)))
+    stack = rng.normal(size=(11, n))
+    for u in (None, 0.0, -0.7):
+        for h in (1e-4, 0.03):
+            stepped = sys.step(stack, u, h)
+            assert stepped.shape == stack.shape
+            assert np.array_equal(stepped, np.array([sys.step(x, u, h) for x in stack]))
