@@ -210,7 +210,7 @@ def admissibility_constant(sys, q, horizon, steps=512, nodes=None) -> Admissibil
         nodes = _graded_backward_grid(sys.fastest_rate, horizon, steps)
     nodes = np.asarray(nodes, dtype=float)
     # Column j integrates T(tau) B exactly over the j-th backward segment.
-    columns = sys.input_segment_integrals(nodes[:-1], nodes[1:])
+    columns = sys.input_segment_integrals(nodes)
     constant = _constant_from_columns(sys, q, nodes, columns)
     modes = sys.dimension
     return AdmissibilityEstimate(

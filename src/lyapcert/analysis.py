@@ -473,10 +473,9 @@ def run_analyze(config: AnalysisConfig):
                      None, form.a1)
                 )
 
-    for power in (0.0, 0.25, 0.5):
-        bound = decay_bound_estimate(largest, power, delta=config.delta_override)
+    for bound in decay_bound_estimate(largest, (0.0, 0.25, 0.5), delta=config.delta_override):
         rows.append(
-            (label, f"decay rate {bound.rate:g}", "decay_prefactor", f"{power:g}",
+            (label, f"decay rate {bound.rate:g}", "decay_prefactor", f"{bound.power:g}",
              largest.dimension, None, bound.prefactor)
         )
 

@@ -14,10 +14,11 @@ so callers never branch on the realization to get these quantities:
 * ``neg_power(alpha)`` and ``neg_power_apply(alpha, x)``, the operator
   ``(-A)^alpha`` (per-mode factors for diagonal systems), cached per
   instance and exponent as read-only arrays;
-* ``power_semigroup_norm(r, t)``, the operator norm ``||(-A)^r T(t)||``;
-* ``input_segment_integrals(lo, hi)`` and ``input_orbit_norms(times)``,
-  the input map ``int T(tau) B dtau`` over segments and the kernel norms
-  ``||T(tau) B||``;
+* ``power_semigroup_norms(powers, t)``, the operator norms
+  ``||(-A)^r T(t)||`` of several powers from one evaluation of ``T(t)``;
+* ``input_segment_integrals(nodes)`` and ``input_orbit_norms(times)``,
+  the input map ``int T(tau) B dtau`` over the segments between
+  consecutive nodes and the kernel norms ``||T(tau) B||``;
 * ``to_config()``, the JSON document :func:`system_from_config` reads.
 
 States are plain 1-D numpy arrays; helpers here validate their length
@@ -155,18 +156,17 @@ class SpectralSystem:
     def neg_power_apply(self, alpha, x) -> np.ndarray:
         return self.neg_power(alpha) * x
 
-    def power_semigroup_norm(self, r, t) -> float:
-        """||(-A)^r T(t)||, the largest per-mode factor lam^r exp(-lam t)."""
-        lam = self.eigenvalues
-        if t == 0:
-            return float(lam[-1] ** r) if r > 0 else 1.0
-        return float(np.max(self.neg_power(r) * np.exp(-lam * t)))
+    def power_semigroup_norms(self, powers, t) -> list:
+        """||(-A)^r T(t)|| per power r, the largest per-mode factor lam^r exp(-lam t)."""
+        decay = np.exp(-self.eigenvalues * t)
+        return [float(np.max(self.neg_power(r) * decay)) for r in powers]
 
-    def input_segment_integrals(self, lo, hi) -> np.ndarray:
-        """Column j holds int_{lo_j}^{hi_j} T(tau) B dtau, exact per mode."""
+    def input_segment_integrals(self, nodes) -> np.ndarray:
+        """Column j holds int_{nodes_j}^{nodes_j+1} T(tau) B dtau, exact per mode."""
         lam = self.eigenvalues[:, None]
         b = self.input_coeffs[:, None]
-        return b * (np.exp(-lam * lo[None, :]) - np.exp(-lam * hi[None, :])) / lam
+        decay = np.exp(-lam * nodes[None, :])
+        return b * (decay[:, :-1] - decay[:, 1:]) / lam
 
     def input_orbit_norms(self, times) -> np.ndarray:
         """||T(tau) B|| at each time tau."""
@@ -267,22 +267,19 @@ class MatrixSystem:
     def neg_power_apply(self, alpha, x) -> np.ndarray:
         return self.neg_power(alpha) @ x
 
-    def power_semigroup_norm(self, r, t) -> float:
-        """||(-A)^r T(t)|| in the Euclidean operator norm."""
-        return float(
-            np.linalg.norm(self.neg_power(r) @ scipy.linalg.expm(self.a_matrix * t), 2)
-        )
+    def power_semigroup_norms(self, powers, t) -> list:
+        """||(-A)^r T(t)|| per power r in the Euclidean operator norm, one expm."""
+        semigroup = scipy.linalg.expm(self.a_matrix * t)
+        return [float(np.linalg.norm(self.neg_power(r) @ semigroup, 2)) for r in powers]
 
-    def input_segment_integrals(self, lo, hi) -> np.ndarray:
-        """Column j holds int_{lo_j}^{hi_j} T(tau) B dtau = A^-1 (T(hi_j) - T(lo_j)) B."""
-        a = self.a_matrix
-        inv_b = np.linalg.solve(a, self.b_matrix[:, 0])
-        cols = []
-        for a_lo, a_hi in zip(lo, hi):
-            e_lo = scipy.linalg.expm(a * a_lo) @ inv_b
-            e_hi = scipy.linalg.expm(a * a_hi) @ inv_b
-            cols.append(e_hi - e_lo)
-        return np.stack(cols, axis=1)
+    def input_segment_integrals(self, nodes) -> np.ndarray:
+        """Column j holds A^-1 (T(nodes_j+1) - T(nodes_j)) B, the integral of T(tau) B.
+
+        ``T(t) A^-1 B`` is formed once per node and neighbours are subtracted.
+        """
+        inv_b = np.linalg.solve(self.a_matrix, self.b_matrix[:, 0])
+        orbit = np.stack([scipy.linalg.expm(self.a_matrix * t) @ inv_b for t in nodes], axis=1)
+        return orbit[:, 1:] - orbit[:, :-1]
 
     def input_orbit_norms(self, times) -> np.ndarray:
         """||T(tau) B|| at each time tau."""
@@ -353,13 +350,13 @@ def _half_integer_matrix_power(matrix, k):
     return out
 
 
-def matrix_neg_power(sys: MatrixSystem, alpha, cond_limit=EIGENVECTOR_COND_LIMIT):
+def matrix_neg_power(sys: MatrixSystem, alpha):
     """The operator (-A)^alpha for a matrix system.
 
     Half-integer powers go through Schur-based square roots, which stay
     exact for defective spectra.  Generic powers use the eigendecomposition
     and refuse when the eigenvector basis is conditioned worse than
-    ``cond_limit``.
+    ``EIGENVECTOR_COND_LIMIT``.
     """
     neg_a = -sys.a_matrix
     doubled = 2.0 * alpha
@@ -368,9 +365,9 @@ def matrix_neg_power(sys: MatrixSystem, alpha, cond_limit=EIGENVECTOR_COND_LIMIT
         return _half_integer_matrix_power(neg_a, int(k))
     w, v = np.linalg.eig(neg_a)
     cond = np.linalg.cond(v)
-    if not np.isfinite(cond) or cond > cond_limit:
+    if not np.isfinite(cond) or cond > EIGENVECTOR_COND_LIMIT:
         raise ConditioningError(
-            f"eigenvector basis condition {cond:.3g} exceeds {cond_limit:.1e}; "
+            f"eigenvector basis condition {cond:.3g} exceeds {EIGENVECTOR_COND_LIMIT:.1e}; "
             f"power {alpha} refused"
         )
     powered = (v * w.astype(complex) ** alpha) @ np.linalg.inv(v)
@@ -416,31 +413,33 @@ class DecayBound:
         return self.prefactor * t ** (-self.power) * np.exp(-self.rate * t)
 
 
-def decay_bound_estimate(sys, r, delta=None, grid=None) -> DecayBound:
-    """Fit the smallest prefactor M with ||(-A)^r T(t)|| <= M t^-r e^(-delta t).
+def decay_bound_estimate(sys, powers, delta=None) -> list:
+    """Fit per power r the smallest M with ||(-A)^r T(t)|| <= M t^-r e^(-delta t).
 
-    ``delta`` defaults to half the spectral gap, strictly inside it, which
-    keeps M finite for every power r < 1.  M is the maximum of
-    ``||(-A)^r T(t)|| * t^r * exp(delta*t)`` over a logarithmic grid.
+    Returns one :class:`DecayBound` per power.  ``delta`` defaults to half
+    the spectral gap, strictly inside it, which keeps M finite for every
+    power r < 1.  M is the maximum of ``||(-A)^r T(t)|| * t^r * exp(delta*t)``
+    over one grid shared by all powers, ``t = 0`` and a logarithmic sweep,
+    so ``T(t)`` is evaluated once per node.  At ``t = 0`` only ``r = 0``
+    contributes; every other power gives zero there.
     """
-    if r < 0:
+    powers = [float(r) for r in powers]
+    if any(r < 0 for r in powers):
         raise ValueError("power r must be nonnegative")
     gap = sys.spectral_gap
     if delta is None:
         delta = gap / 2.0
     if not 0 < delta <= gap:
         raise ValueError(f"delta must lie in (0, {gap:.6g}]")
-    if grid is None:
-        grid = np.geomspace(1e-4 / sys.fastest_rate, 60.0 / delta, 600)
-        if r == 0:
-            grid = np.concatenate([[0.0], grid])
-    grid = np.asarray(grid, dtype=float)
-    if grid.size == 0:
-        raise ValueError("time grid must not be empty")
-    values = np.array(
-        [sys.power_semigroup_norm(r, t) * t**r * np.exp(delta * t) for t in grid]
-    )
-    return DecayBound(prefactor=float(values.max()), rate=float(delta), power=float(r))
+    grid = np.concatenate([[0.0], np.geomspace(1e-4 / sys.fastest_rate, 60.0 / delta, 600)])
+    rows = []
+    for t in grid:
+        norms = sys.power_semigroup_norms(powers, t)
+        rows.append([norm * t**r * np.exp(delta * t) for r, norm in zip(powers, norms)])
+    return [
+        DecayBound(prefactor=float(column.max()), rate=float(delta), power=r)
+        for r, column in zip(powers, np.array(rows).T)
+    ]
 
 
 def system_from_config(doc: dict):

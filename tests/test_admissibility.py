@@ -106,6 +106,23 @@ def test_matrix_realization_matches_diagonal():
     assert k_dense == pytest.approx(k_diag, rel=1e-9)
 
 
+@pytest.mark.parametrize("steps", [8, 64])
+def test_dense_input_map_makes_one_expm_per_node(monkeypatch, steps):
+    import scipy.linalg
+
+    calls = []
+    original = scipy.linalg.expm
+
+    def counted(a):
+        calls.append(a.shape)
+        return original(a)
+
+    monkeypatch.setattr(scipy.linalg, "expm", counted)
+    sys = MatrixSystem(np.array([[-1.0, 4.0], [0.0, -3.0]]), np.array([[1.0], [-2.0]]))
+    admissibility_constant(sys, 2, horizon=5.0, steps=steps)
+    assert len(calls) == steps + 1
+
+
 def test_multi_input_matrix_rejected():
     from lyapcert.systems import MatrixSystem
 

@@ -177,7 +177,7 @@ def test_extrapolation_monotone_in_gamma_for_gap_above_one():
 
 def test_decay_bound_r_zero():
     sys = SpectralSystem([1.0, 5.0], [1.0, 1.0])
-    bound = decay_bound_estimate(sys, 0.0)
+    (bound,) = decay_bound_estimate(sys, [0.0])
     assert bound.prefactor == pytest.approx(1.0, rel=1e-12)
     assert bound.rate == pytest.approx(0.5)
 
@@ -189,7 +189,7 @@ def test_decay_bound_half_power_scalar():
     oracle = float(np.max(np.sqrt(grid) * np.exp(-grid / 2.0)))
     assert oracle == pytest.approx(math.exp(-0.5), rel=1e-9)
     sys = SpectralSystem([1.0], [1.0])
-    bound = decay_bound_estimate(sys, 0.5)
+    (bound,) = decay_bound_estimate(sys, [0.5])
     assert bound.prefactor == pytest.approx(math.exp(-0.5), rel=1e-4)
     assert bound.power == 0.5
 
@@ -197,8 +197,7 @@ def test_decay_bound_half_power_scalar():
 def test_decay_bound_validates_on_grid():
     rng = np.random.default_rng(3)
     sys = SpectralSystem(np.sort(rng.uniform(0.3, 20.0, 5)), rng.normal(size=5))
-    for r in (0.0, 0.25, 0.5):
-        bound = decay_bound_estimate(sys, r)
+    for r, bound in zip((0.0, 0.25, 0.5), decay_bound_estimate(sys, (0.0, 0.25, 0.5))):
         for t in np.geomspace(1e-3, 10.0, 50):
             norm = float(np.max(sys.eigenvalues**r * np.exp(-sys.eigenvalues * t)))
             assert norm <= bound.evaluate(t) * (1 + 1e-9)
@@ -220,12 +219,6 @@ def test_square_function_tail_integrable_only_below_half():
     # at r = 0.4, flat (log divergence) at r = 1/2.
     assert saturating[-1] - saturating[-2] < 0.7 * (saturating[1] - saturating[0])
     assert growing[-1] - growing[-2] > 0.85 * (growing[1] - growing[0])
-
-
-def test_decay_bound_empty_grid():
-    sys = SpectralSystem([1.0], [1.0])
-    with pytest.raises(ValueError):
-        decay_bound_estimate(sys, 0.5, grid=np.array([]))
 
 
 def test_config_round_trip():
@@ -297,11 +290,11 @@ def test_surface_agrees_across_realizations(seed, n):
             assert _norm_close(dense.step(x, u, h), diagonal.step(x, u, h))
     for alpha in (-0.5, 0.25, 0.5, 1.0):
         assert _norm_close(dense.neg_power_apply(alpha, x), diagonal.neg_power_apply(alpha, x))
-    for r in (0.0, 0.25, 0.5):
-        for t in (0.0, 1e-3, 0.5, 3.0):
-            assert dense.power_semigroup_norm(r, t) == pytest.approx(
-                diagonal.power_semigroup_norm(r, t), rel=REALIZATION_RTOL
-            )
+    powers = (0.0, 0.25, 0.5)
+    for t in (0.0, 1e-3, 0.5, 3.0):
+        assert dense.power_semigroup_norms(powers, t) == pytest.approx(
+            diagonal.power_semigroup_norms(powers, t), rel=REALIZATION_RTOL
+        )
 
 
 def test_decay_bound_computes_each_dense_power_once(monkeypatch):
@@ -316,12 +309,55 @@ def test_decay_bound_computes_each_dense_power_once(monkeypatch):
 
     monkeypatch.setattr(systems, "matrix_neg_power", counted)
     sys = MatrixSystem(np.array([[-1.0, 3.0], [0.0, -2.0]]), np.ones((2, 1)))
-    for r in (0.0, 0.25, 0.5):
-        decay_bound_estimate(sys, r)
+    decay_bound_estimate(sys, (0.0, 0.25, 0.5))
     assert sorted(calls) == [0.0, 0.25, 0.5]
-    decay_bound_estimate(sys, 0.25)
+    decay_bound_estimate(sys, [0.25])
     assert len(calls) == 3
     assert not sys.neg_power(0.25).flags.writeable
+
+
+def _nonnormal_dense(n=5, seed=8):
+    rng = np.random.default_rng(seed)
+    raw = rng.normal(size=(n, n)) + 3.0 * np.triu(rng.normal(size=(n, n)), 1)
+    shift = np.linalg.eigvals(raw).real.max() + 0.5
+    return MatrixSystem(raw - shift * np.eye(n), rng.normal(size=(n, 1)))
+
+
+def test_dense_decay_bounds_share_one_expm_per_node(monkeypatch):
+    import scipy.linalg
+
+    calls = []
+    original = scipy.linalg.expm
+
+    def counted(a):
+        calls.append(a.shape)
+        return original(a)
+
+    sys = _nonnormal_dense()
+    monkeypatch.setattr(scipy.linalg, "expm", counted)
+    decay_bound_estimate(sys, (0.0, 0.25, 0.5))
+    assert len(calls) == 601
+
+
+def test_dense_decay_bounds_equal_the_per_power_maximum():
+    # Oracle: the maximum over each power's own grid of
+    # ||(-A)^r expm(At)||_2 t^r e^(delta t), evaluated one power at a time.
+    import scipy.linalg
+
+    sys = _nonnormal_dense()
+    delta = sys.spectral_gap / 2.0
+    sweep = np.geomspace(1e-4 / sys.fastest_rate, 60.0 / delta, 600)
+    bounds = decay_bound_estimate(sys, (0.0, 0.25, 0.5))
+    for r, bound in zip((0.0, 0.25, 0.5), bounds):
+        grid = np.concatenate([[0.0], sweep]) if r == 0 else sweep
+        values = [
+            float(np.linalg.norm(sys.neg_power(r) @ scipy.linalg.expm(sys.a_matrix * t), 2))
+            * t**r
+            * np.exp(delta * t)
+            for t in grid
+        ]
+        assert bound.power == r
+        assert bound.prefactor == max(values)
 
 
 @pytest.mark.parametrize("kind", ["spectral", "matrix"])
