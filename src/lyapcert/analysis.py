@@ -164,28 +164,29 @@ def _family(config: AnalysisConfig):
     return sys.label, [sys]
 
 
-def _format_number(value):
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if value is None:
-        return ""
-    return repr(float(value))
+def _write_artifacts(out_dir, artifacts):
+    """Write ``{kind: (file name, content)}`` into ``out_dir``; returns ``{kind: path}``.
 
-
-def _write_csv(path, header, rows):
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(
-                [v if isinstance(v, str) else _format_number(v) for v in row]
-            )
-
-
-def _write_json(path, doc):
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        json.dump(doc, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    A dict is written as indented JSON with sorted keys and a trailing LF,
+    a ``(header, rows)`` pair as CSV, where floats keep their ``repr`` and
+    ``None`` is an empty field.  Without ``out_dir`` nothing is written.
+    """
+    if not out_dir:
+        return {}
+    os.makedirs(out_dir, exist_ok=True)
+    paths = {}
+    for kind, (name, content) in artifacts.items():
+        paths[kind] = os.path.join(out_dir, name)
+        with open(paths[kind], "w", encoding="utf-8", newline="") as handle:
+            if isinstance(content, dict):
+                json.dump(content, handle, indent=2, sort_keys=True)
+                handle.write("\n")
+            else:
+                header, rows = content
+                writer = csv.writer(handle, lineterminator="\n")
+                writer.writerow(header)
+                writer.writerows(rows)
+    return paths
 
 
 def _certificate_trend(label, family, form_builder, config, rows):
@@ -514,21 +515,16 @@ def run_analyze(config: AnalysisConfig):
         "findings": findings,
     }
 
-    artifacts = {}
-    if config.out_dir:
-        os.makedirs(config.out_dir, exist_ok=True)
-        report_path = os.path.join(config.out_dir, "report.json")
-        _write_json(report_path, report)
-        trends_path = os.path.join(config.out_dir, "trends.csv")
-        _write_csv(
-            trends_path,
-            ["system", "label", "quantity", "gamma_or_q", "N", "T", "value"],
-            rows,
+    header = ["system", "label", "quantity", "gamma_or_q", "N", "T", "value"]
+    files = {"report": ("report.json", report), "trends": ("trends.csv", (header, rows))}
+    if config.out_dir:  # the step response is simulated only to be written
+        t_end = min(config.horizon, max(1.0, 4.0 / largest.spectral_gap))
+        grid = np.linspace(0.0, t_end, 101)
+        response = simulate_mild(
+            largest, np.zeros(largest.dimension), InputSignal.constant(1.0), grid
         )
-        traj_path = os.path.join(config.out_dir, "trajectories.csv")
-        _write_trajectory(traj_path, largest, config)
-        artifacts = {"report": report_path, "trends": trends_path, "trajectories": traj_path}
-    return report, artifacts
+        files["trajectories"] = ("trajectories.csv", _trajectory_table(response))
+    return report, _write_artifacts(config.out_dir, files)
 
 
 def _q_label(q):
@@ -537,22 +533,11 @@ def _q_label(q):
     return f"{float(q):g}"
 
 
-def _write_trajectory_csv(path, traj):
-    """One row per node: the time, every state coordinate, the input level."""
+def _trajectory_table(traj):
+    """CSV header and rows of a trajectory: the time, every state coordinate, the input."""
     header = ["t"] + [f"mode_{k}" for k in range(1, traj.states.shape[1] + 1)] + ["u"]
-    rows = [
-        tuple([t] + list(state) + [traj.input.value_at(t)])
-        for t, state in zip(traj.times, traj.states)
-    ]
-    _write_csv(path, header, rows)
-
-
-def _write_trajectory(path, sys, config):
-    gap = sys.spectral_gap
-    t_end = min(config.horizon, max(1.0, 4.0 / gap))
-    grid = np.linspace(0.0, t_end, 101)
-    traj = simulate_mild(sys, np.zeros(sys.dimension), InputSignal.constant(1.0), grid)
-    _write_trajectory_csv(path, traj)
+    inputs = [traj.input.value_at(t) for t in traj.times]
+    return header, np.column_stack([traj.times, traj.states, inputs]).tolist()
 
 
 def run_simulate(config: AnalysisConfig):
@@ -599,14 +584,9 @@ def run_simulate(config: AnalysisConfig):
         },
         "provenance": "transient fit on unforced decay, gain fit on forced responses",
     }
-    artifacts = {}
-    if config.out_dir:
-        os.makedirs(config.out_dir, exist_ok=True)
-        gain_path = os.path.join(config.out_dir, "gainfit.json")
-        _write_json(gain_path, doc)
-        artifacts["gainfit"] = gain_path
+    files = {"gainfit": ("gainfit.json", doc)}
+    if config.out_dir:  # the trajectory tables are built only to be written
         for index, traj in enumerate(ensemble):
-            traj_path = os.path.join(config.out_dir, f"trajectory_{index:02d}.csv")
-            _write_trajectory_csv(traj_path, traj)
-            artifacts[f"trajectory_{index:02d}"] = traj_path
-    return doc, artifacts
+            kind = f"trajectory_{index:02d}"
+            files[kind] = (f"{kind}.csv", _trajectory_table(traj))
+    return doc, _write_artifacts(config.out_dir, files)

@@ -13,7 +13,6 @@ import argparse
 import dataclasses
 import json
 import math
-import os
 import sys as _sys
 
 from . import models
@@ -22,7 +21,7 @@ from .analysis import (
     ConfigError,
     InvariantViolationError,
     _family,
-    _write_json,
+    _write_artifacts,
     admissibility_stages,
     run_analyze,
     run_simulate,
@@ -66,11 +65,14 @@ def _add_common(parser):
     parser.add_argument("--model", choices=models.MODEL_NAMES, help="registered model name")
     parser.add_argument("--config", metavar="PATH", help="JSON config file")
     parser.add_argument("--modes", type=_parse_int_list, help="comma list of truncation sizes")
-    parser.add_argument("--gamma", type=_parse_float_list, help="comma list of scan exponents")
+    parser.add_argument(
+        "--gamma", dest="gammas", metavar="GAMMA", type=_parse_float_list,
+        help="comma list of scan exponents",
+    )
     parser.add_argument("--q", type=_parse_q, help="input integrability exponent: 1, 2 or inf")
     parser.add_argument("--horizon", type=float, help="admissibility horizon T")
     parser.add_argument("--seed", type=int, help="random seed (fixes all outputs)")
-    parser.add_argument("--out", metavar="DIR", help="output directory")
+    parser.add_argument("--out", dest="out_dir", metavar="DIR", help="output directory")
     parser.add_argument("--epsilon", type=float, help="similarity Lyapunov right-hand scale")
     parser.add_argument(
         "--delta-override", type=float, help="decay-rate override inside the spectral gap"
@@ -78,29 +80,12 @@ def _add_common(parser):
 
 
 def _build_config(args) -> AnalysisConfig:
-    if args.config:
-        config = AnalysisConfig.from_file(args.config)
-    else:
-        config = AnalysisConfig()
-    overrides = {}
-    if args.model is not None:
-        overrides["model"] = args.model
-    if args.modes is not None:
-        overrides["modes"] = args.modes
-    if args.gamma is not None:
-        overrides["gammas"] = args.gamma
-    if args.q is not None:
-        overrides["q"] = args.q
-    if args.horizon is not None:
-        overrides["horizon"] = args.horizon
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.out is not None:
-        overrides["out_dir"] = args.out
-    if args.epsilon is not None:
-        overrides["epsilon"] = args.epsilon
-    if args.delta_override is not None:
-        overrides["delta_override"] = args.delta_override
+    config = AnalysisConfig.from_file(args.config) if args.config else AnalysisConfig()
+    overrides = {
+        f.name: getattr(args, f.name)
+        for f in dataclasses.fields(AnalysisConfig)
+        if getattr(args, f.name, None) is not None
+    }
     config = dataclasses.replace(config, **overrides)
     if config.model is None and config.system is None:
         raise ConfigError("nothing to analyze: give --model or a config with a system")
@@ -155,14 +140,12 @@ def _cmd_admissibility_scan(args) -> int:
         "constant_verdict": adm["value"],
         "l2_iss": slots["l2_iss"],
     }
-    if config.out_dir:
-        os.makedirs(config.out_dir, exist_ok=True)
-        path = os.path.join(config.out_dir, "admissibility.json")
-        _write_json(path, verdict_doc)
-        print(f"wrote verdicts: {path}")
+    artifacts = _write_artifacts(config.out_dir, {"verdicts": ("admissibility.json", verdict_doc)})
+    for kind, path in artifacts.items():
+        print(f"wrote {kind}: {path}")
     for gamma, entry in sorted(scans.items(), key=lambda kv: float(kv[0])):
         print(f"  gamma={gamma}: {entry['verdict']} (exponent {entry['exponent']:.4g})")
-    print(f"  q={args.q if args.q is not None else config.q}: {adm['value']}")
+    print(f"  q={config.q}: {adm['value']}")
     print(f"  verdict: {slots['l2_iss']['value']}")
     return EXIT_FINDING if slots["l2_iss"]["value"] == "not-ISS" else EXIT_OK
 
@@ -186,12 +169,10 @@ def _cmd_lyapunov_eval(args) -> int:
             for name, form in forms.items()
         },
     }
-    if config.out_dir:
-        os.makedirs(config.out_dir, exist_ok=True)
-        path = os.path.join(config.out_dir, "forms.json")
-        _write_json(path, doc)
-        print(f"wrote forms: {path}")
-    else:
+    artifacts = _write_artifacts(config.out_dir, {"forms": ("forms.json", doc)})
+    for kind, path in artifacts.items():
+        print(f"wrote {kind}: {path}")
+    if not artifacts:
         print(json.dumps(doc, indent=2, sort_keys=True))
     return EXIT_OK
 

@@ -11,6 +11,9 @@ systems use an exponential integrator on each constant-input segment.
 
 Dini derivatives of V come from one table: each input level and step size
 takes one exact ``sys.step`` of a stack of states (:func:`_dini_quotients`).
+The certificate fit reads one (states x input levels) table of samples,
+with array expressions for its cap, a4 and residuals; a non-finite sample
+is a violation and never a bound.
 The three integrals of :func:`proof_decomposition` are orbit energies from
 the one quadrature of the square-function integral in ``lyapunov``.
 """
@@ -198,15 +201,14 @@ def _neville_limit(hs, values):
     return diagonal[-1], np.abs(diagonal[-1] - diagonal[-2])
 
 
-def _dini_quotients(form: QuadraticForm, sys, states, u: InputSignal, hs):
-    """Dini estimates of a stack of states from its forward-quotient table.
+def _dini_quotients(form: QuadraticForm, sys, states, u: InputSignal, hs, v0):
+    """Dini estimates of a stack of states, whose V values are ``v0``.
 
     Each step stays inside the first input segment, so ``x(h)`` is one
     exact ``sys.step`` of the whole stack per step size.  Returns the
     extrapolated derivatives, their error bars and the (states, steps)
     table of quotients ``(V(x(h)) - V(x))/h``.
     """
-    v0 = form.values(states)
     quotients = np.stack(
         [(form.values(sys.step(states, u.value0, h)) - v0) / h for h in hs], axis=-1
     )
@@ -251,7 +253,7 @@ def dini_derivative(form: QuadraticForm, sys, x, u, steps=None) -> DiniEstimate:
             raise ValueError("step sizes must be positive and strictly decreasing")
         if u.breakpoints.size > 1 and hs[0] > u.breakpoints[1]:
             raise ValueError("step sizes must not pass the first input breakpoint")
-    value, bar, quotients = _dini_quotients(form, sys, x[None, :], u, hs)
+    value, bar, quotients = _dini_quotients(form, sys, x[None, :], u, hs, form.values(x))
     return DiniEstimate(
         value=float(value[0]),
         error_bar=float(bar[0]),
@@ -295,27 +297,31 @@ def default_sample_cloud(sys, form: QuadraticForm, count=200, seed=0):
     return [np.asarray(p, dtype=float) for p in gauss] + probes
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DissipationReport:
     """Certified pair (a3, a4) for V' <= -a3 ||x||^2 + a4 u(0)^2 on a sample cloud.
 
-    ``samples`` holds (||x||^2, u(0)^2, dini value) per pair; ``residuals``
-    the slack of the certified inequality; ``violations`` the indices whose
-    residual exceeds the tolerance (empty for a valid certificate).
+    ``samples`` is one read-only table with a row (||x||^2, u(0)^2, dini
+    value) per (state, input level) pair, state-major; ``violations`` holds
+    the rows the certified inequality does not cover (empty for a valid
+    certificate).  A row whose dini value or ||x||^2 is not finite is always
+    a violation and never bounds a3, a4 or the tolerance.
     """
 
     a1: float
     a2: float
     a3: float
     a4: float
-    residuals: tuple
     violations: tuple
     dini_steps: tuple
-    samples: tuple
-    infeasible: bool = False
+    samples: np.ndarray
     infeasible_reason: str = ""
     worst_residual: float = 0.0
     tolerance: float = 0.0
+
+    @property
+    def infeasible(self) -> bool:
+        return bool(self.infeasible_reason)
 
     def to_config(self) -> dict:
         return {
@@ -338,72 +344,58 @@ def fit_dissipation(
 
     The inequality is universally quantified, so the fit is a certificate,
     not a regression: a3 is the cap min(-V'/||x||^2) imposed by the unforced
-    samples, and a4 the smallest value the forced samples then imply.  Every
-    residual at that pair is nonpositive up to rounding by construction; a
-    residual above the tolerance (only possible for non-finite derivative
-    estimates) is reported as a violation and makes the fit infeasible.
+    samples, and a4 the smallest value the forced samples then imply.  Both,
+    and the tolerance, are taken over the finite samples only, so every
+    finite residual at that pair is nonpositive up to rounding by
+    construction.  A non-finite sample is reported as a violation and makes
+    the fit infeasible, wherever it sits in the cloud.
     """
     states = np.stack([as_state(sys, s) for s in sample_states])
     if not any(np.linalg.norm(s) > 0 for s in states):
         raise ValueError("need at least one nonzero sample state")
     inputs = [_coerce_input(u) for u in sample_inputs]
-    step_sequences = [_stiff_h_sequence(sys, u) for u in inputs]
-    columns = [
-        _dini_quotients(form, sys, states, u, hs)[0] for u, hs in zip(inputs, step_sequences)
-    ]
-    dini_steps = tuple(float(h) for h in step_sequences[-1]) if inputs else None
-    samples = [
-        (float(np.vdot(x, x).real), u.value0**2, float(column[k]))
-        for k, x in enumerate(states)
-        for u, column in zip(inputs, columns)
-    ]
-    scale = max(
-        1.0,
-        max(abs(v) for _, _, v in samples),
-        max(xx for xx, _, _ in samples),
-        max(uu for _, uu, _ in samples),
+    steps = [_stiff_h_sequence(sys, u) for u in inputs]
+    v0 = form.values(states)
+    dini = np.column_stack(
+        [_dini_quotients(form, sys, states, u, hs, v0)[0] for u, hs in zip(inputs, steps)]
     )
-    tol = 1e-7 * scale
+    norms_sq = [np.vdot(x, x).real for x in states]
+    levels_sq = [u.value0**2 for u in inputs]
+    samples = np.column_stack(
+        [np.repeat(norms_sq, len(inputs)), np.tile(levels_sq, len(states)), dini.ravel()]
+    )
+    samples.setflags(write=False)
+    xx, uu, v = samples.T
+    finite = np.isfinite(xx) & np.isfinite(v)
+    tol = 1e-7 * max(1.0, float(np.abs(samples[finite]).max(initial=0.0)))
 
-    unforced = [(xx, v) for xx, uu, v in samples if uu == 0.0 and xx > 0.0]
-    if not unforced:
+    unforced = finite & (uu == 0.0) & (xx > 0.0)
+    if not unforced.any():
         raise ValueError("the sample cloud must pair states with a zero input level")
-    cap = min(-v / xx for xx, v in unforced)
-    if cap <= 0.0:
-        worst = max(v for _, v in unforced)
-        return DissipationReport(
-            a1=form.a1,
-            a2=form.a2,
-            a3=0.0,
-            a4=0.0,
-            residuals=(),
-            violations=(),
-            dini_steps=dini_steps,
-            samples=tuple(samples),
-            infeasible=True,
-            infeasible_reason=(
-                "no positive decay coefficient is feasible on the unforced samples"
-            ),
-            worst_residual=float(worst),
-            tolerance=tol,
-        )
-
-    forced = [(v + cap * xx) / uu for xx, uu, v in samples if uu > 0.0]
-    a4 = max(0.0, max(forced)) if forced else 0.0
-    res = np.array([v + cap * xx - a4 * uu for xx, uu, v in samples])
-    violations = tuple(int(i) for i in np.nonzero(~(res <= tol))[0])
+    cap = float(np.min(-v[unforced] / xx[unforced]))
+    violated = ~finite
+    if cap > 0.0:
+        forced = finite & (uu > 0.0)
+        slopes = (v[forced] + cap * xx[forced]) / uu[forced]
+        a4 = max(0.0, float(slopes.max())) if slopes.size else 0.0
+        res = v[finite] + cap * xx[finite] - a4 * uu[finite]
+        violated[finite] = ~(res <= tol)
+        worst = float(res.max())
+        reason = "non-finite derivative estimates in the cloud" if violated.any() else ""
+    else:
+        cap = a4 = 0.0
+        worst = float(v[unforced].max())
+        reason = "no positive decay coefficient is feasible on the unforced samples"
     return DissipationReport(
         a1=form.a1,
         a2=form.a2,
-        a3=float(cap),
-        a4=float(a4),
-        residuals=tuple(float(r) for r in res),
-        violations=violations,
-        dini_steps=dini_steps,
-        samples=tuple(samples),
-        infeasible=bool(violations),
-        infeasible_reason="non-finite derivative estimates in the cloud" if violations else "",
-        worst_residual=float(res.max()),
+        a3=cap,
+        a4=a4,
+        violations=tuple(int(i) for i in np.flatnonzero(violated)),
+        dini_steps=tuple(float(h) for h in steps[-1]),
+        samples=samples,
+        infeasible_reason=reason,
+        worst_residual=worst,
         tolerance=tol,
     )
 

@@ -15,6 +15,10 @@ import math
 
 __all__ = ["RuleError", "RuleParseError", "compile_rule", "evaluate_rule"]
 
+# Rule values past 2^40 are refused: downstream exponentials and products
+# stop being meaningful at desk scale.
+RULE_VALUE_CEILING = 2.0**40
+
 _FUNCTIONS = {"sqrt": math.sqrt, "sin": math.sin, "cos": math.cos}
 _CONSTANTS = {"pi": math.pi, "e": math.e}
 
@@ -127,8 +131,12 @@ def compile_rule(text):
 
 
 def evaluate_rule(text, count):
-    """Evaluate a rule at n = 1 .. count and return the list of values."""
+    """Values of a rule at n = 1 .. count; any past ``RULE_VALUE_CEILING`` raises RuleError."""
     if count < 1:
         raise ValueError("count must be at least 1")
     rule = compile_rule(text)
-    return [rule(n) for n in range(1, count + 1)]
+    values = [rule(n) for n in range(1, count + 1)]
+    worst = max(abs(v) for v in values)
+    if worst > RULE_VALUE_CEILING:
+        raise RuleError(f"rule values reach {worst:.3g}, beyond the 2^40 working ceiling")
+    return values

@@ -1,5 +1,9 @@
+import csv
+import dataclasses
 import json
+import math
 
+import numpy as np
 import pytest
 
 from lyapcert.analysis import (
@@ -10,7 +14,9 @@ from lyapcert.analysis import (
     run_analyze,
     run_simulate,
 )
-from lyapcert.cli import main
+from lyapcert.cli import _build_config, build_parser, main
+from lyapcert.dissipation import InputSignal, simulate_mild
+from lyapcert.models import heat_system
 
 
 SMALL = "8,16,32"
@@ -162,6 +168,105 @@ def test_trends_csv_shape(tmp_path):
             "certificate_a4", "coercivity_lower", "condition_number"} <= quantities
     for row in rows[1:]:
         float(row[6])  # full-precision values round-trip
+
+
+def test_trends_csv_numbers_equal_report_json(tmp_path):
+    # Every CSV number is the repr of its float, so it parses back to the
+    # report's value exactly; a row without a horizon leaves T empty.
+    config = AnalysisConfig(
+        model="heat-neumann", modes=(8, 16, 32), sample_count=16, out_dir=str(tmp_path)
+    )
+    report, artifacts = run_analyze(config)
+    slots = json.loads(_read(artifacts["report"]))["slots"]
+    expected = {}
+    for gamma, scan in slots["gamma_scans"]["value"].items():
+        for n, v in scan["norms"]:
+            expected[("extrapolation", "class_scan_norm", gamma, n)] = v
+    for n, v in slots["two_admissibility"]["constants"]:
+        expected[("input-map", "admissibility_constant", "2", n)] = v
+    for name in ("coercive_quadratic_l2", "noncoercive_w0"):
+        label = slots[name]["provenance"].removeprefix("dissipation certificate for the ")
+        for coeff in ("a3", "a4"):
+            for n, v in slots[name][coeff]:
+                expected[(label, f"certificate_{coeff}", "", n)] = v
+    for n, v in slots["contraction_similarity"]["condition_numbers"]:
+        expected[("similarity", "condition_number", "", n)] = v
+    with open(artifacts["trends"], encoding="utf-8", newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    matched = 0
+    for row in rows:
+        if row["quantity"] == "admissibility_constant":
+            assert float(row["T"]) == config.horizon
+        else:
+            assert row["T"] == ""
+        key = (row["label"], row["quantity"], row["gamma_or_q"], int(row["N"]))
+        if key in expected:
+            assert float(row["value"]) == expected[key]
+            matched += 1
+    assert matched == len(expected) > 0
+
+
+def test_trajectories_csv_parses_back_to_the_simulated_states(tmp_path):
+    config = AnalysisConfig(
+        model="heat-neumann", modes=(8, 16), sample_count=16, out_dir=str(tmp_path)
+    )
+    _, artifacts = run_analyze(config)
+    sys = heat_system("neumann", 16)
+    grid = np.linspace(0.0, min(config.horizon, max(1.0, 4.0 / sys.spectral_gap)), 101)
+    traj = simulate_mild(sys, np.zeros(16), InputSignal.constant(1.0), grid)
+    with open(artifacts["trajectories"], encoding="utf-8", newline="") as handle:
+        header, *rows = list(csv.reader(handle))
+    assert header == ["t"] + [f"mode_{k}" for k in range(1, 17)] + ["u"]
+    table = np.array([[float(v) for v in row] for row in rows])
+    assert np.array_equal(table[:, 0], traj.times)
+    assert np.array_equal(table[:, 1:-1], traj.states)
+    assert np.all(table[:, -1] == 1.0)
+
+
+SHARED_FLAGS = [
+    ("--config", None, None, None),
+    ("--model", "heat-neumann", "model", "heat-neumann"),
+    ("--modes", "8,16", "modes", (8, 16)),
+    ("--gamma", "0.25,0.5", "gammas", (0.25, 0.5)),
+    ("--q", "inf", "q", math.inf),
+    ("--horizon", "7", "horizon", 7.0),
+    ("--seed", "3", "seed", 3),
+    ("--out", "from-flag", "out_dir", "from-flag"),
+    ("--epsilon", "0.5", "epsilon", 0.5),
+    ("--delta-override", "1.5", "delta_override", 1.5),
+]
+
+
+@pytest.mark.parametrize(
+    "flag, text, field, value", SHARED_FLAGS, ids=[f[0] for f in SHARED_FLAGS]
+)
+def test_shared_flag_overrides_its_config_key(tmp_path, flag, text, field, value):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({
+        "model": "heat-dirichlet", "modes": [4, 8], "gammas": [0.1], "q": 1,
+        "horizon": 3.0, "seed": 9, "out_dir": "from-config", "epsilon": 2.0,
+        "delta_override": 0.5, "sample_count": 12,
+    }), encoding="utf-8")
+    argv = ["analyze", "--config", str(path)]
+    if field is not None:
+        argv += [flag, text]
+    config = _build_config(build_parser().parse_args(argv))
+    from_file = AnalysisConfig.from_file(path)
+    if field is None:
+        assert config == from_file
+    else:
+        assert getattr(from_file, field) != value
+        assert config == dataclasses.replace(from_file, **{field: value})
+
+
+def test_cli_rule_config_past_the_ceiling_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "rule.json"
+    path.write_text(json.dumps({
+        "system": {"type": "spectral", "eigenvalue_rule": "2^n", "coeff_rule": "1"},
+        "modes": [8, 16, 48],
+    }), encoding="utf-8")
+    assert main(["admissibility-scan", "--config", str(path)]) == 2
+    assert "ceiling" in capsys.readouterr().err
 
 
 def test_edge_violation_detection():

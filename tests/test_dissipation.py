@@ -306,6 +306,49 @@ def test_fit_infeasible_on_non_dissipative_direction():
     assert set(doc) == {"a1", "a2", "a3", "a4", "violations", "infeasible_reason"}
 
 
+@pytest.mark.parametrize("position", ["first", "last"])
+@pytest.mark.parametrize(
+    "bad", [np.full(8, np.nan), np.eye(1, 8, 0)[0] * 1e200], ids=["nan", "overflow"]
+)
+def test_non_finite_sample_is_a_violation_wherever_it_sits(bad, position):
+    # A non-finite Dini value or ||x||^2 must not move the cap, a4 or the
+    # tolerance; only that state's rows are flagged.
+    sys = heat_system("neumann", 8)
+    form = build_half_norm(sys)
+    cloud = default_sample_cloud(sys, form, count=16, seed=3)
+    clean = fit_dissipation(form, sys, cloud)
+    states = [bad] + cloud if position == "first" else cloud + [bad]
+    with np.errstate(all="ignore"):
+        report = fit_dissipation(form, sys, states)
+    first_row = 0 if position == "first" else 5 * len(cloud)
+    assert (report.a3, report.a4) == (clean.a3, clean.a4)
+    assert report.tolerance == clean.tolerance and math.isfinite(report.tolerance)
+    assert report.violations == tuple(range(first_row, first_row + 5))
+    assert report.infeasible
+    assert report.infeasible_reason == "non-finite derivative estimates in the cloud"
+
+
+@pytest.mark.parametrize("kind", ["heat-neumann", "dense"])
+def test_fit_evaluates_v_of_the_states_once(kind, monkeypatch):
+    from lyapcert.lyapunov import QuadraticForm
+
+    sys = heat_system("neumann", 16) if kind == "heat-neumann" else _dense_system(6, 5)
+    form = build_v_half(sys)
+    cloud = default_sample_cloud(sys, form, count=12, seed=0)
+    calls = []
+    original = QuadraticForm.values
+
+    def counted(self, states):
+        calls.append(np.shape(states))
+        return original(self, states)
+
+    monkeypatch.setattr(QuadraticForm, "values", counted)
+    levels = (0.0, 0.5, -0.5, 1.0, -1.0)
+    fit_dissipation(form, sys, cloud, sample_inputs=levels)
+    # V of the states once, then V after each of the 7 steps per level.
+    assert len(calls) == 1 + 7 * len(levels)
+
+
 def test_scaling_check():
     sys, _ = _random_system(3)
     form = build_v_half(sys)
