@@ -51,7 +51,6 @@ from .models import (
     MODEL_NAMES,
     build_model,
     counterexample_system,
-    custom_rule_system,
     heat_system,
 )
 from .rules import RuleError, RuleParseError, compile_rule, evaluate_rule
@@ -66,7 +65,6 @@ from .systems import (
     fractional_power_apply,
     semigroup_apply,
     system_from_config,
-    system_to_config,
 )
 
 __version__ = "0.1.0"

@@ -10,8 +10,9 @@ Two complementary probes of an input column ``b``:
   piecewise-constant input family with exact per-interval integration.
 
 The two need not agree -- a bounded constant with a diverging scan is the
-interesting regime -- and the trend classifier below keeps the thresholds
-explicit and configurable.
+interesting regime -- and the trend classifier below keeps its thresholds
+explicit: they are a library parameter (:class:`TrendThresholds`), not a
+config key, and the analysis stages use the defaults.
 """
 
 from __future__ import annotations

@@ -22,7 +22,6 @@ import numpy as np
 
 from . import models
 from .admissibility import (
-    TrendThresholds,
     _normalize_q,
     admissibility_trend,
     classify_trend,
@@ -67,7 +66,13 @@ class InvariantViolationError(RuntimeError):
 
 @dataclass(frozen=True)
 class AnalysisConfig:
-    """Inputs of one analysis run; every field has a CLI flag or JSON key."""
+    """Inputs of one analysis run, read from a JSON config file and CLI flags.
+
+    Every field is a config key.  ``system`` and ``sample_count`` have no
+    flag; every other field has one.  Trend thresholds, discretization
+    steps and sample input levels are library parameters, and the stages
+    use their defaults.
+    """
 
     model: str | None = None
     system: dict | None = None
@@ -75,14 +80,10 @@ class AnalysisConfig:
     gammas: tuple = (0.25, 0.375, 0.5, 0.75)
     q: float = 2.0
     horizon: float = 10.0
-    steps: int = 512
     seed: int = 0
     epsilon: float = 1.0
     delta_override: float | None = None
     sample_count: int = 200
-    input_levels: tuple = (0.0, 0.5, -0.5, 1.0, -1.0)
-    bounded_ratio: float = 1.02
-    diverging_slope: float = 0.05
     out_dir: str | None = None
 
     @classmethod
@@ -94,7 +95,7 @@ class AnalysisConfig:
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
         clean = dict(doc)
-        for key in ("modes", "gammas", "input_levels"):
+        for key in ("modes", "gammas"):
             if key in clean:
                 clean[key] = tuple(clean[key])
         try:
@@ -111,57 +112,46 @@ class AnalysisConfig:
             raise ConfigError(f"cannot read config {path}: {exc}") from None
         return cls.from_dict(doc)
 
-    @property
-    def thresholds(self) -> TrendThresholds:
-        return TrendThresholds(
-            diverging_slope=self.diverging_slope, bounded_ratio=self.bounded_ratio
-        )
-
 
 def _family(config: AnalysisConfig):
-    """The swept truncations described by the config, smallest first."""
+    """The swept truncations described by the config, smallest first.
+
+    The largest truncation is built once: from a registered model, from a
+    rule document evaluated at the largest size, or from explicit lists.
+    Every member is a leading section of it, so the family is nested by
+    construction.  A matrix document is a family of one system.
+    """
     modes = sorted(set(int(n) for n in config.modes))
     if not modes or modes[0] < 1:
         raise ConfigError("modes must be positive integers")
-    if config.model is not None:
-        if config.system is not None:
-            raise ConfigError("give either a model name or an inline system, not both")
-        try:
-            return config.model, [models.build_model(config.model, n) for n in modes]
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-    if config.system is None:
+    if config.model is not None and config.system is not None:
+        raise ConfigError("give either a model name or an inline system, not both")
+    if config.model is None and config.system is None:
         raise ConfigError("config needs a model name or an inline system")
-    doc = dict(config.system)
-    if doc.get("type") == "spectral" and ("eigenvalue_rule" in doc or "coeff_rule" in doc):
-        family = []
-        for n in modes:
-            trimmed = dict(doc)
-            trimmed["modes"] = n
-            try:
-                family.append(system_from_config(trimmed))
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from None
-        return doc.get("label", "custom"), family
+    doc = dict(config.system or {})
+    rules = doc.get("type") == "spectral" and ("eigenvalue_rule" in doc or "coeff_rule" in doc)
+    if rules:
+        doc["modes"] = modes[-1]
     try:
-        sys = system_from_config(doc)
+        if config.model is not None:
+            largest = models.build_model(config.model, modes[-1])
+        else:
+            largest = system_from_config(doc)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    if doc.get("type") == "spectral":
-        usable = [n for n in modes if n <= sys.mode_count]
-        if not usable:
-            raise ConfigError(
-                f"the explicit sequences provide only {sys.mode_count} modes; "
-                "no requested truncation size fits"
-            )
-        family = [
-            SpectralSystem(sys.eigenvalues[:n], sys.input_coeffs[:n], label=sys.label)
-            for n in usable
-        ]
-        return sys.label, family
-    if sys.input_dim != 1:
-        raise ConfigError("analyses support scalar-input systems only")
-    return sys.label, [sys]
+    if doc.get("type") == "matrix":
+        if largest.input_dim != 1:
+            raise ConfigError("analyses support scalar-input systems only")
+        return largest.label, [largest]
+    usable = [n for n in modes if n <= largest.mode_count]
+    if not usable:
+        raise ConfigError(
+            f"the explicit sequences provide only {largest.mode_count} modes; "
+            "no requested truncation size fits"
+        )
+    lam, b = largest.eigenvalues, largest.input_coeffs
+    family = [SpectralSystem(lam[:n], b[:n], label=largest.label) for n in usable]
+    return (doc.get("label", "custom") if rules else largest.label), family
 
 
 def _write_artifacts(out_dir, artifacts):
@@ -200,7 +190,7 @@ def _certificate_trend(label, family, form_builder, config, rows):
         cloud = default_sample_cloud(
             sys, form, count=config.sample_count, seed=config.seed
         )
-        report = fit_dissipation(form, sys, cloud, sample_inputs=config.input_levels)
+        report = fit_dissipation(form, sys, cloud)
         last_report = report
         if report.infeasible:
             feasible = False
@@ -215,7 +205,7 @@ def _certificate_trend(label, family, form_builder, config, rows):
     if not feasible:
         status = "infeasible"
     elif len(family) >= 2:
-        verdict, _ = classify_trend(counts, a4_values, config.thresholds)
+        verdict, _ = classify_trend(counts, a4_values)
         status = "certified" if verdict == "bounded" else f"input-coefficient-{verdict}"
     else:
         status = "certified-single-truncation"
@@ -353,8 +343,6 @@ def _check_edges(slots):
 def _validate_config(config: AnalysisConfig):
     if config.horizon <= 0:
         raise ConfigError("horizon must be positive")
-    if config.steps < 8:
-        raise ConfigError("steps must be at least 8")
     if config.epsilon <= 0:
         raise ConfigError("epsilon must be positive")
     if config.sample_count < 1:
@@ -375,14 +363,13 @@ def admissibility_stages(config: AnalysisConfig):
     """
     _validate_config(config)
     label, family = _family(config)
-    thresholds = config.thresholds
     rows = []
 
     slots = {}
     gap = min(sys.spectral_gap for sys in family)
-    if config.delta_override is not None and not 0.0 < config.delta_override <= gap:
+    if config.delta_override is not None and not 0.0 < config.delta_override < gap:
         raise ConfigError(
-            f"delta override must lie inside the spectral gap (0, {gap:.6g}]"
+            f"delta override must lie strictly inside the spectral gap (0, {gap:.6g})"
         )
     slots["exponentially_stable"] = {
         "value": bool(gap > 0.0),
@@ -393,7 +380,7 @@ def admissibility_stages(config: AnalysisConfig):
     scans = {}
     if len(family) >= 3:
         for gamma in config.gammas:
-            scan = operator_class_scan(family, gamma, thresholds)
+            scan = operator_class_scan(family, gamma)
             scans[f"{gamma:g}"] = {
                 "verdict": scan.verdict,
                 "exponent": scan.growth_exponent,
@@ -422,12 +409,10 @@ def admissibility_stages(config: AnalysisConfig):
         "provenance": "extrapolation norms of the input column across truncations",
     }
 
-    estimate = admissibility_trend(family, config.q, [config.horizon], steps=config.steps)
+    estimate = admissibility_trend(family, config.q, [config.horizon])
     trend_rows = sorted((n, v) for t, n, v in estimate.trend if t == config.horizon)
     if len(trend_rows) >= 2:
-        adm_verdict, adm_slope = classify_trend(
-            [n for n, _ in trend_rows], [v for _, v in trend_rows], thresholds
-        )
+        adm_verdict, adm_slope = classify_trend([n for n, _ in trend_rows], [v for _, v in trend_rows])
     else:
         adm_verdict, adm_slope = "inconclusive", 0.0
     slots["two_admissibility"] = {
@@ -439,7 +424,7 @@ def admissibility_stages(config: AnalysisConfig):
     for n, v in trend_rows:
         rows.append((label, "input-map", "admissibility_constant", _q_label(config.q), n, config.horizon, v))
 
-    verdict = l2_iss_verdict(family[-1], estimate, thresholds)
+    verdict = l2_iss_verdict(family[-1], estimate)
     slots["l2_iss"] = {
         "value": verdict.verdict,
         "reasons": list(verdict.reasons),

@@ -12,10 +12,10 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys as _sys
 
 from . import models
+from .admissibility import _normalize_q
 from .analysis import (
     AnalysisConfig,
     ConfigError,
@@ -27,7 +27,7 @@ from .analysis import (
     run_simulate,
 )
 from .lyapunov import build_half_norm, build_v_half, build_w_plain, build_w_q
-from .selftest import run_selftest, selftest_names
+from .selftest import FAULT_TARGETS, run_selftest
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -50,15 +50,10 @@ def _parse_int_list(text):
 
 
 def _parse_q(text):
-    if text.strip().lower() == "inf":
-        return math.inf
     try:
-        value = float(text)
+        return _normalize_q(float(text))
     except ValueError:
         raise argparse.ArgumentTypeError("q must be 1, 2 or inf")
-    if value not in (1.0, 2.0):
-        raise argparse.ArgumentTypeError("q must be 1, 2 or inf")
-    return value
 
 
 def _add_common(parser):
@@ -214,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_self = sub.add_parser("selftest", help="run the invariant suite")
     p_self.add_argument("--seed", type=int, default=0)
     p_self.add_argument(
-        "--fault", choices=selftest_names(), help="deliberately corrupt one check"
+        "--fault", choices=FAULT_TARGETS, help="deliberately corrupt one check"
     )
     p_self.set_defaults(func=_cmd_selftest)
     return parser

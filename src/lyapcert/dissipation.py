@@ -313,7 +313,6 @@ class DissipationReport:
     a3: float
     a4: float
     violations: tuple
-    dini_steps: tuple
     samples: np.ndarray
     infeasible_reason: str = ""
     worst_residual: float = 0.0
@@ -392,7 +391,6 @@ def fit_dissipation(
         a3=cap,
         a4=a4,
         violations=tuple(int(i) for i in np.flatnonzero(violated)),
-        dini_steps=tuple(float(h) for h in steps[-1]),
         samples=samples,
         infeasible_reason=reason,
         worst_residual=worst,
@@ -517,8 +515,6 @@ class GainFitReport:
     certified: bool
     not_iss: bool
     max_violation: float
-    homogeneous_runs: int
-    forced_runs: int
 
 
 def iss_gain_fit(trajectories) -> GainFitReport:
@@ -540,28 +536,15 @@ def iss_gain_fit(trajectories) -> GainFitReport:
         norms = tr.norms()
         if norms[0] == 0.0:
             continue
-        if norms[-1] >= norms[0]:
-            return GainFitReport(
-                envelope=None,
-                certified=False,
-                not_iss=True,
-                max_violation=float("inf"),
-                homogeneous_runs=len(homo),
-                forced_runs=len(forced),
-            )
+        if norms[-1] >= norms[0]:  # a run that does not decay: no positive rate
+            rates.append(0.0)
+            break
         mask = norms > 0.0
         slope = np.polyfit(tr.times[mask], np.log(norms[mask]), 1)[0]
         rates.append(-slope)
     omega = min(rates) if rates else 0.0
     if omega <= 0.0:
-        return GainFitReport(
-            envelope=None,
-            certified=False,
-            not_iss=True,
-            max_violation=float("inf"),
-            homogeneous_runs=len(homo),
-            forced_runs=len(forced),
-        )
+        return GainFitReport(envelope=None, certified=False, not_iss=True, max_violation=float("inf"))
     overshoot = 1.0
     for tr in homo:
         norms = tr.norms()
@@ -592,6 +575,4 @@ def iss_gain_fit(trajectories) -> GainFitReport:
         certified=bool(worst <= 0.01),
         not_iss=False,
         max_violation=float(worst),
-        homogeneous_runs=len(homo),
-        forced_runs=len(forced),
     )

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 import scipy.integrate
@@ -118,27 +117,6 @@ class QuadraticForm:
         if self.weights is not None:
             return self.weights * x
         return self.p_matrix @ x
-
-    @cached_property
-    def factor_matrix(self) -> np.ndarray:
-        """The symmetric square root F = P^(1/2) with V(x) = ||Fx||^2."""
-        if self.weights is not None:
-            return np.diag(np.sqrt(self.weights))
-        eigs, vecs = np.linalg.eigh(self.p_matrix)
-        scale = max(float(np.abs(eigs).max()), 1.0)
-        if eigs[0] < -_PSD_TOL * scale:
-            raise IndefiniteFormError("cannot factor an indefinite form")
-        return (vecs * np.sqrt(np.clip(eigs, 0.0, None))) @ vecs.conj().T
-
-    def factor_apply(self, x) -> np.ndarray:
-        x = np.asarray(x).reshape(-1)
-        if self.weights is not None:
-            return np.sqrt(self.weights) * x
-        return self.factor_matrix @ x
-
-    def half_value(self, x) -> float:
-        """||Fx|| = sqrt(V(x)), the norm-type companion of the form."""
-        return float(np.linalg.norm(self.factor_apply(x)))
 
     def to_config(self) -> dict:
         if self.weights is not None:

@@ -20,16 +20,16 @@
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
-from .rules import evaluate_rule
 from .systems import SpectralSystem
 
 __all__ = [
     "MODEL_NAMES",
     "build_model",
     "counterexample_system",
-    "custom_rule_system",
     "heat_system",
 ]
 
@@ -70,30 +70,9 @@ def counterexample_system(modes: int) -> SpectralSystem:
     return SpectralSystem(2.0**n, 2.0 ** (n / 2.0), label="counterexample")
 
 
-def custom_rule_system(eigenvalue_rule, coeff_rule, modes, label="custom-rule") -> SpectralSystem:
-    """Diagonal system generated from rule strings in the mode index n."""
-    if modes < 1:
-        raise ValueError("modes must be at least 1")
-    lam = evaluate_rule(eigenvalue_rule, modes)
-    coeffs = evaluate_rule(coeff_rule, modes)
-    bad = [v for v in lam if v <= 0.0]
-    if bad:
-        raise ValueError(f"eigenvalue rule produced a nonpositive value {bad[0]:.6g}")
-    order = np.argsort(lam)
-    return SpectralSystem(np.asarray(lam)[order], np.asarray(coeffs)[order], label=label)
-
-
-def _dirichlet(modes):
-    return heat_system("dirichlet", modes)
-
-
-def _neumann(modes):
-    return heat_system("neumann", modes)
-
-
 _REGISTRY = {
-    "heat-dirichlet": _dirichlet,
-    "heat-neumann": _neumann,
+    "heat-dirichlet": partial(heat_system, "dirichlet"),
+    "heat-neumann": partial(heat_system, "neumann"),
     "counterexample": counterexample_system,
 }
 

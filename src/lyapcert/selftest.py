@@ -3,8 +3,9 @@
 Each check exercises one module-level invariant with deterministic inputs
 and returns a named pass/fail line.  The checks are analytic, so the
 pass/fail pattern must not depend on the seed.  ``fault`` injects a
-deliberate corruption into the named check, used to exercise the failure
-path itself.
+deliberate corruption into one check, used to exercise the failure path
+itself.  Only the checks in ``FAULT_TARGETS`` implement a corruption, and
+only they can be named.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .systems import (
     semigroup_apply,
 )
 
-__all__ = ["run_selftest", "selftest_names"]
+__all__ = ["FAULT_TARGETS", "run_selftest"]
 
 
 def _random_system(rng, max_modes=12, lam_range=(0.1, 50.0)):
@@ -44,7 +45,7 @@ def _random_system(rng, max_modes=12, lam_range=(0.1, 50.0)):
     return SpectralSystem(lam, coeffs)
 
 
-def _check_semigroup_law(rng, fault):
+def _check_semigroup_law(rng):
     worst = 0.0
     for _ in range(25):
         sys = _random_system(rng)
@@ -64,7 +65,7 @@ def _check_semigroup_law(rng, fault):
     return ok, f"diagonal defect {worst:.2e}, matrix defect {worst_m:.2e}"
 
 
-def _check_fractional_commutation(rng, fault):
+def _check_fractional_commutation(rng):
     worst = 0.0
     for _ in range(25):
         sys = _random_system(rng)
@@ -78,7 +79,7 @@ def _check_fractional_commutation(rng, fault):
     return worst <= 1e-12, f"worst commutation defect {worst:.2e}"
 
 
-def _check_exponential_stability(rng, fault):
+def _check_exponential_stability(rng):
     worst = -np.inf
     for _ in range(25):
         sys = _random_system(rng)
@@ -90,7 +91,7 @@ def _check_exponential_stability(rng, fault):
     return worst <= 0.0, f"worst bound excess {worst:.2e}"
 
 
-def _check_extrapolation_gamma_zero(rng, fault):
+def _check_extrapolation_gamma_zero(rng):
     worst = 0.0
     for _ in range(25):
         sys = _random_system(rng)
@@ -99,7 +100,7 @@ def _check_extrapolation_gamma_zero(rng, fault):
     return worst <= 1e-13, f"worst gamma=0 defect {worst:.2e}"
 
 
-def _check_self_adjoint_identity(rng, fault):
+def _check_self_adjoint_identity(rng, fault=False):
     worst = 0.0
     for _ in range(50):
         sys = _random_system(rng, lam_range=(0.1, 1000.0))
@@ -111,7 +112,7 @@ def _check_self_adjoint_identity(rng, fault):
     return worst <= 1e-12, f"worst weight deviation {worst:.2e}"
 
 
-def _check_jmp20_identity(rng, fault):
+def _check_jmp20_identity(rng):
     worst = 0.0
     for _ in range(50):
         sys = _random_system(rng, lam_range=(0.1, 1000.0))
@@ -121,7 +122,7 @@ def _check_jmp20_identity(rng, fault):
     return worst <= 1e-12, f"worst relative deviation {worst:.2e}"
 
 
-def _check_quadrature_consistency(rng, fault):
+def _check_quadrature_consistency(rng):
     import scipy.integrate
 
     worst = 0.0
@@ -142,7 +143,7 @@ def _check_quadrature_consistency(rng, fault):
     return worst <= 1e-8, f"worst quadrature mismatch {worst:.2e}"
 
 
-def _check_coercivity_transition(rng, fault):
+def _check_coercivity_transition(rng):
     counts = (8, 16, 32, 64)
     ok = True
     details = []
@@ -159,7 +160,7 @@ def _check_coercivity_transition(rng, fault):
     return ok, "; ".join(details)
 
 
-def _check_homogeneity(rng, fault):
+def _check_homogeneity(rng):
     worst = 0.0
     for _ in range(25):
         sys = _random_system(rng)
@@ -172,7 +173,7 @@ def _check_homogeneity(rng, fault):
     return worst <= 1e-13, f"worst homogeneity defect {worst:.2e}"
 
 
-def _check_constant_monotonicity(rng, fault):
+def _check_constant_monotonicity(rng):
     family = [counterexample_system(n) for n in (4, 8, 16, 32)]
     estimate = admissibility_trend(family, 2, [2.5, 5.0, 10.0], steps=256)
     by_t = {}
@@ -188,7 +189,7 @@ def _check_constant_monotonicity(rng, fault):
     return ok, f"{len(estimate.trend)} sweep entries monotone"
 
 
-def _check_lemma_bridge(rng, fault):
+def _check_lemma_bridge(rng):
     ok = True
     details = []
     for name, family in (
@@ -212,7 +213,7 @@ def _check_lemma_bridge(rng, fault):
     return ok, "; ".join(details)
 
 
-def _check_neumann_gamma_window(rng, fault):
+def _check_neumann_gamma_window(rng):
     # p-series tails near the exponent-1/4 boundary decay like N^(0.5-2*gamma),
     # so the window needs deep truncations before the ratios settle.
     family = [heat_system("neumann", n) for n in (4096, 16384, 65536)]
@@ -221,7 +222,7 @@ def _check_neumann_gamma_window(rng, fault):
     return ok, f"window verdicts {verdicts}"
 
 
-def _check_scaling_covariance(rng, fault):
+def _check_scaling_covariance(rng):
     sys = heat_system("neumann", 16)
     scaled = SpectralSystem(sys.eigenvalues, 2.0 * sys.input_coeffs)
     base_norm = extrapolation_norm(sys, 0.5, sys.input_coeffs)
@@ -233,7 +234,7 @@ def _check_scaling_covariance(rng, fault):
     return ok, f"norm ratio {scaled_norm / base_norm:.15g}, K ratio {scaled_k / base_k:.15g}"
 
 
-def _check_simulation_exactness(rng, fault):
+def _check_simulation_exactness(rng):
     worst = 0.0
     for _ in range(10):
         sys = _random_system(rng, max_modes=6)
@@ -253,7 +254,7 @@ def _check_simulation_exactness(rng, fault):
     return worst <= 1e-12, f"worst per-mode residual {worst:.2e}"
 
 
-def _check_dini_consistency(rng, fault):
+def _check_dini_consistency(rng):
     worst = 0.0
     for _ in range(100):
         sys = _random_system(rng, max_modes=10, lam_range=(0.1, 20.0))
@@ -267,7 +268,7 @@ def _check_dini_consistency(rng, fault):
     return worst <= 0.0, f"worst excess over error bar {worst:.2e}"
 
 
-def _check_homogeneous_decay(rng, fault):
+def _check_homogeneous_decay(rng):
     sys = heat_system("neumann", 12)
     form = build_half_norm(sys)
     report = fit_dissipation(form, sys, [np.eye(12)[0], np.eye(12)[5]], sample_inputs=(0.0,))
@@ -279,7 +280,7 @@ def _check_homogeneous_decay(rng, fault):
     return ok, f"V along the unforced flow decays over {len(values)} nodes"
 
 
-def _check_norm_candidate_decay(rng, fault):
+def _check_norm_candidate_decay(rng):
     sys = heat_system("neumann", 8)
     form = build_half_norm(sys)
     cloud = default_sample_cloud(sys, form, count=32, seed=7)
@@ -287,7 +288,7 @@ def _check_norm_candidate_decay(rng, fault):
     rate = report.a3 / (2.0 * report.a2)
     grid = np.linspace(0.0, 2.0, 30)
     traj = simulate_mild(sys, np.ones(8) / np.sqrt(8.0), InputSignal.zero(), grid)
-    values = np.array([form.half_value(s) for s in traj.states])
+    values = np.array([np.sqrt(form.value(s)) for s in traj.states])
     steps = np.diff(grid)
     ok = all(
         later <= earlier * np.exp(-rate * h) * (1 + 1e-9)
@@ -296,7 +297,7 @@ def _check_norm_candidate_decay(rng, fault):
     return ok, f"certified norm decay rate {rate:.6g}"
 
 
-def _check_verdict_scaling_invariance(rng, fault):
+def _check_verdict_scaling_invariance(rng):
     sys = heat_system("neumann", 8)
     form = build_half_norm(sys)
     x = rng.normal(size=8)
@@ -310,7 +311,7 @@ def _check_verdict_scaling_invariance(rng, fault):
     return worst <= 1e-10, f"worst quadratic-rescaling defect {worst:.2e}"
 
 
-def _check_counterexample_trichotomy(rng, fault):
+def _check_counterexample_trichotomy(rng):
     family = [counterexample_system(n) for n in (4, 16, 64)]
     half = operator_class_scan(family, 0.5)
     threequarter = operator_class_scan([counterexample_system(n) for n in (10, 20, 40)], 0.75)
@@ -327,7 +328,7 @@ def _check_counterexample_trichotomy(rng, fault):
     )
 
 
-def _check_dirichlet_scan_divergence(rng, fault):
+def _check_dirichlet_scan_divergence(rng):
     family = [heat_system("dirichlet", n) for n in (16, 64, 256)]
     ok = True
     slopes = {}
@@ -338,7 +339,7 @@ def _check_dirichlet_scan_divergence(rng, fault):
     return ok, f"growth exponents {slopes}"
 
 
-def _check_neumann_membership(rng, fault):
+def _check_neumann_membership(rng):
     # sum b_n^2 / lam_n = sum 2 / ((n - 1/2) pi)^2 converges to 1; the flux
     # input column lives in the half-power extrapolation space.
     sys = heat_system("neumann", 10_000)
@@ -356,7 +357,7 @@ def _check_neumann_membership(rng, fault):
     )
 
 
-def _check_contraction_margin(rng, fault):
+def _check_contraction_margin(rng):
     ok = True
     worst = -np.inf
     for _ in range(5):
@@ -396,23 +397,26 @@ _CHECKS = (
 )
 
 
-def selftest_names():
-    return tuple(name for name, _ in _CHECKS)
+# The checks that take ``fault=True`` and then must fail.
+FAULT_TARGETS = ("self-adjoint-identity",)
 
 
 def run_selftest(seed=0, fault=None, emit=print):
     """Run every invariant check; returns True when all pass.
 
-    ``fault`` names a single check to corrupt deliberately, proving that
-    the gate actually trips.  Lines are emitted one per invariant.
+    ``fault`` names a single check of ``FAULT_TARGETS`` to corrupt
+    deliberately, proving that the gate actually trips.  Lines are emitted
+    one per invariant.
     """
-    if fault is not None and fault not in selftest_names():
-        raise ValueError(f"unknown fault target {fault!r}")
+    if fault is not None and fault not in FAULT_TARGETS:
+        raise ValueError(
+            f"no corruption implemented for {fault!r}; fault targets: {', '.join(FAULT_TARGETS)}"
+        )
     all_ok = True
     for name, check in _CHECKS:
         rng = np.random.default_rng(seed)
         try:
-            ok, detail = check(rng, fault == name)
+            ok, detail = check(rng, fault=True) if fault == name else check(rng)
         except Exception as exc:  # a crashed check is a failed check
             ok, detail = False, f"crashed: {exc}"
         all_ok = all_ok and ok

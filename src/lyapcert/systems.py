@@ -46,7 +46,6 @@ __all__ = [
     "fractional_power_apply",
     "semigroup_apply",
     "system_from_config",
-    "system_to_config",
 ]
 
 # Eigendecompositions with a worse-conditioned eigenvector basis than this
@@ -329,40 +328,44 @@ def semigroup_apply(sys, t, x) -> np.ndarray:
     return sys.step(x, None, t)
 
 
-def _half_integer_matrix_power(matrix, k):
-    # (matrix)^(k/2) for integer k through exact Schur square roots; valid
-    # for defective spectra as long as the spectrum avoids (-inf, 0].
+def _dyadic_matrix_power(matrix, k, m):
+    # (matrix)^(k/2^m) for integer k through m nested Schur square roots;
+    # valid for defective spectra as long as the spectrum avoids (-inf, 0].
     n = matrix.shape[0]
     if k == 0:
         return np.eye(n, dtype=matrix.dtype)
     base = matrix if k > 0 else np.linalg.inv(matrix)
-    j = abs(k)
-    out = np.linalg.matrix_power(base, j // 2)
-    if j % 2:
-        root = scipy.linalg.sqrtm(base)
-        if np.isrealobj(matrix) and np.iscomplexobj(root):
-            if np.abs(root.imag).max() > 1e-10 * max(np.abs(root.real).max(), 1.0):
-                raise ConditioningError("matrix square root is not real")
-            root = root.real
-        out = out @ root
+    j, denominator = abs(k), 2**m
+    out = np.linalg.matrix_power(base, j // denominator)
+    if j % denominator:
+        root = base
+        for _ in range(m):
+            root = scipy.linalg.sqrtm(root)
+            if np.isrealobj(matrix) and np.iscomplexobj(root):
+                if np.abs(root.imag).max() > 1e-10 * max(np.abs(root.real).max(), 1.0):
+                    raise ConditioningError("matrix square root is not real")
+                root = root.real
+        out = out @ np.linalg.matrix_power(root, j % denominator)
     if not np.all(np.isfinite(out.real)):
-        raise ConditioningError("half-integer matrix power produced non-finite entries")
+        raise ConditioningError("dyadic matrix power produced non-finite entries")
     return out
 
 
 def matrix_neg_power(sys: MatrixSystem, alpha):
     """The operator (-A)^alpha for a matrix system.
 
-    Half-integer powers go through Schur-based square roots, which stay
-    exact for defective spectra.  Generic powers use the eigendecomposition
-    and refuse when the eigenvector basis is conditioned worse than
+    Exponents k/2^m with m <= 2 (denominator 1, 2 or 4) go through nested
+    Schur square roots, which stay exact for defective spectra and give the
+    same bytes on every call.  Other powers use the eigendecomposition and
+    refuse when the eigenvector basis is conditioned worse than
     ``EIGENVECTOR_COND_LIMIT``.
     """
     neg_a = -sys.a_matrix
-    doubled = 2.0 * alpha
-    k = round(doubled)
-    if abs(doubled - k) <= 1e-12:
-        return _half_integer_matrix_power(neg_a, int(k))
+    for m in range(3):
+        scaled = alpha * 2**m
+        k = round(scaled)
+        if abs(scaled - k) <= 1e-12:
+            return _dyadic_matrix_power(neg_a, int(k), m)
     w, v = np.linalg.eig(neg_a)
     cond = np.linalg.cond(v)
     if not np.isfinite(cond) or cond > EIGENVECTOR_COND_LIMIT:
@@ -416,12 +419,14 @@ class DecayBound:
 def decay_bound_estimate(sys, powers, delta=None) -> list:
     """Fit per power r the smallest M with ||(-A)^r T(t)|| <= M t^-r e^(-delta t).
 
-    Returns one :class:`DecayBound` per power.  ``delta`` defaults to half
-    the spectral gap, strictly inside it, which keeps M finite for every
-    power r < 1.  M is the maximum of ``||(-A)^r T(t)|| * t^r * exp(delta*t)``
-    over one grid shared by all powers, ``t = 0`` and a logarithmic sweep,
-    so ``T(t)`` is evaluated once per node.  At ``t = 0`` only ``r = 0``
-    contributes; every other power gives zero there.
+    Returns one :class:`DecayBound` per power.  ``delta`` must lie strictly
+    inside the spectral gap, where M is finite for every power r < 1; at the
+    gap ``t^r ||(-A)^r T(t)|| e^(delta t)`` grows without bound for r > 0.
+    It defaults to half the gap.  M is a grid maximum, not a bound between
+    nodes: the maximum of ``||(-A)^r T(t)|| * t^r * exp(delta*t)`` over one
+    grid shared by all powers, ``t = 0`` and a logarithmic sweep to
+    ``60/delta``, so ``T(t)`` is evaluated once per node.  At ``t = 0`` only
+    ``r = 0`` contributes; every other power gives zero there.
     """
     powers = [float(r) for r in powers]
     if any(r < 0 for r in powers):
@@ -429,8 +434,8 @@ def decay_bound_estimate(sys, powers, delta=None) -> list:
     gap = sys.spectral_gap
     if delta is None:
         delta = gap / 2.0
-    if not 0 < delta <= gap:
-        raise ValueError(f"delta must lie in (0, {gap:.6g}]")
+    if not 0 < delta < gap:
+        raise ValueError(f"delta must lie strictly inside the spectral gap (0, {gap:.6g})")
     grid = np.concatenate([[0.0], np.geomspace(1e-4 / sys.fastest_rate, 60.0 / delta, 600)])
     rows = []
     for t in grid:
@@ -484,8 +489,3 @@ def system_from_config(doc: dict):
             label=doc.get("label", "matrix"),
         )
     raise ValueError(f"unknown system type {kind!r}")
-
-
-def system_to_config(sys) -> dict:
-    """Serialize a system back to its JSON configuration document."""
-    return sys.to_config()

@@ -11,12 +11,14 @@ from lyapcert.analysis import (
     ConfigError,
     InvariantViolationError,
     _check_edges,
+    _family,
     run_analyze,
     run_simulate,
 )
-from lyapcert.cli import _build_config, build_parser, main
+from lyapcert.cli import _build_config, _parse_q, build_parser, main
 from lyapcert.dissipation import InputSignal, simulate_mild
 from lyapcert.models import heat_system
+from lyapcert.selftest import FAULT_TARGETS, run_selftest
 
 
 SMALL = "8,16,32"
@@ -30,6 +32,63 @@ def _read(path):
 def test_config_from_dict_rejects_unknown_keys():
     with pytest.raises(ConfigError, match="unknown config keys"):
         AnalysisConfig.from_dict({"model": "heat-neumann", "bogus": 1})
+
+
+@pytest.mark.parametrize("key", ["steps", "input_levels", "bounded_ratio", "diverging_slope"])
+def test_config_from_dict_rejects_library_parameters(key):
+    with pytest.raises(ConfigError, match="unknown config keys"):
+        AnalysisConfig.from_dict({"model": "heat-neumann", key: 1})
+
+
+_RULE_DOC = {"type": "spectral", "eigenvalue_rule": "n^2", "coeff_rule": "1/n"}
+_LIST_DOC = {"type": "spectral", "eigenvalues": [float(k * k) for k in range(1, 21)],
+             "input_coeffs": [1.0 / k for k in range(1, 21)]}
+
+
+@pytest.mark.parametrize("source", [
+    {"model": "counterexample"}, {"system": _RULE_DOC}, {"system": _LIST_DOC},
+])
+def test_family_members_are_leading_sections_of_the_largest(source):
+    _, family = _family(AnalysisConfig(modes=(4, 16, 8), **source))
+    assert [s.mode_count for s in family] == [4, 8, 16]
+    largest = family[-1]
+    for sys in family:
+        n = sys.mode_count
+        assert np.array_equal(sys.eigenvalues, largest.eigenvalues[:n])
+        assert np.array_equal(sys.input_coeffs, largest.input_coeffs[:n])
+
+
+def test_family_builds_the_model_once(monkeypatch):
+    import lyapcert.models as models
+
+    sizes = []
+    original = models.build_model
+
+    def counting(name, modes):
+        sizes.append(modes)
+        return original(name, modes)
+
+    monkeypatch.setattr(models, "build_model", counting)
+    label, family = _family(AnalysisConfig(model="heat-neumann", modes=(8, 16, 32)))
+    assert sizes == [32]
+    assert label == "heat-neumann"
+    assert [s.mode_count for s in family] == [8, 16, 32]
+
+
+@pytest.mark.parametrize("text, value", [
+    ("1", 1.0), ("2", 2.0), ("2.0", 2.0), ("inf", math.inf), ("INF", math.inf),
+])
+def test_parse_q_accepts(text, value):
+    parsed = _parse_q(text)
+    assert parsed == value and type(parsed) is float
+
+
+@pytest.mark.parametrize("text", ["3", "nan", "x"])
+def test_parse_q_refuses(text):
+    import argparse
+
+    with pytest.raises(argparse.ArgumentTypeError, match="q must be 1, 2 or inf"):
+        _parse_q(text)
 
 
 def test_config_requires_target():
@@ -321,6 +380,27 @@ def test_cli_delta_override(tmp_path):
     ]) == 2
 
 
+def test_delta_override_at_the_gap_is_a_config_error(capsys):
+    # heat-neumann's gap is (pi/2)^2; the decay bound is unbounded there.
+    code = main([
+        "analyze", "--model", "heat-neumann", "--modes", "16,64",
+        "--delta-override", repr((math.pi / 2.0) ** 2),
+    ])
+    assert code == 2
+    assert "strictly inside" in capsys.readouterr().err
+
+
+def test_analyze_defective_dense_system(tmp_path):
+    # A Jordan block: the r = 1/4 decay bound needs a fractional power that
+    # the eigendecomposition cannot give.
+    config = tmp_path / "jordan.json"
+    config.write_text(json.dumps({
+        "system": {"type": "matrix", "a": [[-1.0, 10.0], [0.0, -1.0]], "b": [[1.0], [1.0]]},
+        "modes": [2], "sample_count": 8,
+    }), encoding="utf-8")
+    assert main(["analyze", "--config", str(config)]) in (0, 3)
+
+
 def test_seed_change_keeps_selftest_pattern():
     from lyapcert.selftest import run_selftest
 
@@ -406,6 +486,23 @@ def test_cli_selftest_fault_injection(capsys):
     assert "FAIL  self-adjoint-identity" in captured
     passes = [line for line in captured.splitlines() if line.startswith("PASS")]
     assert len(passes) >= 20
+
+
+def test_cli_selftest_fault_needs_a_corruption():
+    # semigroup-law implements no corruption, so naming it is a usage error.
+    with pytest.raises(SystemExit) as exc:
+        main(["selftest", "--fault", "semigroup-law"])
+    assert exc.value.code == 2
+    with pytest.raises(ValueError):
+        run_selftest(fault="semigroup-law", emit=lambda line: None)
+
+
+@pytest.mark.parametrize("target", FAULT_TARGETS)
+def test_cli_selftest_every_fault_target_trips(target, capsys):
+    code = main(["selftest", "--fault", target])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 4
+    assert any(line.startswith(f"FAIL  {target}:") for line in lines)
 
 
 def test_simulate_run(tmp_path):

@@ -232,7 +232,6 @@ def test_fit_samples_equal_single_state_dini(kind):
     steps = _stiff_h_sequence(sys, InputSignal.zero())
     expected = [dini_derivative(form, sys, x, u, steps=steps).value for x in cloud for u in levels]
     assert [v for _, _, v in report.samples] == expected
-    assert report.dini_steps == tuple(steps)
 
 
 def test_dense_fit_exponentiates_once_per_level_and_step(monkeypatch):

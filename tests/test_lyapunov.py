@@ -143,37 +143,6 @@ def test_coercivity_trend_exact_scaling():
             assert b / a == pytest.approx(expected_ratio, rel=1e-14)
 
 
-def test_factorize_diagonal():
-    form = QuadraticForm(weights=np.array([0.25, 0.25]))
-    f = form.factor_matrix
-    assert np.allclose(f, np.diag([0.5, 0.5]), rtol=1e-15)
-
-
-def test_factorize_dense():
-    p = np.array([[2.0, 1.0], [1.0, 2.0]])
-    form = QuadraticForm(p_matrix=p)
-    f = form.factor_matrix
-    assert np.allclose(f @ f, p, rtol=1e-12)
-    x = np.array([1.0, 0.0])
-    assert np.linalg.norm(f @ x) ** 2 == pytest.approx(2.0, rel=1e-12)
-
-
-def test_factor_of_v_half():
-    sys, _ = _random_system(7)
-    f = build_v_half(sys).factor_matrix
-    assert np.allclose(np.diag(f), np.full(6, 1.0 / math.sqrt(2.0)), rtol=1e-15)
-
-
-def test_factor_value_identity():
-    rng = np.random.default_rng(8)
-    p = rng.normal(size=(4, 4))
-    p = p @ p.T + 0.1 * np.eye(4)
-    form = QuadraticForm(p_matrix=p)
-    for _ in range(5):
-        x = rng.normal(size=4)
-        assert form.value(x) == pytest.approx(np.linalg.norm(form.factor_apply(x)) ** 2, rel=1e-10)
-
-
 def test_indefinite_rejected():
     with pytest.raises(IndefiniteFormError):
         QuadraticForm(p_matrix=np.diag([1.0, -1.0]))

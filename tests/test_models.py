@@ -8,11 +8,17 @@ from lyapcert.models import (
     MODEL_NAMES,
     build_model,
     counterexample_system,
-    custom_rule_system,
     heat_system,
 )
 from lyapcert.rules import RuleError
-from lyapcert.systems import fractional_power_apply
+from lyapcert.systems import fractional_power_apply, system_from_config
+
+
+def _rule_system(eigenvalue_rule, coeff_rule, modes):
+    return system_from_config(
+        {"type": "spectral", "eigenvalue_rule": eigenvalue_rule, "coeff_rule": coeff_rule,
+         "modes": modes}
+    )
 
 
 def test_dirichlet_first_mode():
@@ -85,27 +91,27 @@ def test_counterexample_guard():
 
 
 def test_custom_rule_simple():
-    sys = custom_rule_system("n^2", "1", 3)
+    sys = _rule_system("n^2", "1", 3)
     assert np.array_equal(sys.eigenvalues, [1.0, 4.0, 9.0])
     assert np.array_equal(sys.input_coeffs, [1.0, 1.0, 1.0])
 
 
 def test_custom_rule_reproduces_dirichlet():
-    sys = custom_rule_system("(n*pi)^2", "sqrt(2)*n*pi*(-1)^(n+1)", 6)
+    sys = _rule_system("(n*pi)^2", "sqrt(2)*n*pi*(-1)^(n+1)", 6)
     ref = heat_system("dirichlet", 6)
     assert np.allclose(sys.eigenvalues, ref.eigenvalues, rtol=1e-15)
     assert np.allclose(sys.input_coeffs, ref.input_coeffs, rtol=1e-15)
 
 
 def test_custom_rule_overflow_guard():
-    custom_rule_system("2^n", "1", 40)
+    _rule_system("2^n", "1", 40)
     with pytest.raises(RuleError, match="ceiling"):
-        custom_rule_system("2^n", "1", 50)
+        _rule_system("2^n", "1", 50)
 
 
 def test_custom_rule_nonpositive_eigenvalue():
-    with pytest.raises(ValueError, match="nonpositive"):
-        custom_rule_system("n-2", "1", 3)
+    with pytest.raises(ValueError, match="strictly positive"):
+        _rule_system("n-2", "1", 3)
 
 
 def test_registry():

@@ -15,9 +15,9 @@ from lyapcert.systems import (
     decay_bound_estimate,
     extrapolation_norm,
     fractional_power_apply,
+    matrix_neg_power,
     semigroup_apply,
     system_from_config,
-    system_to_config,
 )
 
 
@@ -134,6 +134,25 @@ def test_matrix_half_power_defective():
     assert root2 == pytest.approx([-5.0, 1.0], abs=1e-12)
 
 
+def test_matrix_quarter_power_defective():
+    # Two nested Schur square roots: ([[1,-10],[0,1]])^(1/4) = [[1,-2.5],[0,1]].
+    sys = MatrixSystem(np.array([[-1.0, 10.0], [0.0, -1.0]]), np.ones((2, 1)))
+    assert np.allclose(sys.neg_power(0.25), [[1.0, -2.5], [0.0, 1.0]], rtol=0.0, atol=1e-12)
+
+
+def test_matrix_quarter_power_fourth_power_is_the_generator():
+    sys = _nonnormal_dense()
+    fourth = np.linalg.matrix_power(sys.neg_power(0.25), 4)
+    neg_a = -sys.a_matrix
+    assert np.linalg.norm(fourth - neg_a) <= 1e-12 * np.linalg.norm(neg_a)
+
+
+def test_matrix_quarter_power_is_byte_stable():
+    sys = _nonnormal_dense()
+    first = matrix_neg_power(sys, 0.25).tobytes()
+    assert all(matrix_neg_power(sys, 0.25).tobytes() == first for _ in range(19))
+
+
 def test_matrix_generic_power_well_conditioned():
     a = np.array([[-2.0, 1.0], [1.0, -3.0]])
     sys = MatrixSystem(a, np.ones((2, 1)))
@@ -223,7 +242,7 @@ def test_square_function_tail_integrable_only_below_half():
 
 def test_config_round_trip():
     sys = SpectralSystem([1.0, 4.0, 9.0], [1.0, -1.0, 1.0], label="demo")
-    doc = system_to_config(sys)
+    doc = sys.to_config()
     clone = system_from_config(doc)
     assert np.array_equal(clone.eigenvalues, sys.eigenvalues)
     assert np.array_equal(clone.input_coeffs, sys.input_coeffs)
@@ -253,6 +272,13 @@ def test_config_errors():
         system_from_config({"type": "unknown"})
     with pytest.raises(ValueError):
         system_from_config({"type": "spectral", "eigenvalue_rule": "n"})
+
+
+def test_decay_bound_delta_at_the_gap_is_refused():
+    # At delta = gap, t^r ||(-A)^r T(t)|| e^(delta t) >= (lam_1 t)^r is unbounded.
+    sys = SpectralSystem([2.0, 5.0], [1.0, 1.0])
+    with pytest.raises(ValueError, match="strictly inside"):
+        decay_bound_estimate(sys, [0.0], delta=sys.spectral_gap)
 
 
 def test_decay_bound_type_validation():
