@@ -204,9 +204,6 @@ def admissibility_constant(sys, q, horizon, steps=512, nodes=None) -> Admissibil
         raise ValueError("horizon must be positive")
     if steps < 8:
         raise ValueError("need at least 8 discretization steps")
-    if sys.input_dim != 1:
-        # TODO: lift the input map to matrix-valued kernels for input_dim > 1
-        raise ValueError("only scalar input columns are supported")
     if nodes is None:
         nodes = _graded_backward_grid(sys.fastest_rate, horizon, steps)
     nodes = np.asarray(nodes, dtype=float)
@@ -270,14 +267,9 @@ def l2_iss_verdict(sys, estimate: AdmissibilityEstimate, thresholds=DEFAULT_THRE
     square-integrable-input stability; a constant that keeps growing as
     modes are added signals its failure.
     """
-    reasons = []
-    stable = sys.spectral_gap > 0.0
-    if stable:
-        reasons.append(f"exponentially stable with spectral gap {sys.spectral_gap:.6g}")
-    else:  # unreachable through the constructors, kept for config-driven systems
-        reasons.append("semigroup is not exponentially stable")
-        return IssVerdict(verdict="not-ISS", reasons=tuple(reasons))
-    if not np.any(sys.input_vector(1.0)):
+    # Both constructors refuse a nonpositive spectral gap.
+    reasons = [f"exponentially stable with spectral gap {sys.spectral_gap:.6g}"]
+    if not np.any(sys.input_coeffs):
         reasons.append("zero input operator")
         return IssVerdict(verdict="ISS", reasons=tuple(reasons))
     horizon = max(t for t, _, _ in estimate.trend)

@@ -81,7 +81,6 @@ class AnalysisConfig:
     q: float = 2.0
     horizon: float = 10.0
     seed: int = 0
-    epsilon: float = 1.0
     delta_override: float | None = None
     sample_count: int = 200
     out_dir: str | None = None
@@ -97,6 +96,8 @@ class AnalysisConfig:
         clean = dict(doc)
         for key in ("modes", "gammas"):
             if key in clean:
+                if not isinstance(clean[key], (list, tuple)):
+                    raise ConfigError(f"{key} must be a list")
                 clean[key] = tuple(clean[key])
         try:
             return cls(**clean)
@@ -121,7 +122,10 @@ def _family(config: AnalysisConfig):
     Every member is a leading section of it, so the family is nested by
     construction.  A matrix document is a family of one system.
     """
-    modes = sorted(set(int(n) for n in config.modes))
+    try:
+        modes = sorted(set(int(n) for n in config.modes))
+    except (TypeError, ValueError):
+        modes = []
     if not modes or modes[0] < 1:
         raise ConfigError("modes must be positive integers")
     if config.model is not None and config.system is not None:
@@ -140,8 +144,6 @@ def _family(config: AnalysisConfig):
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     if doc.get("type") == "matrix":
-        if largest.input_dim != 1:
-            raise ConfigError("analyses support scalar-input systems only")
         return largest.label, [largest]
     usable = [n for n in modes if n <= largest.mode_count]
     if not usable:
@@ -341,12 +343,19 @@ def _check_edges(slots):
 
 
 def _validate_config(config: AnalysisConfig):
-    if config.horizon <= 0:
-        raise ConfigError("horizon must be positive")
-    if config.epsilon <= 0:
-        raise ConfigError("epsilon must be positive")
-    if config.sample_count < 1:
-        raise ConfigError("sample_count must be positive")
+    real = (int, float)
+    if not isinstance(config.horizon, real) or not 0 < config.horizon < math.inf:
+        raise ConfigError("horizon must be finite and positive")
+    if not all(isinstance(g, real) and 0 <= g < math.inf for g in config.gammas):
+        raise ConfigError("gammas must be finite and nonnegative")
+    if not isinstance(config.seed, int) or config.seed < 0:
+        raise ConfigError("seed must be a nonnegative integer")
+    if not isinstance(config.sample_count, int) or config.sample_count < 1:
+        raise ConfigError("sample_count must be a positive integer")
+    if config.delta_override is not None and not isinstance(config.delta_override, real):
+        raise ConfigError("delta_override must be a number")
+    if config.out_dir is not None and not isinstance(config.out_dir, str):
+        raise ConfigError("out_dir must be a path")
     try:
         _normalize_q(config.q)
     except ValueError as exc:
@@ -467,7 +476,7 @@ def run_analyze(config: AnalysisConfig):
 
     condition_numbers = []
     for sys in family:
-        _, similarity = contraction_similarity(sys, epsilon=config.epsilon)
+        _, similarity = contraction_similarity(sys)
         condition_numbers.append([sys.dimension, similarity.condition_number])
         rows.append(
             (label, "similarity", "condition_number", "", sys.dimension, None, similarity.condition_number)

@@ -68,7 +68,6 @@ def _add_common(parser):
     parser.add_argument("--horizon", type=float, help="admissibility horizon T")
     parser.add_argument("--seed", type=int, help="random seed (fixes all outputs)")
     parser.add_argument("--out", dest="out_dir", metavar="DIR", help="output directory")
-    parser.add_argument("--epsilon", type=float, help="similarity Lyapunov right-hand scale")
     parser.add_argument(
         "--delta-override", type=float, help="decay-rate override inside the spectral gap"
     )
@@ -173,7 +172,9 @@ def _cmd_lyapunov_eval(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
-    ok = run_selftest(seed=args.seed if args.seed is not None else 0, fault=args.fault)
+    if args.seed < 0:
+        raise ConfigError("seed must be a nonnegative integer")
+    ok = run_selftest(seed=args.seed, fault=args.fault)
     print("selftest: all invariants hold" if ok else "selftest: FAILURES above")
     return EXIT_OK if ok else EXIT_INVARIANT
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from .admissibility import admissibility_constant
 from .lyapunov import QuadraticForm, GainEnvelope, _orbit_energy
-from .systems import DimensionMismatchError, SpectralSystem, as_state, semigroup_apply
+from .systems import SpectralSystem, as_state, semigroup_apply
 
 __all__ = [
     "DecompositionReport",
@@ -281,11 +281,8 @@ def default_sample_cloud(sys, form: QuadraticForm, count=200, seed=0):
     if n > 1:
         probes.append(np.eye(1, n, 1)[0])
         probes.append(np.eye(1, n, n - 1)[0])
-    try:
-        b = sys.input_vector(1.0)
-    except DimensionMismatchError:  # multi-input dense systems: skip the probes
-        b = None
-    if b is not None and np.linalg.norm(b) > 0:
+    b = sys.input_coeffs
+    if np.linalg.norm(b) > 0:
         probes.append(np.asarray(b, dtype=float) / np.linalg.norm(b))
         if isinstance(sys, SpectralSystem) and form.weights is not None:
             wl = 2.0 * form.weights * sys.eigenvalues

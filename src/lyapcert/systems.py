@@ -1,13 +1,14 @@
 """Generators, semigroups, fractional powers, and extrapolation norms.
 
-Two realizations of an exponentially stable linear system ``x' = Ax + Bu``
-are supported: :class:`SpectralSystem` (diagonal generator, the workhorse)
-and :class:`MatrixSystem` (dense Hurwitz matrix).  Both expose one surface,
-so callers never branch on the realization to get these quantities:
+Two realizations of an exponentially stable linear system ``x' = Ax + bu``
+with a scalar input ``u`` are supported: :class:`SpectralSystem` (diagonal
+generator, the workhorse) and :class:`MatrixSystem` (dense Hurwitz matrix).
+Both expose one surface, so callers never branch on the realization to get
+these quantities:
 
-* ``dimension``, ``input_dim``, ``spectral_gap`` and ``fastest_rate``
-  (the largest eigenvalue modulus, computed once per instance);
-* ``input_vector(u)``, the state-space column ``B u`` of a scalar input;
+* ``input_coeffs``, the input column ``b`` as a read-only 1-D array;
+* ``dimension``, ``spectral_gap`` and ``fastest_rate`` (the largest
+  eigenvalue modulus, computed once per instance);
 * ``step(x, u, h)``, the exact state after ``h`` under the constant input
   ``u`` (``u=None`` is the free flow ``T(h) x``) of one state or of each
   row of a stack;
@@ -118,10 +119,6 @@ class SpectralSystem:
         return self.mode_count
 
     @property
-    def input_dim(self) -> int:
-        return 1
-
-    @property
     def spectral_gap(self) -> float:
         """Smallest eigenvalue; ||T(t)x|| <= exp(-gap*t)||x|| holds exactly."""
         return float(self.eigenvalues[0])
@@ -130,10 +127,6 @@ class SpectralSystem:
     def fastest_rate(self) -> float:
         """Largest eigenvalue, the inverse of the shortest relaxation time."""
         return float(self.eigenvalues[-1])
-
-    def input_vector(self, u=1.0) -> np.ndarray:
-        """The state-space column B*u."""
-        return self.input_coeffs * float(u)
 
     def step(self, x, u, h) -> np.ndarray:
         """Exact state after h under the constant input u (None: free flow).
@@ -185,26 +178,33 @@ class SpectralSystem:
 
 @dataclass(frozen=True)
 class MatrixSystem:
-    """Dense system with Hurwitz ``a_matrix`` and input matrix ``b_matrix``.
+    """Dense system with Hurwitz ``a_matrix`` and one input column ``input_coeffs``.
 
     Every eigenvalue of ``a_matrix`` must have strictly negative real part
-    (checked at construction); invertibility follows.
+    (checked at construction); invertibility follows.  ``input_coeffs`` may
+    be given as a length-n vector or an n x 1 column and is stored 1-D; any
+    other shape is refused, since every analysis takes a scalar input.
     """
 
     a_matrix: np.ndarray
-    b_matrix: np.ndarray
+    input_coeffs: np.ndarray
     label: str = "matrix"
 
     def __post_init__(self):
         a = np.array(self.a_matrix)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("a_matrix must be square")
-        b = np.array(self.b_matrix)
-        if b.ndim == 1:
-            b = b.reshape(-1, 1)
-        if b.ndim != 2 or b.shape[0] != a.shape[0]:
+        b = np.array(self.input_coeffs)
+        if b.ndim == 2 and b.shape[1] == 1:
+            b = b.reshape(-1)
+        if b.ndim != 1:
+            raise ValueError(
+                "analyses support scalar-input systems only: "
+                f"b of shape {b.shape} is not one scalar input column"
+            )
+        if b.size != a.shape[0]:
             raise DimensionMismatchError(
-                f"b_matrix rows {b.shape[0]} do not match state dimension {a.shape[0]}"
+                f"input column length {b.size} does not match state dimension {a.shape[0]}"
             )
         if not (np.all(np.isfinite(a.real)) and np.all(np.isfinite(b.real))):
             raise ValueError("matrices must be finite")
@@ -214,17 +214,13 @@ class MatrixSystem:
                 f"a_matrix is not Hurwitz (spectral abscissa {spectrum.real.max():.6g})"
             )
         object.__setattr__(self, "a_matrix", _readonly(a))
-        object.__setattr__(self, "b_matrix", _readonly(b))
+        object.__setattr__(self, "input_coeffs", _readonly(b))
         object.__setattr__(self, "_abscissa", float(spectrum.real.max()))
         object.__setattr__(self, "_fastest", float(np.abs(spectrum).max()))
 
     @property
     def dimension(self) -> int:
         return int(self.a_matrix.shape[0])
-
-    @property
-    def input_dim(self) -> int:
-        return int(self.b_matrix.shape[1])
 
     @property
     def spectral_gap(self) -> float:
@@ -235,11 +231,6 @@ class MatrixSystem:
     def fastest_rate(self) -> float:
         """Largest eigenvalue modulus, from the construction-time spectrum."""
         return self._fastest
-
-    def input_vector(self, u=1.0) -> np.ndarray:
-        if self.input_dim != 1:
-            raise DimensionMismatchError("scalar input requested for multi-input system")
-        return self.b_matrix[:, 0] * u
 
     def step(self, x, u, h) -> np.ndarray:
         """Exact state after h under the constant scalar input u (None: free flow).
@@ -252,7 +243,7 @@ class MatrixSystem:
         if u is None:
             return (scipy.linalg.expm(self.a_matrix * h) @ x[..., None])[..., 0]
         n = self.dimension
-        forcing = self.input_vector(u)
+        forcing = self.input_coeffs * u
         aug = np.zeros((n + 1, n + 1), dtype=np.result_type(self.a_matrix, forcing, float))
         aug[:n, :n] = self.a_matrix * h
         aug[:n, n] = forcing * h
@@ -276,24 +267,24 @@ class MatrixSystem:
 
         ``T(t) A^-1 B`` is formed once per node and neighbours are subtracted.
         """
-        inv_b = np.linalg.solve(self.a_matrix, self.b_matrix[:, 0])
+        inv_b = np.linalg.solve(self.a_matrix, self.input_coeffs)
         orbit = np.stack([scipy.linalg.expm(self.a_matrix * t) @ inv_b for t in nodes], axis=1)
         return orbit[:, 1:] - orbit[:, :-1]
 
     def input_orbit_norms(self, times) -> np.ndarray:
         """||T(tau) B|| at each time tau."""
-        b = self.b_matrix[:, 0]
+        b = self.input_coeffs
         return np.array(
             [float(np.linalg.norm(scipy.linalg.expm(self.a_matrix * tau) @ b)) for tau in times]
         )
 
     def to_config(self) -> dict:
-        if np.iscomplexobj(self.a_matrix) or np.iscomplexobj(self.b_matrix):
+        if np.iscomplexobj(self.a_matrix) or np.iscomplexobj(self.input_coeffs):
             raise ValueError("complex matrix systems have no JSON representation")
         return {
             "type": "matrix",
             "a": self.a_matrix.tolist(),
-            "b": self.b_matrix.tolist(),
+            "b": self.input_coeffs[:, None].tolist(),
             "label": self.label,
         }
 
@@ -452,7 +443,8 @@ def system_from_config(doc: dict):
 
     Spectral documents carry either explicit ``eigenvalues``/``input_coeffs``
     lists or ``eigenvalue_rule``/``coeff_rule`` strings plus ``modes``;
-    matrix documents carry dense ``a`` and ``b`` arrays.
+    matrix documents carry a dense ``a`` and one input column ``b``, a flat
+    list or an n x 1 nested list.
     """
     if not isinstance(doc, dict):
         raise ValueError("system config must be a JSON object")

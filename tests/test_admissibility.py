@@ -126,9 +126,8 @@ def test_dense_input_map_makes_one_expm_per_node(monkeypatch, steps):
 def test_multi_input_matrix_rejected():
     from lyapcert.systems import MatrixSystem
 
-    sys = MatrixSystem(np.diag([-1.0, -2.0]), np.eye(2))
     with pytest.raises(ValueError, match="scalar input"):
-        admissibility_constant(sys, 2, horizon=1.0)
+        MatrixSystem(np.diag([-1.0, -2.0]), np.eye(2))
 
 
 def test_q_inf_constant_exact():

@@ -34,7 +34,9 @@ def test_config_from_dict_rejects_unknown_keys():
         AnalysisConfig.from_dict({"model": "heat-neumann", "bogus": 1})
 
 
-@pytest.mark.parametrize("key", ["steps", "input_levels", "bounded_ratio", "diverging_slope"])
+@pytest.mark.parametrize(
+    "key", ["steps", "input_levels", "bounded_ratio", "diverging_slope", "epsilon"]
+)
 def test_config_from_dict_rejects_library_parameters(key):
     with pytest.raises(ConfigError, match="unknown config keys"):
         AnalysisConfig.from_dict({"model": "heat-neumann", key: 1})
@@ -170,6 +172,35 @@ def test_multi_input_matrix_rejected_by_config():
         run_analyze(config)
 
 
+@pytest.mark.parametrize("command", ["analyze", "lyapunov-eval"])
+def test_cli_multi_input_matrix_is_a_config_error(tmp_path, capsys, command):
+    path = tmp_path / "multi.json"
+    path.write_text(json.dumps({
+        "system": {"type": "matrix", "a": [[-1.0, 0.0], [0.0, -2.0]],
+                   "b": [[1.0, 0.0], [0.0, 1.0]]},
+    }), encoding="utf-8")
+    assert main([command, "--config", str(path)]) == 2
+    assert "scalar-input" in capsys.readouterr().err
+
+
+def test_analyze_flat_input_list_equals_column(tmp_path):
+    rng = np.random.default_rng(5)
+    a = rng.normal(size=(4, 4)) / 2.0 - 2.0 * np.eye(4)
+    b = rng.normal(size=4)
+    outputs = []
+    for name, column in (("flat", b.tolist()), ("column", [[v] for v in b.tolist()])):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({
+            "system": {"type": "matrix", "a": a.tolist(), "b": column},
+            "sample_count": 8,
+        }), encoding="utf-8")
+        assert main(["analyze", "--config", str(path), "--out", str(tmp_path / name)]) == 0
+        outputs.append(
+            [_read(tmp_path / name / f) for f in ("report.json", "trends.csv", "trajectories.csv")]
+        )
+    assert outputs[0] == outputs[1]
+
+
 def test_analyze_zero_input_system():
     config = AnalysisConfig.from_dict(
         {
@@ -291,7 +322,6 @@ SHARED_FLAGS = [
     ("--horizon", "7", "horizon", 7.0),
     ("--seed", "3", "seed", 3),
     ("--out", "from-flag", "out_dir", "from-flag"),
-    ("--epsilon", "0.5", "epsilon", 0.5),
     ("--delta-override", "1.5", "delta_override", 1.5),
 ]
 
@@ -303,7 +333,7 @@ def test_shared_flag_overrides_its_config_key(tmp_path, flag, text, field, value
     path = tmp_path / "config.json"
     path.write_text(json.dumps({
         "model": "heat-dirichlet", "modes": [4, 8], "gammas": [0.1], "q": 1,
-        "horizon": 3.0, "seed": 9, "out_dir": "from-config", "epsilon": 2.0,
+        "horizon": 3.0, "seed": 9, "out_dir": "from-config",
         "delta_override": 0.5, "sample_count": 12,
     }), encoding="utf-8")
     argv = ["analyze", "--config", str(path)]
@@ -353,6 +383,31 @@ def test_cli_analyze_exit_codes(tmp_path):
         "analyze", "--model", "heat-dirichlet", "--modes", SMALL, "--out",
         str(tmp_path / "d"),
     ]) == 3
+
+
+BAD_VALUES = [
+    pytest.param("analyze", ["--gamma", "-0.5"], {}, id="negative-gamma"),
+    pytest.param("analyze", ["--gamma", "nan"], {}, id="nan-gamma"),
+    pytest.param("admissibility-scan", ["--gamma", "-0.5"], {}, id="scan-negative-gamma"),
+    pytest.param("admissibility-scan", ["--gamma", "nan"], {}, id="scan-nan-gamma"),
+    pytest.param("analyze", ["--seed", "-1"], {}, id="negative-seed"),
+    pytest.param("analyze", ["--horizon", "nan"], {}, id="nan-horizon"),
+    pytest.param("analyze", [], {"modes": 5}, id="modes-not-a-list"),
+    pytest.param("analyze", [], {"modes": ["a"]}, id="modes-not-integers"),
+    pytest.param("analyze", [], {"sample_count": 1.5}, id="fractional-sample-count"),
+    pytest.param("analyze", [], {"seed": 1.5}, id="fractional-seed"),
+    pytest.param("analyze", [], {"delta_override": "a"}, id="delta-override-not-a-number"),
+    pytest.param("analyze", [], {"out_dir": 5}, id="out-dir-not-a-path"),
+]
+
+
+@pytest.mark.parametrize("command, flags, doc", BAD_VALUES)
+def test_cli_bad_value_is_a_config_error(tmp_path, capsys, command, flags, doc):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"model": "counterexample", "modes": [8, 16, 32], **doc}),
+                    encoding="utf-8")
+    assert main([command, "--config", str(path)] + flags) == 2
+    assert "config error:" in capsys.readouterr().err
 
 
 def test_cli_config_error(tmp_path):
@@ -486,6 +541,11 @@ def test_cli_selftest_fault_injection(capsys):
     assert "FAIL  self-adjoint-identity" in captured
     passes = [line for line in captured.splitlines() if line.startswith("PASS")]
     assert len(passes) >= 20
+
+
+def test_cli_selftest_negative_seed_is_a_config_error(capsys):
+    assert main(["selftest", "--seed", "-1"]) == 2
+    assert "config error:" in capsys.readouterr().err
 
 
 def test_cli_selftest_fault_needs_a_corruption():

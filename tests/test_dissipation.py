@@ -419,6 +419,15 @@ def test_decomposition_agrees_across_realizations():
             assert getattr(got, name) == pytest.approx(getattr(ref, name), rel=REALIZATION_RTOL)
 
 
+def test_dense_sample_cloud_probes_the_input_direction():
+    a = np.array([[-1.0, 6.0, 0.0], [0.0, -2.0, 4.0], [0.0, 0.0, -3.0]])
+    b = np.array([1.0, -0.5, 2.0])
+    sys = MatrixSystem(a, b)
+    cloud = default_sample_cloud(sys, build_v_half(sys), count=4, seed=0)
+    direction = b / np.linalg.norm(b)
+    assert any(np.array_equal(state, direction) for state in cloud)
+
+
 def test_decomposition_requires_square_function_form():
     from lyapcert.lyapunov import QuadraticForm
 

@@ -249,6 +249,23 @@ def test_config_round_trip():
     assert clone.label == "demo"
 
 
+def test_matrix_input_column_shapes_and_round_trip():
+    a = np.array([[-1.0, 3.0], [0.0, -2.0]])
+    flat = MatrixSystem(a, np.array([1.0, -2.0]), label="demo")
+    column = MatrixSystem(a, np.array([[1.0], [-2.0]]))
+    assert flat.input_coeffs.shape == (2,)
+    assert not flat.input_coeffs.flags.writeable
+    assert np.array_equal(flat.input_coeffs, column.input_coeffs)
+    doc = flat.to_config()
+    assert doc["b"] == [[1.0], [-2.0]]
+    clone = system_from_config(doc)
+    assert np.array_equal(clone.a_matrix, a)
+    assert np.array_equal(clone.input_coeffs, flat.input_coeffs)
+    assert clone.label == "demo"
+    with pytest.raises(DimensionMismatchError):
+        MatrixSystem(a, np.ones(3))
+
+
 def test_config_rules():
     doc = {
         "type": "spectral",
@@ -309,7 +326,7 @@ def test_surface_agrees_across_realizations(seed, n):
     diagonal = SpectralSystem(lam, b)
     dense = MatrixSystem(np.diag(-lam), b.reshape(-1, 1))
     assert dense.fastest_rate == pytest.approx(diagonal.fastest_rate, rel=1e-12)
-    assert dense.input_dim == diagonal.input_dim == 1
+    assert np.array_equal(dense.input_coeffs, diagonal.input_coeffs)
     x = rng.normal(size=n)
     for h in (1e-3, 0.1, 1.0):
         for u in (None, 0.0, -0.7):
