@@ -13,7 +13,6 @@ from .admissibility import (
     AdmissibilityEstimate,
     IssVerdict,
     OperatorClassReport,
-    TrendThresholds,
     admissibility_constant,
     admissibility_trend,
     classify_trend,

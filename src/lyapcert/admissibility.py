@@ -11,8 +11,7 @@ Two complementary probes of an input column ``b``:
 
 The two need not agree -- a bounded constant with a diverging scan is the
 interesting regime -- and the trend classifier below keeps its thresholds
-explicit: they are a library parameter (:class:`TrendThresholds`), not a
-config key, and the analysis stages use the defaults.
+explicit as the module constants ``BOUNDED_RATIO`` and ``DIVERGING_SLOPE``.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ __all__ = [
     "AdmissibilityEstimate",
     "IssVerdict",
     "OperatorClassReport",
-    "TrendThresholds",
     "admissibility_constant",
     "admissibility_trend",
     "classify_trend",
@@ -37,24 +35,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TrendThresholds:
-    """Artifact thresholds separating bounded from diverging sequences.
-
-    A sequence is called bounded when every successive ratio stays within
-    ``bounded_ratio`` of one, diverging when the log-log regression slope
-    against the sweep size exceeds ``diverging_slope``, and inconclusive
-    otherwise.
-    """
-
-    diverging_slope: float = 0.05
-    bounded_ratio: float = 1.02
+# Artifact thresholds separating bounded from diverging sequences: the
+# largest final successive ratio of a bounded sweep, and the log-log slope
+# against the sweep size above which a sweep diverges.
+BOUNDED_RATIO = 1.02
+DIVERGING_SLOPE = 0.05
 
 
-DEFAULT_THRESHOLDS = TrendThresholds()
-
-
-def classify_trend(sizes, values, thresholds=DEFAULT_THRESHOLDS):
+def classify_trend(sizes, values):
     """Classify a positive sequence sampled at increasing sizes.
 
     Returns ``(verdict, slope)`` with verdict in {"bounded", "diverging",
@@ -77,9 +65,9 @@ def classify_trend(sizes, values, thresholds=DEFAULT_THRESHOLDS):
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = values[1:] / np.maximum(values[:-1], floor)
     final_ratio = float(ratios[-1])
-    if final_ratio <= thresholds.bounded_ratio and slope <= thresholds.diverging_slope:
+    if final_ratio <= BOUNDED_RATIO and slope <= DIVERGING_SLOPE:
         return "bounded", slope
-    if final_ratio > thresholds.bounded_ratio and slope > thresholds.diverging_slope:
+    if final_ratio > BOUNDED_RATIO and slope > DIVERGING_SLOPE:
         return "diverging", slope
     return "inconclusive", slope
 
@@ -100,7 +88,7 @@ class OperatorClassReport:
             raise ValueError("scan norms must be nondecreasing in the mode count")
 
 
-def operator_class_scan(systems, gamma, thresholds=DEFAULT_THRESHOLDS) -> OperatorClassReport:
+def operator_class_scan(systems, gamma) -> OperatorClassReport:
     """Scan ||(-A)^(-gamma) B|| over a family of truncations of one system.
 
     ``systems`` must contain at least three diagonal truncations with
@@ -115,7 +103,7 @@ def operator_class_scan(systems, gamma, thresholds=DEFAULT_THRESHOLDS) -> Operat
     if any(b <= a for a, b in zip(counts, counts[1:])):
         raise ValueError("mode counts must be strictly increasing")
     norms = [extrapolation_norm(s, gamma, s.input_coeffs) for s in systems]
-    verdict, slope = classify_trend(counts, norms, thresholds)
+    verdict, slope = classify_trend(counts, norms)
     return OperatorClassReport(
         gamma=float(gamma),
         mode_counts=tuple(counts),
@@ -157,12 +145,10 @@ class AdmissibilityEstimate:
 
 
 def _normalize_q(q):
-    if q in (1, 2):
-        return float(q)
-    if q == math.inf or (isinstance(q, str) and q.lower() == "inf"):
+    if isinstance(q, str) and q.lower() == "inf":
         return math.inf
-    if isinstance(q, float) and q in (1.0, 2.0):
-        return q
+    if not isinstance(q, bool) and q in (1, 2, math.inf):
+        return float(q)
     raise ValueError(f"unsupported integrability exponent {q!r}; use 1, 2 or inf")
 
 
@@ -260,7 +246,7 @@ class IssVerdict:
     reasons: tuple
 
 
-def l2_iss_verdict(sys, estimate: AdmissibilityEstimate, thresholds=DEFAULT_THRESHOLDS) -> IssVerdict:
+def l2_iss_verdict(sys, estimate: AdmissibilityEstimate) -> IssVerdict:
     """Combine exponential stability with the constant trend over modes.
 
     Stability plus a bounded input-map constant is the criterion for
@@ -277,7 +263,7 @@ def l2_iss_verdict(sys, estimate: AdmissibilityEstimate, thresholds=DEFAULT_THRE
     if len(rows) < 2:
         reasons.append("single truncation only; no trend available")
         return IssVerdict(verdict="inconclusive", reasons=tuple(reasons))
-    verdict, slope = classify_trend([n for n, _ in rows], [v for _, v in rows], thresholds)
+    verdict, slope = classify_trend([n for n, _ in rows], [v for _, v in rows])
     if verdict == "bounded":
         reasons.append(
             f"input-map constant levels off across modes (slope {slope:.3g}); "

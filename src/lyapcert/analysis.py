@@ -64,14 +64,29 @@ class InvariantViolationError(RuntimeError):
     """A theorem edge came out violated; the run must fail."""
 
 
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_count(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class AnalysisConfig:
     """Inputs of one analysis run, read from a JSON config file and CLI flags.
 
     Every field is a config key.  ``system`` and ``sample_count`` have no
-    flag; every other field has one.  Trend thresholds, discretization
-    steps and sample input levels are library parameters, and the stages
-    use their defaults.
+    flag; every other field has one.  Discretization steps and sample
+    input levels are library parameters, and the stages use their
+    defaults; the trend thresholds are constants of ``admissibility``.
+
+    Construction is the one check of the fields, so a config from a file,
+    from CLI overrides or from library code is refused the same way, with
+    :class:`ConfigError`.  ``modes`` and ``gammas`` become tuples, and an
+    integral float mode becomes an int.  Bools are refused wherever a
+    number is required.  Naming neither a model nor a system is allowed
+    here, since CLI flags may still supply one; the stages refuse it.
     """
 
     model: str | None = None
@@ -85,6 +100,40 @@ class AnalysisConfig:
     sample_count: int = 200
     out_dir: str | None = None
 
+    def __post_init__(self):
+        if self.model is not None and not isinstance(self.model, str):
+            raise ConfigError("model must be a model name")
+        if self.system is not None and not isinstance(self.system, dict):
+            raise ConfigError("system must be a JSON object")
+        if self.model is not None and self.system is not None:
+            raise ConfigError("give either a model name or an inline system, not both")
+        for key in ("modes", "gammas"):
+            if not isinstance(getattr(self, key), (list, tuple)):
+                raise ConfigError(f"{key} must be a list")
+        if not self.modes or not all(
+            (_is_count(n) or isinstance(n, float) and n.is_integer()) and n >= 1
+            for n in self.modes
+        ):
+            raise ConfigError("modes must be positive integers")
+        object.__setattr__(self, "modes", tuple(int(n) for n in self.modes))
+        if not all(_is_number(g) and 0 <= g < math.inf for g in self.gammas):
+            raise ConfigError("gammas must be finite and nonnegative")
+        object.__setattr__(self, "gammas", tuple(self.gammas))
+        try:
+            _normalize_q(self.q)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+        if not _is_number(self.horizon) or not 0 < self.horizon < math.inf:
+            raise ConfigError("horizon must be finite and positive")
+        if not _is_count(self.seed) or self.seed < 0:
+            raise ConfigError("seed must be a nonnegative integer")
+        if self.delta_override is not None and not _is_number(self.delta_override):
+            raise ConfigError("delta_override must be a number")
+        if not _is_count(self.sample_count) or self.sample_count < 1:
+            raise ConfigError("sample_count must be a positive integer")
+        if self.out_dir is not None and not isinstance(self.out_dir, str):
+            raise ConfigError("out_dir must be a path")
+
     @classmethod
     def from_dict(cls, doc: dict) -> "AnalysisConfig":
         if not isinstance(doc, dict):
@@ -93,16 +142,7 @@ class AnalysisConfig:
         unknown = sorted(set(doc) - known)
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-        clean = dict(doc)
-        for key in ("modes", "gammas"):
-            if key in clean:
-                if not isinstance(clean[key], (list, tuple)):
-                    raise ConfigError(f"{key} must be a list")
-                clean[key] = tuple(clean[key])
-        try:
-            return cls(**clean)
-        except TypeError as exc:
-            raise ConfigError(str(exc)) from None
+        return cls(**doc)
 
     @classmethod
     def from_file(cls, path) -> "AnalysisConfig":
@@ -122,14 +162,7 @@ def _family(config: AnalysisConfig):
     Every member is a leading section of it, so the family is nested by
     construction.  A matrix document is a family of one system.
     """
-    try:
-        modes = sorted(set(int(n) for n in config.modes))
-    except (TypeError, ValueError):
-        modes = []
-    if not modes or modes[0] < 1:
-        raise ConfigError("modes must be positive integers")
-    if config.model is not None and config.system is not None:
-        raise ConfigError("give either a model name or an inline system, not both")
+    modes = sorted(set(config.modes))
     if config.model is None and config.system is None:
         raise ConfigError("config needs a model name or an inline system")
     doc = dict(config.system or {})
@@ -342,26 +375,6 @@ def _check_edges(slots):
     return edges
 
 
-def _validate_config(config: AnalysisConfig):
-    real = (int, float)
-    if not isinstance(config.horizon, real) or not 0 < config.horizon < math.inf:
-        raise ConfigError("horizon must be finite and positive")
-    if not all(isinstance(g, real) and 0 <= g < math.inf for g in config.gammas):
-        raise ConfigError("gammas must be finite and nonnegative")
-    if not isinstance(config.seed, int) or config.seed < 0:
-        raise ConfigError("seed must be a nonnegative integer")
-    if not isinstance(config.sample_count, int) or config.sample_count < 1:
-        raise ConfigError("sample_count must be a positive integer")
-    if config.delta_override is not None and not isinstance(config.delta_override, real):
-        raise ConfigError("delta_override must be a number")
-    if config.out_dir is not None and not isinstance(config.out_dir, str):
-        raise ConfigError("out_dir must be a path")
-    try:
-        _normalize_q(config.q)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-
 def admissibility_stages(config: AnalysisConfig):
     """The stability, scan, input-constant and ISS stages of one family.
 
@@ -370,7 +383,6 @@ def admissibility_stages(config: AnalysisConfig):
     ``l2_iss``, plus their ``trends.csv`` rows.  ``run_analyze`` builds on
     them; ``admissibility-scan`` reports them alone.
     """
-    _validate_config(config)
     label, family = _family(config)
     rows = []
 
@@ -536,7 +548,6 @@ def _trajectory_table(traj):
 
 def run_simulate(config: AnalysisConfig):
     """Simulate a deterministic ensemble and fit the gain envelope."""
-    _validate_config(config)
     label, family = _family(config)
     sys = family[-1]
     gap = sys.spectral_gap

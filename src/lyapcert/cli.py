@@ -80,10 +80,7 @@ def _build_config(args) -> AnalysisConfig:
         for f in dataclasses.fields(AnalysisConfig)
         if getattr(args, f.name, None) is not None
     }
-    config = dataclasses.replace(config, **overrides)
-    if config.model is None and config.system is None:
-        raise ConfigError("nothing to analyze: give --model or a config with a system")
-    return config
+    return dataclasses.replace(config, **overrides)
 
 
 def _cmd_analyze(args) -> int:

@@ -206,8 +206,8 @@ def _dini_quotients(form: QuadraticForm, sys, states, u: InputSignal, hs, v0):
 
     Each step stays inside the first input segment, so ``x(h)`` is one
     exact ``sys.step`` of the whole stack per step size.  Returns the
-    extrapolated derivatives, their error bars and the (states, steps)
-    table of quotients ``(V(x(h)) - V(x))/h``.
+    extrapolated derivatives of the quotients ``(V(x(h)) - V(x))/h`` and
+    their error bars.
     """
     quotients = np.stack(
         [(form.values(sys.step(states, u.value0, h)) - v0) / h for h in hs], axis=-1
@@ -218,7 +218,7 @@ def _dini_quotients(form: QuadraticForm, sys, states, u: InputSignal, hs, v0):
     noise = 32.0 * np.finfo(float).eps * (
         np.abs(v0) / hs[-1] + np.abs(quotients).max(axis=-1)
     )
-    return value, 4.0 * np.where(noise > bar, noise, bar), quotients
+    return value, 4.0 * np.where(noise > bar, noise, bar)
 
 
 @dataclass(frozen=True)
@@ -227,11 +227,9 @@ class DiniEstimate:
 
     value: float
     error_bar: float
-    step_sizes: tuple
-    quotients: tuple
 
 
-def dini_derivative(form: QuadraticForm, sys, x, u, steps=None) -> DiniEstimate:
+def dini_derivative(form: QuadraticForm, sys, x, u) -> DiniEstimate:
     """Right derivative of t -> V(x(t)) at t = 0 along the mild solution.
 
     Forward quotients (V(x(h)) - V(x))/h over a decreasing step sequence
@@ -239,27 +237,13 @@ def dini_derivative(form: QuadraticForm, sys, x, u, steps=None) -> DiniEstimate:
     smooth, so the raw limsup is reached polynomially fast.  The error bar
     is the spread of the last two extrapolants, floored at the round-off
     level of the difference quotient, with a safety factor of four.
-    Explicit ``steps`` must stay inside the first input segment.
+    The steps stay inside the first input segment.
     """
     u = _coerce_input(u)
     x = as_state(sys, x)
-    if steps is None:
-        hs = _stiff_h_sequence(sys, u)
-    else:
-        hs = np.asarray(steps, dtype=float).reshape(-1)
-        if hs.size < 4:
-            raise ValueError("need at least four step sizes")
-        if np.any(np.diff(hs) >= 0.0) or np.any(hs <= 0.0):
-            raise ValueError("step sizes must be positive and strictly decreasing")
-        if u.breakpoints.size > 1 and hs[0] > u.breakpoints[1]:
-            raise ValueError("step sizes must not pass the first input breakpoint")
-    value, bar, quotients = _dini_quotients(form, sys, x[None, :], u, hs, form.values(x))
-    return DiniEstimate(
-        value=float(value[0]),
-        error_bar=float(bar[0]),
-        step_sizes=tuple(float(h) for h in hs),
-        quotients=tuple(float(d) for d in quotients[0]),
-    )
+    hs = _stiff_h_sequence(sys, u)
+    value, bar = _dini_quotients(form, sys, x[None, :], u, hs, form.values(x))
+    return DiniEstimate(value=float(value[0]), error_bar=float(bar[0]))
 
 
 def default_sample_cloud(sys, form: QuadraticForm, count=200, seed=0):
@@ -555,7 +539,7 @@ def iss_gain_fit(trajectories) -> GainFitReport:
             denom = np.sqrt(tr.input.l2_sq_on(0.0, t))
             if denom > 0.0:
                 gain = max(gain, norm / denom)
-    envelope = GainEnvelope(overshoot=overshoot, rate=omega, gain=gain)
+    envelope = GainEnvelope(overshoot=overshoot, rate=float(omega), gain=float(gain))
 
     worst = 0.0
     for tr in trajectories:

@@ -236,46 +236,37 @@ def build_half_norm(sys) -> QuadraticForm:
 class ContractionReport:
     """Diagnostics of the similarity scalar product <x,y>_new = <Px, y>."""
 
-    epsilon: float
     condition_number: float
     dissipativity_margin: float
     decay_rate: float
     satisfied: bool
 
 
-def contraction_similarity(sys, epsilon=1.0):
-    """Solve A^H P + P A = -eps*I and verify dissipativity in <Px, x>.
+def contraction_similarity(sys):
+    """Take P with A^H P + P A = -I and verify dissipativity in <Px, x>.
 
-    Returns ``(form, report)``; diagonal generators get P = eps / (2 lam)
-    in closed form.  In the new scalar product Re <Ax, Px> = -eps/2 ||x||^2,
-    so the margin, the exact sup of Re <Ax, Px> / ||x||^2, must be
-    nonpositive up to 1e-10.  ``condition_number`` a2/a1 of P measures how
-    far the similarity transform P^(1/2) distorts the original norm; its
-    growth across truncations is the quantity worth tracking.  ``decay_rate``
-    is the certified rate a = eps / (2 a2) of W(x) = ||P^(1/2) x||.
+    Returns ``(form, report)``.  P is the operator of W_0 from
+    :func:`build_w_q`: weights 1/(2 lam) for diagonal generators, a
+    Lyapunov solve otherwise.  In the new scalar product
+    Re <Ax, Px> = -1/2 ||x||^2, so the margin, the exact sup of
+    Re <Ax, Px> / ||x||^2, must be nonpositive up to 1e-10.
+    ``condition_number`` a2/a1 of P measures how far the similarity
+    transform P^(1/2) distorts the original norm; its growth across
+    truncations is the quantity worth tracking.  ``decay_rate`` is the
+    certified rate a = 1 / (2 a2) of W(x) = ||P^(1/2) x||.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    provenance = f"contraction similarity, epsilon {epsilon:g}"
-    if isinstance(sys, SpectralSystem):
-        lam = sys.eigenvalues
-        form = QuadraticForm(weights=epsilon / (2.0 * lam), provenance=provenance)
-        margin = float(np.max(-form.weights * lam))
+    form = build_w_q(sys, 0.0)
+    if form.weights is not None:
+        margin = float(np.max(-form.weights * sys.eigenvalues))
     else:
-        a_matrix = sys.a_matrix
-        p = scipy.linalg.solve_continuous_lyapunov(
-            a_matrix.conj().T, -epsilon * np.eye(sys.dimension)
-        )
-        form = QuadraticForm(p_matrix=(p + p.conj().T) / 2.0, provenance=provenance)
-        pa = form.p_matrix @ a_matrix
+        pa = form.p_matrix @ sys.a_matrix
         margin = float(np.linalg.eigvalsh((pa + pa.conj().T) / 2.0)[-1])
     if form.a1 <= 0:
         raise RuntimeError("Lyapunov solve returned a non-positive operator")
     report = ContractionReport(
-        epsilon=float(epsilon),
         condition_number=float(form.a2 / form.a1),
         dissipativity_margin=margin,
-        decay_rate=float(epsilon / (2.0 * form.a2)),
+        decay_rate=float(1.0 / (2.0 * form.a2)),
         satisfied=bool(margin <= 1e-10),
     )
     return form, report

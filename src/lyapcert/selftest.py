@@ -365,7 +365,7 @@ def _check_contraction_margin(rng):
         raw = rng.normal(size=(n, n))
         shift = np.abs(np.linalg.eigvals(raw).real).max() + 1.0
         sys = MatrixSystem(raw - shift * np.eye(n), np.ones((n, 1)))
-        _, report = contraction_similarity(sys, epsilon=1.0)
+        _, report = contraction_similarity(sys)
         ok = ok and report.satisfied
         worst = max(worst, report.dissipativity_margin)
     return ok, f"worst dissipativity margin {worst:.2e}"

@@ -181,7 +181,7 @@ def test_criterion_08_contraction_similarity():
         raw = rng.normal(size=(n, n))
         shift = np.abs(np.linalg.eigvals(raw).real).max() + rng.uniform(0.2, 1.0)
         sys = MatrixSystem(raw - shift * np.eye(n), np.ones((n, 1)))
-        form, report = contraction_similarity(sys, epsilon=1.0)
+        form, report = contraction_similarity(sys)
         assert np.linalg.eigvalsh(form.p_matrix)[0] > 0.0
         assert report.dissipativity_margin <= 1e-10
 

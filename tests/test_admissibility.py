@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from conftest import gram_constant
 from lyapcert.admissibility import (
     AdmissibilityEstimate,
-    TrendThresholds,
     admissibility_constant,
     admissibility_trend,
     classify_trend,
@@ -231,9 +230,3 @@ def test_zero_input_verdict_is_realization_independent():
         verdict = l2_iss_verdict(silent, est)
         assert verdict.verdict == "ISS"
         assert "zero input operator" in verdict.reasons
-
-
-def test_thresholds_are_configurable():
-    lax = TrendThresholds(diverging_slope=0.6, bounded_ratio=2.5)
-    verdict, _ = classify_trend([4, 16, 64], [2.0, 4.0, 8.0], lax)
-    assert verdict == "bounded"

@@ -398,16 +398,52 @@ BAD_VALUES = [
     pytest.param("analyze", [], {"seed": 1.5}, id="fractional-seed"),
     pytest.param("analyze", [], {"delta_override": "a"}, id="delta-override-not-a-number"),
     pytest.param("analyze", [], {"out_dir": 5}, id="out-dir-not-a-path"),
+    pytest.param("analyze", [], {"model": ["x"]}, id="model-not-a-name"),
+    pytest.param("analyze", [], {"model": None, "system": "abc"}, id="system-a-string"),
+    pytest.param("analyze", [], {"model": None, "system": [1, 2]}, id="system-a-list"),
+    pytest.param("analyze", [], {"modes": [8.5, 16, 32]}, id="fractional-modes"),
+    pytest.param("analyze", [], {"modes": [True, 16, 32]}, id="bool-modes"),
+    pytest.param("analyze", [], {"modes": ["8", 16, 32]}, id="string-modes"),
+    pytest.param("analyze", [], {"sample_count": True}, id="bool-sample-count"),
 ]
+COMMANDS = ("analyze", "simulate", "admissibility-scan", "lyapunov-eval")
 
 
-@pytest.mark.parametrize("command, flags, doc", BAD_VALUES)
-def test_cli_bad_value_is_a_config_error(tmp_path, capsys, command, flags, doc):
+def _assert_config_error(tmp_path, capsys, command, flags, doc):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"model": "counterexample", "modes": [8, 16, 32], **doc}),
                     encoding="utf-8")
     assert main([command, "--config", str(path)] + flags) == 2
     assert "config error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flags, doc", BAD_VALUES)
+def test_cli_bad_value_is_a_config_error(tmp_path, capsys, command, flags, doc):
+    _assert_config_error(tmp_path, capsys, command, flags, doc)
+
+
+@pytest.mark.parametrize("command, flags, doc", [
+    pytest.param(other, *case.values[1:], id=f"{other}-{case.id}")
+    for case in BAD_VALUES for other in COMMANDS if other != case.values[0]
+])
+def test_every_command_refuses_a_bad_value(tmp_path, capsys, command, flags, doc):
+    # The config is checked where it is built, so no subcommand skips a check.
+    _assert_config_error(tmp_path, capsys, command, flags, doc)
+
+
+def test_config_integral_float_modes_become_ints(tmp_path):
+    modes = AnalysisConfig(modes=(16.0, 8)).modes
+    assert modes == (16, 8) and all(type(n) is int for n in modes)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"model": "counterexample", "modes": [8.0, 16, 32]}),
+                    encoding="utf-8")
+    assert main(["lyapunov-eval", "--config", str(path)]) == 0
+
+
+def test_config_replace_is_checked():
+    config = AnalysisConfig(model="counterexample")
+    with pytest.raises(ConfigError, match="seed"):
+        dataclasses.replace(config, seed=-1)
 
 
 def test_cli_config_error(tmp_path):
@@ -532,6 +568,13 @@ def test_cli_simulate(tmp_path):
           "--out", str(out2)])
     assert _read(out / "gainfit.json") == _read(out2 / "gainfit.json")
     assert _read(out / "trajectory_03.csv") == _read(out2 / "trajectory_03.csv")
+
+
+def test_cli_simulate_prints_plain_floats(capsys):
+    assert main(["simulate", "--model", "heat-neumann", "--modes", "16"]) == 0
+    out = capsys.readouterr().out
+    assert "rate 2.4674011" in out
+    assert "np.float64" not in out
 
 
 def test_cli_selftest_fault_injection(capsys):

@@ -174,10 +174,10 @@ def test_homogeneity_general_scale():
 
 def test_contraction_similarity_diagonal_example():
     sys = MatrixSystem(np.diag([-1.0, -2.0]), np.ones((2, 1)))
-    form, report = contraction_similarity(sys, epsilon=2.0)
-    assert np.allclose(form.p_matrix, np.diag([1.0, 0.5]), atol=1e-12)
+    form, report = contraction_similarity(sys)
+    assert np.allclose(form.p_matrix, np.diag([0.5, 0.25]), atol=1e-12)
     assert report.satisfied
-    assert report.dissipativity_margin == pytest.approx(-1.0, rel=1e-9)
+    assert report.dissipativity_margin == pytest.approx(-0.5, rel=1e-9)
 
 
 def test_contraction_similarity_restores_dissipativity():
@@ -186,14 +186,14 @@ def test_contraction_similarity_restores_dissipativity():
     # In the plain scalar product the generator is not dissipative here.
     assert float(x @ a @ x) == pytest.approx(4.0, rel=1e-12)
     sys = MatrixSystem(a, np.ones((2, 1)))
-    form, report = contraction_similarity(sys, epsilon=1.0)
+    form, report = contraction_similarity(sys)
     assert report.satisfied
     assert float(np.real(np.vdot(form.p_apply(x), a @ x))) <= 1e-10
 
 
 def test_contraction_similarity_self_adjoint_condition():
     sys = SpectralSystem([1.0, 2.0, 8.0], [1.0, 1.0, 1.0])
-    form, report = contraction_similarity(sys, epsilon=1.0)
+    form, report = contraction_similarity(sys)
     p = np.column_stack([form.p_apply(e) for e in np.eye(3)])
     a = np.diag(-sys.eigenvalues)
     assert np.allclose(p @ a, a @ p, atol=1e-12)
@@ -201,14 +201,14 @@ def test_contraction_similarity_self_adjoint_condition():
 
 
 def test_diagonal_contraction_similarity_is_linear_in_memory():
-    # The closed form P = eps/(2 lam) needs no N x N array; np.diag at
+    # The W_0 weights P = 1/(2 lam) need no N x N array; np.diag at
     # N = 2048 would take 32 MB.
     import tracemalloc
 
     sys = SpectralSystem(np.arange(1.0, 2049.0) ** 2, np.ones(2048))
     tracemalloc.start()
     try:
-        form, report = contraction_similarity(sys, epsilon=1.0)
+        form, report = contraction_similarity(sys)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -234,7 +234,7 @@ def test_contraction_decay_rate_certificate():
     raw = rng.normal(size=(4, 4))
     shift = np.abs(np.linalg.eigvals(raw).real).max() + 0.5
     sys = MatrixSystem(raw - shift * np.eye(4), np.ones((4, 1)))
-    form, report = contraction_similarity(sys, epsilon=1.0)
+    form, report = contraction_similarity(sys)
     lam_max = np.linalg.eigvalsh(form.p_matrix)[-1]
     assert report.decay_rate == pytest.approx(1.0 / (2.0 * lam_max), rel=1e-12)
 
