@@ -9,6 +9,9 @@ these quantities:
 * ``input_coeffs``, the input column ``b`` as a read-only 1-D array;
 * ``dimension``, ``spectral_gap`` and ``fastest_rate`` (the largest
   eigenvalue modulus, computed once per instance);
+* ``log_norm``, the logarithmic norm ``mu(A)``, the largest eigenvalue of
+  ``(A + A^H)/2``, so that ``||T(t)|| <= exp(mu t)`` (computed once per
+  instance);
 * ``step(x, u, h)``, the exact state after ``h`` under the constant input
   ``u`` (``u=None`` is the free flow ``T(h) x``) of one state or of each
   row of a stack;
@@ -52,6 +55,11 @@ __all__ = [
 # Eigendecompositions with a worse-conditioned eigenvector basis than this
 # are not trusted for generic fractional powers.
 EIGENVECTOR_COND_LIMIT = 1e8
+
+# Relative slack by which a node's decay-bound ceiling may fall short of a
+# power's running maximum and the node still be evaluated; far above the
+# ~1e-13 rounding of expm and the SVD.
+CEILING_MARGIN = 1e-9
 
 
 class DimensionMismatchError(ValueError):
@@ -127,6 +135,11 @@ class SpectralSystem:
     def fastest_rate(self) -> float:
         """Largest eigenvalue, the inverse of the shortest relaxation time."""
         return float(self.eigenvalues[-1])
+
+    @property
+    def log_norm(self) -> float:
+        """Logarithmic norm of the self-adjoint generator, exactly -gap."""
+        return -self.spectral_gap
 
     def step(self, x, u, h) -> np.ndarray:
         """Exact state after h under the constant input u (None: free flow).
@@ -217,6 +230,8 @@ class MatrixSystem:
         object.__setattr__(self, "input_coeffs", _readonly(b))
         object.__setattr__(self, "_abscissa", float(spectrum.real.max()))
         object.__setattr__(self, "_fastest", float(np.abs(spectrum).max()))
+        hermitian_part = (a + a.conj().T) / 2.0
+        object.__setattr__(self, "_log_norm", float(np.linalg.eigvalsh(hermitian_part)[-1]))
 
     @property
     def dimension(self) -> int:
@@ -231,6 +246,11 @@ class MatrixSystem:
     def fastest_rate(self) -> float:
         """Largest eigenvalue modulus, from the construction-time spectrum."""
         return self._fastest
+
+    @property
+    def log_norm(self) -> float:
+        """Largest eigenvalue of (A + A^H)/2, from construction; may be positive."""
+        return self._log_norm
 
     def step(self, x, u, h) -> np.ndarray:
         """Exact state after h under the constant scalar input u (None: free flow).
@@ -397,6 +417,8 @@ class DecayBound:
     power: float
 
     def __post_init__(self):
+        if not all(np.isfinite(v) for v in (self.prefactor, self.rate, self.power)):
+            raise ValueError("prefactor, rate and power must be finite")
         if self.prefactor <= 0 or self.rate <= 0:
             raise ValueError("prefactor and rate must be positive")
         if self.power < 0:
@@ -416,10 +438,22 @@ def decay_bound_estimate(sys, powers, delta=None) -> list:
     It defaults to half the gap.  M is a grid maximum, not a bound between
     nodes: the maximum of ``||(-A)^r T(t)|| * t^r * exp(delta*t)`` over one
     grid shared by all powers, ``t = 0`` and a logarithmic sweep to
-    ``60/delta``, so ``T(t)`` is evaluated once per node.  At ``t = 0`` only
-    ``r = 0`` contributes; every other power gives zero there.
+    ``60/delta``.  At ``t = 0`` only ``r = 0`` contributes; every other
+    power gives zero there.
+
+    Only the nodes that can hold the maximum are evaluated.  The ``t = 0``
+    node gives ``||(-A)^r||``, and with the log-norm ``mu`` every node's
+    value is at most its ceiling ``||(-A)^r|| e^(mu t) t^r e^(delta t)``.
+    Nodes are visited in descending ceiling order; at each, ``T(t)`` is
+    evaluated once for the powers whose ceiling times ``1 + CEILING_MARGIN``
+    still reaches their running maximum, and the node is skipped when no
+    power is left.  A skipped value lies below its power's maximum, and
+    every evaluated value is the same float as on the full grid, so M is
+    bit for bit the full grid maximum.
     """
     powers = [float(r) for r in powers]
+    if not all(np.isfinite(r) for r in powers):
+        raise ValueError("power r must be finite")
     if any(r < 0 for r in powers):
         raise ValueError("power r must be nonnegative")
     gap = sys.spectral_gap
@@ -428,13 +462,32 @@ def decay_bound_estimate(sys, powers, delta=None) -> list:
     if not 0 < delta < gap:
         raise ValueError(f"delta must lie strictly inside the spectral gap (0, {gap:.6g})")
     grid = np.concatenate([[0.0], np.geomspace(1e-4 / sys.fastest_rate, 60.0 / delta, 600)])
-    rows = []
-    for t in grid:
-        norms = sys.power_semigroup_norms(powers, t)
-        rows.append([norm * t**r * np.exp(delta * t) for r, norm in zip(powers, norms)])
+
+    def value(norm, r, t):
+        return norm * t**r * np.exp(delta * t)
+
+    base = sys.power_semigroup_norms(powers, grid[0])
+    best = [value(norm, r, grid[0]) for r, norm in zip(powers, base)]
+    sweep = grid[1:]
+    # Overflow to inf only means "evaluate this node".
+    with np.errstate(over="ignore"):
+        ceilings = (
+            np.array(base)[:, None]
+            * np.exp((sys.log_norm + delta) * sweep)
+            * sweep ** np.array(powers)[:, None]
+        )
+    order = np.argsort(-ceilings.max(axis=0, initial=0.0), kind="stable")
+    for j in order:
+        live = [i for i, top in enumerate(best) if ceilings[i, j] * (1 + CEILING_MARGIN) >= top]
+        if not live:
+            continue
+        t = sweep[j]
+        norms = sys.power_semigroup_norms([powers[i] for i in live], t)
+        for i, norm in zip(live, norms):
+            best[i] = max(best[i], value(norm, powers[i], t))
     return [
-        DecayBound(prefactor=float(column.max()), rate=float(delta), power=r)
-        for r, column in zip(powers, np.array(rows).T)
+        DecayBound(prefactor=float(top), rate=float(delta), power=r)
+        for r, top in zip(powers, best)
     ]
 
 

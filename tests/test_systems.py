@@ -305,6 +305,26 @@ def test_decay_bound_type_validation():
         DecayBound(prefactor=1.0, rate=-1.0, power=0.0)
 
 
+@pytest.mark.parametrize("field", ["prefactor", "rate", "power"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_decay_bound_refuses_non_finite_fields(field, bad):
+    fields = {"prefactor": 1.0, "rate": 1.0, "power": 0.0, field: bad}
+    with pytest.raises(ValueError, match="finite"):
+        DecayBound(**fields)
+
+
+@pytest.mark.parametrize("kind", ["spectral", "matrix"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_decay_bound_estimate_refuses_non_finite_powers(kind, bad):
+    # A NaN ceiling compares False and would silently skip nodes.
+    if kind == "spectral":
+        sys = SpectralSystem([1.0, 5.0], [1.0, 1.0])
+    else:
+        sys = MatrixSystem(np.array([[-1.0, 3.0], [0.0, -2.0]]), np.ones(2))
+    with pytest.raises(ValueError, match="finite"):
+        decay_bound_estimate(sys, [0.25, bad])
+
+
 # ------------------------------------------------- the realization surface
 
 # Tolerance of the existing matrix-realization checks (selftest semigroup-law,
@@ -326,6 +346,7 @@ def test_surface_agrees_across_realizations(seed, n):
     diagonal = SpectralSystem(lam, b)
     dense = MatrixSystem(np.diag(-lam), b.reshape(-1, 1))
     assert dense.fastest_rate == pytest.approx(diagonal.fastest_rate, rel=1e-12)
+    assert dense.log_norm == pytest.approx(diagonal.log_norm, rel=REALIZATION_RTOL)
     assert np.array_equal(dense.input_coeffs, diagonal.input_coeffs)
     x = rng.normal(size=n)
     for h in (1e-3, 0.1, 1.0):
@@ -359,9 +380,11 @@ def test_decay_bound_computes_each_dense_power_once(monkeypatch):
     assert not sys.neg_power(0.25).flags.writeable
 
 
-def _nonnormal_dense(n=5, seed=8):
+def _nonnormal_dense(n=5, seed=8, skew=3.0):
+    # Hurwitz with gap 0.5 and upper-triangular coupling of scale ``skew``,
+    # so the log-norm ranges from -gap to well above zero.
     rng = np.random.default_rng(seed)
-    raw = rng.normal(size=(n, n)) + 3.0 * np.triu(rng.normal(size=(n, n)), 1)
+    raw = rng.normal(size=(n, n)) + skew * np.triu(rng.normal(size=(n, n)), 1)
     shift = np.linalg.eigvals(raw).real.max() + 0.5
     return MatrixSystem(raw - shift * np.eye(n), rng.normal(size=(n, 1)))
 
@@ -373,13 +396,16 @@ def test_dense_decay_bounds_share_one_expm_per_node(monkeypatch):
     original = scipy.linalg.expm
 
     def counted(a):
-        calls.append(a.shape)
+        calls.append(a.tobytes())
         return original(a)
 
     sys = _nonnormal_dense()
     monkeypatch.setattr(scipy.linalg, "expm", counted)
     decay_bound_estimate(sys, (0.0, 0.25, 0.5))
-    assert len(calls) == 601
+    # At most one expm per node of the 601-node grid, and the log-norm
+    # ceiling skips the nodes that cannot hold a power's maximum.
+    assert len(set(calls)) == len(calls) <= 601
+    assert len(calls) < 601
 
 
 def test_dense_decay_bounds_equal_the_per_power_maximum():
@@ -419,3 +445,72 @@ def test_step_on_a_stack_equals_each_row(kind):
             stepped = sys.step(stack, u, h)
             assert stepped.shape == stack.shape
             assert np.array_equal(stepped, np.array([sys.step(x, u, h) for x in stack]))
+
+
+# ------------------------------------------ pruned decay bounds and log-norm
+
+
+def _exhaustive_prefactors(sys, powers, delta):
+    # Oracle: every node of the grid evaluated, the maximum per power.
+    grid = np.concatenate([[0.0], np.geomspace(1e-4 / sys.fastest_rate, 60.0 / delta, 600)])
+    rows = []
+    for t in grid:
+        norms = sys.power_semigroup_norms(powers, t)
+        rows.append([norm * t**r * np.exp(delta * t) for r, norm in zip(powers, norms)])
+    return [float(column.max()) for column in np.array(rows).T]
+
+
+POWER_SETS = [(0.0, 0.25, 0.5), (0.25,), (0.5, 0.0)]
+DELTA_FRACTIONS = [None, 0.1, 0.99]
+
+
+def _assert_pruned_equals_exhaustive(sys, powers, fraction):
+    delta = None if fraction is None else fraction * sys.spectral_gap
+    bounds = decay_bound_estimate(sys, powers, delta=delta)
+    oracle = _exhaustive_prefactors(sys, powers, sys.spectral_gap / 2.0 if delta is None else delta)
+    assert [b.power for b in bounds] == list(powers)
+    assert [b.prefactor for b in bounds] == oracle
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 8),
+    skew=st.sampled_from([0.0, 1.0, 3.0]),
+    powers=st.sampled_from(POWER_SETS),
+    fraction=st.sampled_from(DELTA_FRACTIONS),
+)
+def test_pruned_dense_decay_bounds_equal_the_full_grid(seed, n, skew, powers, fraction):
+    _assert_pruned_equals_exhaustive(_nonnormal_dense(n, seed, skew), powers, fraction)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 64),
+    powers=st.sampled_from(POWER_SETS),
+    fraction=st.sampled_from(DELTA_FRACTIONS),
+)
+def test_pruned_diagonal_decay_bounds_equal_the_full_grid(seed, n, powers, fraction):
+    rng = np.random.default_rng(seed)
+    sys = SpectralSystem(np.sort(10.0 ** rng.uniform(-1.0, 4.0, n)), rng.normal(size=n))
+    _assert_pruned_equals_exhaustive(sys, powers, fraction)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8), skew=st.sampled_from([0.0, 1.0, 3.0]))
+def test_log_norm_bounds_the_dense_semigroup(seed, n, skew):
+    import scipy.linalg
+
+    sys = _nonnormal_dense(n, seed, skew)
+    for t in (0.0, 1e-3, 0.1, 1.0, 5.0):
+        norm = float(np.linalg.norm(scipy.linalg.expm(sys.a_matrix * t), 2))
+        assert norm <= np.exp(sys.log_norm * t) * (1 + 1e-12)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 64))
+def test_diagonal_log_norm_is_minus_the_gap(seed, n):
+    rng = np.random.default_rng(seed)
+    sys = SpectralSystem(np.sort(rng.uniform(1e-3, 1e4, n)), rng.normal(size=n))
+    assert sys.log_norm == -sys.spectral_gap
