@@ -8,6 +8,9 @@ Two complementary probes of an input column ``b``:
 * an empirical admissibility constant: the best bound ``K`` with
   ``||int_0^T T(T-s) B u(s) ds|| <= K ||u||_{L^q(0,T)}``, measured on a
   piecewise-constant input family with exact per-interval integration.
+  :func:`admissibility_trend` computes every constant of a (horizon, mode
+  count) sweep on one shared grid; :func:`admissibility_constant` is its
+  one-system, one-horizon case.
 
 The two need not agree -- a bounded constant with a diverging scan is the
 interesting regime -- and the trend classifier below keeps its thresholds
@@ -143,6 +146,20 @@ class AdmissibilityEstimate:
                     if hi < lo * (1.0 - 1e-9):
                         raise ValueError("admissibility constants must be nondecreasing")
 
+    def mode_trend(self):
+        """The (mode count, constant) rows at the largest horizon, with their verdict.
+
+        Returns ``(rows, verdict, slope)`` from :func:`classify_trend`, or
+        ``(rows, "inconclusive", 0.0)`` when fewer than two truncations
+        were swept.
+        """
+        horizon = max(t for t, _, _ in self.trend)
+        rows = sorted((n, v) for t, n, v in self.trend if t == horizon)
+        if len(rows) < 2:
+            return rows, "inconclusive", 0.0
+        verdict, slope = classify_trend([n for n, _ in rows], [v for _, v in rows])
+        return rows, verdict, slope
+
 
 def _normalize_q(q):
     if isinstance(q, str) and q.lower() == "inf":
@@ -162,79 +179,66 @@ def _graded_backward_grid(fastest_rate, horizon, steps):
     return np.concatenate([[0.0], nodes])
 
 
-def _constant_from_columns(sys, q, nodes, columns):
-    widths = np.diff(nodes)
-    if q == 2.0:
-        weighted = columns / np.sqrt(widths)[None, :]
-        return float(np.linalg.svd(weighted, compute_uv=False)[0])
-    if q == math.inf:
-        # For a diagonal semigroup with scalar input, every segment
-        # contribution shares the per-mode sign, so the worst bounded input
-        # is a constant sign pattern and the supremum is exact.
-        return float(np.linalg.norm(np.sum(np.abs(columns), axis=1)))
-    # q = 1: concentrated inputs; the constant is the largest kernel norm
-    # over the grid nodes.
-    return float(sys.input_orbit_norms(nodes).max())
-
-
-def admissibility_constant(sys, q, horizon, steps=512, nodes=None) -> AdmissibilityEstimate:
-    """Empirical q-admissibility constant of the input map at one horizon.
-
-    The input space is scalar.  For q = 2 the constant is the largest
-    singular value of the width-weighted discrete input map; for q = inf
-    it is the aligned-sign worst case, exact for diagonal systems; for
-    q = 1 it is the peak kernel norm.
-    """
-    q = _normalize_q(q)
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
-    if steps < 8:
-        raise ValueError("need at least 8 discretization steps")
-    if nodes is None:
-        nodes = _graded_backward_grid(sys.fastest_rate, horizon, steps)
-    nodes = np.asarray(nodes, dtype=float)
+def _constant_on_grid(sys, q, nodes):
+    if q == 1.0:
+        # Concentrated inputs: the constant is the largest kernel norm
+        # ||T(tau) B|| over the nodes, each the exact free step of b.
+        b = sys.input_coeffs
+        return float(max(np.linalg.norm(sys.step(b, None, tau)) for tau in nodes))
     # Column j integrates T(tau) B exactly over the j-th backward segment.
     columns = sys.input_segment_integrals(nodes)
-    constant = _constant_from_columns(sys, q, nodes, columns)
-    modes = sys.dimension
-    return AdmissibilityEstimate(
-        q=q,
-        horizon=float(horizon),
-        steps=int(len(nodes) - 1),
-        constant=constant,
-        trend=((float(horizon), modes, constant),),
-        label=sys.label,
-    )
+    if q == 2.0:
+        weighted = columns / np.sqrt(np.diff(nodes))[None, :]
+        return float(np.linalg.svd(weighted, compute_uv=False)[0])
+    # q = inf: for a diagonal semigroup with scalar input, every segment
+    # contribution shares the per-mode sign, so the worst bounded input is
+    # a constant sign pattern and the supremum is exact.
+    return float(np.linalg.norm(np.sum(np.abs(columns), axis=1)))
+
+
+def admissibility_constant(sys, q, horizon, steps=512) -> AdmissibilityEstimate:
+    """Empirical q-admissibility constant of the input map at one horizon.
+
+    The one-system, one-horizon case of :func:`admissibility_trend`.
+    """
+    return admissibility_trend([sys], q, [horizon], steps=steps)
 
 
 def admissibility_trend(systems, q, horizons, steps=512) -> AdmissibilityEstimate:
     """Constants over a (horizon, mode count) sweep on one shared grid.
 
-    A single graded grid is built for the largest horizon and the stiffest
-    system; smaller horizons are snapped onto its nodes.  Sharing the grid
-    makes the monotonicity of K in both T and N exact: growing T appends
-    columns, growing N appends rows.
+    The input space is scalar.  For q = 2 the constant is the largest
+    singular value of the width-weighted discrete input map; for q = inf
+    it is the aligned-sign worst case, exact for diagonal systems; for
+    q = 1 it is the peak kernel norm.
+
+    A single graded grid of ``steps`` segments is built for the largest
+    horizon and the stiffest system; smaller horizons are snapped onto its
+    nodes.  Sharing the grid makes the monotonicity of K in both T and N
+    exact: growing T appends columns, growing N appends rows.
     """
     q = _normalize_q(q)
     systems = sorted(systems, key=lambda s: s.dimension)
     horizons = sorted(float(t) for t in horizons)
     if not systems or not horizons:
         raise ValueError("need at least one system and one horizon")
+    if not all(0.0 < t < math.inf for t in horizons):
+        raise ValueError("horizon must be positive and finite")
+    if steps < 8:
+        raise ValueError("need at least 8 discretization steps")
     fastest = max(s.fastest_rate for s in systems)
     master = _graded_backward_grid(fastest, horizons[-1], steps)
     master = np.unique(np.concatenate([master, np.asarray(horizons)]))
     rows = []
-    last = None
     for sys in systems:
         for horizon in horizons:
             nodes = master[master <= horizon * (1.0 + 1e-12)]
-            last = admissibility_constant(sys, q, horizon, steps=steps, nodes=nodes)
-            rows.append((horizon, sys.dimension, last.constant))
+            rows.append((horizon, sys.dimension, _constant_on_grid(sys, q, nodes)))
     return AdmissibilityEstimate(
         q=q,
         horizon=horizons[-1],
-        steps=last.steps,
-        constant=last.constant,
+        steps=int(len(nodes) - 1),
+        constant=rows[-1][2],
         trend=tuple(rows),
         label=systems[-1].label,
     )
@@ -258,12 +262,10 @@ def l2_iss_verdict(sys, estimate: AdmissibilityEstimate) -> IssVerdict:
     if not np.any(sys.input_coeffs):
         reasons.append("zero input operator")
         return IssVerdict(verdict="ISS", reasons=tuple(reasons))
-    horizon = max(t for t, _, _ in estimate.trend)
-    rows = sorted((n, v) for t, n, v in estimate.trend if t == horizon)
+    rows, verdict, slope = estimate.mode_trend()
     if len(rows) < 2:
         reasons.append("single truncation only; no trend available")
         return IssVerdict(verdict="inconclusive", reasons=tuple(reasons))
-    verdict, slope = classify_trend([n for n, _ in rows], [v for _, v in rows])
     if verdict == "bounded":
         reasons.append(
             f"input-map constant levels off across modes (slope {slope:.3g}); "

@@ -431,11 +431,7 @@ def admissibility_stages(config: AnalysisConfig):
     }
 
     estimate = admissibility_trend(family, config.q, [config.horizon])
-    trend_rows = sorted((n, v) for t, n, v in estimate.trend if t == config.horizon)
-    if len(trend_rows) >= 2:
-        adm_verdict, adm_slope = classify_trend([n for n, _ in trend_rows], [v for _, v in trend_rows])
-    else:
-        adm_verdict, adm_slope = "inconclusive", 0.0
+    trend_rows, adm_verdict, adm_slope = estimate.mode_trend()
     slots["two_admissibility"] = {
         "value": adm_verdict,
         "slope": adm_slope,

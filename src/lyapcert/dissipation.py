@@ -176,14 +176,15 @@ def simulate_mild(sys, x0, u, grid) -> Trajectory:
     return Trajectory(times=grid.copy(), states=np.vstack(states), input=u)
 
 
-def _stiff_h_sequence(sys, u: InputSignal):
+def _stiff_h_sequence(sys, u: InputSignal | None = None):
     # Difference quotients only see a mode once lam * h <= O(1); stiff
     # truncations therefore need the whole sequence pulled below the
     # fastest relaxation time.  The floor keeps the quotient above the
     # round-off of V when the spectrum spans too many decades to resolve.
+    # ``u=None`` stands for a constant input, which never switches.
     h0 = min(1e-2, 0.25 / sys.fastest_rate)
     h0 = max(h0, 1e-10)
-    if u.breakpoints.size > 1:  # breakpoints[1] is the first input switch
+    if u is not None and u.breakpoints.size > 1:  # breakpoints[1] is the first switch
         h0 = min(h0, float(u.breakpoints[1]) / 2.0)
     return h0 * 2.0 ** (-np.arange(7))
 
@@ -201,16 +202,16 @@ def _neville_limit(hs, values):
     return diagonal[-1], np.abs(diagonal[-1] - diagonal[-2])
 
 
-def _dini_quotients(form: QuadraticForm, sys, states, u: InputSignal, hs, v0):
+def _dini_quotients(form: QuadraticForm, sys, states, level, hs, v0):
     """Dini estimates of a stack of states, whose V values are ``v0``.
 
-    Each step stays inside the first input segment, so ``x(h)`` is one
-    exact ``sys.step`` of the whole stack per step size.  Returns the
+    The input holds the constant ``level`` over every step, so ``x(h)`` is
+    one exact ``sys.step`` of the whole stack per step size.  Returns the
     extrapolated derivatives of the quotients ``(V(x(h)) - V(x))/h`` and
     their error bars.
     """
     quotients = np.stack(
-        [(form.values(sys.step(states, u.value0, h)) - v0) / h for h in hs], axis=-1
+        [(form.values(sys.step(states, level, h)) - v0) / h for h in hs], axis=-1
     )
     value, bar = _neville_limit(hs, quotients)
     # Round-off floor: the difference quotient carries eps*|V|/h of noise,
@@ -242,7 +243,7 @@ def dini_derivative(form: QuadraticForm, sys, x, u) -> DiniEstimate:
     u = _coerce_input(u)
     x = as_state(sys, x)
     hs = _stiff_h_sequence(sys, u)
-    value, bar = _dini_quotients(form, sys, x[None, :], u, hs, form.values(x))
+    value, bar = _dini_quotients(form, sys, x[None, :], u.value0, hs, form.values(x))
     return DiniEstimate(value=float(value[0]), error_bar=float(bar[0]))
 
 
@@ -328,21 +329,23 @@ def fit_dissipation(
     and the tolerance, are taken over the finite samples only, so every
     finite residual at that pair is nonpositive up to rounding by
     construction.  A non-finite sample is reported as a violation and makes
-    the fit infeasible, wherever it sits in the cloud.
+    the fit infeasible, wherever it sits in the cloud.  ``sample_inputs``
+    are scalar input levels, each held constant, so every level shares one
+    step sequence.
     """
     states = np.stack([as_state(sys, s) for s in sample_states])
     if not any(np.linalg.norm(s) > 0 for s in states):
         raise ValueError("need at least one nonzero sample state")
-    inputs = [_coerce_input(u) for u in sample_inputs]
-    steps = [_stiff_h_sequence(sys, u) for u in inputs]
+    levels = [float(u) for u in sample_inputs]
+    hs = _stiff_h_sequence(sys)
     v0 = form.values(states)
     dini = np.column_stack(
-        [_dini_quotients(form, sys, states, u, hs, v0)[0] for u, hs in zip(inputs, steps)]
+        [_dini_quotients(form, sys, states, level, hs, v0)[0] for level in levels]
     )
     norms_sq = [np.vdot(x, x).real for x in states]
-    levels_sq = [u.value0**2 for u in inputs]
+    levels_sq = [level**2 for level in levels]
     samples = np.column_stack(
-        [np.repeat(norms_sq, len(inputs)), np.tile(levels_sq, len(states)), dini.ravel()]
+        [np.repeat(norms_sq, len(levels)), np.tile(levels_sq, len(states)), dini.ravel()]
     )
     samples.setflags(write=False)
     xx, uu, v = samples.T

@@ -19,7 +19,6 @@ import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.integrate
 import scipy.linalg
 
 from .systems import MatrixSystem, SpectralSystem, semigroup_apply
@@ -144,7 +143,10 @@ def _matrix_square_function(sys: MatrixSystem, q) -> np.ndarray:
 def _orbit_energy(sys, q, a, b) -> float:
     # Quadrature of int_0^{25/gap} Re<(-A)^q T(t) a, (-A)^q T(t) b> dt.  The
     # truncated mass is below exp(-50) of the total.  When ``b is a`` the
-    # semigroup is evaluated once per node.
+    # semigroup is evaluated once per node.  scipy.integrate is imported
+    # here, its only library use, to keep it out of ``import lyapcert``.
+    import scipy.integrate
+
     def orbit(t, x):
         return sys.neg_power_apply(q, semigroup_apply(sys, t, x))
 

@@ -20,9 +20,8 @@ these quantities:
   instance and exponent as read-only arrays;
 * ``power_semigroup_norms(powers, t)``, the operator norms
   ``||(-A)^r T(t)||`` of several powers from one evaluation of ``T(t)``;
-* ``input_segment_integrals(nodes)`` and ``input_orbit_norms(times)``,
-  the input map ``int T(tau) B dtau`` over the segments between
-  consecutive nodes and the kernel norms ``||T(tau) B||``;
+* ``input_segment_integrals(nodes)``, the input map ``int T(tau) B dtau``
+  over the segments between consecutive nodes;
 * ``to_config()``, the JSON document :func:`system_from_config` reads.
 
 States are plain 1-D numpy arrays; helpers here validate their length
@@ -173,12 +172,6 @@ class SpectralSystem:
         decay = np.exp(-lam * nodes[None, :])
         return b * (decay[:, :-1] - decay[:, 1:]) / lam
 
-    def input_orbit_norms(self, times) -> np.ndarray:
-        """||T(tau) B|| at each time tau."""
-        lam = self.eigenvalues[:, None]
-        b = self.input_coeffs[:, None]
-        return np.linalg.norm(b * np.exp(-lam * times[None, :]), axis=0)
-
     def to_config(self) -> dict:
         return {
             "type": "spectral",
@@ -290,13 +283,6 @@ class MatrixSystem:
         inv_b = np.linalg.solve(self.a_matrix, self.input_coeffs)
         orbit = np.stack([scipy.linalg.expm(self.a_matrix * t) @ inv_b for t in nodes], axis=1)
         return orbit[:, 1:] - orbit[:, :-1]
-
-    def input_orbit_norms(self, times) -> np.ndarray:
-        """||T(tau) B|| at each time tau."""
-        b = self.input_coeffs
-        return np.array(
-            [float(np.linalg.norm(scipy.linalg.expm(self.a_matrix * tau) @ b)) for tau in times]
-        )
 
     def to_config(self) -> dict:
         if np.iscomplexobj(self.a_matrix) or np.iscomplexobj(self.input_coeffs):

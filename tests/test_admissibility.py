@@ -122,6 +122,39 @@ def test_dense_input_map_makes_one_expm_per_node(monkeypatch, steps):
     assert len(calls) == steps + 1
 
 
+@pytest.mark.parametrize("steps", [8, 64])
+def test_dense_q_one_constant_makes_one_expm_per_node(monkeypatch, steps):
+    # The kernel norms are exact free steps of b; no input-map column is built.
+    import scipy.linalg
+
+    calls = []
+    original = scipy.linalg.expm
+
+    def counted(a):
+        calls.append(a.shape)
+        return original(a)
+
+    monkeypatch.setattr(scipy.linalg, "expm", counted)
+    sys = MatrixSystem(np.array([[-1.0, 4.0], [0.0, -3.0]]), np.array([[1.0], [-2.0]]))
+    admissibility_constant(sys, 1, horizon=5.0, steps=steps)
+    assert calls == [(2, 2)] * (steps + 1)
+
+
+def test_trend_refuses_what_the_constant_refuses():
+    sys = SpectralSystem([1.0], [1.0])
+    for horizons, steps, message in (
+        ([1.0], 4, "need at least 8 discretization steps"),
+        ([0.0], 512, "horizon must be positive and finite"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            admissibility_constant(sys, 2, horizons[0], steps=steps)
+        with pytest.raises(ValueError, match=message):
+            admissibility_trend([sys], 2, horizons, steps=steps)
+    for horizons in ([0.0, 5.0], [math.nan], [1.0, math.inf]):
+        with pytest.raises(ValueError, match="horizon must be positive and finite"):
+            admissibility_trend([sys], 2, horizons)
+
+
 def test_multi_input_matrix_rejected():
     from lyapcert.systems import MatrixSystem
 

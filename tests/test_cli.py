@@ -369,8 +369,78 @@ def test_edge_violation_detection():
         "noncoercive_w0": {"value": "certified"},
         "contraction_similarity": {"condition_numbers": []},
     }
-    with pytest.raises(InvariantViolationError):
+    with pytest.raises(InvariantViolationError, match="stability-plus-bounded-input-constant-iff-l2-iss"):
         _check_edges(slots)
+
+
+def test_cli_maps_an_invariant_violation_to_exit_4(monkeypatch, capsys):
+    def violated(config):
+        raise InvariantViolationError("theorem edge(s) reported violated: synthetic")
+
+    monkeypatch.setattr("lyapcert.cli.run_analyze", violated)
+    assert main(["analyze", "--model", "heat-neumann", "--modes", SMALL]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("invariant violation:") and "synthetic" in err
+
+
+def _force_infeasible(monkeypatch, builder, modes):
+    # Wraps the fit that analysis calls so that the fits of ``builder``'s
+    # form at the listed truncation sizes come back infeasible.
+    import lyapcert.analysis as analysis
+
+    original = analysis.fit_dissipation
+    provenance = builder(heat_system("neumann", 4)).provenance
+
+    def fit(form, sys, cloud):
+        report = original(form, sys, cloud)
+        if form.provenance == provenance and sys.dimension in modes:
+            return dataclasses.replace(report, a3=0.0, a4=0.0, infeasible_reason="forced")
+        return report
+
+    monkeypatch.setattr(analysis, "fit_dissipation", fit)
+
+
+def test_infeasible_noncoercive_fit_is_a_finding(tmp_path, monkeypatch):
+    from lyapcert.lyapunov import build_w_plain
+
+    _force_infeasible(monkeypatch, build_w_plain, {16})
+    out = tmp_path / "out"
+    assert main(["analyze", "--model", "heat-neumann", "--modes", SMALL, "--out", str(out)]) == 3
+    report = json.loads(_read(out / "report.json"))
+    slot = report["slots"]["noncoercive_w0"]
+    assert slot["value"] == "infeasible"
+    assert [n for n, v in slot["a4"] if v is None] == [16]
+    assert all(isinstance(v, float) for n, v in slot["a4"] if n != 16)
+    assert dict(slot["a3"])[16] == 0.0
+    assert report["findings"] == ["noncoercive_w0: infeasible"]
+    statuses = {e["id"]: e["status"] for e in report["edges"]}
+    assert statuses["noncoercive-orbit-energy-certificate"] == "not-observed"
+
+
+def test_infeasible_coercive_fit_violates_the_half_power_edge(monkeypatch, capsys):
+    from lyapcert.lyapunov import build_half_norm
+
+    _force_infeasible(monkeypatch, build_half_norm, {8, 16, 32})
+    assert main(["analyze", "--model", "heat-neumann", "--modes", SMALL]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("invariant violation:")
+    assert "half-power-class-implies-coercive-certificate" in err
+
+
+def test_importing_the_cli_leaves_scipy_integrate_unloaded():
+    import os
+    import subprocess
+    import sys
+
+    import lyapcert
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lyapcert.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, lyapcert.cli; print('scipy.integrate' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_cli_analyze_exit_codes(tmp_path):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lyapcert.admissibility import admissibility_constant
 from lyapcert.models import counterexample_system
 from lyapcert.systems import (
     ConditioningError,
@@ -358,6 +359,10 @@ def test_surface_agrees_across_realizations(seed, n):
     for t in (0.0, 1e-3, 0.5, 3.0):
         assert dense.power_semigroup_norms(powers, t) == pytest.approx(
             diagonal.power_semigroup_norms(powers, t), rel=REALIZATION_RTOL
+        )
+    for q in (1, 2, math.inf):
+        assert admissibility_constant(dense, q, 3.0, steps=32).constant == pytest.approx(
+            admissibility_constant(diagonal, q, 3.0, steps=32).constant, rel=REALIZATION_RTOL
         )
 
 
