@@ -83,8 +83,9 @@ class AnalysisConfig:
 
     Construction is the one check of the fields, so a config from a file,
     from CLI overrides or from library code is refused the same way, with
-    :class:`ConfigError`.  ``modes`` and ``gammas`` become tuples, and an
-    integral float mode becomes an int.  Bools are refused wherever a
+    :class:`ConfigError`.  ``modes`` and ``gammas`` become tuples, an
+    integral float mode becomes an int, and ``q`` becomes the float 1.0,
+    2.0 or inf however it was given.  Bools are refused wherever a
     number is required.  Naming neither a model nor a system is allowed
     here, since CLI flags may still supply one; the stages refuse it.
     """
@@ -120,7 +121,7 @@ class AnalysisConfig:
             raise ConfigError("gammas must be finite and nonnegative")
         object.__setattr__(self, "gammas", tuple(self.gammas))
         try:
-            _normalize_q(self.q)
+            object.__setattr__(self, "q", _normalize_q(self.q))
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         if not _is_number(self.horizon) or not 0 < self.horizon < math.inf:
@@ -439,7 +440,7 @@ def admissibility_stages(config: AnalysisConfig):
         "provenance": "largest singular value of the discretized input map",
     }
     for n, v in trend_rows:
-        rows.append((label, "input-map", "admissibility_constant", _q_label(config.q), n, config.horizon, v))
+        rows.append((label, "input-map", "admissibility_constant", f"{config.q:g}", n, config.horizon, v))
 
     verdict = l2_iss_verdict(family[-1], estimate)
     slots["l2_iss"] = {
@@ -467,28 +468,10 @@ def run_analyze(config: AnalysisConfig):
         label, family, build_w_plain, config, rows
     )
 
-    if diagonal:
-        for q_power in (0.0, 0.25, 0.5):
-            for sys in family:
-                form = build_w_q(sys, q_power)
-                rows.append(
-                    (label, form.provenance, "coercivity_lower", f"{q_power:g}", sys.dimension,
-                     None, form.a1)
-                )
-
-    for bound in decay_bound_estimate(largest, (0.0, 0.25, 0.5), delta=config.delta_override):
-        rows.append(
-            (label, f"decay rate {bound.rate:g}", "decay_prefactor", f"{bound.power:g}",
-             largest.dimension, None, bound.prefactor)
-        )
-
     condition_numbers = []
     for sys in family:
         _, similarity = contraction_similarity(sys)
         condition_numbers.append([sys.dimension, similarity.condition_number])
-        rows.append(
-            (label, "similarity", "condition_number", "", sys.dimension, None, similarity.condition_number)
-        )
     slots["contraction_similarity"] = {
         "value": "not checkable at finite N",
         "condition_numbers": condition_numbers,
@@ -519,7 +502,24 @@ def run_analyze(config: AnalysisConfig):
 
     header = ["system", "label", "quantity", "gamma_or_q", "N", "T", "value"]
     files = {"report": ("report.json", report), "trends": ("trends.csv", (header, rows))}
-    if config.out_dir:  # the step response is simulated only to be written
+    if config.out_dir:  # these rows and the step response are computed only to be written
+        if diagonal:
+            for q_power in (0.0, 0.25, 0.5):
+                for sys in family:
+                    form = build_w_q(sys, q_power)
+                    rows.append(
+                        (label, form.provenance, "coercivity_lower", f"{q_power:g}",
+                         sys.dimension, None, form.a1)
+                    )
+        for bound in decay_bound_estimate(largest, (0.0, 0.25, 0.5), delta=config.delta_override):
+            rows.append(
+                (label, f"decay rate {bound.rate:g}", "decay_prefactor", f"{bound.power:g}",
+                 largest.dimension, None, bound.prefactor)
+            )
+        rows.extend(
+            (label, "similarity", "condition_number", "", n, None, value)
+            for n, value in condition_numbers
+        )
         t_end = min(config.horizon, max(1.0, 4.0 / largest.spectral_gap))
         grid = np.linspace(0.0, t_end, 101)
         response = simulate_mild(
@@ -527,12 +527,6 @@ def run_analyze(config: AnalysisConfig):
         )
         files["trajectories"] = ("trajectories.csv", _trajectory_table(response))
     return report, _write_artifacts(config.out_dir, files)
-
-
-def _q_label(q):
-    if q in (math.inf, "inf"):
-        return "inf"
-    return f"{float(q):g}"
 
 
 def _trajectory_table(traj):

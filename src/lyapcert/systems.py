@@ -9,20 +9,17 @@ these quantities:
 * ``input_coeffs``, the input column ``b`` as a read-only 1-D array;
 * ``dimension``, ``spectral_gap`` and ``fastest_rate`` (the largest
   eigenvalue modulus, computed once per instance);
-* ``log_norm``, the logarithmic norm ``mu(A)``, the largest eigenvalue of
-  ``(A + A^H)/2``, so that ``||T(t)|| <= exp(mu t)`` (computed once per
-  instance);
 * ``step(x, u, h)``, the exact state after ``h`` under the constant input
   ``u`` (``u=None`` is the free flow ``T(h) x``) of one state or of each
   row of a stack;
 * ``neg_power(alpha)`` and ``neg_power_apply(alpha, x)``, the operator
   ``(-A)^alpha`` (per-mode factors for diagonal systems), cached per
   instance and exponent as read-only arrays;
-* ``power_semigroup_norms(powers, t)``, the operator norms
-  ``||(-A)^r T(t)||`` of several powers from one evaluation of ``T(t)``;
+* ``decay_prefactors(powers, delta)``, per power ``r`` the smallest ``M``
+  with ``||(-A)^r T(t)|| <= M t^-r e^(-delta t)``: in closed form on
+  diagonal systems, a grid maximum on dense ones;
 * ``input_segment_integrals(nodes)``, the input map ``int T(tau) B dtau``
-  over the segments between consecutive nodes;
-* ``to_config()``, the JSON document :func:`system_from_config` reads.
+  over the segments between consecutive nodes.
 
 States are plain 1-D numpy arrays; helpers here validate their length
 against the owning system.
@@ -135,11 +132,6 @@ class SpectralSystem:
         """Largest eigenvalue, the inverse of the shortest relaxation time."""
         return float(self.eigenvalues[-1])
 
-    @property
-    def log_norm(self) -> float:
-        """Logarithmic norm of the self-adjoint generator, exactly -gap."""
-        return -self.spectral_gap
-
     def step(self, x, u, h) -> np.ndarray:
         """Exact state after h under the constant input u (None: free flow).
 
@@ -160,10 +152,16 @@ class SpectralSystem:
     def neg_power_apply(self, alpha, x) -> np.ndarray:
         return self.neg_power(alpha) * x
 
-    def power_semigroup_norms(self, powers, t) -> list:
-        """||(-A)^r T(t)|| per power r, the largest per-mode factor lam^r exp(-lam t)."""
-        decay = np.exp(-self.eigenvalues * t)
-        return [float(np.max(self.neg_power(r) * decay)) for r in powers]
+    def decay_prefactors(self, powers, delta) -> list:
+        """sup over t > 0 of t^r ||(-A)^r T(t)|| e^(delta t) per power r, in closed form.
+
+        Per mode ``(lam t)^r e^(-(lam - delta) t)`` peaks at
+        ``t* = r/(lam - delta)`` with the value ``(r lam / (e (lam - delta)))^r``.
+        ``lam/(lam - delta)`` falls as ``lam`` grows, so the slowest mode
+        binds; ``r = 0`` gives 1.
+        """
+        lam = self.spectral_gap
+        return [(r * lam / (np.e * (lam - delta))) ** r for r in powers]
 
     def input_segment_integrals(self, nodes) -> np.ndarray:
         """Column j holds int_{nodes_j}^{nodes_j+1} T(tau) B dtau, exact per mode."""
@@ -171,15 +169,6 @@ class SpectralSystem:
         b = self.input_coeffs[:, None]
         decay = np.exp(-lam * nodes[None, :])
         return b * (decay[:, :-1] - decay[:, 1:]) / lam
-
-    def to_config(self) -> dict:
-        return {
-            "type": "spectral",
-            "eigenvalues": [float(v) for v in self.eigenvalues],
-            "input_coeffs": [float(v) for v in self.input_coeffs],
-            "modes": self.mode_count,
-            "label": self.label,
-        }
 
 
 @dataclass(frozen=True)
@@ -275,6 +264,50 @@ class MatrixSystem:
         semigroup = scipy.linalg.expm(self.a_matrix * t)
         return [float(np.linalg.norm(self.neg_power(r) @ semigroup, 2)) for r in powers]
 
+    def decay_prefactors(self, powers, delta) -> list:
+        """Per power r the maximum of ||(-A)^r T(t)|| t^r e^(delta t) over a fixed grid.
+
+        A grid maximum, not a bound between nodes: one grid shared by all
+        powers, ``t = 0`` and a logarithmic sweep to ``60/delta``.  At
+        ``t = 0`` only ``r = 0`` contributes; every other power gives zero
+        there.
+
+        Only the nodes that can hold the maximum are evaluated.  The ``t = 0``
+        node gives ``||(-A)^r||``, and with the log-norm ``mu`` every node's
+        value is at most its ceiling ``||(-A)^r|| e^(mu t) t^r e^(delta t)``.
+        Nodes are visited in descending ceiling order; at each, ``T(t)`` is
+        evaluated once for the powers whose ceiling times ``1 + CEILING_MARGIN``
+        still reaches their running maximum, and the node is skipped when no
+        power is left.  A skipped value lies below its power's maximum, and
+        every evaluated value is the same float as on the full grid, so the
+        result is bit for bit the full grid maximum.
+        """
+        grid = np.concatenate([[0.0], np.geomspace(1e-4 / self.fastest_rate, 60.0 / delta, 600)])
+
+        def value(norm, r, t):
+            return norm * t**r * np.exp(delta * t)
+
+        base = self.power_semigroup_norms(powers, grid[0])
+        best = [value(norm, r, grid[0]) for r, norm in zip(powers, base)]
+        sweep = grid[1:]
+        # Overflow to inf only means "evaluate this node".
+        with np.errstate(over="ignore"):
+            ceilings = (
+                np.array(base)[:, None]
+                * np.exp((self.log_norm + delta) * sweep)
+                * sweep ** np.array(powers)[:, None]
+            )
+        order = np.argsort(-ceilings.max(axis=0, initial=0.0), kind="stable")
+        for j in order:
+            live = [i for i, top in enumerate(best) if ceilings[i, j] * (1 + CEILING_MARGIN) >= top]
+            if not live:
+                continue
+            t = sweep[j]
+            norms = self.power_semigroup_norms([powers[i] for i in live], t)
+            for i, norm in zip(live, norms):
+                best[i] = max(best[i], value(norm, powers[i], t))
+        return best
+
     def input_segment_integrals(self, nodes) -> np.ndarray:
         """Column j holds A^-1 (T(nodes_j+1) - T(nodes_j)) B, the integral of T(tau) B.
 
@@ -283,16 +316,6 @@ class MatrixSystem:
         inv_b = np.linalg.solve(self.a_matrix, self.input_coeffs)
         orbit = np.stack([scipy.linalg.expm(self.a_matrix * t) @ inv_b for t in nodes], axis=1)
         return orbit[:, 1:] - orbit[:, :-1]
-
-    def to_config(self) -> dict:
-        if np.iscomplexobj(self.a_matrix) or np.iscomplexobj(self.input_coeffs):
-            raise ValueError("complex matrix systems have no JSON representation")
-        return {
-            "type": "matrix",
-            "a": self.a_matrix.tolist(),
-            "b": self.input_coeffs[:, None].tolist(),
-            "label": self.label,
-        }
 
 
 def as_state(sys, x) -> np.ndarray:
@@ -421,21 +444,10 @@ def decay_bound_estimate(sys, powers, delta=None) -> list:
     Returns one :class:`DecayBound` per power.  ``delta`` must lie strictly
     inside the spectral gap, where M is finite for every power r < 1; at the
     gap ``t^r ||(-A)^r T(t)|| e^(delta t)`` grows without bound for r > 0.
-    It defaults to half the gap.  M is a grid maximum, not a bound between
-    nodes: the maximum of ``||(-A)^r T(t)|| * t^r * exp(delta*t)`` over one
-    grid shared by all powers, ``t = 0`` and a logarithmic sweep to
-    ``60/delta``.  At ``t = 0`` only ``r = 0`` contributes; every other
-    power gives zero there.
-
-    Only the nodes that can hold the maximum are evaluated.  The ``t = 0``
-    node gives ``||(-A)^r||``, and with the log-norm ``mu`` every node's
-    value is at most its ceiling ``||(-A)^r|| e^(mu t) t^r e^(delta t)``.
-    Nodes are visited in descending ceiling order; at each, ``T(t)`` is
-    evaluated once for the powers whose ceiling times ``1 + CEILING_MARGIN``
-    still reaches their running maximum, and the node is skipped when no
-    power is left.  A skipped value lies below its power's maximum, and
-    every evaluated value is the same float as on the full grid, so M is
-    bit for bit the full grid maximum.
+    It defaults to half the gap.  M comes from ``sys.decay_prefactors``: the
+    exact supremum ``(r lam_1 / (e (lam_1 - delta)))^r`` on diagonal systems,
+    and on dense ones the maximum over a fixed 601-node grid, not a bound
+    between nodes (see :meth:`MatrixSystem.decay_prefactors`).
     """
     powers = [float(r) for r in powers]
     if not all(np.isfinite(r) for r in powers):
@@ -447,34 +459,20 @@ def decay_bound_estimate(sys, powers, delta=None) -> list:
         delta = gap / 2.0
     if not 0 < delta < gap:
         raise ValueError(f"delta must lie strictly inside the spectral gap (0, {gap:.6g})")
-    grid = np.concatenate([[0.0], np.geomspace(1e-4 / sys.fastest_rate, 60.0 / delta, 600)])
-
-    def value(norm, r, t):
-        return norm * t**r * np.exp(delta * t)
-
-    base = sys.power_semigroup_norms(powers, grid[0])
-    best = [value(norm, r, grid[0]) for r, norm in zip(powers, base)]
-    sweep = grid[1:]
-    # Overflow to inf only means "evaluate this node".
-    with np.errstate(over="ignore"):
-        ceilings = (
-            np.array(base)[:, None]
-            * np.exp((sys.log_norm + delta) * sweep)
-            * sweep ** np.array(powers)[:, None]
-        )
-    order = np.argsort(-ceilings.max(axis=0, initial=0.0), kind="stable")
-    for j in order:
-        live = [i for i, top in enumerate(best) if ceilings[i, j] * (1 + CEILING_MARGIN) >= top]
-        if not live:
-            continue
-        t = sweep[j]
-        norms = sys.power_semigroup_norms([powers[i] for i in live], t)
-        for i, norm in zip(live, norms):
-            best[i] = max(best[i], value(norm, powers[i], t))
     return [
         DecayBound(prefactor=float(top), rate=float(delta), power=r)
-        for r, top in zip(powers, best)
+        for r, top in zip(powers, sys.decay_prefactors(powers, delta))
     ]
+
+
+def _number_array(doc, key, flat=False):
+    # Bools and numeric strings would pass a float conversion; refuse them.
+    entries = np.array(doc[key], dtype=object)
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in entries.flat):
+        raise ValueError(f"'{key}' entries must be numbers")
+    if flat and entries.ndim != 1:
+        raise ValueError(f"'{key}' must be a flat list of numbers")
+    return entries.astype(float)
 
 
 def system_from_config(doc: dict):
@@ -483,15 +481,17 @@ def system_from_config(doc: dict):
     Spectral documents carry either explicit ``eigenvalues``/``input_coeffs``
     lists or ``eigenvalue_rule``/``coeff_rule`` strings plus ``modes``;
     matrix documents carry a dense ``a`` and one input column ``b``, a flat
-    list or an n x 1 nested list.
+    list or an n x 1 nested list.  Explicit entries must be numbers.
     """
     if not isinstance(doc, dict):
         raise ValueError("system config must be a JSON object")
     kind = doc.get("type")
     if kind == "spectral":
         modes = doc.get("modes")
+        if modes is not None and (type(modes) not in (int, float) or modes < 1 or modes % 1):
+            raise ValueError("'modes' must be a positive integer")
         if "eigenvalues" in doc:
-            eigenvalues = [float(v) for v in doc["eigenvalues"]]
+            eigenvalues = _number_array(doc, "eigenvalues", flat=True)
         elif "eigenvalue_rule" in doc:
             if modes is None:
                 raise ValueError("eigenvalue_rule requires 'modes'")
@@ -499,7 +499,7 @@ def system_from_config(doc: dict):
         else:
             raise ValueError("spectral config needs 'eigenvalues' or 'eigenvalue_rule'")
         if "input_coeffs" in doc:
-            coeffs = [float(v) for v in doc["input_coeffs"]]
+            coeffs = _number_array(doc, "input_coeffs", flat=True)
         elif "coeff_rule" in doc:
             if modes is None:
                 raise ValueError("coeff_rule requires 'modes'")
@@ -515,8 +515,6 @@ def system_from_config(doc: dict):
         if "a" not in doc or "b" not in doc:
             raise ValueError("matrix config needs 'a' and 'b'")
         return MatrixSystem(
-            np.array(doc["a"], dtype=float),
-            np.array(doc["b"], dtype=float),
-            label=doc.get("label", "matrix"),
+            _number_array(doc, "a"), _number_array(doc, "b"), label=doc.get("label", "matrix")
         )
     raise ValueError(f"unknown system type {kind!r}")

@@ -475,6 +475,22 @@ BAD_VALUES = [
     pytest.param("analyze", [], {"modes": [True, 16, 32]}, id="bool-modes"),
     pytest.param("analyze", [], {"modes": ["8", 16, 32]}, id="string-modes"),
     pytest.param("analyze", [], {"sample_count": True}, id="bool-sample-count"),
+    pytest.param("admissibility-scan", [], {"model": None, "modes": [1, 2, 3], "system": {
+        "type": "spectral", "eigenvalues": [True, 4.0, 9.0], "input_coeffs": [1, 1, 1],
+    }}, id="bool-eigenvalue"),
+    pytest.param("admissibility-scan", [], {"model": None, "modes": [1, 2, 3], "system": {
+        "type": "spectral", "eigenvalues": [1.0, 4.0, 9.0], "input_coeffs": ["1", 1, 1],
+    }}, id="string-input-coeff"),
+    pytest.param("admissibility-scan", [], {"model": None, "modes": [1, 2, 3], "system": {
+        "type": "spectral", "eigenvalues": [1.0, 4.0, 9.0], "input_coeffs": [1, 1, 1],
+        "modes": "3",
+    }}, id="string-system-modes"),
+    pytest.param("analyze", [], {"model": None, "modes": [2], "system": {
+        "type": "matrix", "a": [[-1.0, False], [0.0, -2.0]], "b": [[1.0], [1.0]],
+    }}, id="bool-matrix-entry"),
+    pytest.param("analyze", [], {"model": None, "modes": [2], "system": {
+        "type": "matrix", "a": [[-1.0, 0.0], [0.0, -2.0]], "b": ["1", 1.0],
+    }}, id="string-input-column-entry"),
 ]
 COMMANDS = ("analyze", "simulate", "admissibility-scan", "lyapunov-eval")
 
@@ -559,7 +575,9 @@ def test_analyze_defective_dense_system(tmp_path):
         "system": {"type": "matrix", "a": [[-1.0, 10.0], [0.0, -1.0]], "b": [[1.0], [1.0]]},
         "modes": [2], "sample_count": 8,
     }), encoding="utf-8")
-    assert main(["analyze", "--config", str(config)]) in (0, 3)
+    out = tmp_path / "out"
+    assert main(["analyze", "--config", str(config), "--out", str(out)]) in (0, 3)
+    assert "decay_prefactor,0.25" in _read(out / "trends.csv").decode()
 
 
 def test_seed_change_keeps_selftest_pattern():
@@ -584,6 +602,35 @@ def test_cli_admissibility_scan(tmp_path, capsys):
     assert doc["scans"]["0.5"]["verdict"] == "diverging"
     out = capsys.readouterr().out
     assert "gamma=0.5: diverging" in out
+
+
+@pytest.mark.parametrize("q", [2, "inf"])
+def test_scan_prints_q_alike_from_config_and_flag(tmp_path, capsys, q):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"model": "heat-neumann", "modes": [8, 16, 32], "q": q}),
+                    encoding="utf-8")
+    assert main(["admissibility-scan", "--config", str(path)]) == 0
+    from_config = capsys.readouterr().out
+    assert main([
+        "admissibility-scan", "--model", "heat-neumann", "--modes", "8,16,32", "--q", str(q),
+    ]) == 0
+    assert capsys.readouterr().out == from_config
+
+
+def test_analyze_builds_trend_only_rows_only_when_writing(tmp_path, monkeypatch):
+    import lyapcert.analysis as analysis
+
+    config = AnalysisConfig(model="heat-neumann", modes=(8, 16, 32), sample_count=16)
+    written, _ = run_analyze(dataclasses.replace(config, out_dir=str(tmp_path)))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("rows that only trends.csv reads were built without --out")
+
+    monkeypatch.setattr(analysis, "decay_bound_estimate", refuse)
+    monkeypatch.setattr(analysis, "build_w_q", refuse)
+    report, artifacts = run_analyze(config)
+    assert artifacts == {}
+    assert report == written
 
 
 def test_cli_admissibility_scan_runs_only_its_stages(tmp_path, monkeypatch):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lyapcert.admissibility import admissibility_constant
-from lyapcert.models import counterexample_system
+from lyapcert.models import build_model, counterexample_system
 from lyapcert.systems import (
     ConditioningError,
     DecayBound,
@@ -241,15 +241,6 @@ def test_square_function_tail_integrable_only_below_half():
     assert growing[-1] - growing[-2] > 0.85 * (growing[1] - growing[0])
 
 
-def test_config_round_trip():
-    sys = SpectralSystem([1.0, 4.0, 9.0], [1.0, -1.0, 1.0], label="demo")
-    doc = sys.to_config()
-    clone = system_from_config(doc)
-    assert np.array_equal(clone.eigenvalues, sys.eigenvalues)
-    assert np.array_equal(clone.input_coeffs, sys.input_coeffs)
-    assert clone.label == "demo"
-
-
 def test_matrix_input_column_shapes_and_round_trip():
     a = np.array([[-1.0, 3.0], [0.0, -2.0]])
     flat = MatrixSystem(a, np.array([1.0, -2.0]), label="demo")
@@ -257,8 +248,7 @@ def test_matrix_input_column_shapes_and_round_trip():
     assert flat.input_coeffs.shape == (2,)
     assert not flat.input_coeffs.flags.writeable
     assert np.array_equal(flat.input_coeffs, column.input_coeffs)
-    doc = flat.to_config()
-    assert doc["b"] == [[1.0], [-2.0]]
+    doc = {"type": "matrix", "a": a.tolist(), "b": [[1.0], [-2.0]], "label": "demo"}
     clone = system_from_config(doc)
     assert np.array_equal(clone.a_matrix, a)
     assert np.array_equal(clone.input_coeffs, flat.input_coeffs)
@@ -347,7 +337,6 @@ def test_surface_agrees_across_realizations(seed, n):
     diagonal = SpectralSystem(lam, b)
     dense = MatrixSystem(np.diag(-lam), b.reshape(-1, 1))
     assert dense.fastest_rate == pytest.approx(diagonal.fastest_rate, rel=1e-12)
-    assert dense.log_norm == pytest.approx(diagonal.log_norm, rel=REALIZATION_RTOL)
     assert np.array_equal(dense.input_coeffs, diagonal.input_coeffs)
     x = rng.normal(size=n)
     for h in (1e-3, 0.1, 1.0):
@@ -355,11 +344,18 @@ def test_surface_agrees_across_realizations(seed, n):
             assert _norm_close(dense.step(x, u, h), diagonal.step(x, u, h))
     for alpha in (-0.5, 0.25, 0.5, 1.0):
         assert _norm_close(dense.neg_power_apply(alpha, x), diagonal.neg_power_apply(alpha, x))
+    # The dense grid maximum never exceeds the diagonal supremum, and falls
+    # short of it by at most the grid resolution: between log-spaced nodes a
+    # ratio rho apart, log((lam t)^r e^(-(lam - delta) t)) drops from its peak
+    # by at most r (e^h - 1 - h) with h = log(rho)/2.
     powers = (0.0, 0.25, 0.5)
-    for t in (0.0, 1e-3, 0.5, 3.0):
-        assert dense.power_semigroup_norms(powers, t) == pytest.approx(
-            diagonal.power_semigroup_norms(powers, t), rel=REALIZATION_RTOL
-        )
+    for delta in (diagonal.spectral_gap / 2.0, 0.1 * diagonal.spectral_gap):
+        rho = (60.0 / delta / (1e-4 / diagonal.fastest_rate)) ** (1.0 / 599)
+        h = math.log(rho) / 2.0
+        exact = diagonal.decay_prefactors(powers, delta)
+        for r, swept, top in zip(powers, dense.decay_prefactors(powers, delta), exact):
+            assert swept <= top * (1 + 1e-12)
+            assert swept >= top * math.exp(-r * math.expm1(h) + r * h) * (1 - 1e-12)
     for q in (1, 2, math.inf):
         assert admissibility_constant(dense, q, 3.0, steps=32).constant == pytest.approx(
             admissibility_constant(diagonal, q, 3.0, steps=32).constant, rel=REALIZATION_RTOL
@@ -452,7 +448,7 @@ def test_step_on_a_stack_equals_each_row(kind):
             assert np.array_equal(stepped, np.array([sys.step(x, u, h) for x in stack]))
 
 
-# ------------------------------------------ pruned decay bounds and log-norm
+# ------------------------------------ decay prefactors: closed form and grid
 
 
 def _exhaustive_prefactors(sys, powers, delta):
@@ -489,6 +485,18 @@ def test_pruned_dense_decay_bounds_equal_the_full_grid(seed, n, skew, powers, fr
     _assert_pruned_equals_exhaustive(_nonnormal_dense(n, seed, skew), powers, fraction)
 
 
+def _diagonal_grid_maximum(sys, powers, delta):
+    # Oracle: the 601-node grid the diagonal prefactors used to be sampled
+    # on, every node evaluated per mode.
+    grid = np.concatenate([[0.0], np.geomspace(1e-4 / sys.fastest_rate, 60.0 / delta, 600)])
+    lam = sys.eigenvalues[:, None]
+    decay = np.exp(-lam * grid)
+    return [
+        float(np.max(np.max(lam**r * decay, axis=0) * grid**r * np.exp(delta * grid)))
+        for r in powers
+    ]
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -496,10 +504,33 @@ def test_pruned_dense_decay_bounds_equal_the_full_grid(seed, n, skew, powers, fr
     powers=st.sampled_from(POWER_SETS),
     fraction=st.sampled_from(DELTA_FRACTIONS),
 )
-def test_pruned_diagonal_decay_bounds_equal_the_full_grid(seed, n, powers, fraction):
+def test_diagonal_decay_prefactors_are_the_closed_form_supremum(seed, n, powers, fraction):
     rng = np.random.default_rng(seed)
     sys = SpectralSystem(np.sort(10.0 ** rng.uniform(-1.0, 4.0, n)), rng.normal(size=n))
-    _assert_pruned_equals_exhaustive(sys, powers, fraction)
+    gap = sys.spectral_gap
+    delta = gap / 2.0 if fraction is None else fraction * gap
+    bounds = decay_bound_estimate(sys, powers, delta=None if fraction is None else delta)
+    assert [b.power for b in bounds] == list(powers)
+    # No node of the full grid beats the supremum (1e-12: float rounding).
+    for bound, sampled in zip(bounds, _diagonal_grid_maximum(sys, powers, delta)):
+        assert bound.prefactor * (1 + 1e-12) >= sampled
+    # The slowest mode attains it at t* = r/(lam_1 - delta).
+    for r, bound in zip(powers, bounds):
+        t_star = r / (gap - delta)
+        attained = gap**r * t_star**r * math.exp(-(gap - delta) * t_star)
+        assert bound.prefactor == pytest.approx(attained, rel=1e-12)
+
+
+def test_decay_prefactor_near_the_gap_is_not_cut_off_by_the_grid():
+    # At delta = 0.999 gap the maximizer t* = 500/lam_1 lies past the old
+    # grid end 60/delta, where the sampled r = 1/2 prefactor read 7.30; the
+    # supremum is (r lam_1 / (e (lam_1 - delta)))^r = sqrt(500/e) = 13.5624...
+    sys = build_model("heat-neumann", 64)
+    delta = 0.999 * sys.spectral_gap
+    (bound,) = decay_bound_estimate(sys, [0.5], delta=delta)
+    assert bound.prefactor == pytest.approx(math.sqrt(500.0 / math.e), rel=1e-12)
+    assert bound.prefactor == pytest.approx(13.5624, abs=1e-4)
+    assert _diagonal_grid_maximum(sys, [0.5], delta)[0] == pytest.approx(7.30, abs=5e-3)
 
 
 @settings(max_examples=25, deadline=None)
@@ -511,11 +542,3 @@ def test_log_norm_bounds_the_dense_semigroup(seed, n, skew):
     for t in (0.0, 1e-3, 0.1, 1.0, 5.0):
         norm = float(np.linalg.norm(scipy.linalg.expm(sys.a_matrix * t), 2))
         assert norm <= np.exp(sys.log_norm * t) * (1 + 1e-12)
-
-
-@settings(max_examples=25, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 64))
-def test_diagonal_log_norm_is_minus_the_gap(seed, n):
-    rng = np.random.default_rng(seed)
-    sys = SpectralSystem(np.sort(rng.uniform(1e-3, 1e4, n)), rng.normal(size=n))
-    assert sys.log_norm == -sys.spectral_gap
