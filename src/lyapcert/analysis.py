@@ -42,7 +42,7 @@ from .lyapunov import (
     build_w_q,
     contraction_similarity,
 )
-from .systems import SpectralSystem, decay_bound_estimate, system_from_config
+from .systems import SpectralSystem, _is_number, decay_bound_estimate, system_from_config
 
 __all__ = [
     "AnalysisConfig",
@@ -62,10 +62,6 @@ class ConfigError(ValueError):
 
 class InvariantViolationError(RuntimeError):
     """A theorem edge came out violated; the run must fail."""
-
-
-def _is_number(value):
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _is_count(value):

@@ -465,10 +465,14 @@ def decay_bound_estimate(sys, powers, delta=None) -> list:
     ]
 
 
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _number_array(doc, key, flat=False):
     # Bools and numeric strings would pass a float conversion; refuse them.
     entries = np.array(doc[key], dtype=object)
-    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in entries.flat):
+    if not all(_is_number(v) for v in entries.flat):
         raise ValueError(f"'{key}' entries must be numbers")
     if flat and entries.ndim != 1:
         raise ValueError(f"'{key}' must be a flat list of numbers")
@@ -488,7 +492,7 @@ def system_from_config(doc: dict):
     kind = doc.get("type")
     if kind == "spectral":
         modes = doc.get("modes")
-        if modes is not None and (type(modes) not in (int, float) or modes < 1 or modes % 1):
+        if modes is not None and (not _is_number(modes) or modes < 1 or modes % 1):
             raise ValueError("'modes' must be a positive integer")
         if "eigenvalues" in doc:
             eigenvalues = _number_array(doc, "eigenvalues", flat=True)
