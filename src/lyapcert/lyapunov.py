@@ -104,7 +104,7 @@ class QuadraticForm:
             raise ValueError("state length does not match the form")
         if self.weights is not None:
             return np.sum(self.weights * np.abs(states) ** 2, axis=-1)
-        return np.array([np.real(np.vdot(x, self.p_matrix @ x)) for x in states])
+        return np.real((states.conj()[:, None, :] @ (self.p_matrix @ states[..., None]))[:, 0, 0])
 
     def value(self, x) -> float:
         """Evaluate V(x)."""

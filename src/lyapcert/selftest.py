@@ -371,6 +371,21 @@ def _check_contraction_margin(rng):
     return ok, f"worst dissipativity margin {worst:.2e}"
 
 
+def _check_log_norm_step(rng, fault=False):
+    # ||(-A)^r T(t)|| <= ||(-A)^r T(s)|| e^(mu (t - s)) for s < t, the dense decay
+    # sweep's ceiling; the fault's rate -gap holds only for normal generators.
+    worst, norms = -np.inf, MatrixSystem.power_semigroup_norms
+    for n in range(2, 10):
+        raw = rng.normal(size=(n, n)) + 3.0 * np.triu(rng.normal(size=(n, n)), 1)
+        sys = MatrixSystem(raw - (np.linalg.eigvals(raw).real.max() + 0.5) * np.eye(n), np.ones(n))
+        rate = -sys.spectral_gap if fault else sys.log_norm
+        s, t = np.sort(rng.uniform(0.0, 2.0, size=2))
+        for s in (0.0, s):
+            ratio = np.divide(norms(sys, (0.0, 0.25, 0.5), t), norms(sys, (0.0, 0.25, 0.5), s))
+            worst = max(worst, ratio.max() / np.exp(rate * (t - s)) - 1.0)
+    return worst <= 1e-12, f"worst excess over the log-norm step {worst:.2e}"
+
+
 _CHECKS = (
     ("semigroup-law", _check_semigroup_law),
     ("fractional-power-commutation", _check_fractional_commutation),
@@ -394,11 +409,12 @@ _CHECKS = (
     ("dirichlet-scan-divergence", _check_dirichlet_scan_divergence),
     ("neumann-membership", _check_neumann_membership),
     ("contraction-margin", _check_contraction_margin),
+    ("log-norm-semigroup-step", _check_log_norm_step),
 )
 
 
 # The checks that take ``fault=True`` and then must fail.
-FAULT_TARGETS = ("self-adjoint-identity",)
+FAULT_TARGETS = ("self-adjoint-identity", "log-norm-semigroup-step")
 
 
 def run_selftest(seed=0, fault=None, emit=print):

@@ -267,45 +267,39 @@ class MatrixSystem:
     def decay_prefactors(self, powers, delta) -> list:
         """Per power r the maximum of ||(-A)^r T(t)|| t^r e^(delta t) over a fixed grid.
 
-        A grid maximum, not a bound between nodes: one grid shared by all
-        powers, ``t = 0`` and a logarithmic sweep to ``60/delta``.  At
-        ``t = 0`` only ``r = 0`` contributes; every other power gives zero
-        there.
-
-        Only the nodes that can hold the maximum are evaluated.  The ``t = 0``
-        node gives ``||(-A)^r||``, and with the log-norm ``mu`` every node's
-        value is at most its ceiling ``||(-A)^r|| e^(mu t) t^r e^(delta t)``.
-        Nodes are visited in descending ceiling order; at each, ``T(t)`` is
-        evaluated once for the powers whose ceiling times ``1 + CEILING_MARGIN``
-        still reaches their running maximum, and the node is skipped when no
-        power is left.  A skipped value lies below its power's maximum, and
-        every evaluated value is the same float as on the full grid, so the
-        result is bit for bit the full grid maximum.
+        A grid maximum, not a bound between nodes: ``t = 0`` (only ``r = 0``
+        contributes there) and a logarithmic sweep to ``60/delta``.  With the
+        log-norm ``mu``, ``||T(tau)|| <= e^(mu tau)``, so a node ``s < t``
+        evaluated for power r caps the value at t by the ceiling
+        ``||(-A)^r T(s)|| e^(mu (t - s)) t^r e^(delta t)``.  A power is
+        evaluated at a node only if its ceiling times ``1 + CEILING_MARGIN``
+        reaches its running maximum: from ``s = 0`` in a coarse pass over every
+        16th sweep node, far end first, then from its latest evaluated node in
+        one ascending pass over the rest.  Skipped values lie below the maximum
+        and evaluated ones are the full grid's floats: bit for bit its maximum.
         """
-        grid = np.concatenate([[0.0], np.geomspace(1e-4 / self.fastest_rate, 60.0 / delta, 600)])
+        sweep = np.geomspace(1e-4 / self.fastest_rate, 60.0 / delta, 600)
+        mu = self.log_norm
 
         def value(norm, r, t):
             return norm * t**r * np.exp(delta * t)
 
-        base = self.power_semigroup_norms(powers, grid[0])
-        best = [value(norm, r, grid[0]) for r, norm in zip(powers, base)]
-        sweep = grid[1:]
-        # Overflow to inf only means "evaluate this node".
-        with np.errstate(over="ignore"):
-            ceilings = (
-                np.array(base)[:, None]
-                * np.exp((self.log_norm + delta) * sweep)
-                * sweep ** np.array(powers)[:, None]
-            )
-        order = np.argsort(-ceilings.max(axis=0, initial=0.0), kind="stable")
-        for j in order:
-            live = [i for i, top in enumerate(best) if ceilings[i, j] * (1 + CEILING_MARGIN) >= top]
-            if not live:
-                continue
-            t = sweep[j]
-            norms = self.power_semigroup_norms([powers[i] for i in live], t)
+        near = [(0.0, norm) for norm in self.power_semigroup_norms(powers, 0.0)]
+        best = [value(norm, r, 0.0) for r, (_, norm) in zip(powers, near)]
+
+        def visit(t, near):
+            with np.errstate(over="ignore"):  # inf only means "evaluate"
+                ceiling = [value(n, r, t) * np.exp(mu * (t - s)) for r, (s, n) in zip(powers, near)]
+            live = [i for i, top in enumerate(best) if ceiling[i] * (1 + CEILING_MARGIN) >= top]
+            norms = self.power_semigroup_norms([powers[i] for i in live], t) if live else []
             for i, norm in zip(live, norms):
                 best[i] = max(best[i], value(norm, powers[i], t))
+            return dict(zip(live, norms))
+
+        coarse = {j: visit(sweep[j], near) for j in range(0, sweep.size, 16)[::-1]}
+        for j, t in enumerate(sweep):
+            found = coarse[j] if j in coarse else visit(t, near)
+            near = [(t, found[i]) if i in found else a for i, a in enumerate(near)]
         return best
 
     def input_segment_integrals(self, nodes) -> np.ndarray:

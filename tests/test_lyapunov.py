@@ -229,6 +229,24 @@ def test_values_rows_equal_single_values():
             form.values(np.ones((2, 5)))
 
 
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("rows", [1, 7, 120])
+def test_dense_values_equal_the_per_row_vdot(kind, rows):
+    # Oracle independent of ``value`` (which calls ``values``): the per-row
+    # Re<x, P x> through np.vdot, compared with ==.
+    rng = np.random.default_rng(rows)
+    for n in (1, 5, 40):
+        m = rng.normal(size=(n, n))
+        stack = rng.normal(size=(rows, n))
+        if kind == "complex":
+            m = m + 1j * rng.normal(size=(n, n))
+            stack = stack + 1j * rng.normal(size=(rows, n))
+        form = QuadraticForm(p_matrix=m @ m.conj().T + np.eye(n))
+        oracle = [np.real(np.vdot(x, form.p_matrix @ x)) for x in stack]
+        assert form.values(stack).tolist() == oracle
+        assert form.values(stack[0]).tolist() == oracle[:1]
+
+
 def test_contraction_decay_rate_certificate():
     rng = np.random.default_rng(11)
     raw = rng.normal(size=(4, 4))

@@ -485,6 +485,72 @@ def test_pruned_dense_decay_bounds_equal_the_full_grid(seed, n, skew, powers, fr
     _assert_pruned_equals_exhaustive(_nonnormal_dense(n, seed, skew), powers, fraction)
 
 
+@settings(max_examples=8, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(9, 24),
+    skew=st.sampled_from([0.0, 1.0, 3.0]),
+    powers=st.sampled_from(POWER_SETS),
+    fraction=st.sampled_from(DELTA_FRACTIONS),
+)
+def test_pruned_dense_decay_bounds_equal_the_full_grid_up_to_n_24(seed, n, skew, powers, fraction):
+    _assert_pruned_equals_exhaustive(_nonnormal_dense(n, seed, skew), powers, fraction)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 8),
+    skew=st.sampled_from([0.0, 1.0, 3.0]),
+    times=st.lists(st.floats(0.0, 50.0), min_size=2, max_size=2, unique=True),
+)
+def test_log_norm_step_from_an_earlier_node_bounds_the_power_semigroup(seed, n, skew, times):
+    # The pruning premise: (-A)^r T(t) = (-A)^r T(s) T(t - s) and
+    # ||T(tau)|| <= e^(mu tau), so the node s caps every later node t.
+    sys = _nonnormal_dense(n, seed, skew)
+    s, t = sorted(times)
+    powers = (0.0, 0.25, 0.5)
+    later, earlier = sys.power_semigroup_norms(powers, t), sys.power_semigroup_norms(powers, s)
+    for late, early in zip(later, earlier):
+        assert late <= early * np.exp(sys.log_norm * (t - s)) * (1 + 1e-12)
+
+
+def _benchmark_dense(seed, n):
+    # The dense benchmark matrix: A = R/sqrt(n) - (alpha(R/sqrt(n)) + 0.5) I
+    # for a Gaussian R drawn from [seed, n], so the spectral gap is 0.5.
+    rng = np.random.default_rng([seed, n])
+    r = rng.standard_normal((n, n)) / np.sqrt(n)
+    a = r - (np.linalg.eigvals(r).real.max() + 0.5) * np.eye(n)
+    return MatrixSystem(a, rng.standard_normal(n))
+
+
+def test_nearest_node_ceiling_prunes_the_dense_sweep(monkeypatch):
+    # With every ceiling taken from t = 0 this request made 235 node
+    # evaluations and 681 2-norms; the exhaustive grid makes 601 and 1,803.
+    sys = _benchmark_dense(7, 64)
+    nodes, two_norms = [], []
+    evaluate, norm = MatrixSystem.power_semigroup_norms, np.linalg.norm
+
+    def counted_nodes(self, powers, t):
+        nodes.append(t)
+        return evaluate(self, powers, t)
+
+    def counted_norm(x, ord=None, *args, **kwargs):
+        if ord == 2:
+            two_norms.append(x)
+        return norm(x, ord, *args, **kwargs)
+
+    monkeypatch.setattr(MatrixSystem, "power_semigroup_norms", counted_nodes)
+    monkeypatch.setattr(np.linalg, "norm", counted_norm)
+    bounds = decay_bound_estimate(sys, (0.0, 0.25, 0.5))
+    monkeypatch.undo()
+    assert len(set(nodes)) == len(nodes) <= 110
+    assert len(two_norms) <= 250
+    assert [b.prefactor for b in bounds] == _exhaustive_prefactors(
+        sys, (0.0, 0.25, 0.5), sys.spectral_gap / 2.0
+    )
+
+
 def _diagonal_grid_maximum(sys, powers, delta):
     # Oracle: the 601-node grid the diagonal prefactors used to be sampled
     # on, every node evaluated per mode.
