@@ -102,7 +102,7 @@ def operator_class_scan(systems, gamma) -> OperatorClassReport:
     systems = list(systems)
     if len(systems) < 3:
         raise ValueError("a class scan needs at least three sweep points")
-    counts = [s.mode_count for s in systems]
+    counts = [s.dimension for s in systems]
     if any(b <= a for a, b in zip(counts, counts[1:])):
         raise ValueError("mode counts must be strictly increasing")
     norms = [extrapolation_norm(s, gamma, s.input_coeffs) for s in systems]
@@ -120,17 +120,15 @@ def operator_class_scan(systems, gamma) -> OperatorClassReport:
 class AdmissibilityEstimate:
     """Empirical input-map constant K(T, N) for one integrability exponent.
 
-    ``trend`` lists (horizon, mode_count, constant) triples; the entries
+    ``trend`` lists (horizon, dimension, constant) triples; the entries
     are nondecreasing in both horizon and mode count, which is asserted
     when the trend table carries a sweep.
     """
 
     q: float
     horizon: float
-    steps: int
     constant: float
     trend: tuple
-    label: str = ""
 
     def __post_init__(self):
         by_t = {}
@@ -235,12 +233,7 @@ def admissibility_trend(systems, q, horizons, steps=512) -> AdmissibilityEstimat
             nodes = master[master <= horizon * (1.0 + 1e-12)]
             rows.append((horizon, sys.dimension, _constant_on_grid(sys, q, nodes)))
     return AdmissibilityEstimate(
-        q=q,
-        horizon=horizons[-1],
-        steps=int(len(nodes) - 1),
-        constant=rows[-1][2],
-        trend=tuple(rows),
-        label=systems[-1].label,
+        q=q, horizon=horizons[-1], constant=rows[-1][2], trend=tuple(rows)
     )
 
 

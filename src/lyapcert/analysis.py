@@ -79,11 +79,12 @@ class AnalysisConfig:
 
     Construction is the one check of the fields, so a config from a file,
     from CLI overrides or from library code is refused the same way, with
-    :class:`ConfigError`.  ``modes`` and ``gammas`` become tuples, an
-    integral float mode becomes an int, and ``q`` becomes the float 1.0,
-    2.0 or inf however it was given.  Bools are refused wherever a
-    number is required.  Naming neither a model nor a system is allowed
-    here, since CLI flags may still supply one; the stages refuse it.
+    :class:`ConfigError`.  ``modes`` and ``gammas`` become tuples, a
+    repeated gamma is kept once, at its first place, an integral float mode
+    becomes an int, and ``q`` becomes the float 1.0, 2.0 or inf however it
+    was given.  Bools are refused wherever a number is required.  Naming
+    neither a model nor a system is allowed here, since CLI flags may still
+    supply one; the stages refuse it.
     """
 
     model: str | None = None
@@ -115,7 +116,7 @@ class AnalysisConfig:
         object.__setattr__(self, "modes", tuple(int(n) for n in self.modes))
         if not all(_is_number(g) and 0 <= g < math.inf for g in self.gammas):
             raise ConfigError("gammas must be finite and nonnegative")
-        object.__setattr__(self, "gammas", tuple(self.gammas))
+        object.__setattr__(self, "gammas", tuple(dict.fromkeys(self.gammas)))
         try:
             object.__setattr__(self, "q", _normalize_q(self.q))
         except ValueError as exc:
@@ -175,10 +176,10 @@ def _family(config: AnalysisConfig):
         raise ConfigError(str(exc)) from None
     if doc.get("type") == "matrix":
         return largest.label, [largest]
-    usable = [n for n in modes if n <= largest.mode_count]
+    usable = [n for n in modes if n <= largest.dimension]
     if not usable:
         raise ConfigError(
-            f"the explicit sequences provide only {largest.mode_count} modes; "
+            f"the explicit sequences provide only {largest.dimension} modes; "
             "no requested truncation size fits"
         )
     lam, b = largest.eigenvalues, largest.input_coeffs
@@ -214,16 +215,11 @@ def _write_artifacts(out_dir, artifacts):
 def _certificate_trend(label, family, form_builder, config, rows):
     """Fit dissipation certificates across the family; returns the slot dict."""
     a3_values, a4_values, feasible = [], [], True
-    provenance = None
-    last_report = None
     for sys in family:
         form = form_builder(sys)
         provenance = form.provenance
-        cloud = default_sample_cloud(
-            sys, form, count=config.sample_count, seed=config.seed
-        )
+        cloud = default_sample_cloud(sys, form, count=config.sample_count, seed=config.seed)
         report = fit_dissipation(form, sys, cloud)
-        last_report = report
         if report.infeasible:
             feasible = False
             a3_values.append(0.0)
@@ -245,7 +241,7 @@ def _certificate_trend(label, family, form_builder, config, rows):
         "value": status,
         "a3": [[n, v] for n, v in zip(counts, a3_values)],
         "a4": [[n, v] for n, v in zip(counts, a4_values)],
-        "certificate": last_report.to_config(),
+        "certificate": report.to_config(),
         "provenance": f"dissipation certificate for the {provenance}",
     }
 

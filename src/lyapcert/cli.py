@@ -17,6 +17,7 @@ import sys as _sys
 from . import models
 from .admissibility import _normalize_q
 from .analysis import (
+    SCHEMA_VERSION,
     AnalysisConfig,
     ConfigError,
     InvariantViolationError,
@@ -35,18 +36,16 @@ EXIT_FINDING = 3
 EXIT_INVARIANT = 4
 
 
-def _parse_float_list(text):
-    try:
-        return tuple(float(v) for v in text.split(",") if v.strip())
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma-separated float list: {text!r}")
+def _list_parser(kind, noun):
+    """An argparse type for a comma-separated list of ``kind`` values."""
 
+    def parse(text):
+        try:
+            return tuple(kind(v) for v in text.split(",") if v.strip())
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not a comma-separated {noun} list: {text!r}")
 
-def _parse_int_list(text):
-    try:
-        return tuple(int(v) for v in text.split(",") if v.strip())
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma-separated integer list: {text!r}")
+    return parse
 
 
 def _parse_q(text):
@@ -59,9 +58,11 @@ def _parse_q(text):
 def _add_common(parser):
     parser.add_argument("--model", choices=models.MODEL_NAMES, help="registered model name")
     parser.add_argument("--config", metavar="PATH", help="JSON config file")
-    parser.add_argument("--modes", type=_parse_int_list, help="comma list of truncation sizes")
     parser.add_argument(
-        "--gamma", dest="gammas", metavar="GAMMA", type=_parse_float_list,
+        "--modes", type=_list_parser(int, "integer"), help="comma list of truncation sizes"
+    )
+    parser.add_argument(
+        "--gamma", dest="gammas", metavar="GAMMA", type=_list_parser(float, "float"),
         help="comma list of scan exponents",
     )
     parser.add_argument("--q", type=_parse_q, help="input integrability exponent: 1, 2 or inf")
@@ -124,7 +125,7 @@ def _cmd_admissibility_scan(args) -> int:
     scans = slots["gamma_scans"]["value"]
     adm = slots["two_admissibility"]
     verdict_doc = {
-        "schema": "1",
+        "schema": SCHEMA_VERSION,
         "system": label,
         "scans": scans,
         "constants": adm["constants"],
@@ -152,7 +153,7 @@ def _cmd_lyapunov_eval(args) -> int:
         "w_plain": build_w_plain(sys),
     }
     doc = {
-        "schema": "1",
+        "schema": SCHEMA_VERSION,
         "system": label,
         "modes": sys.dimension,
         "forms": {

@@ -26,7 +26,7 @@ import numpy as np
 
 from .admissibility import admissibility_constant
 from .lyapunov import QuadraticForm, GainEnvelope, _orbit_energy
-from .systems import SpectralSystem, as_state, semigroup_apply
+from .systems import DimensionMismatchError, SpectralSystem, _readonly, as_state, semigroup_apply
 
 __all__ = [
     "DecompositionReport",
@@ -82,10 +82,6 @@ class InputSignal:
     @classmethod
     def constant(cls, level):
         return cls(np.array([0.0]), np.array([float(level)]))
-
-    @classmethod
-    def piecewise(cls, breakpoints, values):
-        return cls(np.asarray(breakpoints, dtype=float), np.asarray(values, dtype=float))
 
     @classmethod
     def sampled_sinusoid(cls, amplitude, frequency, t_end, samples=64):
@@ -247,36 +243,30 @@ def dini_derivative(form: QuadraticForm, sys, x, u) -> DiniEstimate:
     return DiniEstimate(value=float(value[0]), error_bar=float(bar[0]))
 
 
-def default_sample_cloud(sys, form: QuadraticForm, count=200, seed=0):
-    """States probing a dissipation certificate.
+def default_sample_cloud(sys, form: QuadraticForm, count=200, seed=0) -> np.ndarray:
+    """States probing a dissipation certificate, one per row of a read-only array.
 
-    Besides unit-norm Gaussian draws, the cloud carries deterministic
-    probes: coordinate directions pin the extremal decay rates, and
-    input-aligned states ``(2 w lam - theta)^(-1) w b`` at sub-unit scales
-    expose the input coefficient a4 that the inequality actually needs --
-    an isotropic unit cloud systematically misses both.
+    The unit-norm Gaussian draws come first, then deterministic probes:
+    coordinate directions pin the extremal decay rates, and input-aligned
+    states ``(2 w lam - theta)^(-1) w b`` at sub-unit scales expose the
+    input coefficient a4 that the inequality actually needs -- an isotropic
+    unit cloud systematically misses both.
     """
     n = sys.dimension
     rng = np.random.default_rng(seed)
     gauss = rng.standard_normal((count, n))
     norms = np.linalg.norm(gauss, axis=1)
-    gauss = gauss[norms > 0] / norms[norms > 0, None]
+    rows = [gauss[norms > 0] / norms[norms > 0, None]]
     # Rows of np.eye(1, n, k) are the unit vectors e_k, built in O(n).
-    probes = [np.eye(1, n, 0)[0]]
-    if n > 1:
-        probes.append(np.eye(1, n, 1)[0])
-        probes.append(np.eye(1, n, n - 1)[0])
+    rows += [np.eye(1, n, k) for k in ([0, 1, n - 1] if n > 1 else [0])]
     b = sys.input_coeffs
     if np.linalg.norm(b) > 0:
-        probes.append(np.asarray(b, dtype=float) / np.linalg.norm(b))
+        rows.append(np.asarray(b, dtype=float) / np.linalg.norm(b))
         if isinstance(sys, SpectralSystem) and form.weights is not None:
             wl = 2.0 * form.weights * sys.eigenvalues
-            floor = float(wl.min())
-            for theta in (0.5 * floor, 0.9 * floor):
-                aligned = (form.weights * b) / (wl - theta)
-                for scale in (0.25, 0.5):
-                    probes.append(aligned * scale)
-    return [np.asarray(p, dtype=float) for p in gauss] + probes
+            aligned, floor = form.weights * b, float(wl.min())
+            rows += [aligned / (wl - t * floor) * s for t in (0.5, 0.9) for s in (0.25, 0.5)]
+    return _readonly(np.vstack(rows))
 
 
 @dataclass(frozen=True, eq=False)
@@ -331,18 +321,22 @@ def fit_dissipation(
     construction.  A non-finite sample is reported as a violation and makes
     the fit infeasible, wherever it sits in the cloud.  ``sample_inputs``
     are scalar input levels, each held constant, so every level shares one
-    step sequence.
+    step sequence.  ``sample_states`` is a stack of states, an array or a
+    list of rows, and is converted once.
     """
-    states = np.stack([as_state(sys, s) for s in sample_states])
-    if not any(np.linalg.norm(s) > 0 for s in states):
-        raise ValueError("need at least one nonzero sample state")
+    states = np.asarray(sample_states)
+    states = states.astype(complex if np.iscomplexobj(states) else float).reshape(len(states), -1)
+    if states.shape[1] != sys.dimension:
+        raise DimensionMismatchError(
+            f"state length {states.shape[1]} does not match system dimension {sys.dimension}"
+        )
     levels = [float(u) for u in sample_inputs]
     hs = _stiff_h_sequence(sys)
     v0 = form.values(states)
     dini = np.column_stack(
         [_dini_quotients(form, sys, states, level, hs, v0)[0] for level in levels]
     )
-    norms_sq = [np.vdot(x, x).real for x in states]
+    norms_sq = np.real((states.conj()[:, None, :] @ states[..., None])[:, 0, 0])
     levels_sq = [level**2 for level in levels]
     samples = np.column_stack(
         [np.repeat(norms_sq, len(levels)), np.tile(levels_sq, len(states)), dini.ravel()]
@@ -354,7 +348,7 @@ def fit_dissipation(
 
     unforced = finite & (uu == 0.0) & (xx > 0.0)
     if not unforced.any():
-        raise ValueError("the sample cloud must pair states with a zero input level")
+        raise ValueError("the sample cloud must pair a nonzero state with a zero input level")
     cap = float(np.min(-v[unforced] / xx[unforced]))
     violated = ~finite
     if cap > 0.0:
@@ -473,7 +467,7 @@ def proof_decomposition(form: QuadraticForm, sys, x, u, h) -> DecompositionRepor
     scale = max(1.0, abs(direct))
     i1_check = abs(i1 - form.value(free)) / scale
 
-    estimate = admissibility_constant(sys, 2, horizon=h, steps=512)
+    estimate = admissibility_constant(sys, 2, horizon=h)
     k2 = form.a2 * estimate.constant**2
     energy = u.l2_sq_on(0.0, h)
     bound_ok = bool(i3 <= k2 * energy * (1.0 + 1e-9) + 1e-300)

@@ -223,7 +223,7 @@ def build_half_norm(sys) -> QuadraticForm:
     provenance = "half squared norm"
     if isinstance(sys, SpectralSystem):
         return QuadraticForm(
-            weights=np.full(sys.mode_count, 0.5),
+            weights=np.full(sys.dimension, 0.5),
             provenance=provenance,
             generator_power=0.5,
         )

@@ -51,7 +51,7 @@ def _source_position(translated, offset):
     return max(0, offset - translated[:max(offset, 0)].count("**"))
 
 
-def _check_number(value, node, translated):
+def _check_number(value):
     if isinstance(value, complex):
         raise RuleError("rule produced a non-real value")
     if not math.isfinite(value):
@@ -89,7 +89,7 @@ def _evaluate_node(node, n, translated):
             raise RuleError("division by zero while evaluating rule") from None
         except OverflowError:
             raise RuleError("overflow while evaluating rule") from None
-        return _check_number(value, node, translated)
+        return _check_number(value)
     if isinstance(node, ast.Call):
         if not isinstance(node.func, ast.Name) or node.func.id not in _FUNCTIONS:
             raise RuleParseError(
@@ -106,7 +106,7 @@ def _evaluate_node(node, n, translated):
             value = _FUNCTIONS[node.func.id](arg)
         except (ValueError, OverflowError) as exc:
             raise RuleError(f"{node.func.id}: {exc}") from None
-        return _check_number(value, node, translated)
+        return _check_number(value)
     raise RuleParseError(
         "unsupported construct in rule",
         _source_position(translated, getattr(node, "col_offset", 0)),

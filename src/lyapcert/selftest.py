@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .admissibility import admissibility_constant, admissibility_trend, operator_class_scan
+from .admissibility import (
+    BOUNDED_RATIO, admissibility_constant, admissibility_trend, operator_class_scan
+)
 from .dissipation import (
     InputSignal,
     default_sample_cloud,
@@ -49,7 +51,7 @@ def _check_semigroup_law(rng):
     worst = 0.0
     for _ in range(25):
         sys = _random_system(rng)
-        x = rng.normal(size=sys.mode_count)
+        x = rng.normal(size=sys.dimension)
         s, t = rng.uniform(0.0, 2.0, size=2)
         once = semigroup_apply(sys, s, semigroup_apply(sys, t, x))
         joint = semigroup_apply(sys, s + t, x)
@@ -69,7 +71,7 @@ def _check_fractional_commutation(rng):
     worst = 0.0
     for _ in range(25):
         sys = _random_system(rng)
-        x = rng.normal(size=sys.mode_count)
+        x = rng.normal(size=sys.dimension)
         alpha = rng.uniform(-1.0, 1.0)
         t = rng.uniform(0.0, 1.0)
         left = fractional_power_apply(sys, alpha, semigroup_apply(sys, t, x))
@@ -83,7 +85,7 @@ def _check_exponential_stability(rng):
     worst = -np.inf
     for _ in range(25):
         sys = _random_system(rng)
-        x = rng.normal(size=sys.mode_count)
+        x = rng.normal(size=sys.dimension)
         t = rng.uniform(0.0, 3.0)
         lhs = np.linalg.norm(semigroup_apply(sys, t, x))
         rhs = np.exp(-sys.spectral_gap * t) * np.linalg.norm(x)
@@ -95,7 +97,7 @@ def _check_extrapolation_gamma_zero(rng):
     worst = 0.0
     for _ in range(25):
         sys = _random_system(rng)
-        v = rng.normal(size=sys.mode_count)
+        v = rng.normal(size=sys.dimension)
         worst = max(worst, abs(extrapolation_norm(sys, 0.0, v) - np.linalg.norm(v)))
     return worst <= 1e-13, f"worst gamma=0 defect {worst:.2e}"
 
@@ -129,7 +131,7 @@ def _check_quadrature_consistency(rng):
     for _ in range(20):
         sys = _random_system(rng, max_modes=8, lam_range=(0.2, 30.0))
         q = rng.choice([0.0, 0.25, 0.5])
-        x = rng.normal(size=sys.mode_count)
+        x = rng.normal(size=sys.dimension)
         form = build_w_q(sys, q)
         lam = sys.eigenvalues
         horizon = 20.0 / sys.spectral_gap
@@ -165,7 +167,7 @@ def _check_homogeneity(rng):
     for _ in range(25):
         sys = _random_system(rng)
         form = build_w_q(sys, float(rng.uniform(0.0, 0.5)))
-        x = rng.normal(size=sys.mode_count)
+        x = rng.normal(size=sys.dimension)
         c = float(rng.uniform(0.1, 10.0))
         v_scaled = form.value(c * x)
         expected = c * c * form.value(x)
@@ -201,11 +203,9 @@ def _check_lemma_bridge(rng):
             operator_class_scan(family, g).verdict == "bounded" for g in (0.3, 0.375, 0.45)
         )
         if bounded_below_half:
-            small = [f for f in family[:2]]
-            estimate = admissibility_trend(small + [family[-1]], 2, [5.0], steps=256)
-            rows = sorted((n, v) for _, n, v in estimate.trend)
+            rows, _, _ = admissibility_trend(family, 2, [5.0], steps=256).mode_trend()
             ratios = [b / a for (_, a), (_, b) in zip(rows, rows[1:])]
-            bounded = all(r <= 1.02 for r in ratios)
+            bounded = all(r <= BOUNDED_RATIO for r in ratios)
             ok = ok and bounded
             details.append(f"{name}: scan bounded, constants bounded={bounded}")
         else:
@@ -238,8 +238,8 @@ def _check_simulation_exactness(rng):
     worst = 0.0
     for _ in range(10):
         sys = _random_system(rng, max_modes=6)
-        x0 = rng.normal(size=sys.mode_count)
-        u = InputSignal.piecewise([0.0, 0.4, 1.1], rng.normal(size=3))
+        x0 = rng.normal(size=sys.dimension)
+        u = InputSignal([0.0, 0.4, 1.1], rng.normal(size=3))
         grid = np.array([0.0, 0.25, 0.4, 0.8, 1.5])
         traj = simulate_mild(sys, x0, u, grid)
         x = x0.astype(float)
@@ -259,7 +259,7 @@ def _check_dini_consistency(rng):
     for _ in range(100):
         sys = _random_system(rng, max_modes=10, lam_range=(0.1, 20.0))
         form = build_w_q(sys, float(rng.choice([0.0, 0.25, 0.5])))
-        x = rng.normal(size=sys.mode_count)
+        x = rng.normal(size=sys.dimension)
         level = float(rng.choice([0.0, 0.5, -1.0]))
         est = dini_derivative(form, sys, x, level)
         drift = -sys.eigenvalues * x + sys.input_coeffs * level
@@ -318,10 +318,10 @@ def _check_counterexample_trichotomy(rng):
     # The top singular vector of the input map delocalizes slowly; the
     # doubling ratios only settle below the threshold from N = 64 on.
     estimate = admissibility_trend([counterexample_system(n) for n in (64, 128, 256)], 2, [10.0])
-    rows = sorted((n, v) for _, n, v in estimate.trend)
+    rows, _, _ = estimate.mode_trend()
     ratios = [b / a for (_, a), (_, b) in zip(rows, rows[1:])]
     ok = half.verdict == "diverging" and threequarter.verdict == "bounded"
-    ok = ok and all(r <= 1.02 for r in ratios)
+    ok = ok and all(r <= BOUNDED_RATIO for r in ratios)
     return ok, (
         f"half-power {half.verdict}, three-quarter {threequarter.verdict}, "
         f"constant ratios {[f'{r:.4f}' for r in ratios]}"

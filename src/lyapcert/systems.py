@@ -115,12 +115,8 @@ class SpectralSystem:
         object.__setattr__(self, "input_coeffs", _readonly(b))
 
     @property
-    def mode_count(self) -> int:
-        return int(self.eigenvalues.size)
-
-    @property
     def dimension(self) -> int:
-        return self.mode_count
+        return int(self.eigenvalues.size)
 
     @property
     def spectral_gap(self) -> float:
@@ -201,7 +197,7 @@ class MatrixSystem:
             raise DimensionMismatchError(
                 f"input column length {b.size} does not match state dimension {a.shape[0]}"
             )
-        if not (np.all(np.isfinite(a.real)) and np.all(np.isfinite(b.real))):
+        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
             raise ValueError("matrices must be finite")
         spectrum = np.linalg.eigvals(a)
         if spectrum.real.max() >= 0.0:
@@ -473,6 +469,17 @@ def _number_array(doc, key, flat=False):
     return entries.astype(float)
 
 
+def _list_or_rule(doc, key, rule_key, modes):
+    # The explicit numbers under ``key``, or the rule under ``rule_key`` at n = 1 .. modes.
+    if key in doc:
+        return _number_array(doc, key, flat=True)
+    if rule_key not in doc:
+        raise ValueError(f"spectral config needs '{key}' or '{rule_key}'")
+    if modes is None:
+        raise ValueError(f"{rule_key} requires 'modes'")
+    return evaluate_rule(doc[rule_key], int(modes))
+
+
 def system_from_config(doc: dict):
     """Build a system from its JSON configuration document.
 
@@ -488,22 +495,8 @@ def system_from_config(doc: dict):
         modes = doc.get("modes")
         if modes is not None and (not _is_number(modes) or modes < 1 or modes % 1):
             raise ValueError("'modes' must be a positive integer")
-        if "eigenvalues" in doc:
-            eigenvalues = _number_array(doc, "eigenvalues", flat=True)
-        elif "eigenvalue_rule" in doc:
-            if modes is None:
-                raise ValueError("eigenvalue_rule requires 'modes'")
-            eigenvalues = evaluate_rule(doc["eigenvalue_rule"], int(modes))
-        else:
-            raise ValueError("spectral config needs 'eigenvalues' or 'eigenvalue_rule'")
-        if "input_coeffs" in doc:
-            coeffs = _number_array(doc, "input_coeffs", flat=True)
-        elif "coeff_rule" in doc:
-            if modes is None:
-                raise ValueError("coeff_rule requires 'modes'")
-            coeffs = evaluate_rule(doc["coeff_rule"], int(modes))
-        else:
-            raise ValueError("spectral config needs 'input_coeffs' or 'coeff_rule'")
+        eigenvalues = _list_or_rule(doc, "eigenvalues", "eigenvalue_rule", modes)
+        coeffs = _list_or_rule(doc, "input_coeffs", "coeff_rule", modes)
         if modes is not None and (len(eigenvalues) != int(modes) or len(coeffs) != int(modes)):
             raise ValueError("'modes' disagrees with the sequence lengths")
         return SpectralSystem(

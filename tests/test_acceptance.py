@@ -48,7 +48,7 @@ def test_criterion_01_self_adjoint_identity():
         sys = _random_diagonal(rng)
         form = build_v_half(sys)
         assert np.abs(form.weights - 0.5).max() <= 1e-12
-        x = rng.normal(size=sys.mode_count)
+        x = rng.normal(size=sys.dimension)
         oracle = quadrature_form_value(sys.eigenvalues, sys.input_coeffs, x, 0.5)
         assert form.value(x) == pytest.approx(oracle, rel=1e-8)
     elapsed = time.monotonic() - start

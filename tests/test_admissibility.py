@@ -213,7 +213,6 @@ def test_estimate_monotonicity_validation():
         AdmissibilityEstimate(
             q=2.0,
             horizon=1.0,
-            steps=8,
             constant=1.0,
             trend=((1.0, 4, 2.0), (1.0, 8, 1.0)),
         )

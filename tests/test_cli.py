@@ -52,10 +52,10 @@ _LIST_DOC = {"type": "spectral", "eigenvalues": [float(k * k) for k in range(1, 
 ])
 def test_family_members_are_leading_sections_of_the_largest(source):
     _, family = _family(AnalysisConfig(modes=(4, 16, 8), **source))
-    assert [s.mode_count for s in family] == [4, 8, 16]
+    assert [s.dimension for s in family] == [4, 8, 16]
     largest = family[-1]
     for sys in family:
-        n = sys.mode_count
+        n = sys.dimension
         assert np.array_equal(sys.eigenvalues, largest.eigenvalues[:n])
         assert np.array_equal(sys.input_coeffs, largest.input_coeffs[:n])
 
@@ -74,7 +74,7 @@ def test_family_builds_the_model_once(monkeypatch):
     label, family = _family(AnalysisConfig(model="heat-neumann", modes=(8, 16, 32)))
     assert sizes == [32]
     assert label == "heat-neumann"
-    assert [s.mode_count for s in family] == [8, 16, 32]
+    assert [s.dimension for s in family] == [8, 16, 32]
 
 
 @pytest.mark.parametrize("text, value", [
@@ -515,6 +515,28 @@ def test_cli_bad_value_is_a_config_error(tmp_path, capsys, command, flags, doc):
 def test_every_command_refuses_a_bad_value(tmp_path, capsys, command, flags, doc):
     # The config is checked where it is built, so no subcommand skips a check.
     _assert_config_error(tmp_path, capsys, command, flags, doc)
+
+
+def test_repeated_gamma_gives_one_scan_and_one_set_of_rows(tmp_path):
+    assert AnalysisConfig(gammas=[0.5, 0.25, 0.5, 0.25]).gammas == (0.5, 0.25)
+    out = tmp_path / "out"
+    argv = ["analyze", "--model", "heat-neumann", "--modes", SMALL, "--gamma", "0.25,0.25"]
+    assert main(argv + ["--out", str(out)]) == 0
+    report = json.loads(_read(out / "report.json"))
+    assert list(report["slots"]["gamma_scans"]["value"]) == ["0.25"]
+    with open(out / "trends.csv", newline="") as handle:
+        rows = [r for r in csv.DictReader(handle) if r["quantity"] == "class_scan_norm"]
+    assert [r["N"] for r in rows] == SMALL.split(",")
+
+
+@pytest.mark.parametrize(
+    "flag, text, noun", [("--modes", "8,x", "integer"), ("--gamma", "0.2,y", "float")]
+)
+def test_list_flags_name_their_element_type(flag, text, noun, capsys):
+    with pytest.raises(SystemExit) as info:
+        build_parser().parse_args(["analyze", flag, text])
+    assert info.value.code == 2
+    assert f"not a comma-separated {noun} list: {text!r}" in capsys.readouterr().err
 
 
 def test_config_integral_float_modes_become_ints(tmp_path):

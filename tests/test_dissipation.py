@@ -17,7 +17,7 @@ from lyapcert.dissipation import (
 )
 from lyapcert.lyapunov import build_half_norm, build_v_half, build_w_plain, build_w_q
 from lyapcert.models import heat_system
-from lyapcert.systems import MatrixSystem, SpectralSystem, semigroup_apply
+from lyapcert.systems import DimensionMismatchError, MatrixSystem, SpectralSystem, semigroup_apply
 
 
 SCALAR = SpectralSystem([1.0], [1.0])
@@ -35,7 +35,7 @@ def test_input_signal_kinds():
     assert InputSignal.zero().is_zero
     const = InputSignal.constant(2.0)
     assert const.value0 == 2.0 and const.value_at(10.0) == 2.0
-    pw = InputSignal.piecewise([0.0, 1.0], [1.0, -1.0])
+    pw = InputSignal([0.0, 1.0], [1.0, -1.0])
     assert pw.value_at(0.5) == 1.0
     assert pw.value_at(1.0) == -1.0  # right-continuous at the breakpoint
     sine = InputSignal.sampled_sinusoid(2.0, 0.25, 4.0, samples=8)
@@ -44,13 +44,13 @@ def test_input_signal_kinds():
 
 def test_input_signal_validation():
     with pytest.raises(ValueError):
-        InputSignal.piecewise([0.5, 1.0], [1.0, 2.0])
+        InputSignal([0.5, 1.0], [1.0, 2.0])
     with pytest.raises(ValueError):
-        InputSignal.piecewise([0.0, 0.0], [1.0, 2.0])
+        InputSignal([0.0, 0.0], [1.0, 2.0])
 
 
 def test_input_signal_l2():
-    pw = InputSignal.piecewise([0.0, 1.0], [2.0, 1.0])
+    pw = InputSignal([0.0, 1.0], [2.0, 1.0])
     assert pw.l2_sq_on(0.0, 3.0) == pytest.approx(4.0 + 2.0)
     assert pw.l2_sq_on(0.5, 1.5) == pytest.approx(2.0 + 0.5)
 
@@ -76,7 +76,7 @@ def test_scalar_step_response():
 def test_superposition():
     sys, rng = _random_system(1)
     x0 = rng.normal(size=6)
-    u = InputSignal.piecewise([0.0, 0.3, 0.9], [1.0, -0.5, 0.25])
+    u = InputSignal([0.0, 0.3, 0.9], [1.0, -0.5, 0.25])
     grid = np.linspace(0.0, 1.5, 7)
     full = simulate_mild(sys, x0, u, grid)
     free = simulate_mild(sys, x0, InputSignal.zero(), grid)
@@ -160,7 +160,7 @@ def test_dini_steps_must_stay_in_the_first_input_segment():
     # Each quotient holds u(0) over [0, h], so the default steps stop
     # short of the first breakpoint rather than ignore the input switch.
     form = build_half_norm(SCALAR)
-    u = InputSignal.piecewise([0.0, 0.01], [1.0, -1.0])
+    u = InputSignal([0.0, 0.01], [1.0, -1.0])
     est = dini_derivative(form, SCALAR, [1.0], u)
     assert est.value == pytest.approx(0.0, abs=1e-10)
 
@@ -260,6 +260,63 @@ def test_sample_cloud_memory_is_linear_in_the_dimension():
         assert probe[k] == 1.0 and np.count_nonzero(probe) == 1
 
 
+def test_sample_cloud_is_one_read_only_stack_in_order():
+    # Gaussian rows, then e_0, e_1, e_(n-1), the input direction and the
+    # four input-aligned probes (theta = 0.5, 0.9 of the floor; scales 1/4, 1/2).
+    n = 6
+    sys = heat_system("neumann", n)
+    form = build_half_norm(sys)
+    cloud = default_sample_cloud(sys, form, count=5, seed=2)
+    assert cloud.shape == (5 + 3 + 1 + 4, n) and cloud.dtype == float
+    assert not cloud.flags.writeable
+    gauss = np.random.default_rng(2).standard_normal((5, n))
+    assert np.array_equal(cloud[:5], gauss / np.linalg.norm(gauss, axis=1)[:, None])
+    assert np.array_equal(cloud[5:8], np.eye(n)[[0, 1, n - 1]])
+    b = sys.input_coeffs
+    assert np.array_equal(cloud[8], b / np.linalg.norm(b))
+    wl = 2.0 * form.weights * sys.eigenvalues
+    floor = wl.min()
+    aligned = [
+        (form.weights * b) / (wl - theta) * scale
+        for theta in (0.5 * floor, 0.9 * floor)
+        for scale in (0.25, 0.5)
+    ]
+    assert np.array_equal(cloud[9:], aligned)
+
+
+@pytest.mark.parametrize("kind", ["heat-neumann", "dense"])
+def test_fit_reads_an_array_and_a_list_of_rows_alike(kind):
+    sys = heat_system("neumann", 16) if kind == "heat-neumann" else _dense_system(6, 5)
+    form = build_v_half(sys)
+    cloud = default_sample_cloud(sys, form, count=12, seed=0)
+    as_array = fit_dissipation(form, sys, cloud)
+    as_rows = fit_dissipation(form, sys, list(cloud))
+    assert as_array.samples.shape == as_rows.samples.shape
+    assert (as_array.samples == as_rows.samples).all()
+    assert (as_array.a3, as_array.a4) == (as_rows.a3, as_rows.a4)
+
+
+@pytest.mark.parametrize("kind", ["heat-neumann", "dense"])
+def test_fit_norms_equal_the_per_row_vdot(kind):
+    # ||x||^2 of the stacked product is the per-row np.vdot, bit for bit,
+    # also for complex states.
+    sys = heat_system("neumann", 9) if kind == "heat-neumann" else _dense_system(5, 3)
+    rng = np.random.default_rng(11)
+    states = rng.normal(size=(7, sys.dimension))
+    if kind == "dense":
+        states = states + 1j * rng.normal(size=states.shape)
+    report = fit_dissipation(build_w_plain(sys), sys, states, sample_inputs=(0.0,))
+    assert list(report.samples[:, 0]) == [np.vdot(x, x).real for x in states]
+
+
+def test_fit_refuses_a_wrong_width_stack():
+    sys = heat_system("neumann", 8)
+    with pytest.raises(
+        DimensionMismatchError, match="state length 7 does not match system dimension 8"
+    ):
+        fit_dissipation(build_half_norm(sys), sys, np.ones((3, 7)))
+
+
 def test_fit_dirichlet_input_coefficient_grows():
     a4s = []
     for n in (8, 32, 128):
@@ -304,7 +361,7 @@ def test_non_finite_sample_is_a_violation_wherever_it_sits(bad, position):
     form = build_half_norm(sys)
     cloud = default_sample_cloud(sys, form, count=16, seed=3)
     clean = fit_dissipation(form, sys, cloud)
-    states = [bad] + cloud if position == "first" else cloud + [bad]
+    states = np.vstack([bad, cloud] if position == "first" else [cloud, bad])
     with np.errstate(all="ignore"):
         report = fit_dissipation(form, sys, states)
     first_row = 0 if position == "first" else 5 * len(cloud)

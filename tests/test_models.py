@@ -118,7 +118,7 @@ def test_registry():
     assert set(MODEL_NAMES) == {"counterexample", "heat-dirichlet", "heat-neumann"}
     for name in MODEL_NAMES:
         sys = build_model(name, 4)
-        assert sys.mode_count == 4
+        assert sys.dimension == 4
         assert sys.label == name
     with pytest.raises(ValueError, match="unknown model"):
         build_model("wave", 4)

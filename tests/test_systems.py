@@ -38,6 +38,34 @@ def test_constructor_validation():
         MatrixSystem(np.array([[1.0, 0.0], [0.0, -1.0]]), np.ones((2, 1)))
 
 
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        (np.diag([-1.0, -2.0]), [1.0, complex(1.0, np.nan)]),
+        (np.array([[-1.0, complex(0.0, np.inf)], [0.0, -2.0]]), [1.0, 1.0]),
+    ],
+    ids=["nan-imaginary-b", "inf-imaginary-a"],
+)
+def test_matrix_system_refuses_non_finite_imaginary_parts(a, b):
+    with pytest.raises(ValueError, match="matrices must be finite"):
+        MatrixSystem(a, b)
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"input_coeffs": [1.0]}, "spectral config needs 'eigenvalues' or 'eigenvalue_rule'"),
+        ({"eigenvalue_rule": "n", "input_coeffs": [1.0]}, "eigenvalue_rule requires 'modes'"),
+        ({"eigenvalues": [1.0]}, "spectral config needs 'input_coeffs' or 'coeff_rule'"),
+        ({"eigenvalues": [1.0], "coeff_rule": "n"}, "coeff_rule requires 'modes'"),
+    ],
+)
+def test_spectral_config_names_the_missing_list_or_rule(doc, message):
+    with pytest.raises(ValueError) as info:
+        system_from_config(dict(doc, type="spectral"))
+    assert str(info.value) == message
+
+
 def test_semigroup_identity_at_zero(two_mode):
     x = np.array([3.0, -4.0])
     assert np.array_equal(semigroup_apply(two_mode, 0.0, x), x)
