@@ -246,125 +246,79 @@ def _certificate_trend(label, family, form_builder, config, rows):
     }
 
 
-def _check_edges(slots):
-    """Evaluate the implication edges against the filled slots.
+def _smallest_bounded_gamma(scans):
+    """The smallest scan exponent whose verdict is bounded, or None."""
+    return min((float(g) for g, e in scans.items() if e["verdict"] == "bounded"), default=None)
 
-    The first three are theorems for this class of systems: reporting one
-    as violated must abort the run.  The two crossed edges record either a
-    concrete witness of the non-implication or why no finite truncation
-    can decide it.
+
+def _tri(value, yes):
+    """Slot value as True (starts with ``yes``), None (inconclusive) or False."""
+    return True if value.startswith(yes) else None if "inconclusive" in value else False
+
+
+def _theorem(premise, conclusion, iff):
+    """Status of a theorem edge from a tri-state premise and conclusion."""
+    if premise is False and not iff:
+        return "vacuous"
+    if premise is None or conclusion is None:
+        return "inconclusive"
+    return "holds" if premise == conclusion else "violated"
+
+
+def _check_edges(slots, q):
+    """Evaluate the six implication edges against the filled slots, one row each.
+
+    Three theorems, through :func:`_theorem`: the admissibility criterion
+    (an iff), the exponent bridge at input exponent ``q`` (a bounded scan at
+    some gamma < 1 - 1/q) and the half-power construction; a violated one
+    aborts the run.  The orbit-energy edge is an observation, the crossed
+    edge is witnessed or not, and the similarity obstruction is not
+    checkable at finite N.
     """
-    edges = []
-
-    stable = slots["exponentially_stable"]["value"]
-    adm = slots["two_admissibility"]["value"]
-    iss = slots["l2_iss"]["value"]
-    if adm == "inconclusive" or iss == "inconclusive":
-        status = "inconclusive"
-    elif (stable and adm == "bounded") == (iss == "ISS"):
-        status = "holds"
-    else:
-        status = "violated"
-    edges.append(
-        {
-            "id": "stability-plus-bounded-input-constant-iff-l2-iss",
-            "status": status,
-            "detail": f"stable={stable}, constants {adm}, verdict {iss}",
-            "provenance": "admissibility criterion for square-integrable inputs",
-        }
-    )
-
-    scans = slots["gamma_scans"]["value"]
-    below_half = sorted(
-        float(g) for g, entry in scans.items()
-        if float(g) < 0.5 and entry["verdict"] == "bounded"
-    )
-    if below_half:
-        if adm == "bounded":
-            status = "holds"
-        elif adm == "inconclusive":
-            status = "inconclusive"
-        else:
-            status = "violated"
-        detail = f"bounded scan at gamma={min(below_half)} and constants {adm}"
-    else:
-        status = "vacuous"
-        detail = "no bounded scan strictly below one half at these truncations"
-    edges.append(
-        {
-            "id": "weakened-class-below-half-implies-bounded-input-constant",
-            "status": status,
-            "detail": detail,
-            "provenance": "sufficient admissibility exponent bridge q > 2/(1+2p)",
-        }
-    )
-
-    half_entry = scans.get("0.5")
+    stable, scans = slots["exponentially_stable"]["value"], slots["gamma_scans"]["value"]
+    adm, iss = slots["two_admissibility"]["value"], slots["l2_iss"]["value"]
     coercive = slots["coercive_quadratic_l2"]["value"]
-    if half_entry is None:
-        status, detail = "vacuous", "no scan at gamma = 1/2 requested"
-    elif half_entry["verdict"] == "bounded":
-        if coercive.startswith("certified"):
-            status = "holds"
-        elif "inconclusive" in coercive:
-            status = "inconclusive"
-        else:
-            status = "violated"
-        detail = f"half-power scan bounded and coercive certificate {coercive}"
-    else:
-        status = "vacuous"
-        detail = f"half-power scan {half_entry['verdict']}; the hypothesis fails"
-    edges.append(
-        {
-            "id": "half-power-class-implies-coercive-certificate",
-            "status": status,
-            "detail": detail,
-            "provenance": "self-adjoint coercive construction from the half squared norm",
-        }
-    )
-
     noncoercive = slots["noncoercive_w0"]["value"]
-    edges.append(
-        {
-            "id": "noncoercive-orbit-energy-certificate",
-            "status": "holds" if noncoercive.startswith("certified") else "not-observed",
-            "detail": f"orbit-energy certificate {noncoercive}",
-            "provenance": "non-coercive family from the plain orbit energy",
-        }
-    )
-
-    witnessed = adm == "bounded" and half_entry is not None and half_entry["verdict"] == "diverging"
-    edges.append(
-        {
-            "id": "bounded-input-constant-does-not-imply-half-power-class",
-            "status": "witnessed" if witnessed else "not-witnessed-here",
-            "detail": (
-                "bounded empirical constants with a diverging half-power scan"
-                if witnessed
-                else "this family does not witness the non-implication"
-            ),
-            "provenance": "dyadic counterexample: the implication arrow is crossed out",
-        }
-    )
-
-    cond_trend = slots["contraction_similarity"]["condition_numbers"]
-    edges.append(
-        {
-            "id": "stability-plus-bounded-input-constant-does-not-imply-contraction-similarity",
-            "status": "not-checkable-at-finite-truncation",
-            "detail": (
-                "every truncation admits a similarity scalar product; its distortion "
-                f"trend is {cond_trend}"
-            ),
-            "provenance": "obstruction lives only in the infinite-dimensional limit",
-        }
-    )
-
+    g_star, limit = _smallest_bounded_gamma(scans), 1.0 - 1.0 / q
+    bridged = g_star is not None and g_star < limit
+    half = scans["0.5"]["verdict"] if "0.5" in scans else None
+    witnessed = adm == "bounded" and half == "diverging"
+    rows = [
+        ("stability-plus-bounded-input-constant-iff-l2-iss",
+         _theorem(_tri(adm, "bounded") and stable, _tri(iss, "ISS"), iff=True),
+         f"stable={stable}, constants {adm}, verdict {iss}",
+         "admissibility criterion for square-integrable inputs"),
+        ("weakened-class-below-half-implies-bounded-input-constant",
+         _theorem(bridged, _tri(adm, "bounded"), iff=False),
+         f"bounded scan at gamma={g_star} and constants {adm}" if bridged else
+         "no bounded scan strictly below "
+         f"{'one half' if q == 2 else f'1 - 1/q = {limit:g}'} at these truncations",
+         "sufficient admissibility exponent bridge q > 2/(1+2p)"),
+        ("half-power-class-implies-coercive-certificate",
+         _theorem(half == "bounded", _tri(coercive, "certified"), iff=False),
+         "no scan at gamma = 1/2 requested" if half is None else
+         f"half-power scan bounded and coercive certificate {coercive}" if half == "bounded" else
+         f"half-power scan {half}; the hypothesis fails",
+         "self-adjoint coercive construction from the half squared norm"),
+        ("noncoercive-orbit-energy-certificate",
+         "holds" if _tri(noncoercive, "certified") else "not-observed",
+         f"orbit-energy certificate {noncoercive}",
+         "non-coercive family from the plain orbit energy"),
+        ("bounded-input-constant-does-not-imply-half-power-class",
+         "witnessed" if witnessed else "not-witnessed-here",
+         "bounded empirical constants with a diverging half-power scan" if witnessed else
+         "this family does not witness the non-implication",
+         "dyadic counterexample: the implication arrow is crossed out"),
+        ("stability-plus-bounded-input-constant-does-not-imply-contraction-similarity",
+         "not-checkable-at-finite-truncation",
+         "every truncation admits a similarity scalar product; its distortion trend is "
+         f"{slots['contraction_similarity']['condition_numbers']}",
+         "obstruction lives only in the infinite-dimensional limit"),
+    ]
+    edges = [dict(zip(("id", "status", "detail", "provenance"), row)) for row in rows]
     violated = [e["id"] for e in edges if e["status"] == "violated"]
     if violated:
-        raise InvariantViolationError(
-            f"theorem edge(s) reported violated: {', '.join(violated)}"
-        )
+        raise InvariantViolationError(f"theorem edge(s) reported violated: {', '.join(violated)}")
     return edges
 
 
@@ -402,17 +356,16 @@ def admissibility_stages(config: AnalysisConfig):
             }
             for n, v in zip(scan.mode_counts, scan.norms):
                 rows.append((label, "extrapolation", "class_scan_norm", f"{gamma:g}", n, None, v))
-    bounded_gammas = sorted(float(g) for g, e in scans.items() if e["verdict"] == "bounded")
-    if bounded_gammas and bounded_gammas[0] < 0.5:
-        g_star = bounded_gammas[0]
+    g_star = _smallest_bounded_gamma(scans)
+    if g_star is not None and g_star < 0.5:
         bridge = (
             f"membership at exponent {g_star:g} implies admissibility for every "
             f"input-integrability exponent above {1.0 / (1.0 - g_star):.6g} "
             f"(bridge 2/(1+2p) with p = 1/2 - {g_star:g})"
         )
-    elif bounded_gammas:
+    elif g_star is not None:
         bridge = (
-            f"weakened-class membership observed from exponent {bounded_gammas[0]:g} on; "
+            f"weakened-class membership observed from exponent {g_star:g} on; "
             "the sufficient bridge needs an exponent strictly below one half"
         )
     else:
@@ -471,7 +424,7 @@ def run_analyze(config: AnalysisConfig):
         "only its distortion trend is informative",
     }
 
-    edges = _check_edges(slots)
+    edges = _check_edges(slots, config.q)
 
     findings = []
     if slots["l2_iss"]["value"] == "not-ISS":

@@ -370,7 +370,136 @@ def test_edge_violation_detection():
         "contraction_similarity": {"condition_numbers": []},
     }
     with pytest.raises(InvariantViolationError, match="stability-plus-bounded-input-constant-iff-l2-iss"):
-        _check_edges(slots)
+        _check_edges(slots, q=2.0)
+
+
+IFF = "stability-plus-bounded-input-constant-iff-l2-iss"
+BRIDGE = "weakened-class-below-half-implies-bounded-input-constant"
+HALF = "half-power-class-implies-coercive-certificate"
+ORBIT = "noncoercive-orbit-energy-certificate"
+CROSSED = "bounded-input-constant-does-not-imply-half-power-class"
+SIMILARITY = "stability-plus-bounded-input-constant-does-not-imply-contraction-similarity"
+
+
+def _edge_slots(adm="bounded", iss="ISS", scans=None, coercive="certified",
+                noncoercive="certified", stable=True):
+    # Synthetic slots: ``scans`` maps a gamma key to its scan verdict.
+    return {
+        "exponentially_stable": {"value": stable},
+        "two_admissibility": {"value": adm},
+        "l2_iss": {"value": iss},
+        "gamma_scans": {"value": {g: {"verdict": v} for g, v in (scans or {}).items()}},
+        "coercive_quadratic_l2": {"value": coercive},
+        "noncoercive_w0": {"value": noncoercive},
+        "contraction_similarity": {"condition_numbers": [[8, 1.0], [16, 2.0]]},
+    }
+
+
+EDGE_BRANCHES = [
+    pytest.param({}, IFF, "holds", "stable=True, constants bounded, verdict ISS",
+                 id="iff-holds"),
+    pytest.param({"adm": "diverging", "iss": "not-ISS"}, IFF, "holds",
+                 "stable=True, constants diverging, verdict not-ISS", id="iff-holds-negative"),
+    pytest.param({"iss": "not-ISS"}, IFF, "violated", None, id="iff-violated"),
+    pytest.param({"adm": "inconclusive"}, IFF, "inconclusive",
+                 "stable=True, constants inconclusive, verdict ISS", id="iff-inconclusive-adm"),
+    pytest.param({"iss": "inconclusive"}, IFF, "inconclusive",
+                 "stable=True, constants bounded, verdict inconclusive",
+                 id="iff-inconclusive-iss"),
+    pytest.param({}, BRIDGE, "vacuous",
+                 "no bounded scan strictly below one half at these truncations",
+                 id="bridge-vacuous"),
+    pytest.param({"scans": {"0.5": "bounded", "0.75": "bounded"}}, BRIDGE, "vacuous",
+                 "no bounded scan strictly below one half at these truncations",
+                 id="bridge-vacuous-at-half"),
+    pytest.param({"scans": {"0.25": "diverging", "0.375": "bounded", "0.4": "bounded"}},
+                 BRIDGE, "holds", "bounded scan at gamma=0.375 and constants bounded",
+                 id="bridge-holds"),
+    pytest.param({"adm": "inconclusive", "scans": {"0.25": "bounded"}}, BRIDGE,
+                 "inconclusive", "bounded scan at gamma=0.25 and constants inconclusive",
+                 id="bridge-inconclusive"),
+    pytest.param({"adm": "diverging", "iss": "not-ISS", "scans": {"0.25": "bounded"}},
+                 BRIDGE, "violated", None, id="bridge-violated"),
+    pytest.param({}, HALF, "vacuous", "no scan at gamma = 1/2 requested", id="half-not-requested"),
+    pytest.param({"scans": {"0.5": "diverging"}}, HALF, "vacuous",
+                 "half-power scan diverging; the hypothesis fails", id="half-hypothesis-fails"),
+    pytest.param({"scans": {"0.5": "inconclusive"}}, HALF, "vacuous",
+                 "half-power scan inconclusive; the hypothesis fails",
+                 id="half-hypothesis-inconclusive"),
+    pytest.param({"scans": {"0.5": "bounded"}}, HALF, "holds",
+                 "half-power scan bounded and coercive certificate certified", id="half-holds"),
+    pytest.param({"scans": {"0.5": "bounded"}, "coercive": "certified-single-truncation"},
+                 HALF, "holds",
+                 "half-power scan bounded and coercive certificate certified-single-truncation",
+                 id="half-holds-single"),
+    pytest.param({"scans": {"0.5": "bounded"}, "coercive": "input-coefficient-inconclusive"},
+                 HALF, "inconclusive",
+                 "half-power scan bounded and coercive certificate input-coefficient-inconclusive",
+                 id="half-inconclusive"),
+    pytest.param({"scans": {"0.5": "bounded"}, "coercive": "input-coefficient-diverging"},
+                 HALF, "violated", None, id="half-violated"),
+    pytest.param({"scans": {"0.5": "bounded"}, "coercive": "infeasible"},
+                 HALF, "violated", None, id="half-violated-infeasible"),
+    pytest.param({}, ORBIT, "holds", "orbit-energy certificate certified", id="orbit-holds"),
+    pytest.param({"noncoercive": "input-coefficient-diverging"}, ORBIT, "not-observed",
+                 "orbit-energy certificate input-coefficient-diverging", id="orbit-not-observed"),
+    pytest.param({"noncoercive": "input-coefficient-inconclusive"}, ORBIT, "not-observed",
+                 "orbit-energy certificate input-coefficient-inconclusive",
+                 id="orbit-inconclusive-not-observed"),
+    pytest.param({"scans": {"0.5": "diverging"}}, CROSSED, "witnessed",
+                 "bounded empirical constants with a diverging half-power scan", id="witnessed"),
+    pytest.param({"adm": "diverging", "iss": "not-ISS", "scans": {"0.5": "diverging"}},
+                 CROSSED, "not-witnessed-here",
+                 "this family does not witness the non-implication", id="not-witnessed"),
+    pytest.param({}, SIMILARITY, "not-checkable-at-finite-truncation",
+                 "every truncation admits a similarity scalar product; its distortion "
+                 "trend is [[8, 1.0], [16, 2.0]]", id="similarity"),
+    # The bridge premise is a bounded scan at some gamma < 1 - 1/q.
+    pytest.param({"q": 1.0, "adm": "diverging", "iss": "not-ISS", "scans": {"0": "bounded"}},
+                 BRIDGE, "vacuous",
+                 "no bounded scan strictly below 1 - 1/q = 0 at these truncations",
+                 id="bridge-q1-never"),
+    pytest.param({"q": math.inf, "scans": {"0.5": "diverging", "0.75": "bounded"}}, BRIDGE,
+                 "holds", "bounded scan at gamma=0.75 and constants bounded",
+                 id="bridge-qinf-holds"),
+    pytest.param({"q": math.inf, "adm": "inconclusive", "scans": {"0.75": "bounded"}}, BRIDGE,
+                 "inconclusive", "bounded scan at gamma=0.75 and constants inconclusive",
+                 id="bridge-qinf-inconclusive"),
+    pytest.param({"q": math.inf, "adm": "diverging", "iss": "not-ISS",
+                  "scans": {"0.75": "bounded"}}, BRIDGE, "violated", None,
+                 id="bridge-qinf-violated"),
+    pytest.param({"q": math.inf, "scans": {"1": "bounded"}}, BRIDGE, "vacuous",
+                 "no bounded scan strictly below 1 - 1/q = 1 at these truncations",
+                 id="bridge-qinf-not-at-gamma-1"),
+]
+
+
+@pytest.mark.parametrize("overrides, edge_id, status, detail", EDGE_BRANCHES)
+def test_every_edge_branch(overrides, edge_id, status, detail):
+    overrides = dict(overrides)
+    q = overrides.pop("q", 2.0)
+    slots = _edge_slots(**overrides)
+    if status == "violated":
+        with pytest.raises(InvariantViolationError) as caught:
+            _check_edges(slots, q=q)
+        assert str(caught.value) == f"theorem edge(s) reported violated: {edge_id}"
+        return
+    edges = _check_edges(slots, q=q)
+    assert [e["id"] for e in edges] == [IFF, BRIDGE, HALF, ORBIT, CROSSED, SIMILARITY]
+    assert all(sorted(e) == ["detail", "id", "provenance", "status"] for e in edges)
+    edge = {e["id"]: e for e in edges}[edge_id]
+    assert (edge["status"], edge["detail"]) == (status, detail)
+
+
+def test_l1_run_on_heat_neumann_leaves_the_bridge_vacuous():
+    config = AnalysisConfig(model="heat-neumann", modes=(16, 64, 256), q=1)
+    report, _ = run_analyze(config)
+    edges = {e["id"]: e for e in report["edges"]}
+    assert edges[BRIDGE]["status"] == "vacuous"
+    assert edges[BRIDGE]["detail"] == (
+        "no bounded scan strictly below 1 - 1/q = 0 at these truncations"
+    )
+    assert report["slots"]["l2_iss"]["value"] == "not-ISS"
 
 
 def test_cli_maps_an_invariant_violation_to_exit_4(monkeypatch, capsys):
@@ -745,6 +874,37 @@ def test_cli_selftest_every_fault_target_trips(target, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert code == 4
     assert any(line.startswith(f"FAIL  {target}:") for line in lines)
+
+
+_ZERO_A3_SELFTEST = """
+import dataclasses
+import lyapcert.selftest as selftest
+
+fit = selftest.fit_dissipation
+selftest.fit_dissipation = lambda *a, **k: dataclasses.replace(fit(*a, **k), a3=0.0)
+selftest._CHECKS = [c for c in selftest._CHECKS if c[0] == "homogeneous-value-decay"]
+print(selftest.run_selftest())
+"""
+
+
+@pytest.mark.parametrize("flags", [["-O"], []], ids=["optimized", "plain"])
+def test_homogeneous_decay_check_fails_on_a_zero_a3(flags):
+    # The a3 condition is part of the check's verdict, so ``python -O``
+    # cannot strip it, and the failure line names it.
+    import os
+    import subprocess
+    import sys
+
+    import lyapcert
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lyapcert.__file__)))
+    proc = subprocess.run([sys.executable, *flags, "-c", _ZERO_A3_SELFTEST],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    line, verdict = proc.stdout.splitlines()
+    assert line.startswith("FAIL  homogeneous-value-decay: a3 0;")
+    assert verdict == "False"
 
 
 def test_simulate_run(tmp_path):
