@@ -1,16 +1,18 @@
-"""Input-operator classification and empirical admissibility constants.
+"""Input-operator classification and admissibility constants.
 
 Two complementary probes of an input column ``b``:
 
 * an extrapolation-space scan: how ``||(-A)^(-gamma) b||`` grows as modes
   are added, classifying whether ``B`` lands in the weakened space of
   exponent ``gamma``;
-* an empirical admissibility constant: the best bound ``K`` with
-  ``||int_0^T T(T-s) B u(s) ds|| <= K ||u||_{L^q(0,T)}``, measured on a
-  piecewise-constant input family with exact per-interval integration.
+* an admissibility constant: the best bound ``K`` with
+  ``||int_0^T T(T-s) B u(s) ds|| <= K ||u||_{L^q(0,T)}``.  At q = 2 it is
+  exact on both realizations, the square root of the top eigenvalue of the
+  input Gramian; so are q = 1 and q = inf on diagonal systems, while dense
+  systems sample those two on a graded time grid.
   :func:`admissibility_trend` computes every constant of a (horizon, mode
-  count) sweep on one shared grid; :func:`admissibility_constant` is its
-  one-system, one-horizon case.
+  count) sweep; :func:`admissibility_constant` is its one-system,
+  one-horizon case.
 
 The two need not agree -- a bounded constant with a diverging scan is the
 interesting regime -- and the trend classifier below keeps its thresholds
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .systems import extrapolation_norm
+from .systems import SpectralSystem, extrapolation_norm
 
 __all__ = [
     "AdmissibilityEstimate",
@@ -177,25 +179,33 @@ def _graded_backward_grid(fastest_rate, horizon, steps):
     return np.concatenate([[0.0], nodes])
 
 
+def _diagonal_constants(sys, q, horizons):
+    # Closed forms of the q = 1 and q = inf constants of a diagonal system:
+    # every mode's kernel b e^(-lam tau) peaks at tau = 0, and with a scalar
+    # input every mode's response shares the sign of its b, so the aligned
+    # sign input is worst and the integral telescopes.
+    lam, b = sys.eigenvalues, sys.input_coeffs
+    if q == 1.0:
+        return [float(np.linalg.norm(b))] * len(horizons)
+    return [float(np.linalg.norm(np.abs(b) * (-np.expm1(-lam * t) / lam))) for t in horizons]
+
+
 def _constant_on_grid(sys, q, nodes):
+    # Dense q = 1 and q = inf constants, sampled on the backward-time nodes.
     if q == 1.0:
         # Concentrated inputs: the constant is the largest kernel norm
         # ||T(tau) B|| over the nodes, each the exact free step of b.
         b = sys.input_coeffs
         return float(max(np.linalg.norm(sys.step(b, None, tau)) for tau in nodes))
-    # Column j integrates T(tau) B exactly over the j-th backward segment.
+    # q = inf: column j integrates T(tau) B exactly over the j-th backward
+    # segment, and the aligned-sign sum of the columns is the worst
+    # bounded input when every segment shares the per-mode sign.
     columns = sys.input_segment_integrals(nodes)
-    if q == 2.0:
-        weighted = columns / np.sqrt(np.diff(nodes))[None, :]
-        return float(np.linalg.svd(weighted, compute_uv=False)[0])
-    # q = inf: for a diagonal semigroup with scalar input, every segment
-    # contribution shares the per-mode sign, so the worst bounded input is
-    # a constant sign pattern and the supremum is exact.
     return float(np.linalg.norm(np.sum(np.abs(columns), axis=1)))
 
 
 def admissibility_constant(sys, q, horizon, steps=512) -> AdmissibilityEstimate:
-    """Empirical q-admissibility constant of the input map at one horizon.
+    """The q-admissibility constant of the input map at one horizon.
 
     The one-system, one-horizon case of :func:`admissibility_trend`.
     """
@@ -203,17 +213,22 @@ def admissibility_constant(sys, q, horizon, steps=512) -> AdmissibilityEstimate:
 
 
 def admissibility_trend(systems, q, horizons, steps=512) -> AdmissibilityEstimate:
-    """Constants over a (horizon, mode count) sweep on one shared grid.
+    """Constants over a (horizon, mode count) sweep.
 
-    The input space is scalar.  For q = 2 the constant is the largest
-    singular value of the width-weighted discrete input map; for q = inf
-    it is the aligned-sign worst case, exact for diagonal systems; for
-    q = 1 it is the peak kernel norm.
+    The input space is scalar.  For q = 2 the constant is exact:
+    ``sqrt(lambda_max(W_T))`` of the input Gramian, from each system's
+    ``l2_input_constants``.  On diagonal systems q = 1 gives ``||b||`` and
+    q = inf ``|| |b| (1 - e^(-lam T)) / lam ||``, both exact.  On dense
+    systems q = 1 is the peak kernel norm ``||T(tau) b||`` and q = inf the
+    aligned-sign worst case, both sampled on one graded grid of ``steps``
+    segments, built for the largest horizon and the stiffest dense system;
+    smaller horizons are snapped onto its nodes.  ``steps`` sizes only that
+    grid.
 
-    A single graded grid of ``steps`` segments is built for the largest
-    horizon and the stiffest system; smaller horizons are snapped onto its
-    nodes.  Sharing the grid makes the monotonicity of K in both T and N
-    exact: growing T appends columns, growing N appends rows.
+    Monotonicity in T and N is exact for the Gramian: a larger T increases
+    ``W_T`` in the Loewner order, and a leading truncation's Gramian is a
+    leading principal block, so Cauchy interlacing orders the top
+    eigenvalues.  On the grid, growing T appends columns.
     """
     q = _normalize_q(q)
     systems = sorted(systems, key=lambda s: s.dimension)
@@ -224,14 +239,22 @@ def admissibility_trend(systems, q, horizons, steps=512) -> AdmissibilityEstimat
         raise ValueError("horizon must be positive and finite")
     if steps < 8:
         raise ValueError("need at least 8 discretization steps")
-    fastest = max(s.fastest_rate for s in systems)
-    master = _graded_backward_grid(fastest, horizons[-1], steps)
-    master = np.unique(np.concatenate([master, np.asarray(horizons)]))
+    dense = [s for s in systems if not isinstance(s, SpectralSystem)]
+    if q != 2.0 and dense:
+        fastest = max(s.fastest_rate for s in dense)
+        master = _graded_backward_grid(fastest, horizons[-1], steps)
+        master = np.unique(np.concatenate([master, np.asarray(horizons)]))
     rows = []
     for sys in systems:
-        for horizon in horizons:
-            nodes = master[master <= horizon * (1.0 + 1e-12)]
-            rows.append((horizon, sys.dimension, _constant_on_grid(sys, q, nodes)))
+        if q == 2.0:
+            constants = sys.l2_input_constants(horizons)
+        elif isinstance(sys, SpectralSystem):
+            constants = _diagonal_constants(sys, q, horizons)
+        else:
+            constants = [
+                _constant_on_grid(sys, q, master[master <= t * (1.0 + 1e-12)]) for t in horizons
+            ]
+        rows.extend((t, sys.dimension, k) for t, k in zip(horizons, constants))
     return AdmissibilityEstimate(
         q=q, horizon=horizons[-1], constant=rows[-1][2], trend=tuple(rows)
     )
@@ -246,9 +269,10 @@ class IssVerdict:
 def l2_iss_verdict(sys, estimate: AdmissibilityEstimate) -> IssVerdict:
     """Combine exponential stability with the constant trend over modes.
 
-    Stability plus a bounded input-map constant is the criterion for
-    square-integrable-input stability; a constant that keeps growing as
-    modes are added signals its failure.
+    Stability plus a bounded input-map constant at the estimate's exponent
+    q is the criterion for ISS with L^q inputs (square-integrable ones at
+    q = 2); a constant that keeps growing as modes are added signals its
+    failure.
     """
     # Both constructors refuse a nonpositive spectral gap.
     reasons = [f"exponentially stable with spectral gap {sys.spectral_gap:.6g}"]

@@ -55,6 +55,15 @@ __all__ = [
 
 SCHEMA_VERSION = "1"
 
+# What each exponent's admissibility constant is, per input exponent q.
+CONSTANT_PROVENANCE = {
+    2.0: "square root of the largest eigenvalue of the input Gramian at the horizon",
+    1.0: "peak kernel norm ||T(tau) b|| over the horizon: ||b|| on diagonal systems, "
+    "a graded-grid maximum on dense ones",
+    math.inf: "aligned-sign worst bounded input || int |T(tau) b| dtau ||: closed form "
+    "on diagonal systems, graded-grid segments on dense ones",
+}
+
 
 class ConfigError(ValueError):
     """The analysis configuration cannot be used."""
@@ -246,9 +255,17 @@ def _certificate_trend(label, family, form_builder, config, rows):
     }
 
 
-def _smallest_bounded_gamma(scans):
-    """The smallest scan exponent whose verdict is bounded, or None."""
-    return min((float(g) for g, e in scans.items() if e["verdict"] == "bounded"), default=None)
+def _bridge(scans, q):
+    """``(g_star, bridged, threshold)`` of the exponent bridge at input exponent ``q``.
+
+    ``g_star`` is the smallest scan exponent whose verdict is bounded (or
+    None), ``bridged`` whether it lies strictly below ``1 - 1/q``, and
+    ``threshold`` names that bound in words.
+    """
+    g_star = min((float(g) for g, e in scans.items() if e["verdict"] == "bounded"), default=None)
+    limit = 1.0 - 1.0 / q
+    threshold = "one half" if q == 2 else f"1 - 1/q = {limit:g}"
+    return g_star, g_star is not None and g_star < limit, threshold
 
 
 def _tri(value, yes):
@@ -269,18 +286,18 @@ def _check_edges(slots, q):
     """Evaluate the six implication edges against the filled slots, one row each.
 
     Three theorems, through :func:`_theorem`: the admissibility criterion
-    (an iff), the exponent bridge at input exponent ``q`` (a bounded scan at
-    some gamma < 1 - 1/q) and the half-power construction; a violated one
-    aborts the run.  The orbit-energy edge is an observation, the crossed
-    edge is witnessed or not, and the similarity obstruction is not
-    checkable at finite N.
+    (an iff, at q = 2), the exponent bridge at input exponent ``q`` (a
+    bounded scan at some gamma < 1 - 1/q implies bounded q-constants) and
+    the half-power construction; a violated one aborts the run.  The
+    orbit-energy edge is an observation, the crossed edge is witnessed or
+    not, and the similarity obstruction is not checkable at finite N.
     """
     stable, scans = slots["exponentially_stable"]["value"], slots["gamma_scans"]["value"]
     adm, iss = slots["two_admissibility"]["value"], slots["l2_iss"]["value"]
     coercive = slots["coercive_quadratic_l2"]["value"]
     noncoercive = slots["noncoercive_w0"]["value"]
-    g_star, limit = _smallest_bounded_gamma(scans), 1.0 - 1.0 / q
-    bridged = g_star is not None and g_star < limit
+    adm_q = slots.get("q_admissibility", slots["two_admissibility"])["value"]
+    g_star, bridged, threshold = _bridge(scans, q)
     half = scans["0.5"]["verdict"] if "0.5" in scans else None
     witnessed = adm == "bounded" and half == "diverging"
     rows = [
@@ -289,10 +306,9 @@ def _check_edges(slots, q):
          f"stable={stable}, constants {adm}, verdict {iss}",
          "admissibility criterion for square-integrable inputs"),
         ("weakened-class-below-half-implies-bounded-input-constant",
-         _theorem(bridged, _tri(adm, "bounded"), iff=False),
-         f"bounded scan at gamma={g_star} and constants {adm}" if bridged else
-         "no bounded scan strictly below "
-         f"{'one half' if q == 2 else f'1 - 1/q = {limit:g}'} at these truncations",
+         _theorem(bridged, _tri(adm_q, "bounded"), iff=False),
+         f"bounded scan at gamma={g_star} and constants {adm_q}" if bridged else
+         f"no bounded scan strictly below {threshold} at these truncations",
          "sufficient admissibility exponent bridge q > 2/(1+2p)"),
         ("half-power-class-implies-coercive-certificate",
          _theorem(half == "bounded", _tri(coercive, "certified"), iff=False),
@@ -327,8 +343,10 @@ def admissibility_stages(config: AnalysisConfig):
 
     Returns ``(label, family, slots, rows)``: the slots
     ``exponentially_stable``, ``gamma_scans``, ``two_admissibility`` and
-    ``l2_iss``, plus their ``trends.csv`` rows.  ``run_analyze`` builds on
-    them; ``admissibility-scan`` reports them alone.
+    ``l2_iss``, plus their ``trends.csv`` rows.  The last two are always at
+    q = 2; at ``config.q`` of 1 or inf the slot ``q_admissibility`` adds that
+    exponent's constants, verdict and ``lq_iss`` verdict.  ``run_analyze``
+    builds on them; ``admissibility-scan`` reports them alone.
     """
     label, family = _family(config)
     rows = []
@@ -356,8 +374,8 @@ def admissibility_stages(config: AnalysisConfig):
             }
             for n, v in zip(scan.mode_counts, scan.norms):
                 rows.append((label, "extrapolation", "class_scan_norm", f"{gamma:g}", n, None, v))
-    g_star = _smallest_bounded_gamma(scans)
-    if g_star is not None and g_star < 0.5:
+    g_star, bridged, threshold = _bridge(scans, config.q)
+    if bridged:
         bridge = (
             f"membership at exponent {g_star:g} implies admissibility for every "
             f"input-integrability exponent above {1.0 / (1.0 - g_star):.6g} "
@@ -366,7 +384,7 @@ def admissibility_stages(config: AnalysisConfig):
     elif g_star is not None:
         bridge = (
             f"weakened-class membership observed from exponent {g_star:g} on; "
-            "the sufficient bridge needs an exponent strictly below one half"
+            f"the sufficient bridge needs an exponent strictly below {threshold}"
         )
     else:
         bridge = "no bounded scan at these truncations; bridge not applicable"
@@ -376,23 +394,24 @@ def admissibility_stages(config: AnalysisConfig):
         "provenance": "extrapolation norms of the input column across truncations",
     }
 
-    estimate = admissibility_trend(family, config.q, [config.horizon])
-    trend_rows, adm_verdict, adm_slope = estimate.mode_trend()
-    slots["two_admissibility"] = {
-        "value": adm_verdict,
-        "slope": adm_slope,
-        "constants": [[n, v] for n, v in trend_rows],
-        "provenance": "largest singular value of the discretized input map",
-    }
-    for n, v in trend_rows:
-        rows.append((label, "input-map", "admissibility_constant", f"{config.q:g}", n, config.horizon, v))
-
-    verdict = l2_iss_verdict(family[-1], estimate)
-    slots["l2_iss"] = {
-        "value": verdict.verdict,
-        "reasons": list(verdict.reasons),
-        "provenance": "stability combined with the constant trend",
-    }
+    for q in dict.fromkeys((2.0, config.q)):
+        estimate = admissibility_trend(family, q, [config.horizon])
+        trend_rows, adm_verdict, adm_slope = estimate.mode_trend()
+        constants = {
+            "value": adm_verdict,
+            "slope": adm_slope,
+            "constants": [[n, v] for n, v in trend_rows],
+            "provenance": CONSTANT_PROVENANCE[q],
+        }
+        for n, v in trend_rows:
+            rows.append((label, "input-map", "admissibility_constant", f"{q:g}", n, config.horizon, v))
+        verdict = l2_iss_verdict(family[-1], estimate)
+        iss = {"value": verdict.verdict, "reasons": list(verdict.reasons)}
+        if q == 2.0:
+            slots["two_admissibility"] = constants
+            slots["l2_iss"] = dict(iss, provenance="stability combined with the constant trend")
+        else:
+            slots["q_admissibility"] = dict(constants, q=f"{q:g}", lq_iss=iss)
     return label, family, slots, rows
 
 
@@ -429,6 +448,9 @@ def run_analyze(config: AnalysisConfig):
     findings = []
     if slots["l2_iss"]["value"] == "not-ISS":
         findings.append("input-map constants diverge across truncations")
+    q_slot = slots.get("q_admissibility")
+    if q_slot and q_slot["lq_iss"]["value"] == "not-ISS":
+        findings.append(f"q={q_slot['q']} input-map constants diverge across truncations")
     for slot_name in ("coercive_quadratic_l2", "noncoercive_w0"):
         status = slots[slot_name]["value"]
         if not status.startswith("certified"):

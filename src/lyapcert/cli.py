@@ -123,23 +123,31 @@ def _cmd_admissibility_scan(args) -> int:
     config = _build_config(args)
     label, _, slots, _ = admissibility_stages(config)
     scans = slots["gamma_scans"]["value"]
-    adm = slots["two_admissibility"]
+    adm, q_slot = slots["two_admissibility"], slots.get("q_admissibility")
     verdict_doc = {
         "schema": SCHEMA_VERSION,
         "system": label,
+        "q": f"{config.q:g}",
         "scans": scans,
         "constants": adm["constants"],
         "constant_verdict": adm["value"],
         "l2_iss": slots["l2_iss"],
     }
+    if q_slot:
+        verdict_doc["q_admissibility"] = q_slot
     artifacts = _write_artifacts(config.out_dir, {"verdicts": ("admissibility.json", verdict_doc)})
     for kind, path in artifacts.items():
         print(f"wrote {kind}: {path}")
     for gamma, entry in sorted(scans.items(), key=lambda kv: float(kv[0])):
         print(f"  gamma={gamma}: {entry['verdict']} (exponent {entry['exponent']:.4g})")
-    print(f"  q={config.q}: {adm['value']}")
+    print(f"  q=2.0: {adm['value']}")
     print(f"  verdict: {slots['l2_iss']['value']}")
-    return EXIT_FINDING if slots["l2_iss"]["value"] == "not-ISS" else EXIT_OK
+    verdicts = [slots["l2_iss"]["value"]]
+    if q_slot:
+        verdicts.append(q_slot["lq_iss"]["value"])
+        print(f"  q={config.q}: {q_slot['value']}")
+        print(f"  verdict at q={config.q}: {verdicts[-1]}")
+    return EXIT_FINDING if "not-ISS" in verdicts else EXIT_OK
 
 
 def _cmd_lyapunov_eval(args) -> int:

@@ -18,8 +18,15 @@ these quantities:
 * ``decay_prefactors(powers, delta)``, per power ``r`` the smallest ``M``
   with ``||(-A)^r T(t)|| <= M t^-r e^(-delta t)``: in closed form on
   diagonal systems, a grid maximum on dense ones;
-* ``input_segment_integrals(nodes)``, the input map ``int T(tau) B dtau``
-  over the segments between consecutive nodes.
+* ``l2_input_constants(horizons)``, per horizon T the exact L2 input-map
+  constant ``sqrt(lambda_max(W_T))`` of the input Gramian
+  ``W_T = int_0^T T(tau) b b^H T(tau)^H dtau``: a pivoted Cholesky factor
+  on diagonal systems, one Lyapunov solve and one ``expm`` per horizon on
+  dense ones.
+
+Dense systems also expose ``input_segment_integrals(nodes)``, the input map
+``int T(tau) B dtau`` over the segments between consecutive nodes, which the
+q = 1 and q = inf constants sample.
 
 States are plain 1-D numpy arrays; helpers here validate their length
 against the owning system.
@@ -57,6 +64,10 @@ EIGENVECTOR_COND_LIMIT = 1e8
 # ~1e-13 rounding of expm and the SVD.
 CEILING_MARGIN = 1e-9
 
+# A pivoted Cholesky factor of a diagonal input Gramian stops once every
+# residual diagonal entry is at most this fraction of the Gramian's trace.
+CHOLESKY_STOP = 1e-15
+
 
 class DimensionMismatchError(ValueError):
     """State or input dimensions inconsistent with the owning system."""
@@ -69,6 +80,44 @@ class ConditioningError(RuntimeError):
 def _readonly(array):
     array.setflags(write=False)
     return array
+
+
+def _sqrt_top_eigenvalue(gram):
+    # sqrt(lambda_max) of a Hermitian positive semidefinite matrix; 0 if empty.
+    top = np.linalg.eigvalsh(gram)[-1] if gram.size else 0.0
+    return float(np.sqrt(max(top, 0.0)))
+
+
+def _gramian_factor(lam, b, horizon):
+    """Pivoted Cholesky factor of the diagonal input Gramian at one horizon.
+
+    ``W_nm = b_n b_m (1 - e^(-(lam_n + lam_m) T)) / (lam_n + lam_m)`` is built
+    one pivot column at a time, never as an N x N matrix.  Returns
+    ``(factor, residual)``: the r x N factor ``F`` with ``W ~ F^T F`` and the
+    diagonal of ``W - F^T F``, every entry at most ``CHOLESKY_STOP`` times
+    ``trace(W)``.  ``W - F^T F`` is positive semidefinite, so
+    ``lambda_max(F F^T) <= lambda_max(W) <= lambda_max(F F^T) + trace(residual)``.
+    """
+    n = lam.size
+    residual = b * (b * (-np.expm1(-2.0 * lam * horizon) / (2.0 * lam)))
+    stop = CHOLESKY_STOP * residual.sum()
+    factor = np.empty((min(n, 16), n))
+    rank = 0
+    while rank < n:
+        j = int(np.argmax(residual))
+        pivot = residual[j]
+        if pivot <= stop:
+            break
+        total = lam + lam[j]
+        column = b * (b[j] * (-np.expm1(-total * horizon) / total))
+        column -= factor[:rank, j] @ factor[:rank]
+        if rank == len(factor):  # grow the row buffer by doubling
+            factor = np.concatenate([factor, np.empty_like(factor)])[:n]
+        factor[rank] = column / np.sqrt(pivot)
+        residual -= factor[rank] ** 2
+        residual[j] = 0.0
+        rank += 1
+    return factor[:rank], residual
 
 
 def _cached_power(sys, alpha, compute):
@@ -159,12 +208,17 @@ class SpectralSystem:
         lam = self.spectral_gap
         return [(r * lam / (np.e * (lam - delta))) ** r for r in powers]
 
-    def input_segment_integrals(self, nodes) -> np.ndarray:
-        """Column j holds int_{nodes_j}^{nodes_j+1} T(tau) B dtau, exact per mode."""
-        lam = self.eigenvalues[:, None]
-        b = self.input_coeffs[:, None]
-        decay = np.exp(-lam * nodes[None, :])
-        return b * (decay[:, :-1] - decay[:, 1:]) / lam
+    def l2_input_constants(self, horizons) -> list:
+        """sqrt(lambda_max(W_T)) per horizon T, from a pivoted Cholesky factor of W_T.
+
+        The top eigenvalue of ``F F^T`` (r x r) is that of ``F^T F``; see
+        :func:`_gramian_factor` for the enclosure of the exact value.
+        """
+        constants = []
+        for horizon in horizons:
+            factor, _ = _gramian_factor(self.eigenvalues, self.input_coeffs, horizon)
+            constants.append(_sqrt_top_eigenvalue(factor @ factor.T))
+        return constants
 
 
 @dataclass(frozen=True)
@@ -297,6 +351,21 @@ class MatrixSystem:
             found = coarse[j] if j in coarse else visit(t, near)
             near = [(t, found[i]) if i in found else a for i, a in enumerate(near)]
         return best
+
+    def l2_input_constants(self, horizons) -> list:
+        """sqrt(lambda_max(W_T)) per horizon T, from one Lyapunov solve and one expm each.
+
+        ``A W + W A^H = -b b^H`` gives the infinite-horizon Gramian ``W``, and
+        ``W_T = W - E W E^H`` with ``E = e^(AT)``.
+        """
+        b = self.input_coeffs[:, None]
+        steady = scipy.linalg.solve_continuous_lyapunov(self.a_matrix, -b @ b.conj().T)
+        constants = []
+        for horizon in horizons:
+            semigroup = scipy.linalg.expm(self.a_matrix * horizon)
+            gram = steady - semigroup @ steady @ semigroup.conj().T
+            constants.append(_sqrt_top_eigenvalue((gram + gram.conj().T) / 2.0))
+        return constants
 
     def input_segment_integrals(self, nodes) -> np.ndarray:
         """Column j holds A^-1 (T(nodes_j+1) - T(nodes_j)) B, the integral of T(tau) B.

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import gram_constant
+from test_systems import REALIZATION_RTOL
 from lyapcert.admissibility import (
     AdmissibilityEstimate,
     admissibility_constant,
@@ -15,7 +16,7 @@ from lyapcert.admissibility import (
     operator_class_scan,
 )
 from lyapcert.models import counterexample_system, heat_system
-from lyapcert.systems import MatrixSystem, SpectralSystem
+from lyapcert.systems import CHOLESKY_STOP, MatrixSystem, SpectralSystem, _gramian_factor
 
 
 def test_classify_trend_basic():
@@ -72,8 +73,8 @@ def test_scalar_l2_constant_reaches_closed_form():
     # Oracle: the extremal input is proportional to exp(-(T-s)); the
     # constant converges to sqrt(int_0^inf e^(-2 tau) d tau) = 1/sqrt(2).
     sys = SpectralSystem([1.0], [1.0])
-    est = admissibility_constant(sys, 2, horizon=20.0, steps=2048)
-    assert est.constant == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-4)
+    est = admissibility_constant(sys, 2, horizon=20.0)
+    assert est.constant == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-15)
 
 
 def test_l2_constant_matches_gram_oracle():
@@ -81,10 +82,9 @@ def test_l2_constant_matches_gram_oracle():
     for _ in range(5):
         n = int(rng.integers(2, 8))
         sys = SpectralSystem(np.sort(rng.uniform(0.2, 20.0, n)), rng.normal(size=n))
-        est = admissibility_constant(sys, 2, horizon=8.0, steps=2048)
+        est = admissibility_constant(sys, 2, horizon=8.0)
         oracle = gram_constant(sys.eigenvalues, sys.input_coeffs, 8.0)
-        assert est.constant == pytest.approx(oracle, rel=2e-3)
-        assert est.constant <= oracle * (1 + 1e-9)  # discretization only loses
+        assert est.constant == pytest.approx(oracle, rel=1e-12)
 
 
 def test_zero_input_operator():
@@ -100,26 +100,42 @@ def test_matrix_realization_matches_diagonal():
     b = np.array([1.0, -0.5, 2.0])
     diagonal = SpectralSystem(lam, b)
     dense = MatrixSystem(np.diag(-lam), b.reshape(-1, 1))
-    k_diag = admissibility_constant(diagonal, 2, horizon=6.0, steps=256).constant
-    k_dense = admissibility_constant(dense, 2, horizon=6.0, steps=256).constant
+    k_diag = admissibility_constant(diagonal, 2, horizon=6.0).constant
+    k_dense = admissibility_constant(dense, 2, horizon=6.0).constant
     assert k_dense == pytest.approx(k_diag, rel=1e-9)
 
 
 @pytest.mark.parametrize("steps", [8, 64])
-def test_dense_input_map_makes_one_expm_per_node(monkeypatch, steps):
+def test_dense_l2_constant_makes_one_expm_per_horizon(monkeypatch, steps):
+    # The Gramian needs one Lyapunov solve per system and one expm per
+    # (system, horizon); no time grid is built, whatever ``steps`` is.
     import scipy.linalg
 
-    calls = []
-    original = scipy.linalg.expm
+    calls, solves = [], []
+    original, solve = scipy.linalg.expm, scipy.linalg.solve_continuous_lyapunov
 
     def counted(a):
         calls.append(a.shape)
         return original(a)
 
+    def counted_solve(a, q):
+        solves.append(a.shape)
+        return solve(a, q)
+
     monkeypatch.setattr(scipy.linalg, "expm", counted)
-    sys = MatrixSystem(np.array([[-1.0, 4.0], [0.0, -3.0]]), np.array([[1.0], [-2.0]]))
-    admissibility_constant(sys, 2, horizon=5.0, steps=steps)
-    assert len(calls) == steps + 1
+    monkeypatch.setattr(scipy.linalg, "solve_continuous_lyapunov", counted_solve)
+    # The 3-state system drives its third state from the first two, so the
+    # 2-state system is its leading section and the constants grow with N.
+    systems = [
+        MatrixSystem(np.array([[-1.0, 4.0], [0.0, -3.0]]), np.array([[1.0], [-2.0]])),
+        MatrixSystem(
+            np.array([[-1.0, 4.0, 0.0], [0.0, -3.0, 0.0], [1.0, 2.0, -5.0]]),
+            np.array([1.0, -2.0, 0.5]),
+        ),
+    ]
+    admissibility_trend(systems, 2, [1.0, 5.0, 10.0], steps=steps)
+    assert calls == [(2, 2)] * 3 + [(3, 3)] * 3
+    assert solves == [(2, 2), (3, 3)]
 
 
 @pytest.mark.parametrize("steps", [8, 64])
@@ -192,12 +208,12 @@ def test_counterexample_constant_bounded_despite_diverging_scan():
     assert all(r <= 1.02 for r in ratios)
     # Cross-check the plateau against the exact Gram oracle.
     oracle = gram_constant(family[-1].eigenvalues, family[-1].input_coeffs, 10.0)
-    assert rows[-1][1] == pytest.approx(oracle, rel=5e-3)
+    assert rows[-1][1] == pytest.approx(oracle, rel=1e-12)
 
 
 def test_trend_monotone_in_horizon_and_modes():
     family = [counterexample_system(n) for n in (4, 8, 16)]
-    est = admissibility_trend(family, 2, [2.0, 5.0, 10.0], steps=256)
+    est = admissibility_trend(family, 2, [2.0, 5.0, 10.0])
     by_t, by_n = {}, {}
     for t, n, v in est.trend:
         by_t.setdefault(t, []).append((n, v))
@@ -230,8 +246,8 @@ def test_scaling_covariance(power, seed):
     c = 2.0**power
     base = SpectralSystem(lam, b)
     scaled = SpectralSystem(lam, c * b)
-    k_base = admissibility_constant(base, 2, horizon=4.0, steps=128).constant
-    k_scaled = admissibility_constant(scaled, 2, horizon=4.0, steps=128).constant
+    k_base = admissibility_constant(base, 2, horizon=4.0).constant
+    k_scaled = admissibility_constant(scaled, 2, horizon=4.0).constant
     assert k_scaled == abs(c) * k_base
 
 
@@ -262,3 +278,101 @@ def test_zero_input_verdict_is_realization_independent():
         verdict = l2_iss_verdict(silent, est)
         assert verdict.verdict == "ISS"
         assert "zero input operator" in verdict.reasons
+
+
+def _diagonal_family(seed, octaves):
+    # Ascending rates: within (0.2, 30) at octaves = 0, else spread over
+    # 2^0 .. 2^octaves (the dyadic model spans 2^1 .. 2^300) with
+    # coefficients up to sqrt(lam) in size.
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 13))
+    if octaves:
+        lam = np.sort(2.0 ** rng.uniform(0.0, octaves, n))
+        b = rng.normal(size=n) * lam ** rng.uniform(0.0, 0.5, n)
+    else:
+        lam = np.sort(rng.uniform(0.2, 30.0, n))
+        b = rng.normal(size=n)
+    return lam, b, float(rng.uniform(0.1, 20.0))
+
+
+SEEDS = st.integers(0, 2**31 - 1)
+FAMILIES = given(seed=SEEDS, octaves=st.sampled_from([0, 300]))
+
+
+@settings(max_examples=60, deadline=None)
+@FAMILIES
+def test_gramian_constant_matches_gram_oracle(seed, octaves):
+    lam, b, horizon = _diagonal_family(seed, octaves)
+    est = admissibility_constant(SpectralSystem(lam, b), 2, horizon)
+    assert est.constant == pytest.approx(gram_constant(lam, b, horizon), rel=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@FAMILIES
+def test_cholesky_factor_encloses_the_top_eigenvalue(seed, octaves):
+    # W - F^T F is positive semidefinite with the returned residual diagonal,
+    # so lambda_max(F F^T) <= lambda_max(W) <= lambda_max(F F^T) + its trace.
+    lam, b, horizon = _diagonal_family(seed, octaves)
+    factor, residual = _gramian_factor(lam, b, horizon)
+    lower = np.linalg.eigvalsh(factor @ factor.T)[-1] if factor.size else 0.0
+    upper = lower + np.clip(residual, 0.0, None).sum()
+    exact = gram_constant(lam, b, horizon) ** 2
+    assert lower <= exact * (1 + 1e-12)
+    assert exact <= upper * (1 + 1e-12)
+    total = np.sum(b * b * -np.expm1(-2.0 * lam * horizon) / (2.0 * lam))
+    assert residual.max() <= CHOLESKY_STOP * total
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=SEEDS, octaves=st.sampled_from([0, 40]))
+def test_gramian_constant_is_realization_independent(seed, octaves):
+    # The dense Lyapunov solve is accurate in norm only: beyond about 2^52
+    # between the rates, LAPACK perturbs eigenvalue sums below eps * max lam.
+    lam, b, horizon = _diagonal_family(seed, octaves)
+    diagonal = admissibility_constant(SpectralSystem(lam, b), 2, horizon).constant
+    dense = admissibility_constant(MatrixSystem(np.diag(-lam), b), 2, horizon).constant
+    assert dense == pytest.approx(diagonal, rel=REALIZATION_RTOL)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=SEEDS, octaves=st.sampled_from([0, 300]),
+       c=st.floats(-1e3, 1e3).filter(lambda c: abs(c) >= 1e-3))
+def test_gramian_constant_scales_with_the_input_column(seed, octaves, c):
+    lam, b, horizon = _diagonal_family(seed, octaves)
+    base = admissibility_constant(SpectralSystem(lam, b), 2, horizon).constant
+    scaled = admissibility_constant(SpectralSystem(lam, c * b), 2, horizon).constant
+    assert scaled == pytest.approx(abs(c) * base, rel=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@FAMILIES
+def test_gramian_constant_never_decreases_in_modes_or_horizon(seed, octaves):
+    lam, b, horizon = _diagonal_family(seed, octaves)
+    family = [SpectralSystem(lam[:n], b[:n]) for n in range(1, lam.size + 1)]
+    est = admissibility_trend(family, 2, [horizon / 4.0, horizon / 2.0, horizon])
+    values = {(t, n): v for t, n, v in est.trend}
+    for (t, n), v in values.items():
+        for later in (values.get((t, n + 1)), values.get((2.0 * t, n))):
+            assert later is None or later >= v * (1 - 1e-12)
+
+
+def test_graded_grid_is_built_only_for_dense_q_one_and_inf(monkeypatch):
+    import lyapcert.admissibility as admissibility
+
+    built = []
+    original = admissibility._graded_backward_grid
+
+    def counted(*args):
+        built.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(admissibility, "_graded_backward_grid", counted)
+    diagonal = heat_system("neumann", 8)
+    dense = MatrixSystem(np.array([[-1.0, 4.0], [0.0, -3.0]]), np.array([1.0, -2.0]))
+    for q in (1, 2, math.inf):
+        admissibility_trend([diagonal], q, [1.0, 5.0])
+    admissibility_trend([dense], 2, [1.0, 5.0])
+    assert built == []
+    for q in (1, math.inf):
+        admissibility_trend([dense], q, [1.0, 5.0], steps=16)
+    assert built == [(dense.fastest_rate, 5.0, 16)] * 2

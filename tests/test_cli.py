@@ -12,6 +12,7 @@ from lyapcert.analysis import (
     InvariantViolationError,
     _check_edges,
     _family,
+    admissibility_stages,
     run_analyze,
     run_simulate,
 )
@@ -382,9 +383,11 @@ SIMILARITY = "stability-plus-bounded-input-constant-does-not-imply-contraction-s
 
 
 def _edge_slots(adm="bounded", iss="ISS", scans=None, coercive="certified",
-                noncoercive="certified", stable=True):
-    # Synthetic slots: ``scans`` maps a gamma key to its scan verdict.
-    return {
+                noncoercive="certified", stable=True, adm_q=None):
+    # Synthetic slots: ``scans`` maps a gamma key to its scan verdict, and
+    # ``adm_q`` is the verdict of the q != 2 constants, if any.
+    extra = {} if adm_q is None else {"q_admissibility": {"value": adm_q}}
+    return extra | {
         "exponentially_stable": {"value": stable},
         "two_admissibility": {"value": adm},
         "l2_iss": {"value": iss},
@@ -468,6 +471,12 @@ EDGE_BRANCHES = [
     pytest.param({"q": math.inf, "adm": "diverging", "iss": "not-ISS",
                   "scans": {"0.75": "bounded"}}, BRIDGE, "violated", None,
                  id="bridge-qinf-violated"),
+    # At q != 2 the bridge concludes on the q-constants, not the L2 ones.
+    pytest.param({"q": math.inf, "adm": "diverging", "iss": "not-ISS", "adm_q": "bounded",
+                  "scans": {"0.75": "bounded"}}, BRIDGE, "holds",
+                 "bounded scan at gamma=0.75 and constants bounded", id="bridge-qinf-reads-q-slot"),
+    pytest.param({"q": math.inf, "adm_q": "diverging", "scans": {"0.75": "bounded"}}, BRIDGE,
+                 "violated", None, id="bridge-qinf-q-slot-violated"),
     pytest.param({"q": math.inf, "scans": {"1": "bounded"}}, BRIDGE, "vacuous",
                  "no bounded scan strictly below 1 - 1/q = 1 at these truncations",
                  id="bridge-qinf-not-at-gamma-1"),
@@ -499,7 +508,15 @@ def test_l1_run_on_heat_neumann_leaves_the_bridge_vacuous():
     assert edges[BRIDGE]["detail"] == (
         "no bounded scan strictly below 1 - 1/q = 0 at these truncations"
     )
-    assert report["slots"]["l2_iss"]["value"] == "not-ISS"
+    # The L2 slots stay at q = 2; the diverging q = 1 constants (||b|| grows
+    # like sqrt(N)) are reported in their own slot and as a finding.
+    slots = report["slots"]
+    assert (slots["two_admissibility"]["value"], slots["l2_iss"]["value"]) == ("bounded", "ISS")
+    q_slot = slots["q_admissibility"]
+    assert (q_slot["q"], q_slot["value"], q_slot["lq_iss"]["value"]) == (
+        "1", "diverging", "not-ISS"
+    )
+    assert "q=1 input-map constants diverge across truncations" in report["findings"]
 
 
 def test_cli_maps_an_invariant_violation_to_exit_4(monkeypatch, capsys):
@@ -912,3 +929,38 @@ def test_simulate_run(tmp_path):
     doc, artifacts = run_simulate(config)
     assert doc["certified"] is True
     assert len([k for k in artifacts if k.startswith("trajectory")]) == 6
+
+
+@pytest.mark.parametrize("model, q, bridge", [
+    pytest.param("counterexample", "inf",
+                 "membership at exponent 0.75 implies admissibility for every "
+                 "input-integrability exponent above 4 (bridge 2/(1+2p) with p = 1/2 - 0.75)",
+                 id="counterexample-qinf"),
+    pytest.param("heat-neumann", 1,
+                 "weakened-class membership observed from exponent 0.375 on; the sufficient "
+                 "bridge needs an exponent strictly below 1 - 1/q = 0", id="heat-neumann-q1"),
+    pytest.param("counterexample", 2,
+                 "weakened-class membership observed from exponent 0.75 on; the sufficient "
+                 "bridge needs an exponent strictly below one half", id="counterexample-q2"),
+])
+def test_exponent_bridge_names_the_threshold_of_the_requested_q(model, q, bridge):
+    config = AnalysisConfig(model=model, modes=(16, 64, 256), q=q)
+    _, _, slots, _ = admissibility_stages(config)
+    assert slots["gamma_scans"]["exponent_bridge"] == bridge
+
+
+def test_scan_keeps_l2_verdicts_at_q_two_and_adds_the_requested_q(tmp_path, capsys):
+    # heat-dirichlet is not L2-ISS, but its q = inf constants are bounded;
+    # the first is a finding whatever --q asks for.
+    argv = ["admissibility-scan", "--model", "heat-dirichlet", "--modes", "16,64,256"]
+    assert main(argv + ["--q", "inf", "--out", str(tmp_path)]) == 3
+    doc = json.loads(_read(tmp_path / "admissibility.json"))
+    assert (doc["q"], doc["constant_verdict"], doc["l2_iss"]["value"]) == ("inf", "diverging", "not-ISS")
+    q_slot = doc["q_admissibility"]
+    assert (q_slot["q"], q_slot["value"], q_slot["lq_iss"]["value"]) == ("inf", "bounded", "ISS")
+    assert capsys.readouterr().out.endswith(
+        "  q=2.0: diverging\n  verdict: not-ISS\n  q=inf: bounded\n  verdict at q=inf: ISS\n"
+    )
+    assert main(argv + ["--out", str(tmp_path)]) == 3
+    doc = json.loads(_read(tmp_path / "admissibility.json"))
+    assert doc["q"] == "2" and "q_admissibility" not in doc
