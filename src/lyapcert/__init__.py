@@ -24,11 +24,13 @@ from .dissipation import (
     DecompositionReport,
     DiniEstimate,
     DissipationReport,
+    ExactCertificate,
     GainFitReport,
     InputSignal,
     Trajectory,
     default_sample_cloud,
     dini_derivative,
+    exact_certificate,
     fit_dissipation,
     input_scaling_check,
     iss_gain_fit,

@@ -31,6 +31,7 @@ from .admissibility import (
 from .dissipation import (
     InputSignal,
     default_sample_cloud,
+    exact_certificate,
     fit_dissipation,
     iss_gain_fit,
     simulate_mild,
@@ -201,7 +202,9 @@ def _write_artifacts(out_dir, artifacts):
 
     A dict is written as indented JSON with sorted keys and a trailing LF,
     a ``(header, rows)`` pair as CSV, where floats keep their ``repr`` and
-    ``None`` is an empty field.  Without ``out_dir`` nothing is written.
+    ``None`` is an empty field.  Rows given as a numeric array are joined
+    from the ``repr`` of each entry, the CSV writer's bytes without its
+    per-field work.  Without ``out_dir`` nothing is written.
     """
     if not out_dir:
         return {}
@@ -217,18 +220,40 @@ def _write_artifacts(out_dir, artifacts):
                 header, rows = content
                 writer = csv.writer(handle, lineterminator="\n")
                 writer.writerow(header)
-                writer.writerows(rows)
+                if isinstance(rows, np.ndarray):
+                    handle.writelines(",".join(map(repr, row.tolist())) + "\n" for row in rows)
+                else:
+                    writer.writerows(rows)
     return paths
 
 
-def _certificate_trend(label, family, form_builder, config, rows):
-    """Fit dissipation certificates across the family; returns the slot dict."""
+def _fitted(builder, config):
+    """Per-system certify function: the sampled fit of ``builder``'s form on the default cloud."""
+
+    def certify(sys):
+        form = builder(sys)
+        cloud = default_sample_cloud(sys, form, count=config.sample_count, seed=config.seed)
+        return form, fit_dissipation(form, sys, cloud)
+
+    return certify
+
+
+def _exact(builder):
+    """Per-system certify function: the exact certificate of ``builder``'s form."""
+
+    def certify(sys):
+        form = builder(sys)
+        return form, exact_certificate(form, sys)
+
+    return certify
+
+
+def _certificate_trend(label, family, certify, rows):
+    """Certify a form across the family with ``certify(sys) -> (form, report)``; returns the slot."""
     a3_values, a4_values, feasible = [], [], True
     for sys in family:
-        form = form_builder(sys)
+        form, report = certify(sys)
         provenance = form.provenance
-        cloud = default_sample_cloud(sys, form, count=config.sample_count, seed=config.seed)
-        report = fit_dissipation(form, sys, cloud)
         if report.infeasible:
             feasible = False
             a3_values.append(0.0)
@@ -426,11 +451,9 @@ def run_analyze(config: AnalysisConfig):
     # form, the correct coercive witness for non-normal generators.
     coercive_builder = build_half_norm if diagonal else build_v_half
     slots["coercive_quadratic_l2"] = _certificate_trend(
-        label, family, coercive_builder, config, rows
+        label, family, _fitted(coercive_builder, config), rows
     )
-    slots["noncoercive_w0"] = _certificate_trend(
-        label, family, build_w_plain, config, rows
-    )
+    slots["noncoercive_w0"] = _certificate_trend(label, family, _exact(build_w_plain), rows)
 
     condition_numbers = []
     for sys in family:
@@ -500,7 +523,7 @@ def _trajectory_table(traj):
     """CSV header and rows of a trajectory: the time, every state coordinate, the input."""
     header = ["t"] + [f"mode_{k}" for k in range(1, traj.states.shape[1] + 1)] + ["u"]
     inputs = [traj.input.value_at(t) for t in traj.times]
-    return header, np.column_stack([traj.times, traj.states, inputs]).tolist()
+    return header, np.column_stack([traj.times, traj.states, inputs])
 
 
 def run_simulate(config: AnalysisConfig):

@@ -13,7 +13,9 @@ Dini derivatives of V come from one table: each input level and step size
 takes one exact ``sys.step`` of a stack of states (:func:`_dini_quotients`).
 The certificate fit reads one (states x input levels) table of samples,
 with array expressions for its cap, a4 and residuals; a non-finite sample
-is a violation and never a bound.
+is a violation and never a bound.  :func:`exact_certificate` needs no
+samples: it reads (a3, a4) off the form's operator and keeps the Dini
+estimator as its falsifier at the states where the pair binds.
 The three integrals of :func:`proof_decomposition` are orbit energies from
 the one quadrature of the square-function integral in ``lyapunov``.
 """
@@ -23,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .admissibility import admissibility_constant
 from .lyapunov import QuadraticForm, GainEnvelope, _orbit_energy
@@ -32,12 +35,14 @@ __all__ = [
     "DecompositionReport",
     "DiniEstimate",
     "DissipationReport",
+    "ExactCertificate",
     "GainFitReport",
     "InputSignal",
     "ScalingReport",
     "Trajectory",
     "default_sample_cloud",
     "dini_derivative",
+    "exact_certificate",
     "fit_dissipation",
     "input_scaling_check",
     "iss_gain_fit",
@@ -198,22 +203,38 @@ def _neville_limit(hs, values):
     return diagonal[-1], np.abs(diagonal[-1] - diagonal[-2])
 
 
-def _dini_quotients(form: QuadraticForm, sys, states, level, hs, v0):
-    """Dini estimates of a stack of states, whose V values are ``v0``.
+def _level_steps(sys, states, levels, h):
+    """``sys.step(states, level, h)`` for each level in turn, bit for bit.
 
-    The input holds the constant ``level`` over every step, so ``x(h)`` is
-    one exact ``sys.step`` of the whole stack per step size.  Returns the
-    extrapolated derivatives of the quotients ``(V(x(h)) - V(x))/h`` and
-    their error bars.
+    A diagonal step is ``e^(-lam h) x + b (u gain)``; its free flow is
+    formed once per call and shared by every level, term for term the
+    expression of ``SpectralSystem.step``.
     """
-    quotients = np.stack(
-        [(form.values(sys.step(states, level, h)) - v0) / h for h in hs], axis=-1
-    )
+    if not isinstance(sys, SpectralSystem):
+        return (sys.step(states, level, h) for level in levels)
+    lam = sys.eigenvalues
+    free = np.exp(-lam * h) * states
+    gain = -np.expm1(-lam * h) / lam
+    return (free + sys.input_coeffs * (level * gain) for level in levels)
+
+
+def _dini_quotients(form: QuadraticForm, sys, states, levels, hs, v0):
+    """Dini estimates of a stack of states, whose V values are ``v0``, per input level.
+
+    Each level is held constant over every step, so ``x(h)`` is one exact
+    step of the whole stack per level and step size.  Returns the
+    extrapolated derivatives of the quotients ``(V(x(h)) - V(x))/h`` and
+    their error bars, each of shape (states, levels).
+    """
+    quotients = np.empty((len(states), len(levels), len(hs)))
+    for j, h in enumerate(hs):
+        for i, moved in enumerate(_level_steps(sys, states, levels, h)):
+            quotients[:, i, j] = (form.values(moved) - v0) / h
     value, bar = _neville_limit(hs, quotients)
     # Round-off floor: the difference quotient carries eps*|V|/h of noise,
     # amplified by the extrapolation weights.
     noise = 32.0 * np.finfo(float).eps * (
-        np.abs(v0) / hs[-1] + np.abs(quotients).max(axis=-1)
+        np.abs(v0)[:, None] / hs[-1] + np.abs(quotients).max(axis=-1)
     )
     return value, 4.0 * np.where(noise > bar, noise, bar)
 
@@ -239,8 +260,8 @@ def dini_derivative(form: QuadraticForm, sys, x, u) -> DiniEstimate:
     u = _coerce_input(u)
     x = as_state(sys, x)
     hs = _stiff_h_sequence(sys, u)
-    value, bar = _dini_quotients(form, sys, x[None, :], u.value0, hs, form.values(x))
-    return DiniEstimate(value=float(value[0]), error_bar=float(bar[0]))
+    value, bar = _dini_quotients(form, sys, x[None, :], [u.value0], hs, form.values(x))
+    return DiniEstimate(value=float(value[0, 0]), error_bar=float(bar[0, 0]))
 
 
 def default_sample_cloud(sys, form: QuadraticForm, count=200, seed=0) -> np.ndarray:
@@ -305,11 +326,15 @@ class DissipationReport:
         }
 
 
+# The constant input levels of the certificate fit and of the falsifier.
+SAMPLE_LEVELS = (0.0, 0.5, -0.5, 1.0, -1.0)
+
+
 def fit_dissipation(
     form: QuadraticForm,
     sys,
     sample_states,
-    sample_inputs=(0.0, 0.5, -0.5, 1.0, -1.0),
+    sample_inputs=SAMPLE_LEVELS,
 ) -> DissipationReport:
     """Largest decay coefficient a3 certifiable on the sample cloud.
 
@@ -333,9 +358,7 @@ def fit_dissipation(
     levels = [float(u) for u in sample_inputs]
     hs = _stiff_h_sequence(sys)
     v0 = form.values(states)
-    dini = np.column_stack(
-        [_dini_quotients(form, sys, states, level, hs, v0)[0] for level in levels]
-    )
+    dini = _dini_quotients(form, sys, states, levels, hs, v0)[0]
     norms_sq = np.real((states.conj()[:, None, :] @ states[..., None])[:, 0, 0])
     levels_sq = [level**2 for level in levels]
     samples = np.column_stack(
@@ -374,6 +397,104 @@ def fit_dissipation(
         worst_residual=worst,
         tolerance=tol,
     )
+
+
+@dataclass(frozen=True, eq=False)
+class ExactCertificate:
+    """The exact pair (a3, a4) for V' <= -a3 ||x||^2 + a4 u^2 on a truncation.
+
+    With ``V = <Px, x>`` and ``M = -(PA + A^H P)``, the derivative along the
+    flow is ``-<Mx, x> + 2 Re<Px, bu>``, so ``a3max = lambda_min(M)`` is the
+    largest decay coefficient, and at ``a3 = theta * a3max`` the least input
+    coefficient is ``a4 = b^H P (M - a3 I)^-1 P b`` (the Schur complement).
+    ``residuals`` and ``error_bars`` hold, per input level of
+    ``SAMPLE_LEVELS``, the Dini falsifier where the certificate binds: the
+    ``lambda_min(M)`` direction against ``a3max`` at the zero level, and the
+    maximizer ``(M - a3 I)^-1 P b u`` against ``(a3, a4)`` at every other
+    level.  A level whose residual exceeds its error bar is a violation.
+    """
+
+    a1: float
+    a2: float
+    a3max: float
+    a3: float
+    a4: float
+    residuals: np.ndarray
+    error_bars: np.ndarray
+    infeasible_reason: str = ""
+
+    @property
+    def infeasible(self) -> bool:
+        return bool(self.infeasible_reason)
+
+    @property
+    def violations(self) -> tuple:
+        return tuple(int(i) for i in np.flatnonzero(~(self.residuals <= self.error_bars)))
+
+    # The slot document has the keys of a fitted certificate.
+    to_config = DissipationReport.to_config
+
+
+def _falsifier_residuals(form, sys, bottom, maximizer, a3max, a3, a4):
+    """Dini residuals and error bars at the binding states, one per level of ``SAMPLE_LEVELS``."""
+    hs = _stiff_h_sequence(sys)
+    residuals, bars = [], []
+    for level in SAMPLE_LEVELS:
+        x, decay = (bottom, a3max) if level == 0.0 else (maximizer * level, a3)
+        value, bar = _dini_quotients(form, sys, x[None, :], [level], hs, form.values(x))
+        norm_sq = float(np.real(np.vdot(x, x)))
+        residuals.append(value[0, 0] + decay * norm_sq - a4 * level**2)
+        bars.append(bar[0, 0])
+    return np.array(residuals), np.array(bars)
+
+
+def exact_certificate(form: QuadraticForm, sys, theta=0.5) -> ExactCertificate:
+    """The exact dissipation certificate of ``form`` on ``sys`` at ``a3 = theta * a3max``.
+
+    ``M`` comes from the form's own ``P``, so the residual of the Lyapunov
+    solve behind ``P`` is accounted for.  Diagonal forms on diagonal systems
+    are O(N): ``M`` is ``2 w lam`` and ``a4 = sum (w b)^2 / (2 w lam - a3)``;
+    their ``lambda_min`` direction is the slowest mode attaining the minimum.
+    Otherwise ``M`` is dense: one ``eigh`` for its smallest eigenpair and
+    one solve.  A non-positive ``a3max`` or a falsified binding state makes
+    the certificate infeasible.
+    """
+    if not 0.0 < theta < 1.0:
+        raise ValueError("theta must lie strictly between 0 and 1")
+    n = sys.dimension
+    if form.dimension != n:
+        raise DimensionMismatchError(
+            f"form dimension {form.dimension} does not match system dimension {n}"
+        )
+    pb, diagonal = form.p_apply(sys.input_coeffs), isinstance(sys, SpectralSystem)
+    if diagonal and form.weights is not None:
+        m = 2.0 * form.weights * sys.eigenvalues
+        a3max = float(m.min())
+        bottom = np.eye(1, n, int(np.argmax(m <= a3max * (1.0 + 1e-12))))[0]
+    else:
+        a = -np.diag(sys.eigenvalues) if diagonal else sys.a_matrix
+        pa = (np.diag(form.weights) if form.p_matrix is None else form.p_matrix) @ a
+        m = -(pa + pa.conj().T)
+        lowest, vectors = scipy.linalg.eigh(m, subset_by_index=[0, 0])
+        a3max, bottom = float(lowest[0]), vectors[:, 0]
+    if not a3max > 0.0:
+        empty = np.empty(0)
+        return ExactCertificate(
+            form.a1, form.a2, a3max, 0.0, 0.0, empty, empty,
+            f"no positive decay coefficient: lambda_min(M) = {a3max!r}",
+        )
+    a3 = theta * a3max
+    maximizer = pb / (m - a3) if m.ndim == 1 else np.linalg.solve(m - a3 * np.eye(n), pb)
+    a4 = float(np.real(np.vdot(pb, maximizer)))
+    residuals, bars = _falsifier_residuals(form, sys, bottom, maximizer, a3max, a3, a4)
+    reason = ""
+    if not np.all(residuals <= bars):
+        worst = int(np.argmax(residuals - bars))  # a NaN residual is the worst
+        reason = (
+            f"the Dini falsifier exceeds its error bar at input level {SAMPLE_LEVELS[worst]:g}: "
+            f"residual {residuals[worst]:.6g} against {bars[worst]:.6g}"
+        )
+    return ExactCertificate(form.a1, form.a2, a3max, a3, a4, residuals, bars, reason)
 
 
 @dataclass(frozen=True)

@@ -19,9 +19,8 @@ import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
-from .systems import MatrixSystem, SpectralSystem, semigroup_apply
+from .systems import MatrixSystem, SpectralSystem, _solve_lyapunov, semigroup_apply
 
 __all__ = [
     "ContractionReport",
@@ -103,7 +102,8 @@ class QuadraticForm:
         if states.shape[1] != self.dimension:
             raise ValueError("state length does not match the form")
         if self.weights is not None:
-            return np.sum(self.weights * np.abs(states) ** 2, axis=-1)
+            squares = states * states if np.isrealobj(states) else np.abs(states) ** 2
+            return np.sum(self.weights * squares, axis=-1)
         return np.real((states.conj()[:, None, :] @ (self.p_matrix @ states[..., None]))[:, 0, 0])
 
     def value(self, x) -> float:
@@ -136,7 +136,7 @@ def _matrix_square_function(sys: MatrixSystem, q) -> np.ndarray:
     # <P x, x> = int ||S exp(At) x||^2 dt.
     s = sys.neg_power(q)
     rhs = -(s.conj().T @ s)
-    p = scipy.linalg.solve_continuous_lyapunov(sys.a_matrix.conj().T, rhs)
+    p = _solve_lyapunov(sys.a_matrix.conj().T, rhs)
     return (p + p.conj().T) / 2.0
 
 

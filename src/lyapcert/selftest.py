@@ -19,12 +19,15 @@ from .dissipation import (
     InputSignal,
     default_sample_cloud,
     dini_derivative,
+    exact_certificate,
     fit_dissipation,
     simulate_mild,
 )
 from .lyapunov import (
+    QuadraticForm,
     build_half_norm,
     build_v_half,
+    build_w_plain,
     build_w_q,
     contraction_similarity,
 )
@@ -385,6 +388,30 @@ def _check_log_norm_step(rng, fault=False):
     return worst <= 1e-12, f"worst excess over the log-norm step {worst:.2e}"
 
 
+def _check_w0_exact_certificate(rng, fault=False):
+    # W_0 solves A^H P + P A = -I, so M = -(PA + A^H P) = I + E with the solve
+    # residual r = ||E|| (plus rounding): |a3max - 1| <= r, and a4 = ||Pb||^2 /
+    # (1 - a3) within ||Pb||^2 r / ((1 - a3)(1 - a3 - r)).  Both ratios to their
+    # bound must stay at most 1; the fault certifies a P off by one part in a million.
+    worst = 0.0
+    for n in range(2, 10):
+        raw = rng.normal(size=(n, n)) + 3.0 * np.triu(rng.normal(size=(n, n)), 1)
+        a = raw - (np.linalg.eigvals(raw).real.max() + 0.5) * np.eye(n)
+        sys = MatrixSystem(a, rng.normal(size=n))
+        p = build_w_plain(sys).p_matrix
+        pa = p @ a
+        r = np.linalg.norm(pa + pa.T + np.eye(n), 2) + 16.0 * n * np.finfo(float).eps
+        form = QuadraticForm(p_matrix=p * (1.0 + 1e-6)) if fault else build_w_plain(sys)
+        cert = exact_certificate(form, sys)
+        pb_sq, gap = float(np.sum((p @ sys.input_coeffs) ** 2)), 1.0 - cert.a3
+        worst = max(
+            worst,
+            abs(cert.a3max - 1.0) / r,
+            abs(cert.a4 - pb_sq / gap) / (pb_sq * r / (gap * (gap - r))),
+        )
+    return worst <= 1.0, f"worst deviation {worst:.3g} of the solve-residual bound"
+
+
 _CHECKS = (
     ("semigroup-law", _check_semigroup_law),
     ("fractional-power-commutation", _check_fractional_commutation),
@@ -409,11 +436,12 @@ _CHECKS = (
     ("neumann-membership", _check_neumann_membership),
     ("contraction-margin", _check_contraction_margin),
     ("log-norm-semigroup-step", _check_log_norm_step),
+    ("w0-exact-certificate", _check_w0_exact_certificate),
 )
 
 
 # The checks that take ``fault=True`` and then must fail.
-FAULT_TARGETS = ("self-adjoint-identity", "log-norm-semigroup-step")
+FAULT_TARGETS = ("self-adjoint-identity", "log-norm-semigroup-step", "w0-exact-certificate")
 
 
 def run_selftest(seed=0, fault=None, emit=print):

@@ -34,6 +34,7 @@ against the owning system.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,6 +69,11 @@ CEILING_MARGIN = 1e-9
 # residual diagonal entry is at most this fraction of the Gramian's trace.
 CHOLESKY_STOP = 1e-15
 
+# A dense system keeps at most this many augmented step propagators, and at
+# most this many bytes of them, in its per-instance memo.
+STEP_MEMO_ENTRIES = 36
+STEP_MEMO_BYTES = 2**23
+
 
 class DimensionMismatchError(ValueError):
     """State or input dimensions inconsistent with the owning system."""
@@ -86,6 +92,22 @@ def _sqrt_top_eigenvalue(gram):
     # sqrt(lambda_max) of a Hermitian positive semidefinite matrix; 0 if empty.
     top = np.linalg.eigvalsh(gram)[-1] if gram.size else 0.0
     return float(np.sqrt(max(top, 0.0)))
+
+
+def _solve_lyapunov(a, rhs):
+    """X with ``a X + X a^H = rhs``, refused where LAPACK had to perturb the problem.
+
+    ``scipy.linalg.solve_continuous_lyapunov`` perturbs eigenvalue sums it
+    deems near zero (rates spread beyond about 2^52) and then only warns;
+    that solution can be wrong in every digit, so it raises
+    :class:`ConditioningError` instead.
+    """
+    with warnings.catch_warnings():
+        warnings.filterwarnings("error", "(?s).*perturbing the coefficients", RuntimeWarning)
+        try:
+            return scipy.linalg.solve_continuous_lyapunov(a, rhs)
+        except RuntimeWarning as exc:
+            raise ConditioningError(f"Lyapunov solve refused: {exc}") from None
 
 
 def _gramian_factor(lam, b, horizon):
@@ -290,16 +312,28 @@ class MatrixSystem:
         The forced step exponentiates the augmented matrix ``[[A h, B u h],
         [0, 0]]``, whose last column carries the input integral.  Stacked
         matrix-vector products keep each row of a stack bit-identical to
-        its own step; ``x @ E.T`` would not.
+        its own step; ``x @ E.T`` would not.  Augmented propagators are
+        memoized per instance on the exact ``(h, u)``, at most
+        ``STEP_MEMO_ENTRIES`` of them and ``STEP_MEMO_BYTES`` in all, oldest
+        dropped first; a memo hit holds the bytes of a fresh ``expm``.
         """
         if u is None:
             return (scipy.linalg.expm(self.a_matrix * h) @ x[..., None])[..., 0]
         n = self.dimension
-        forcing = self.input_coeffs * u
-        aug = np.zeros((n + 1, n + 1), dtype=np.result_type(self.a_matrix, forcing, float))
-        aug[:n, :n] = self.a_matrix * h
-        aug[:n, n] = forcing * h
-        propagator = scipy.linalg.expm(aug)
+        memo = self.__dict__.setdefault("_propagators", {})
+        key = (h, str(u))  # str tells -0.0 from 0.0 and a complex level from a real one
+        propagator = memo.get(key)
+        if propagator is None:
+            forcing = self.input_coeffs * u
+            aug = np.zeros((n + 1, n + 1), dtype=np.result_type(self.a_matrix, forcing, float))
+            aug[:n, :n] = self.a_matrix * h
+            aug[:n, n] = forcing * h
+            propagator = _readonly(scipy.linalg.expm(aug))
+            limit = min(STEP_MEMO_ENTRIES, STEP_MEMO_BYTES // propagator.nbytes)
+            if limit:
+                while len(memo) >= limit:
+                    del memo[next(iter(memo))]
+                memo[key] = propagator
         return (propagator[:n, :n] @ x[..., None])[..., 0] + propagator[:n, n]
 
     def neg_power(self, alpha) -> np.ndarray:
@@ -359,7 +393,7 @@ class MatrixSystem:
         ``W_T = W - E W E^H`` with ``E = e^(AT)``.
         """
         b = self.input_coeffs[:, None]
-        steady = scipy.linalg.solve_continuous_lyapunov(self.a_matrix, -b @ b.conj().T)
+        steady = _solve_lyapunov(self.a_matrix, -b @ b.conj().T)
         constants = []
         for horizon in horizons:
             semigroup = scipy.linalg.expm(self.a_matrix * horizon)

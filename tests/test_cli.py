@@ -12,6 +12,7 @@ from lyapcert.analysis import (
     InvariantViolationError,
     _check_edges,
     _family,
+    _write_artifacts,
     admissibility_stages,
     run_analyze,
     run_simulate,
@@ -297,6 +298,15 @@ def test_trends_csv_numbers_equal_report_json(tmp_path):
     assert matched == len(expected) > 0
 
 
+def test_numeric_rows_are_written_as_the_csv_writer_writes_them(tmp_path):
+    header = ["t", "mode_1", "mode_2", "u"]
+    rows = np.array([[0.0, -0.0, 1e-300, 1.0 / 3.0], [2.5, np.nan, -np.inf, 5e-324]])
+    joined = _write_artifacts(str(tmp_path / "a"), {"t": ("t.csv", (header, rows))})
+    written = _write_artifacts(str(tmp_path / "b"), {"t": ("t.csv", (header, rows.tolist()))})
+    with open(joined["t"], "rb") as a, open(written["t"], "rb") as b:
+        assert a.read() == b.read()
+
+
 def test_trajectories_csv_parses_back_to_the_simulated_states(tmp_path):
     config = AnalysisConfig(
         model="heat-neumann", modes=(8, 16), sample_count=16, out_dir=str(tmp_path)
@@ -547,9 +557,19 @@ def _force_infeasible(monkeypatch, builder, modes):
 
 
 def test_infeasible_noncoercive_fit_is_a_finding(tmp_path, monkeypatch):
-    from lyapcert.lyapunov import build_w_plain
+    # The W_0 slot is exact; its certificate is infeasible when the Dini
+    # falsifier at its binding states exceeds the error bar.
+    import lyapcert.dissipation as dissipation
 
-    _force_infeasible(monkeypatch, build_w_plain, {16})
+    original = dissipation._falsifier_residuals
+
+    def falsify(form, sys, *args):
+        residuals, bars = original(form, sys, *args)
+        if form.generator_power == 0.0 and sys.dimension == 16:
+            residuals = residuals + 2.0 * bars + 1.0
+        return residuals, bars
+
+    monkeypatch.setattr(dissipation, "_falsifier_residuals", falsify)
     out = tmp_path / "out"
     assert main(["analyze", "--model", "heat-neumann", "--modes", SMALL, "--out", str(out)]) == 3
     report = json.loads(_read(out / "report.json"))
@@ -799,6 +819,28 @@ def test_analyze_builds_trend_only_rows_only_when_writing(tmp_path, monkeypatch)
     report, artifacts = run_analyze(config)
     assert artifacts == {}
     assert report == written
+
+
+def test_dense_analyze_bytes_do_not_depend_on_a_warm_step_memo(tmp_path, monkeypatch):
+    # The same system instance analyzed twice: the second run reads every
+    # fit, falsifier and trajectory propagator from the first run's memo.
+    import lyapcert.analysis as analysis
+
+    rng = np.random.default_rng(11)
+    raw = rng.normal(size=(6, 6)) / np.sqrt(6)
+    a = raw - (np.linalg.eigvals(raw).real.max() + 0.5) * np.eye(6)
+    doc = {"type": "matrix", "a": a.tolist(), "b": rng.normal(size=6).tolist()}
+    config = AnalysisConfig(system=doc, modes=(6,), sample_count=8, seed=3)
+    run_analyze(dataclasses.replace(config, out_dir=str(tmp_path / "cold")))
+    family = analysis._family(config)
+    monkeypatch.setattr(analysis, "_family", lambda config: family)
+    for run in ("first", "warm"):
+        run_analyze(dataclasses.replace(config, out_dir=str(tmp_path / run)))
+    assert family[1][0]._propagators
+    for name in ("report.json", "trends.csv", "trajectories.csv"):
+        cold = (tmp_path / "cold" / name).read_bytes()
+        assert (tmp_path / "first" / name).read_bytes() == cold
+        assert (tmp_path / "warm" / name).read_bytes() == cold
 
 
 def test_cli_admissibility_scan_runs_only_its_stages(tmp_path, monkeypatch):

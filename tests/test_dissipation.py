@@ -7,17 +7,27 @@ from hypothesis import strategies as st
 
 from lyapcert.dissipation import (
     InputSignal,
+    SAMPLE_LEVELS,
+    _level_steps,
     default_sample_cloud,
     dini_derivative,
+    exact_certificate,
     fit_dissipation,
     input_scaling_check,
     iss_gain_fit,
     proof_decomposition,
     simulate_mild,
 )
-from lyapcert.lyapunov import build_half_norm, build_v_half, build_w_plain, build_w_q
-from lyapcert.models import heat_system
+from lyapcert.lyapunov import (
+    QuadraticForm,
+    build_half_norm,
+    build_v_half,
+    build_w_plain,
+    build_w_q,
+)
+from lyapcert.models import build_model, heat_system
 from lyapcert.systems import DimensionMismatchError, MatrixSystem, SpectralSystem, semigroup_apply
+from test_systems import REALIZATION_RTOL
 
 
 SCALAR = SpectralSystem([1.0], [1.0])
@@ -404,6 +414,150 @@ def test_scaling_check():
     assert report.measured[report.factors.index(0.0)] == 0.0
 
 
+# ------------------------------------------------------ exact certificates
+
+
+def _resolvable_family(seed, octaves):
+    # Ascending rates whose slowest mode lies in [0.5, 2], so the Dini steps
+    # resolve the lambda_min(M) direction of W_0; the others spread over
+    # 2^0 .. 2^octaves.
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 13))
+    spread = 2.0 ** rng.uniform(0.0, octaves, n - 1) if octaves else rng.uniform(0.5, 30.0, n - 1)
+    lam = np.sort(np.concatenate([[rng.uniform(0.5, 2.0)], spread]))
+    return lam, rng.normal(size=n)
+
+
+def _dense_seed7():
+    """The dense n = 64 benchmark system of seed 7: non-normal, spectral gap 0.5."""
+    rng = np.random.default_rng([7, 64])
+    r = rng.standard_normal((64, 64)) / np.sqrt(64)
+    a = r - (np.linalg.eigvals(r).real.max() + 0.5) * np.eye(64)
+    b = rng.standard_normal(64)
+    return MatrixSystem(a, b / np.linalg.norm(b))
+
+
+EXACT_CASES = st.sampled_from([(0.0, 0), (0.25, 0), (0.5, 0), (0.0, 40)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), case=EXACT_CASES)
+def test_exact_certificate_is_realization_independent(seed, case):
+    # The O(N) closed form against eigh and a solve on the dense embedding;
+    # beyond W_0 the spread stays small, since lambda_min(M) of W_q is then
+    # only normwise accurate.  The dense lambda_min(M) direction of W_0 is
+    # any unit vector of a cluster at 1; at a 2^40 spread it can hold modes
+    # too stiff for the Dini steps, which the falsifier reads as a violation.
+    q, octaves = case
+    lam, b = _resolvable_family(seed, octaves)
+    diagonal, dense = SpectralSystem(lam, b), MatrixSystem(np.diag(-lam), b)
+    ref = exact_certificate(build_w_q(diagonal, q), diagonal)
+    got = exact_certificate(build_w_q(dense, q), dense)
+    assert not ref.infeasible and (octaves or not got.infeasible)
+    for name in ("a3max", "a3", "a4"):
+        assert getattr(got, name) == pytest.approx(getattr(ref, name), rel=REALIZATION_RTOL)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), octaves=st.sampled_from([0, 300]),
+       dense=st.booleans(), c=st.floats(-1e3, 1e3).filter(lambda c: abs(c) >= 1e-3))
+def test_exact_certificate_scales_with_the_input_column(seed, octaves, dense, c):
+    lam, b = _resolvable_family(seed, octaves)
+    if dense:  # a non-normal 4 x 4 system with rates in [0.5, 5]
+        rng = np.random.default_rng(seed)
+        a = np.diag(-rng.uniform(0.5, 5.0, 4)) + np.triu(rng.normal(size=(4, 4)), 1)
+        b = rng.normal(size=4)
+        base, scaled = MatrixSystem(a, b), MatrixSystem(a, c * b)
+    else:
+        base, scaled = SpectralSystem(lam, b), SpectralSystem(lam, c * b)
+    ref = exact_certificate(build_w_plain(base), base)
+    got = exact_certificate(build_w_plain(scaled), scaled)
+    assert not ref.infeasible and not got.infeasible
+    assert (got.a3max, got.a3) == (ref.a3max, ref.a3)
+    assert got.a4 == pytest.approx(c * c * ref.a4, rel=1e-12)
+
+
+@settings(max_examples=30, deadline=None)
+@given(model=st.sampled_from(["heat-neumann", "heat-dirichlet", "counterexample"]),
+       n=st.integers(1, 300))
+def test_w0_falsifier_residuals_lie_within_their_error_bars(model, n):
+    sys = build_model(model, n)
+    cert = exact_certificate(build_w_plain(sys), sys)
+    assert not cert.infeasible and cert.violations == ()
+    assert np.all(np.abs(cert.residuals) <= cert.error_bars)
+    assert cert.residuals.shape == (len(SAMPLE_LEVELS),)
+
+
+def test_w0_certificate_on_the_dense_benchmark_system():
+    sys = _dense_seed7()
+    cert = exact_certificate(build_w_plain(sys), sys)
+    assert not cert.infeasible and cert.violations == ()
+    assert np.all(np.abs(cert.residuals) <= cert.error_bars)
+    assert cert.a3max == pytest.approx(1.0, abs=1e-12)
+    assert cert.a4 == pytest.approx(1.25799375, rel=1e-8)
+
+
+def test_model_w0_certificates_are_the_closed_forms():
+    # a3max = 2 w lam = 1 and a4 = sum (w b)^2 / (1 - a3) = sum b^2 / (2 lam^2).
+    for model, n in (("heat-neumann", 16), ("heat-dirichlet", 256), ("counterexample", 128)):
+        sys = build_model(model, n)
+        cert = exact_certificate(build_w_plain(sys), sys)
+        lam, b = sys.eigenvalues, sys.input_coeffs
+        assert cert.a3max == pytest.approx(1.0, rel=1e-15) and cert.a3 == 0.5 * cert.a3max
+        assert cert.a4 == pytest.approx(np.sum(b * b / (2.0 * lam * lam)), rel=1e-13)
+    assert exact_certificate(build_w_plain(sys), sys).a4 == pytest.approx(0.5, rel=1e-15)
+
+
+def test_exact_certificate_refuses_a_form_without_decay():
+    sys = SpectralSystem([1.0, 2.0], [1.0, 1.0])
+    form = QuadraticForm(p_matrix=np.array([[1.0, 0.0], [0.0, 1e-9]]))
+    growing = MatrixSystem(np.array([[-1.0, 50.0], [0.0, -1.0]]), np.array([1.0, 1.0]))
+    cert = exact_certificate(QuadraticForm(p_matrix=np.eye(2)), growing)
+    assert cert.infeasible and cert.a3max < 0.0 and (cert.a3, cert.a4) == (0.0, 0.0)
+    assert "no positive decay coefficient" in cert.to_config()["infeasible_reason"]
+    assert not exact_certificate(form, sys).infeasible
+    with pytest.raises(ValueError):
+        exact_certificate(build_w_plain(sys), sys, theta=1.0)
+    with pytest.raises(DimensionMismatchError):
+        exact_certificate(build_w_plain(SCALAR), sys)
+
+
+def test_exact_certificate_document_has_the_fitted_keys():
+    sys = heat_system("neumann", 8)
+    fitted = fit_dissipation(build_w_plain(sys), sys, default_sample_cloud(sys, build_w_plain(sys), 4))
+    exact = exact_certificate(build_w_plain(sys), sys)
+    assert exact.to_config().keys() == fitted.to_config().keys()
+    assert exact.to_config()["violations"] == []
+
+
+def test_level_steps_equal_each_step_bit_for_bit():
+    rng = np.random.default_rng(5)
+    sys = SpectralSystem(np.sort(rng.uniform(0.1, 1e4, 9)), rng.normal(size=9))
+    stack = rng.normal(size=(7, 9))
+    for h in (1e-6, 0.03):
+        for level, moved in zip(SAMPLE_LEVELS, _level_steps(sys, stack, SAMPLE_LEVELS, h)):
+            assert np.array_equal(moved, sys.step(stack, level, h))
+
+
+def test_dense_falsifier_reuses_the_fit_propagators(monkeypatch):
+    # The coercive fit and the W_0 falsifier step the same (level, h) pairs,
+    # so once the fit has run the falsifier needs no matrix exponential.
+    import scipy.linalg
+
+    rng = np.random.default_rng(8)
+    raw = rng.normal(size=(6, 6))
+    sys = MatrixSystem(raw - (np.linalg.eigvals(raw).real.max() + 0.5) * np.eye(6), rng.normal(size=6))
+    form, w0 = build_v_half(sys), build_w_plain(sys)
+    calls = []
+    original = scipy.linalg.expm
+    monkeypatch.setattr(scipy.linalg, "expm", lambda a: calls.append(a.shape) or original(a))
+    fit_dissipation(form, sys, default_sample_cloud(sys, form, count=8))
+    assert calls == [(7, 7)] * (len(SAMPLE_LEVELS) * 7)
+    calls.clear()
+    assert not exact_certificate(w0, sys).infeasible
+    assert calls == []
+
+
 # --------------------------------------------------------- decomposition
 
 
@@ -449,8 +603,6 @@ def test_decomposition_dense_nonnormal():
 
 
 def test_decomposition_agrees_across_realizations():
-    from test_systems import REALIZATION_RTOL
-
     rng = np.random.default_rng(13)
     lam = np.sort(rng.uniform(0.5, 15.0, 5))
     b = rng.normal(size=5)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from lyapcert.admissibility import admissibility_constant
 from lyapcert.models import build_model, counterexample_system
 from lyapcert.systems import (
+    STEP_MEMO_ENTRIES,
     ConditioningError,
     DecayBound,
     DimensionMismatchError,
@@ -474,6 +475,83 @@ def test_step_on_a_stack_equals_each_row(kind):
             stepped = sys.step(stack, u, h)
             assert stepped.shape == stack.shape
             assert np.array_equal(stepped, np.array([sys.step(x, u, h) for x in stack]))
+
+
+def _dense_system(seed, n=5):
+    rng = np.random.default_rng(seed)
+    raw = rng.normal(size=(n, n))
+    return MatrixSystem(raw - (np.linalg.eigvals(raw).real.max() + 0.5) * np.eye(n),
+                        rng.normal(size=n)), rng
+
+
+def test_memoized_step_holds_the_bytes_of_a_fresh_expm():
+    import scipy.linalg
+
+    sys, rng = _dense_system(4)
+    stack = rng.normal(size=(3, 5))
+    aug = np.zeros((6, 6))
+    aug[:5, :5] = sys.a_matrix * 0.01
+    aug[:5, 5] = sys.input_coeffs * -0.5 * 0.01
+    fresh = scipy.linalg.expm(aug)
+    expected = (fresh[:5, :5] @ stack[..., None])[..., 0] + fresh[:5, 5]
+    first = sys.step(stack, -0.5, 0.01)
+    assert len(sys._propagators) == 1
+    hit = sys.step(stack, -0.5, 0.01)
+    assert len(sys._propagators) == 1
+    assert first.tobytes() == hit.tobytes() == expected.tobytes()
+    assert np.array_equal(sys._propagators[(0.01, "-0.5")], fresh)
+
+
+def test_step_memo_keys_on_the_exact_level_and_step():
+    sys, rng = _dense_system(5)
+    x = rng.normal(size=5)
+    for u in (0.0, -0.0, 1, 1.0, 1 + 0j):
+        sys.step(x, u, 0.1)
+    sys.step(x, 1.0, np.nextafter(0.1, 1.0))
+    sys.step(x, None, 0.1)  # the free flow is not memoized
+    assert len(sys._propagators) == 6
+
+
+def test_step_memo_stays_bounded():
+    sys, rng = _dense_system(6)
+    x = rng.normal(size=5)
+    for k in range(3 * STEP_MEMO_ENTRIES):
+        sys.step(x, 1.0, 0.01 * (k + 1))
+        assert len(sys._propagators) <= STEP_MEMO_ENTRIES
+    assert len(sys._propagators) == STEP_MEMO_ENTRIES
+    # The oldest entries go first; the newest stay.
+    assert (0.01 * 3 * STEP_MEMO_ENTRIES, "1.0") in sys._propagators
+
+
+def test_step_memo_stays_within_its_byte_budget(monkeypatch):
+    import lyapcert.systems as systems
+
+    sys, rng = _dense_system(7)
+    monkeypatch.setattr(systems, "STEP_MEMO_BYTES", 3 * 6 * 6 * 8 + 1)
+    for k in range(10):
+        sys.step(rng.normal(size=5), 0.5, 0.1 * (k + 1))
+    assert len(sys._propagators) == 3
+    monkeypatch.setattr(systems, "STEP_MEMO_BYTES", 6 * 6 * 8 - 1)
+    fresh, _ = _dense_system(7)
+    fresh.step(rng.normal(size=5), 0.5, 0.1)
+    assert fresh._propagators == {}
+
+
+def test_perturbed_lyapunov_solve_is_refused():
+    # Rates spread over 2^0 .. 2^300: LAPACK perturbs the eigenvalue sums it
+    # deems near zero and only warns.  The Gramian constant of this system
+    # came back as 1.4e-39 against the diagonal realization's 0.7071.
+    from lyapcert.lyapunov import build_w_plain
+
+    lam = 2.0 ** np.linspace(0.0, 300.0, 8)
+    dense = MatrixSystem(np.diag(-lam), np.ones(8))
+    with pytest.raises(ConditioningError, match="perturbing the coefficients"):
+        dense.l2_input_constants([10.0])
+    with pytest.raises(ConditioningError):
+        build_w_plain(dense)
+    assert SpectralSystem(lam, np.ones(8)).l2_input_constants([10.0])[0] == pytest.approx(
+        0.70710678, rel=1e-8
+    )
 
 
 # ------------------------------------ decay prefactors: closed form and grid
