@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .systems import SpectralSystem, extrapolation_norm
+from .systems import extrapolation_norm
 
 __all__ = [
     "AdmissibilityEstimate",
@@ -179,31 +179,6 @@ def _graded_backward_grid(fastest_rate, horizon, steps):
     return np.concatenate([[0.0], nodes])
 
 
-def _diagonal_constants(sys, q, horizons):
-    # Closed forms of the q = 1 and q = inf constants of a diagonal system:
-    # every mode's kernel b e^(-lam tau) peaks at tau = 0, and with a scalar
-    # input every mode's response shares the sign of its b, so the aligned
-    # sign input is worst and the integral telescopes.
-    lam, b = sys.eigenvalues, sys.input_coeffs
-    if q == 1.0:
-        return [float(np.linalg.norm(b))] * len(horizons)
-    return [float(np.linalg.norm(np.abs(b) * (-np.expm1(-lam * t) / lam))) for t in horizons]
-
-
-def _constant_on_grid(sys, q, nodes):
-    # Dense q = 1 and q = inf constants, sampled on the backward-time nodes.
-    if q == 1.0:
-        # Concentrated inputs: the constant is the largest kernel norm
-        # ||T(tau) B|| over the nodes, each the exact free step of b.
-        b = sys.input_coeffs
-        return float(max(np.linalg.norm(sys.step(b, None, tau)) for tau in nodes))
-    # q = inf: column j integrates T(tau) B exactly over the j-th backward
-    # segment, and the aligned-sign sum of the columns is the worst
-    # bounded input when every segment shares the per-mode sign.
-    columns = sys.input_segment_integrals(nodes)
-    return float(np.linalg.norm(np.sum(np.abs(columns), axis=1)))
-
-
 def admissibility_constant(sys, q, horizon, steps=512) -> AdmissibilityEstimate:
     """The q-admissibility constant of the input map at one horizon.
 
@@ -217,13 +192,12 @@ def admissibility_trend(systems, q, horizons, steps=512) -> AdmissibilityEstimat
 
     The input space is scalar.  For q = 2 the constant is exact:
     ``sqrt(lambda_max(W_T))`` of the input Gramian, from each system's
-    ``l2_input_constants``.  On diagonal systems q = 1 gives ``||b||`` and
-    q = inf ``|| |b| (1 - e^(-lam T)) / lam ||``, both exact.  On dense
-    systems q = 1 is the peak kernel norm ``||T(tau) b||`` and q = inf the
-    aligned-sign worst case, both sampled on one graded grid of ``steps``
-    segments, built for the largest horizon and the stiffest dense system;
-    smaller horizons are snapped onto its nodes.  ``steps`` sizes only that
-    grid.
+    ``l2_input_constants``.  q = 1 and q = inf come from its
+    ``lq_input_constants``: closed forms on diagonal systems, and on dense
+    ones samples on one graded grid of ``steps`` segments, built on first
+    use for the largest horizon and the stiffest dense system (the largest
+    ``grid_rate``).  Smaller horizons are snapped onto its nodes.
+    ``steps`` sizes only that grid.
 
     Monotonicity in T and N is exact for the Gramian: a larger T increases
     ``W_T`` in the Loewner order, and a leading truncation's Gramian is a
@@ -239,21 +213,21 @@ def admissibility_trend(systems, q, horizons, steps=512) -> AdmissibilityEstimat
         raise ValueError("horizon must be positive and finite")
     if steps < 8:
         raise ValueError("need at least 8 discretization steps")
-    dense = [s for s in systems if not isinstance(s, SpectralSystem)]
-    if q != 2.0 and dense:
-        fastest = max(s.fastest_rate for s in dense)
-        master = _graded_backward_grid(fastest, horizons[-1], steps)
-        master = np.unique(np.concatenate([master, np.asarray(horizons)]))
+    rate = max(s.grid_rate for s in systems)
+    master = []
+
+    def grid():
+        if not master:
+            nodes = _graded_backward_grid(rate, horizons[-1], steps)
+            master.append(np.unique(np.concatenate([nodes, np.asarray(horizons)])))
+        return master[0]
+
     rows = []
     for sys in systems:
         if q == 2.0:
             constants = sys.l2_input_constants(horizons)
-        elif isinstance(sys, SpectralSystem):
-            constants = _diagonal_constants(sys, q, horizons)
         else:
-            constants = [
-                _constant_on_grid(sys, q, master[master <= t * (1.0 + 1e-12)]) for t in horizons
-            ]
+            constants = sys.lq_input_constants(q, horizons, grid)
         rows.extend((t, sys.dimension, k) for t, k in zip(horizons, constants))
     return AdmissibilityEstimate(
         q=q, horizon=horizons[-1], constant=rows[-1][2], trend=tuple(rows)

@@ -43,7 +43,7 @@ from .lyapunov import (
     build_w_q,
     contraction_similarity,
 )
-from .systems import SpectralSystem, _is_number, decay_bound_estimate, system_from_config
+from .systems import _is_number, decay_bound_estimate, system_from_config
 
 __all__ = [
     "AnalysisConfig",
@@ -167,8 +167,8 @@ def _family(config: AnalysisConfig):
 
     The largest truncation is built once: from a registered model, from a
     rule document evaluated at the largest size, or from explicit lists.
-    Every member is a leading section of it, so the family is nested by
-    construction.  A matrix document is a family of one system.
+    Its ``truncations`` are the family: leading sections of it, so nested by
+    construction, or, for a matrix document, the one dense system.
     """
     modes = sorted(set(config.modes))
     if config.model is None and config.system is None:
@@ -184,16 +184,12 @@ def _family(config: AnalysisConfig):
             largest = system_from_config(doc)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    if doc.get("type") == "matrix":
-        return largest.label, [largest]
-    usable = [n for n in modes if n <= largest.dimension]
-    if not usable:
+    family = largest.truncations(modes)
+    if not family:
         raise ConfigError(
             f"the explicit sequences provide only {largest.dimension} modes; "
             "no requested truncation size fits"
         )
-    lam, b = largest.eigenvalues, largest.input_coeffs
-    family = [SpectralSystem(lam[:n], b[:n], label=largest.label) for n in usable]
     return (doc.get("label", "custom") if rules else largest.label), family
 
 
@@ -444,12 +440,7 @@ def run_analyze(config: AnalysisConfig):
     """Full analysis of one family; returns (report dict, artifact paths)."""
     label, family, slots, rows = admissibility_stages(config)
     largest = family[-1]
-    diagonal = isinstance(largest, SpectralSystem)
-
-    # For diagonal (self-adjoint) systems the square-function candidate IS
-    # half the squared norm; for dense systems it is the Lyapunov-solve
-    # form, the correct coercive witness for non-normal generators.
-    coercive_builder = build_half_norm if diagonal else build_v_half
+    coercive_builder = largest.coercive_candidate(build_half_norm, build_v_half)
     slots["coercive_quadratic_l2"] = _certificate_trend(
         label, family, _fitted(coercive_builder, config), rows
     )
@@ -493,14 +484,13 @@ def run_analyze(config: AnalysisConfig):
     header = ["system", "label", "quantity", "gamma_or_q", "N", "T", "value"]
     files = {"report": ("report.json", report), "trends": ("trends.csv", (header, rows))}
     if config.out_dir:  # these rows and the step response are computed only to be written
-        if diagonal:
-            for q_power in (0.0, 0.25, 0.5):
-                for sys in family:
-                    form = build_w_q(sys, q_power)
-                    rows.append(
-                        (label, form.provenance, "coercivity_lower", f"{q_power:g}",
-                         sys.dimension, None, form.a1)
-                    )
+        for q_power in largest.coercivity_powers:
+            for sys in family:
+                form = build_w_q(sys, q_power)
+                rows.append(
+                    (label, form.provenance, "coercivity_lower", f"{q_power:g}",
+                     sys.dimension, None, form.a1)
+                )
         for bound in decay_bound_estimate(largest, (0.0, 0.25, 0.5), delta=config.delta_override):
             rows.append(
                 (label, f"decay rate {bound.rate:g}", "decay_prefactor", f"{bound.power:g}",

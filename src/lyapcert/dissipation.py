@@ -10,14 +10,14 @@ so simulation introduces no discretization error beyond round-off; matrix
 systems use an exponential integrator on each constant-input segment.
 
 Dini derivatives of V come from one table: each input level and step size
-takes one exact ``sys.step`` of a stack of states (:func:`_dini_quotients`).
+takes one exact step of a stack of states (:func:`_dini_quotients`).
 The certificate fit reads one (states x input levels) table of samples,
 with array expressions for its cap, a4 and residuals; a non-finite sample
 is a violation and never a bound.  :func:`exact_certificate` needs no
 samples: it reads (a3, a4) off the form's operator and keeps the Dini
 estimator as its falsifier at the states where the pair binds.
-The three integrals of :func:`proof_decomposition` are orbit energies from
-the one quadrature of the square-function integral in ``lyapunov``.
+The three integrals of :func:`proof_decomposition` are orbit energies,
+quadratures of the square-function integral (:func:`_orbit_energy`).
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ import numpy as np
 import scipy.linalg
 
 from .admissibility import admissibility_constant
-from .lyapunov import QuadraticForm, GainEnvelope, _orbit_energy
-from .systems import DimensionMismatchError, SpectralSystem, _readonly, as_state, semigroup_apply
+from .lyapunov import QuadraticForm, GainEnvelope
+from .systems import DimensionMismatchError, _readonly, as_state, semigroup_apply
 
 __all__ = [
     "DecompositionReport",
@@ -203,21 +203,6 @@ def _neville_limit(hs, values):
     return diagonal[-1], np.abs(diagonal[-1] - diagonal[-2])
 
 
-def _level_steps(sys, states, levels, h):
-    """``sys.step(states, level, h)`` for each level in turn, bit for bit.
-
-    A diagonal step is ``e^(-lam h) x + b (u gain)``; its free flow is
-    formed once per call and shared by every level, term for term the
-    expression of ``SpectralSystem.step``.
-    """
-    if not isinstance(sys, SpectralSystem):
-        return (sys.step(states, level, h) for level in levels)
-    lam = sys.eigenvalues
-    free = np.exp(-lam * h) * states
-    gain = -np.expm1(-lam * h) / lam
-    return (free + sys.input_coeffs * (level * gain) for level in levels)
-
-
 def _dini_quotients(form: QuadraticForm, sys, states, levels, hs, v0):
     """Dini estimates of a stack of states, whose V values are ``v0``, per input level.
 
@@ -228,7 +213,7 @@ def _dini_quotients(form: QuadraticForm, sys, states, levels, hs, v0):
     """
     quotients = np.empty((len(states), len(levels), len(hs)))
     for j, h in enumerate(hs):
-        for i, moved in enumerate(_level_steps(sys, states, levels, h)):
+        for i, moved in enumerate(sys.level_steps(states, levels, h)):
             quotients[:, i, j] = (form.values(moved) - v0) / h
     value, bar = _neville_limit(hs, quotients)
     # Round-off floor: the difference quotient carries eps*|V|/h of noise,
@@ -269,9 +254,9 @@ def default_sample_cloud(sys, form: QuadraticForm, count=200, seed=0) -> np.ndar
 
     The unit-norm Gaussian draws come first, then deterministic probes:
     coordinate directions pin the extremal decay rates, and input-aligned
-    states ``(2 w lam - theta)^(-1) w b`` at sub-unit scales expose the
-    input coefficient a4 that the inequality actually needs -- an isotropic
-    unit cloud systematically misses both.
+    states ``(M - theta)^(-1) w b`` at sub-unit scales, where ``M = 2 w lam``
+    is diagonal, expose the input coefficient a4 that the inequality needs
+    -- an isotropic unit cloud systematically misses both.
     """
     n = sys.dimension
     rng = np.random.default_rng(seed)
@@ -283,8 +268,8 @@ def default_sample_cloud(sys, form: QuadraticForm, count=200, seed=0) -> np.ndar
     b = sys.input_coeffs
     if np.linalg.norm(b) > 0:
         rows.append(np.asarray(b, dtype=float) / np.linalg.norm(b))
-        if isinstance(sys, SpectralSystem) and form.weights is not None:
-            wl = 2.0 * form.weights * sys.eigenvalues
+        wl = sys.dissipation_operator(form)
+        if wl.ndim == 1:
             aligned, floor = form.weights * b, float(wl.min())
             rows += [aligned / (wl - t * floor) * s for t in (0.5, 0.9) for s in (0.25, 0.5)]
     return _readonly(np.vstack(rows))
@@ -466,15 +451,11 @@ def exact_certificate(form: QuadraticForm, sys, theta=0.5) -> ExactCertificate:
         raise DimensionMismatchError(
             f"form dimension {form.dimension} does not match system dimension {n}"
         )
-    pb, diagonal = form.p_apply(sys.input_coeffs), isinstance(sys, SpectralSystem)
-    if diagonal and form.weights is not None:
-        m = 2.0 * form.weights * sys.eigenvalues
+    pb, m = form.p_apply(sys.input_coeffs), sys.dissipation_operator(form)
+    if m.ndim == 1:
         a3max = float(m.min())
         bottom = np.eye(1, n, int(np.argmax(m <= a3max * (1.0 + 1e-12))))[0]
     else:
-        a = -np.diag(sys.eigenvalues) if diagonal else sys.a_matrix
-        pa = (np.diag(form.weights) if form.p_matrix is None else form.p_matrix) @ a
-        m = -(pa + pa.conj().T)
         lowest, vectors = scipy.linalg.eigh(m, subset_by_index=[0, 0])
         a3max, bottom = float(lowest[0]), vectors[:, 0]
     if not a3max > 0.0:
@@ -550,6 +531,27 @@ class DecompositionReport:
     k2_constant: float
     input_energy: float
     i3_bound_holds: bool
+
+
+def _orbit_energy(sys, q, a, b) -> float:
+    # Quadrature of int_0^{25/gap} Re<(-A)^q T(t) a, (-A)^q T(t) b> dt.  The
+    # truncated mass is below exp(-50) of the total.  When ``b is a`` the
+    # semigroup is evaluated once per node.  scipy.integrate is imported
+    # here, its only library use, to keep it out of ``import lyapcert``.
+    import scipy.integrate
+
+    def orbit(t, x):
+        return sys.neg_power_apply(q, semigroup_apply(sys, t, x))
+
+    def integrand(t):
+        oa = orbit(t, a)
+        ob = oa if b is a else orbit(t, b)
+        return float(np.real(np.vdot(oa, ob)))
+
+    value, _ = scipy.integrate.quad(
+        integrand, 0.0, 25.0 / sys.spectral_gap, epsabs=1e-13, epsrel=1e-11, limit=500
+    )
+    return value
 
 
 def proof_decomposition(form: QuadraticForm, sys, x, u, h) -> DecompositionReport:

@@ -7,10 +7,11 @@ The constructors realize the square-function integrals
 
 which for a diagonal generator collapse to explicit per-mode weights
 ``lam^(2q-1) / 2``.  Dense systems go through a continuous Lyapunov solve
-instead, cross-checked against direct quadrature of the defining integral.
-That quadrature, the orbit energy ``int Re<(-A)^q T(t) a, (-A)^q T(t) b> dt``
-of :func:`_orbit_energy`, is the one path to the integral on both
-realizations; the three-term decomposition in ``dissipation`` uses it too.
+instead, one per system and exponent; the system supplies the operator
+(``square_function_form``).  V_half's solve must pass a refinement check
+that bounds its error over every unit state.  The quadrature of the
+defining integral, the orbit energy ``dissipation._orbit_energy``, serves
+only the three-term decomposition there.
 """
 
 from __future__ import annotations
@@ -19,8 +20,6 @@ import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from .systems import MatrixSystem, SpectralSystem, _solve_lyapunov, semigroup_apply
 
 __all__ = [
     "ContractionReport",
@@ -126,75 +125,21 @@ class QuadraticForm:
         return doc
 
 
-def _wq_weights(eigenvalues, q):
-    # int_0^inf lam^(2q) exp(-2 lam t) dt = lam^(2q-1) / 2, per mode.
-    return eigenvalues ** (2.0 * q - 1.0) / 2.0
-
-
-def _matrix_square_function(sys: MatrixSystem, q) -> np.ndarray:
-    # P solves A^H P + P A = -S^H S with S = (-A)^q, so that
-    # <P x, x> = int ||S exp(At) x||^2 dt.
-    s = sys.neg_power(q)
-    rhs = -(s.conj().T @ s)
-    p = _solve_lyapunov(sys.a_matrix.conj().T, rhs)
-    return (p + p.conj().T) / 2.0
-
-
-def _orbit_energy(sys, q, a, b) -> float:
-    # Quadrature of int_0^{25/gap} Re<(-A)^q T(t) a, (-A)^q T(t) b> dt.  The
-    # truncated mass is below exp(-50) of the total.  When ``b is a`` the
-    # semigroup is evaluated once per node.  scipy.integrate is imported
-    # here, its only library use, to keep it out of ``import lyapcert``.
-    import scipy.integrate
-
-    def orbit(t, x):
-        return sys.neg_power_apply(q, semigroup_apply(sys, t, x))
-
-    def integrand(t):
-        oa = orbit(t, a)
-        ob = oa if b is a else orbit(t, b)
-        return float(np.real(np.vdot(oa, ob)))
-
-    value, _ = scipy.integrate.quad(
-        integrand, 0.0, 25.0 / sys.spectral_gap, epsabs=1e-13, epsrel=1e-11, limit=500
-    )
-    return value
-
-
-def _square_function_form(sys, q, provenance) -> QuadraticForm:
-    # The one realization decision of the square-function family: explicit
-    # per-mode weights for diagonal generators, a Lyapunov solve otherwise.
-    if isinstance(sys, SpectralSystem):
-        return QuadraticForm(
-            weights=_wq_weights(sys.eigenvalues, q),
-            provenance=provenance,
-            generator_power=q,
-        )
-    return QuadraticForm(
-        p_matrix=_matrix_square_function(sys, q),
-        provenance=provenance + " (Lyapunov solve)",
-        generator_power=q,
-    )
-
-
 def build_v_half(sys) -> QuadraticForm:
     """The coercive square-function form with exponent one half.
 
     Diagonal systems collapse to the constant weight 1/2 for every mode,
     i.e. half the squared norm.  Dense systems solve the Lyapunov equation
-    A^H P + P A = -S^H S with S = (-A)^(1/2) and cross-check the solve
-    against direct quadrature.
+    A^H P + P A = -S^H S with S = (-A)^(1/2); the error bound ``||E||_2`` of
+    ``sys.square_function_error`` must stay within ``1e-6 max(1, |V(p)|)``
+    at the unit probe ``p = 1/sqrt(n)``, or RuntimeError is raised.
     """
-    form = _square_function_form(sys, 0.5, "square-function integral, exponent one half")
-    if form.p_matrix is None:
-        return form
+    provenance = "square-function integral, exponent one half"
+    form = QuadraticForm(**sys.square_function_form(0.5, provenance))
     probe = np.ones(sys.dimension) / np.sqrt(sys.dimension)
-    direct = _orbit_energy(sys, 0.5, probe, probe)
-    if abs(direct - form.value(probe)) > 1e-6 * max(1.0, abs(direct)):
-        raise RuntimeError(
-            f"Lyapunov solve disagrees with quadrature: {form.value(probe):.12g} "
-            f"vs {direct:.12g}"
-        )
+    error = sys.square_function_error(0.5)
+    if not error <= 1e-6 * max(1.0, abs(form.value(probe))):
+        raise RuntimeError(f"Lyapunov solve fails its refinement check: ||E||_2 = {error:.6g}")
     return form
 
 
@@ -208,7 +153,7 @@ def build_w_q(sys, q) -> QuadraticForm:
     if not 0.0 <= q <= 0.5 + 1e-12:
         raise ValueError("q must lie in [0, 1/2]")
     q = min(float(q), 0.5)
-    return _square_function_form(sys, q, f"square-function integral, exponent {q:g}")
+    return QuadraticForm(**sys.square_function_form(q, f"square-function integral, exponent {q:g}"))
 
 
 def build_w_plain(sys) -> QuadraticForm:
@@ -220,18 +165,7 @@ def build_w_plain(sys) -> QuadraticForm:
 
 def build_half_norm(sys) -> QuadraticForm:
     """Half the squared state norm, the canonical self-adjoint candidate."""
-    provenance = "half squared norm"
-    if isinstance(sys, SpectralSystem):
-        return QuadraticForm(
-            weights=np.full(sys.dimension, 0.5),
-            provenance=provenance,
-            generator_power=0.5,
-        )
-    return QuadraticForm(
-        p_matrix=np.eye(sys.dimension) * 0.5,
-        provenance=provenance,
-        generator_power=None,
-    )
+    return QuadraticForm(**sys.half_norm_form("half squared norm"))
 
 
 @dataclass(frozen=True)
@@ -248,8 +182,8 @@ def contraction_similarity(sys):
     """Take P with A^H P + P A = -I and verify dissipativity in <Px, x>.
 
     Returns ``(form, report)``.  P is the operator of W_0 from
-    :func:`build_w_q`: weights 1/(2 lam) for diagonal generators, a
-    Lyapunov solve otherwise.  In the new scalar product
+    :func:`build_w_q`: weights 1/(2 lam) for diagonal generators, the
+    system's cached Lyapunov solve otherwise.  In the new scalar product
     Re <Ax, Px> = -1/2 ||x||^2, so the margin, the exact sup of
     Re <Ax, Px> / ||x||^2, must be nonpositive up to 1e-10.
     ``condition_number`` a2/a1 of P measures how far the similarity
@@ -258,11 +192,8 @@ def contraction_similarity(sys):
     certified rate a = 1 / (2 a2) of W(x) = ||P^(1/2) x||.
     """
     form = build_w_q(sys, 0.0)
-    if form.weights is not None:
-        margin = float(np.max(-form.weights * sys.eigenvalues))
-    else:
-        pa = form.p_matrix @ sys.a_matrix
-        margin = float(np.linalg.eigvalsh((pa + pa.conj().T) / 2.0)[-1])
+    half = -sys.dissipation_operator(form) / 2.0  # (PA + A^H P)/2
+    margin = float(np.max(half) if half.ndim == 1 else np.linalg.eigvalsh(half)[-1])
     if form.a1 <= 0:
         raise RuntimeError("Lyapunov solve returned a non-positive operator")
     report = ContractionReport(

@@ -3,18 +3,28 @@
 Two realizations of an exponentially stable linear system ``x' = Ax + bu``
 with a scalar input ``u`` are supported: :class:`SpectralSystem` (diagonal
 generator, the workhorse) and :class:`MatrixSystem` (dense Hurwitz matrix).
-Both expose one surface, so callers never branch on the realization to get
-these quantities:
+Every diagonal-or-dense choice is a method that both implement, so callers
+never branch on the realization:
 
 * ``input_coeffs``, the input column ``b`` as a read-only 1-D array;
 * ``dimension``, ``spectral_gap`` and ``fastest_rate`` (the largest
   eigenvalue modulus, computed once per instance);
+* ``truncations(sizes)``, the family that a sweep over mode counts analyzes;
 * ``step(x, u, h)``, the exact state after ``h`` under the constant input
   ``u`` (``u=None`` is the free flow ``T(h) x``) of one state or of each
-  row of a stack;
+  row of a stack; ``level_steps(states, levels, h)`` steps per input level;
 * ``neg_power(alpha)`` and ``neg_power_apply(alpha, x)``, the operator
   ``(-A)^alpha`` (per-mode factors for diagonal systems), cached per
   instance and exponent as read-only arrays;
+* ``square_function_form(q, provenance)`` and ``half_norm_form(provenance)``,
+  the ``QuadraticForm`` arguments of W_q and of half the squared norm;
+  dense W_q operators are one cached Lyapunov solve per exponent, whose
+  error ``square_function_error(q)`` bounds;
+* ``coercive_candidate(half_norm, square_function)``, the coercive builder
+  that fits the generator, and ``coercivity_powers``, the W_q exponents
+  whose lower constants ``analyze`` tabulates;
+* ``dissipation_operator(form)``, ``M = -(PA + A^H P)`` of a form's ``P``,
+  1-D when form and system are both diagonal;
 * ``decay_prefactors(powers, delta)``, per power ``r`` the smallest ``M``
   with ``||(-A)^r T(t)|| <= M t^-r e^(-delta t)``: in closed form on
   diagonal systems, a grid maximum on dense ones;
@@ -22,11 +32,10 @@ these quantities:
   constant ``sqrt(lambda_max(W_T))`` of the input Gramian
   ``W_T = int_0^T T(tau) b b^H T(tau)^H dtau``: a pivoted Cholesky factor
   on diagonal systems, one Lyapunov solve and one ``expm`` per horizon on
-  dense ones.
-
-Dense systems also expose ``input_segment_integrals(nodes)``, the input map
-``int T(tau) B dtau`` over the segments between consecutive nodes, which the
-q = 1 and q = inf constants sample.
+  dense ones;
+* ``lq_input_constants(q, horizons, grid)``, the q = 1 and q = inf
+  constants: closed forms, or sampled on the sweep's graded time grid,
+  which resolves the largest ``grid_rate``.
 
 States are plain 1-D numpy arrays; helpers here validate their length
 against the owning system.
@@ -142,12 +151,12 @@ def _gramian_factor(lam, b, horizon):
     return factor[:rank], residual
 
 
-def _cached_power(sys, alpha, compute):
-    # Per-instance cache of read-only arrays keyed by the exponent.  The
-    # dataclasses are frozen and carry unhashable array fields, so a
+def _cached(sys, slot, exponent, compute):
+    # Per-instance cache ``slot`` of read-only arrays keyed by the exponent.
+    # The dataclasses are frozen and carry unhashable array fields, so a
     # functools cache cannot key on the instance.
-    cache = sys.__dict__.setdefault("_neg_powers", {})
-    key = float(alpha)
+    cache = sys.__dict__.setdefault(slot, {})
+    key = float(exponent)
     if key not in cache:
         cache[key] = _readonly(compute())
     return cache[key]
@@ -166,6 +175,10 @@ class SpectralSystem:
     eigenvalues: np.ndarray
     input_coeffs: np.ndarray
     label: str = "spectral"
+
+    # W_q's lower constant lam_N^(2q-1)/2 drifts to zero across truncations for q < 1/2.
+    coercivity_powers = (0.0, 0.25, 0.5)
+    grid_rate = 0.0  # the closed-form q = 1 and q = inf constants need no time grid
 
     def __post_init__(self):
         lam = np.array(self.eigenvalues, dtype=float).reshape(-1)
@@ -199,6 +212,15 @@ class SpectralSystem:
         """Largest eigenvalue, the inverse of the shortest relaxation time."""
         return float(self.eigenvalues[-1])
 
+    def truncations(self, sizes) -> list:
+        """The leading sections with each of ``sizes`` modes that fits, in that order."""
+        lam, b = self.eigenvalues, self.input_coeffs
+        return [SpectralSystem(lam[:n], b[:n], label=self.label) for n in sizes if n <= lam.size]
+
+    def coercive_candidate(self, half_norm, square_function):
+        """``half_norm``: for a self-adjoint generator V_half is half the squared norm."""
+        return half_norm
+
     def step(self, x, u, h) -> np.ndarray:
         """Exact state after h under the constant input u (None: free flow).
 
@@ -212,12 +234,40 @@ class SpectralSystem:
         gain = -np.expm1(-lam * h) / lam
         return decay * x + self.input_coeffs * (u * gain)
 
+    def level_steps(self, states, levels, h):
+        """Each level's :meth:`step` of ``states`` bit for bit, sharing one free flow."""
+        lam = self.eigenvalues
+        free = np.exp(-lam * h) * states
+        gain = -np.expm1(-lam * h) / lam
+        return (free + self.input_coeffs * (level * gain) for level in levels)
+
     def neg_power(self, alpha) -> np.ndarray:
         """Per-mode factors lam_n^alpha of (-A)^alpha."""
-        return _cached_power(self, alpha, lambda: self.eigenvalues ** float(alpha))
+        return _cached(self, "_neg_powers", alpha, lambda: self.eigenvalues ** float(alpha))
 
     def neg_power_apply(self, alpha, x) -> np.ndarray:
         return self.neg_power(alpha) * x
+
+    def square_function_form(self, q, provenance) -> dict:
+        """W_q's weights ``int_0^inf lam^(2q) e^(-2 lam t) dt = lam^(2q-1)/2`` per mode."""
+        weights = self.eigenvalues ** (2.0 * q - 1.0) / 2.0
+        return {"weights": weights, "provenance": provenance, "generator_power": q}
+
+    def half_norm_form(self, provenance) -> dict:
+        """Weights 1/2: for a self-adjoint generator half the squared norm is W_q at q = 1/2."""
+        weights = np.full(self.dimension, 0.5)
+        return {"weights": weights, "provenance": provenance, "generator_power": 0.5}
+
+    def square_function_error(self, q) -> float:
+        """0: the square-function weights are closed forms, with no solve to refine."""
+        return 0.0
+
+    def dissipation_operator(self, form) -> np.ndarray:
+        """``M = -(PA + A^H P)``: ``2 w lam`` for diagonal weights w, else a dense matrix."""
+        if form.weights is not None:
+            return 2.0 * form.weights * self.eigenvalues
+        pa = form.p_matrix * -self.eigenvalues  # P A scales the columns of P
+        return -(pa + pa.conj().T)
 
     def decay_prefactors(self, powers, delta) -> list:
         """sup over t > 0 of t^r ||(-A)^r T(t)|| e^(delta t) per power r, in closed form.
@@ -242,6 +292,18 @@ class SpectralSystem:
             constants.append(_sqrt_top_eigenvalue(factor @ factor.T))
         return constants
 
+    def lq_input_constants(self, q, horizons, grid) -> list:
+        """The q = 1 or q = inf constant per horizon in closed form, without ``grid``.
+
+        Every mode's kernel ``b e^(-lam tau)`` peaks at ``tau = 0``, and with
+        a scalar input every mode's response shares the sign of its b, so
+        the aligned sign input is worst and the integral telescopes.
+        """
+        lam, b = self.eigenvalues, self.input_coeffs
+        if q == 1.0:
+            return [float(np.linalg.norm(b))] * len(horizons)
+        return [float(np.linalg.norm(np.abs(b) * (-np.expm1(-lam * t) / lam))) for t in horizons]
+
 
 @dataclass(frozen=True)
 class MatrixSystem:
@@ -256,6 +318,8 @@ class MatrixSystem:
     a_matrix: np.ndarray
     input_coeffs: np.ndarray
     label: str = "matrix"
+
+    coercivity_powers = ()  # a family of one has no lower-constant trend to show
 
     def __post_init__(self):
         a = np.array(self.a_matrix)
@@ -306,6 +370,17 @@ class MatrixSystem:
         """Largest eigenvalue of (A + A^H)/2, from construction; may be positive."""
         return self._log_norm
 
+    # The graded grid of the sampled q = 1 and q = inf constants resolves the fastest rate.
+    grid_rate = fastest_rate
+
+    def truncations(self, sizes) -> list:
+        """``[self]``: a dense system is its own only truncation, whatever the sizes."""
+        return [self]
+
+    def coercive_candidate(self, half_norm, square_function):
+        """``square_function``: V_half, the coercive witness of a non-normal generator."""
+        return square_function
+
     def step(self, x, u, h) -> np.ndarray:
         """Exact state after h under the constant scalar input u (None: free flow).
 
@@ -336,12 +411,53 @@ class MatrixSystem:
                 memo[key] = propagator
         return (propagator[:n, :n] @ x[..., None])[..., 0] + propagator[:n, n]
 
+    def level_steps(self, states, levels, h):
+        """Each level's :meth:`step` of ``states``."""
+        return (self.step(states, level, h) for level in levels)
+
     def neg_power(self, alpha) -> np.ndarray:
         """The matrix (-A)^alpha; see :func:`matrix_neg_power`."""
-        return _cached_power(self, alpha, lambda: matrix_neg_power(self, alpha))
+        return _cached(self, "_neg_powers", alpha, lambda: matrix_neg_power(self, alpha))
 
     def neg_power_apply(self, alpha, x) -> np.ndarray:
         return self.neg_power(alpha) @ x
+
+    def _square_function_operator(self, q) -> np.ndarray:
+        # P with A^H P + P A = -S^H S, S = (-A)^q, so that
+        # <P x, x> = int ||S exp(At) x||^2 dt; one solve per exponent.
+        def solve():
+            s = self.neg_power(q)
+            p = _solve_lyapunov(self.a_matrix.conj().T, -(s.conj().T @ s))
+            return (p + p.conj().T) / 2.0
+
+        return _cached(self, "_square_functions", q, solve)
+
+    def square_function_form(self, q, provenance) -> dict:
+        """W_q's operator, the Lyapunov solve P cached per exponent."""
+        p = self._square_function_operator(q)
+        return {"p_matrix": p, "provenance": provenance + " (Lyapunov solve)", "generator_power": q}
+
+    def half_norm_form(self, provenance) -> dict:
+        """``P = I/2``, which is no square-function form of a non-normal generator."""
+        p = np.eye(self.dimension) * 0.5
+        return {"p_matrix": p, "provenance": provenance, "generator_power": None}
+
+    def square_function_error(self, q) -> float:
+        """``||E||_2`` of the error ``E = P - P_exact`` of the cached W_q operator P.
+
+        One refinement solve: E solves ``A^H E + E A = R`` with P's residual
+        ``R = A^H P + P A + S^H S`` (Higham, Accuracy and Stability of
+        Numerical Algorithms, ch. 16); ``|<Ex, x>| <= ||E||_2`` at unit x.
+        """
+        p, s = self._square_function_operator(q), self.neg_power(q)
+        a_h = self.a_matrix.conj().T
+        error = _solve_lyapunov(a_h, a_h @ p + p @ self.a_matrix + s.conj().T @ s)
+        return float(np.linalg.norm(error, 2))
+
+    def dissipation_operator(self, form) -> np.ndarray:
+        """``M = -(PA + A^H P)`` of a form's operator P, a dense matrix."""
+        pa = (np.diag(form.weights) if form.p_matrix is None else form.p_matrix) @ self.a_matrix
+        return -(pa + pa.conj().T)
 
     def power_semigroup_norms(self, powers, t) -> list:
         """||(-A)^r T(t)|| per power r in the Euclidean operator norm, one expm."""
@@ -401,14 +517,27 @@ class MatrixSystem:
             constants.append(_sqrt_top_eigenvalue((gram + gram.conj().T) / 2.0))
         return constants
 
-    def input_segment_integrals(self, nodes) -> np.ndarray:
-        """Column j holds A^-1 (T(nodes_j+1) - T(nodes_j)) B, the integral of T(tau) B.
+    def lq_input_constants(self, q, horizons, grid) -> list:
+        """The q = 1 or q = inf constant per horizon T, sampled on the nodes of ``grid()`` up to T.
 
-        ``T(t) A^-1 B`` is formed once per node and neighbours are subtracted.
+        q = 1 is the largest kernel norm ``||T(tau) B||`` over the nodes,
+        each the exact free step of b.  At q = inf column j holds the exact
+        integral ``A^-1 (T(tau_j+1) - T(tau_j)) B`` of ``T(tau) B`` over the
+        j-th segment, and the aligned-sign sum of the columns is the worst
+        bounded input when every segment shares the per-mode sign.
         """
-        inv_b = np.linalg.solve(self.a_matrix, self.input_coeffs)
-        orbit = np.stack([scipy.linalg.expm(self.a_matrix * t) @ inv_b for t in nodes], axis=1)
-        return orbit[:, 1:] - orbit[:, :-1]
+        master, b = grid(), self.input_coeffs
+        constants = []
+        for t in horizons:
+            nodes = master[master <= t * (1.0 + 1e-12)]
+            if q == 1.0:
+                value = max(np.linalg.norm(self.step(b, None, tau)) for tau in nodes)
+            else:
+                inv_b = np.linalg.solve(self.a_matrix, b)
+                orbit = np.stack([scipy.linalg.expm(self.a_matrix * s) @ inv_b for s in nodes], 1)
+                value = np.linalg.norm(np.sum(np.abs(orbit[:, 1:] - orbit[:, :-1]), axis=1))
+            constants.append(float(value))
+        return constants
 
 
 def as_state(sys, x) -> np.ndarray:

@@ -58,6 +58,85 @@ def test_v_half_matrix_against_quadrature():
         assert form.value(x) == pytest.approx(oracle, rel=1e-8)
 
 
+def _dense_seed7():
+    """The dense n = 64 benchmark system of seed 7: non-normal, spectral gap 0.5."""
+    rng = np.random.default_rng([7, 64])
+    r = rng.standard_normal((64, 64)) / np.sqrt(64)
+    a = r - (np.linalg.eigvals(r).real.max() + 0.5) * np.eye(64)
+    b = rng.standard_normal(64)
+    return MatrixSystem(a, b / np.linalg.norm(b))
+
+
+def _perturb_first_solve(monkeypatch, perturb):
+    # The first Lyapunov solve on a fresh system is V_half's own; later
+    # solves (a refinement, say) are left exact.
+    import scipy.linalg
+
+    solve, calls = scipy.linalg.solve_continuous_lyapunov, []
+
+    def perturbed(a, rhs):
+        calls.append(rhs.shape)
+        p = solve(a, rhs)
+        return perturb(p) if len(calls) == 1 else p
+
+    monkeypatch.setattr(scipy.linalg, "solve_continuous_lyapunov", perturbed)
+
+
+PROBE = np.ones(64) / 8.0  # the unit state at which the check's tolerance is set
+
+
+@pytest.mark.parametrize("perturb", [
+    lambda p: p * (1.0 + 1e-5),
+    lambda p: p + 1e-5 * np.linalg.norm(p, 2) * np.outer(PROBE, PROBE),
+], ids=["scaled", "rank-one"])
+def test_v_half_refuses_a_perturbed_solve(monkeypatch, perturb):
+    # At 1e-5 the disagreement at the probe is about 6e-6, against a
+    # tolerance of 1e-6.
+    _perturb_first_solve(monkeypatch, perturb)
+    with pytest.raises(RuntimeError):
+        build_v_half(_dense_seed7())
+
+
+def test_v_half_refuses_an_error_away_from_the_probe(monkeypatch):
+    # A rank-one error orthogonal to the probe leaves V(probe) exact; the
+    # refinement bound ||E||_2 covers every unit state.
+    v = np.zeros(64)
+    v[:2] = [1.0, -1.0]
+    v /= np.linalg.norm(v)
+    _perturb_first_solve(monkeypatch, lambda p: p + 1e-5 * np.linalg.norm(p, 2) * np.outer(v, v))
+    with pytest.raises(RuntimeError):
+        build_v_half(_dense_seed7())
+
+
+def test_v_half_accepts_exact_solves_of_stiff_systems():
+    rng = np.random.default_rng(6)
+    lam = 2.0 ** np.linspace(0.0, 40.0, 12)
+    rates = np.geomspace(1.0, 1e6, 8)
+    skewed = np.diag(-rates) + np.triu(rng.normal(size=(8, 8)) * rates[None, :], 1)
+    for sys in (MatrixSystem(np.diag(-lam), np.ones(12)), MatrixSystem(skewed, np.ones(8))):
+        form = build_v_half(sys)
+        assert form.a1 > 0.0
+
+
+def test_dense_square_function_operator_is_solved_once_per_exponent(monkeypatch):
+    import scipy.linalg
+
+    sys = _dense_seed7()
+    solve, rhs_seen = scipy.linalg.solve_continuous_lyapunov, []
+
+    def counted(a, rhs):
+        rhs_seen.append(rhs.copy())
+        return solve(a, rhs)
+
+    monkeypatch.setattr(scipy.linalg, "solve_continuous_lyapunov", counted)
+    w0 = build_w_plain(sys)
+    form, _ = contraction_similarity(sys)
+    assert build_w_q(sys, 0.0).provenance == form.provenance
+    assert len(rhs_seen) == 1 and np.array_equal(rhs_seen[0], -np.eye(64))
+    assert np.array_equal(w0.p_matrix, form.p_matrix)
+    assert not sys.square_function_form(0.0, "")["p_matrix"].flags.writeable
+
+
 def test_w_q_at_half_equals_v_half():
     sys, _ = _random_system(1)
     assert np.array_equal(build_w_q(sys, 0.5).weights, build_v_half(sys).weights)
