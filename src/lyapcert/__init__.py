@@ -25,15 +25,15 @@ from .dissipation import (
     DiniEstimate,
     DissipationReport,
     ExactCertificate,
-    GainFitReport,
     InputSignal,
     Trajectory,
     default_sample_cloud,
     dini_derivative,
+    envelope_excess,
     exact_certificate,
     fit_dissipation,
+    gain_ensemble,
     input_scaling_check,
-    iss_gain_fit,
     proof_decomposition,
     simulate_mild,
 )

@@ -221,8 +221,5 @@ class GainEnvelope:
         if self.gain < 0.0:
             raise ValueError("gain must be nonnegative")
 
-    def transient(self, r, t):
-        return self.overshoot * np.exp(-self.rate * np.asarray(t)) * r
-
     def bound(self, r, t, input_norm):
-        return self.transient(r, t) + self.gain * input_norm
+        return self.overshoot * np.exp(-self.rate * np.asarray(t)) * r + self.gain * input_norm

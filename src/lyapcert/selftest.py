@@ -16,14 +16,18 @@ from .admissibility import (
     BOUNDED_RATIO, admissibility_constant, admissibility_trend, operator_class_scan
 )
 from .dissipation import (
+    ENVELOPE_RTOL,
     InputSignal,
     default_sample_cloud,
     dini_derivative,
+    envelope_excess,
     exact_certificate,
     fit_dissipation,
+    gain_ensemble,
     simulate_mild,
 )
 from .lyapunov import (
+    GainEnvelope,
     QuadraticForm,
     build_half_norm,
     build_v_half,
@@ -35,6 +39,7 @@ from .models import counterexample_system, heat_system
 from .systems import (
     MatrixSystem,
     SpectralSystem,
+    decay_bound_estimate,
     extrapolation_norm,
     fractional_power_apply,
     semigroup_apply,
@@ -412,6 +417,26 @@ def _check_w0_exact_certificate(rng, fault=False):
     return worst <= 1.0, f"worst deviation {worst:.3g} of the solve-residual bound"
 
 
+def _check_exact_gain_envelope(rng, fault=False):
+    # simulate's envelope ||x(t)|| <= M e^(-delta t)||x0|| + K2(inf)||u||, delta = gap/2.
+    # The fault puts M below ||T(0)|| = 1 on the diagonal system, past the
+    # refusal of such an M in GainEnvelope itself, so the t = 0 node trips.
+    raw = np.random.default_rng(8).normal(size=(6, 6)) / np.sqrt(6.0)
+    dense = MatrixSystem(raw - (np.linalg.eigvals(raw).real.max() + 0.5) * np.eye(6), np.ones(6))
+    worst, where = -np.inf, ""
+    for name, sys in (("diagonal", heat_system("neumann", 8)), ("dense", dense)):
+        decay = decay_bound_estimate(sys, [0.0])[0]
+        envelope = GainEnvelope(decay.prefactor, decay.rate, sys.l2_input_constants([np.inf])[0])
+        if fault:
+            object.__setattr__(envelope, "overshoot", envelope.overshoot * (1.0 - 1e-6))
+        runs = gain_ensemble(sys, int(rng.integers(2**31)))
+        excess = envelope_excess(envelope, runs)
+        run, node = np.unravel_index(np.argmax(excess), excess.shape)
+        if not excess[run, node] <= worst:
+            worst, where = excess[run, node], f"{name} run {run} at t = {runs[run].times[node]:g}"
+    return worst <= ENVELOPE_RTOL, f"worst relative excess {worst:.2e} ({where})"
+
+
 _CHECKS = (
     ("semigroup-law", _check_semigroup_law),
     ("fractional-power-commutation", _check_fractional_commutation),
@@ -437,11 +462,13 @@ _CHECKS = (
     ("contraction-margin", _check_contraction_margin),
     ("log-norm-semigroup-step", _check_log_norm_step),
     ("w0-exact-certificate", _check_w0_exact_certificate),
+    ("exact-gain-envelope", _check_exact_gain_envelope),
 )
 
 
 # The checks that take ``fault=True`` and then must fail.
-FAULT_TARGETS = ("self-adjoint-identity", "log-norm-semigroup-step", "w0-exact-certificate")
+FAULT_TARGETS = ("self-adjoint-identity", "log-norm-semigroup-step", "w0-exact-certificate",
+                 "exact-gain-envelope")
 
 
 def run_selftest(seed=0, fault=None, emit=print):

@@ -506,14 +506,17 @@ class MatrixSystem:
         """sqrt(lambda_max(W_T)) per horizon T, from one Lyapunov solve and one expm each.
 
         ``A W + W A^H = -b b^H`` gives the infinite-horizon Gramian ``W``, and
-        ``W_T = W - E W E^H`` with ``E = e^(AT)``.
+        ``W_T = W - E W E^H`` with ``E = e^(AT)``; an infinite horizon takes
+        ``W`` itself.
         """
         b = self.input_coeffs[:, None]
         steady = _solve_lyapunov(self.a_matrix, -b @ b.conj().T)
         constants = []
         for horizon in horizons:
-            semigroup = scipy.linalg.expm(self.a_matrix * horizon)
-            gram = steady - semigroup @ steady @ semigroup.conj().T
+            gram = steady
+            if horizon < np.inf:
+                semigroup = scipy.linalg.expm(self.a_matrix * horizon)
+                gram = steady - semigroup @ steady @ semigroup.conj().T
             constants.append(_sqrt_top_eigenvalue((gram + gram.conj().T) / 2.0))
         return constants
 

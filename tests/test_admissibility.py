@@ -335,6 +335,20 @@ def test_gramian_constant_is_realization_independent(seed, octaves):
 
 
 @settings(max_examples=40, deadline=None)
+@given(seed=SEEDS, octaves=st.sampled_from([0, 40]))
+def test_infinite_horizon_gramian_constant_is_realization_independent(seed, octaves):
+    # K2(inf) comes from the steady Gramian W on both realizations, and no
+    # finite horizon's constant exceeds it.
+    lam, b, horizon = _diagonal_family(seed, octaves)
+    horizons = [horizon / 4.0, horizon, math.inf]
+    diagonal = SpectralSystem(lam, b).l2_input_constants(horizons)
+    dense = MatrixSystem(np.diag(-lam), b).l2_input_constants(horizons)
+    assert dense[-1] == pytest.approx(diagonal[-1], rel=REALIZATION_RTOL)
+    for constants in (diagonal, dense):
+        assert all(k <= constants[-1] * (1 + 1e-12) for k in constants[:-1])
+
+
+@settings(max_examples=40, deadline=None)
 @given(seed=SEEDS, octaves=st.sampled_from([0, 300]),
        c=st.floats(-1e3, 1e3).filter(lambda c: abs(c) >= 1e-3))
 def test_gramian_constant_scales_with_the_input_column(seed, octaves, c):

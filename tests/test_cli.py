@@ -898,10 +898,81 @@ def test_cli_simulate(tmp_path):
 
 
 def test_cli_simulate_prints_plain_floats(capsys):
+    # The envelope's rate is the default decay rate, half the spectral gap.
     assert main(["simulate", "--model", "heat-neumann", "--modes", "16"]) == 0
     out = capsys.readouterr().out
-    assert "rate 2.4674011" in out
+    assert f"rate {heat_system('neumann', 16).spectral_gap / 2.0!r}," in out
     assert "np.float64" not in out
+
+
+@pytest.mark.parametrize("delta", ["100", "0", "-1", "2.4674011002723395"])
+def test_cli_simulate_refuses_a_delta_outside_the_gap(delta, capsys):
+    args = ["simulate", "--model", "heat-neumann", "--modes", "16", "--delta-override", delta]
+    assert main(args) == 2
+    assert capsys.readouterr().err.startswith("config error: delta must lie strictly inside")
+
+
+def test_cli_simulate_reads_the_delta_override(capsys):
+    assert main(["simulate", "--model", "heat-neumann", "--modes", "16",
+                 "--delta-override", "1.0"]) == 0
+    assert "overshoot 1.0, rate 1.0, gain 0.65382" in capsys.readouterr().out
+
+
+def test_simulate_gain_covers_the_top_gramian_input(tmp_path):
+    # u(s) = b^T T(T - s) v for the top eigenvector v of W_T maximizes
+    # ||x(T)|| / ||u||_{L2(0,T)} at sqrt(lambda_max(W_T)) <= K2(inf); 2,000
+    # holds at the cell midpoints come within 2e-5 of it.
+    sys, horizon = heat_system("neumann", 16), 2.0
+    lam, b = sys.eigenvalues, sys.input_coeffs
+    total = lam[:, None] + lam[None, :]
+    top = np.linalg.eigh(np.outer(b, b) * -np.expm1(-total * horizon) / total)[1][:, -1]
+    starts = np.linspace(0.0, horizon, 2001)[:-1]
+    values = np.exp(-np.outer(horizon - (starts + horizon / 4000.0), lam)) @ (b * top)
+    u = InputSignal(starts, values)
+    reached = simulate_mild(sys, np.zeros(16), u, [0.0, horizon]).states[-1]
+    ratio = np.linalg.norm(reached) / math.sqrt(u.l2_sq_on(0.0, horizon))
+    assert ratio >= 0.6538
+    out = tmp_path / "sim"
+    assert main(["simulate", "--model", "heat-neumann", "--modes", "16", "--seed", "7",
+                 "--out", str(out)]) == 0
+    assert ratio <= json.loads(_read(out / "gainfit.json"))["envelope"]["gain"]
+
+
+def test_simulate_dense_envelope_is_the_exact_constants():
+    from lyapcert.systems import decay_bound_estimate
+    from test_realizations import _dense_request
+
+    config = AnalysisConfig(**_dense_request(seed=7, n=64))
+    doc, _ = run_simulate(config)
+    sys = _family(config)[1][-1]
+    decay = decay_bound_estimate(sys, [0.0])[0]
+    assert doc["envelope"] == {
+        "overshoot": decay.prefactor,
+        "rate": decay.rate,
+        "gain": sys.l2_input_constants([math.inf])[0],
+    }
+    assert doc["certified"] is True
+
+
+def test_cli_simulate_exits_4_on_a_falsified_envelope(tmp_path, monkeypatch, capsys):
+    # Doubling every state doubles each zero-state response, which then
+    # leaves the gain term behind; gainfit.json is written all the same.
+    import lyapcert.analysis as analysis
+
+    ensemble = analysis.gain_ensemble
+
+    def doubled(sys, seed):
+        return [dataclasses.replace(tr, states=2.0 * tr.states) for tr in ensemble(sys, seed)]
+
+    monkeypatch.setattr(analysis, "gain_ensemble", doubled)
+    out = tmp_path / "sim"
+    code = main(["simulate", "--model", "heat-neumann", "--modes", "16", "--out", str(out)])
+    assert code == 4
+    assert capsys.readouterr().err.startswith("invariant violation: an ensemble node exceeds")
+    doc = json.loads(_read(out / "gainfit.json"))
+    assert doc["certified"] is False
+    assert doc["max_violation"] > 0.5
+    assert "not_iss" not in doc
 
 
 def test_cli_selftest_fault_injection(capsys):
