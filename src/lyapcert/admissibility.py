@@ -45,6 +45,8 @@ __all__ = [
 # against the sweep size above which a sweep diverges.
 BOUNDED_RATIO = 1.02
 DIVERGING_SLOPE = 0.05
+# Segments of the graded grid that samples the dense q = 1 and q = inf constants.
+GRID_SEGMENTS = 512
 
 
 def classify_trend(sizes, values):
@@ -99,7 +101,7 @@ def operator_class_scan(systems, gamma) -> OperatorClassReport:
     ``systems`` must contain at least three diagonal truncations with
     strictly increasing mode counts.  Adding modes adds nonnegative terms,
     so the norms are nondecreasing; the verdict reflects whether they
-    level off or keep growing.
+    level off or keep growing.  A norm that overflows raises ``OverflowError``.
     """
     systems = list(systems)
     if len(systems) < 3:
@@ -107,7 +109,10 @@ def operator_class_scan(systems, gamma) -> OperatorClassReport:
     counts = [s.dimension for s in systems]
     if any(b <= a for a, b in zip(counts, counts[1:])):
         raise ValueError("mode counts must be strictly increasing")
-    norms = [extrapolation_norm(s, gamma, s.input_coeffs) for s in systems]
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = [extrapolation_norm(s, gamma, s.input_coeffs) for s in systems]
+    if not all(math.isfinite(v) for v in norms):
+        raise OverflowError(f"the class scan at gamma = {gamma:g} overflows double precision")
     verdict, slope = classify_trend(counts, norms)
     return OperatorClassReport(
         gamma=float(gamma),
@@ -169,35 +174,34 @@ def _normalize_q(q):
     raise ValueError(f"unsupported integrability exponent {q!r}; use 1, 2 or inf")
 
 
-def _graded_backward_grid(fastest_rate, horizon, steps):
+def _graded_backward_grid(fastest_rate, horizon):
     # Backward-time nodes 0 = tau_0 < ... < tau_m = horizon.  A geometric
     # layout resolves every modal boundary layer 1/lam_n with a bounded
     # number of segments per e-fold, which a uniform grid cannot afford
     # for stiff spectra.
-    tau_min = min(horizon / steps, 0.25 / fastest_rate)
-    nodes = np.geomspace(tau_min, horizon, steps)
+    tau_min = min(horizon / GRID_SEGMENTS, 0.25 / fastest_rate)
+    nodes = np.geomspace(tau_min, horizon, GRID_SEGMENTS)
     return np.concatenate([[0.0], nodes])
 
 
-def admissibility_constant(sys, q, horizon, steps=512) -> AdmissibilityEstimate:
+def admissibility_constant(sys, q, horizon) -> AdmissibilityEstimate:
     """The q-admissibility constant of the input map at one horizon.
 
     The one-system, one-horizon case of :func:`admissibility_trend`.
     """
-    return admissibility_trend([sys], q, [horizon], steps=steps)
+    return admissibility_trend([sys], q, [horizon])
 
 
-def admissibility_trend(systems, q, horizons, steps=512) -> AdmissibilityEstimate:
+def admissibility_trend(systems, q, horizons) -> AdmissibilityEstimate:
     """Constants over a (horizon, mode count) sweep.
 
     The input space is scalar.  For q = 2 the constant is exact:
     ``sqrt(lambda_max(W_T))`` of the input Gramian, from each system's
     ``l2_input_constants``.  q = 1 and q = inf come from its
     ``lq_input_constants``: closed forms on diagonal systems, and on dense
-    ones samples on one graded grid of ``steps`` segments, built on first
-    use for the largest horizon and the stiffest dense system (the largest
-    ``grid_rate``).  Smaller horizons are snapped onto its nodes.
-    ``steps`` sizes only that grid.
+    ones samples on one graded grid of ``GRID_SEGMENTS`` segments, built on
+    first use for the largest horizon and the stiffest dense system (the
+    largest ``grid_rate``).  Smaller horizons are snapped onto its nodes.
 
     Monotonicity in T and N is exact for the Gramian: a larger T increases
     ``W_T`` in the Loewner order, and a leading truncation's Gramian is a
@@ -211,14 +215,12 @@ def admissibility_trend(systems, q, horizons, steps=512) -> AdmissibilityEstimat
         raise ValueError("need at least one system and one horizon")
     if not all(0.0 < t < math.inf for t in horizons):
         raise ValueError("horizon must be positive and finite")
-    if steps < 8:
-        raise ValueError("need at least 8 discretization steps")
     rate = max(s.grid_rate for s in systems)
     master = []
 
     def grid():
         if not master:
-            nodes = _graded_backward_grid(rate, horizons[-1], steps)
+            nodes = _graded_backward_grid(rate, horizons[-1])
             master.append(np.unique(np.concatenate([nodes, np.asarray(horizons)])))
         return master[0]
 

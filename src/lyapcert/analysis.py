@@ -95,9 +95,10 @@ class AnalysisConfig:
     """Inputs of one analysis run, read from a JSON config file and CLI flags.
 
     Every field is a config key.  ``system`` and ``sample_count`` have no
-    flag; every other field has one.  Discretization steps and sample
-    input levels are library parameters, and the stages use their
-    defaults; the trend thresholds are constants of ``admissibility``.
+    flag; every other field is a flag of the subcommands that read it
+    (``cli.COMMAND_FLAGS``), while every subcommand checks a config file
+    whole.  The dense grid size, the sample input levels and the trend
+    thresholds are module constants.
 
     Construction is the one check of the fields, so a config from a file,
     from CLI overrides or from library code is refused the same way, with
@@ -212,7 +213,8 @@ def _write_artifacts(out_dir, artifacts):
     a ``(header, rows)`` pair as CSV, where floats keep their ``repr`` and
     ``None`` is an empty field.  Rows given as a numeric array are joined
     from the ``repr`` of each entry, the CSV writer's bytes without its
-    per-field work.  Without ``out_dir`` nothing is written.
+    per-field work.  A NaN or infinity in a dict is refused, since JSON
+    has no such token.  Without ``out_dir`` nothing is written.
     """
     if not out_dir:
         return {}
@@ -222,7 +224,7 @@ def _write_artifacts(out_dir, artifacts):
         paths[kind] = os.path.join(out_dir, name)
         with open(paths[kind], "w", encoding="utf-8", newline="") as handle:
             if isinstance(content, dict):
-                json.dump(content, handle, indent=2, sort_keys=True)
+                json.dump(content, handle, indent=2, sort_keys=True, allow_nan=False)
                 handle.write("\n")
             else:
                 header, rows = content
@@ -399,7 +401,10 @@ def admissibility_stages(config: AnalysisConfig):
     scans = {}
     if len(family) >= 3:
         for gamma in config.gammas:
-            scan = operator_class_scan(family, gamma)
+            try:
+                scan = operator_class_scan(family, gamma)
+            except OverflowError as exc:
+                raise ConfigError(str(exc)) from None
             scans[f"{gamma:g}"] = {
                 "verdict": scan.verdict,
                 "exponent": scan.growth_exponent,

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: ``analyze``, ``simulate``, ``admissibility-scan``,
-``lyapunov-eval``, ``selftest``.  Exit codes: 0 success, 2 configuration
+``lyapunov-eval``, ``selftest``; each takes only the flags it reads
+(``COMMAND_FLAGS``).  Exit codes: 0 success, 2 configuration or usage
 error, 3 an infeasibility finding (a result, not an error), 4 invariant
 violation.  All numeric output is full double precision with '.' decimal
 separators and LF line endings; a fixed seed makes outputs byte-identical.
@@ -15,7 +16,6 @@ import json
 import sys as _sys
 
 from . import models
-from .admissibility import _normalize_q
 from .analysis import (
     SCHEMA_VERSION,
     AnalysisConfig,
@@ -48,30 +48,28 @@ def _list_parser(kind, noun):
     return parse
 
 
-def _parse_q(text):
-    try:
-        return _normalize_q(float(text))
-    except ValueError:
-        raise argparse.ArgumentTypeError("q must be 1, 2 or inf")
+# Every subcommand flag and its argparse options.
+FLAGS = {
+    "--model": dict(choices=models.MODEL_NAMES, help="registered model name"),
+    "--config": dict(metavar="PATH", help="JSON config file"),
+    "--modes": dict(type=_list_parser(int, "integer"), help="comma list of truncation sizes"),
+    "--gamma": dict(dest="gammas", metavar="GAMMA", type=_list_parser(float, "float"),
+                    help="comma list of scan exponents"),
+    "--q": dict(type=float, help="input integrability exponent: 1, 2 or inf"),
+    "--horizon": dict(type=float, help="admissibility horizon T"),
+    "--seed": dict(type=int, help="random seed (fixes all outputs)"),
+    "--out": dict(dest="out_dir", metavar="DIR", help="output directory"),
+    "--delta-override": dict(type=float, help="decay-rate override inside the spectral gap"),
+}
 
-
-def _add_common(parser):
-    parser.add_argument("--model", choices=models.MODEL_NAMES, help="registered model name")
-    parser.add_argument("--config", metavar="PATH", help="JSON config file")
-    parser.add_argument(
-        "--modes", type=_list_parser(int, "integer"), help="comma list of truncation sizes"
-    )
-    parser.add_argument(
-        "--gamma", dest="gammas", metavar="GAMMA", type=_list_parser(float, "float"),
-        help="comma list of scan exponents",
-    )
-    parser.add_argument("--q", type=_parse_q, help="input integrability exponent: 1, 2 or inf")
-    parser.add_argument("--horizon", type=float, help="admissibility horizon T")
-    parser.add_argument("--seed", type=int, help="random seed (fixes all outputs)")
-    parser.add_argument("--out", dest="out_dir", metavar="DIR", help="output directory")
-    parser.add_argument(
-        "--delta-override", type=float, help="decay-rate override inside the spectral gap"
-    )
+# The flags each subcommand reads; every one takes the first five.
+COMMON_FLAGS = ("--model", "--config", "--modes", "--seed", "--out")
+COMMAND_FLAGS = {
+    "analyze": COMMON_FLAGS + ("--gamma", "--q", "--horizon", "--delta-override"),
+    "simulate": COMMON_FLAGS + ("--delta-override",),
+    "admissibility-scan": COMMON_FLAGS + ("--gamma", "--q", "--horizon"),
+    "lyapunov-eval": COMMON_FLAGS,
+}
 
 
 def _build_config(args) -> AnalysisConfig:
@@ -195,25 +193,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_analyze = sub.add_parser("analyze", help="full analysis with implication report")
-    _add_common(p_analyze)
-    p_analyze.set_defaults(func=_cmd_analyze)
-
-    p_sim = sub.add_parser(
-        "simulate", help="exact ISS gain envelope, falsified on a trajectory ensemble"
-    )
-    _add_common(p_sim)
-    p_sim.set_defaults(func=_cmd_simulate)
-
-    p_scan = sub.add_parser(
-        "admissibility-scan", help="extrapolation scans and empirical constants"
-    )
-    _add_common(p_scan)
-    p_scan.set_defaults(func=_cmd_admissibility_scan)
-
-    p_forms = sub.add_parser("lyapunov-eval", help="construct and serialize the candidate forms")
-    _add_common(p_forms)
-    p_forms.set_defaults(func=_cmd_lyapunov_eval)
+    commands = {
+        "analyze": (_cmd_analyze, "full analysis with implication report"),
+        "simulate": (_cmd_simulate, "exact ISS gain envelope, falsified on a trajectory ensemble"),
+        "admissibility-scan": (
+            _cmd_admissibility_scan, "extrapolation scans and empirical constants"
+        ),
+        "lyapunov-eval": (_cmd_lyapunov_eval, "construct and serialize the candidate forms"),
+    }
+    for name, (func, text) in commands.items():
+        command = sub.add_parser(name, help=text)
+        for flag in COMMAND_FLAGS[name]:
+            command.add_argument(flag, **FLAGS[flag])
+        command.set_defaults(func=func)
 
     p_self = sub.add_parser("selftest", help="run the invariant suite")
     p_self.add_argument("--seed", type=int, default=0)

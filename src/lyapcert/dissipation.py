@@ -29,7 +29,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .admissibility import admissibility_constant
 from .lyapunov import QuadraticForm, GainEnvelope
 from .systems import DimensionMismatchError, _readonly, as_state, semigroup_apply
 
@@ -569,8 +568,8 @@ def proof_decomposition(form: QuadraticForm, sys, x, u, h) -> DecompositionRepor
     """
     if form.generator_power is None:
         raise ValueError("the form does not carry a square-function exponent")
-    if h <= 0:
-        raise ValueError("h must be positive")
+    if not 0.0 < h < np.inf:
+        raise ValueError("h must be positive and finite")
     u = _coerce_input(u)
     x = as_state(sys, x)
     q = form.generator_power
@@ -588,8 +587,7 @@ def proof_decomposition(form: QuadraticForm, sys, x, u, h) -> DecompositionRepor
     scale = max(1.0, abs(direct))
     i1_check = abs(i1 - form.value(free)) / scale
 
-    estimate = admissibility_constant(sys, 2, horizon=h)
-    k2 = form.a2 * estimate.constant**2
+    k2 = form.a2 * sys.l2_input_constants([h])[0] ** 2
     energy = u.l2_sq_on(0.0, h)
     bound_ok = bool(i3 <= k2 * energy * (1.0 + 1e-9) + 1e-300)
     return DecompositionReport(

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import gram_constant
 from test_systems import REALIZATION_RTOL
 from lyapcert.admissibility import (
+    GRID_SEGMENTS,
     AdmissibilityEstimate,
     admissibility_constant,
     admissibility_trend,
@@ -105,10 +106,9 @@ def test_matrix_realization_matches_diagonal():
     assert k_dense == pytest.approx(k_diag, rel=1e-9)
 
 
-@pytest.mark.parametrize("steps", [8, 64])
-def test_dense_l2_constant_makes_one_expm_per_horizon(monkeypatch, steps):
+def test_dense_l2_constant_makes_one_expm_per_horizon(monkeypatch):
     # The Gramian needs one Lyapunov solve per system and one expm per
-    # (system, horizon); no time grid is built, whatever ``steps`` is.
+    # (system, horizon); no time grid is built.
     import scipy.linalg
 
     calls, solves = [], []
@@ -133,13 +133,12 @@ def test_dense_l2_constant_makes_one_expm_per_horizon(monkeypatch, steps):
             np.array([1.0, -2.0, 0.5]),
         ),
     ]
-    admissibility_trend(systems, 2, [1.0, 5.0, 10.0], steps=steps)
+    admissibility_trend(systems, 2, [1.0, 5.0, 10.0])
     assert calls == [(2, 2)] * 3 + [(3, 3)] * 3
     assert solves == [(2, 2), (3, 3)]
 
 
-@pytest.mark.parametrize("steps", [8, 64])
-def test_dense_q_one_constant_makes_one_expm_per_node(monkeypatch, steps):
+def test_dense_q_one_constant_makes_one_expm_per_node(monkeypatch):
     # The kernel norms are exact free steps of b; no input-map column is built.
     import scipy.linalg
 
@@ -152,21 +151,15 @@ def test_dense_q_one_constant_makes_one_expm_per_node(monkeypatch, steps):
 
     monkeypatch.setattr(scipy.linalg, "expm", counted)
     sys = MatrixSystem(np.array([[-1.0, 4.0], [0.0, -3.0]]), np.array([[1.0], [-2.0]]))
-    admissibility_constant(sys, 1, horizon=5.0, steps=steps)
-    assert calls == [(2, 2)] * (steps + 1)
+    admissibility_constant(sys, 1, horizon=5.0)
+    assert calls == [(2, 2)] * (GRID_SEGMENTS + 1)
 
 
 def test_trend_refuses_what_the_constant_refuses():
     sys = SpectralSystem([1.0], [1.0])
-    for horizons, steps, message in (
-        ([1.0], 4, "need at least 8 discretization steps"),
-        ([0.0], 512, "horizon must be positive and finite"),
-    ):
-        with pytest.raises(ValueError, match=message):
-            admissibility_constant(sys, 2, horizons[0], steps=steps)
-        with pytest.raises(ValueError, match=message):
-            admissibility_trend([sys], 2, horizons, steps=steps)
-    for horizons in ([0.0, 5.0], [math.nan], [1.0, math.inf]):
+    with pytest.raises(ValueError, match="horizon must be positive and finite"):
+        admissibility_constant(sys, 2, 0.0)
+    for horizons in ([0.0], [0.0, 5.0], [math.nan], [1.0, math.inf]):
         with pytest.raises(ValueError, match="horizon must be positive and finite"):
             admissibility_trend([sys], 2, horizons)
 
@@ -196,8 +189,6 @@ def test_unsupported_q():
         admissibility_constant(sys, 3, horizon=1.0)
     with pytest.raises(ValueError):
         admissibility_constant(sys, 2, horizon=0.0)
-    with pytest.raises(ValueError):
-        admissibility_constant(sys, 2, horizon=1.0, steps=4)
 
 
 def test_counterexample_constant_bounded_despite_diverging_scan():
@@ -388,5 +379,5 @@ def test_graded_grid_is_built_only_for_dense_q_one_and_inf(monkeypatch):
     admissibility_trend([dense], 2, [1.0, 5.0])
     assert built == []
     for q in (1, math.inf):
-        admissibility_trend([dense], q, [1.0, 5.0], steps=16)
-    assert built == [(dense.fastest_rate, 5.0, 16)] * 2
+        admissibility_trend([dense], q, [1.0, 5.0])
+    assert built == [(dense.fastest_rate, 5.0)] * 2

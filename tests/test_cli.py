@@ -17,7 +17,7 @@ from lyapcert.analysis import (
     run_analyze,
     run_simulate,
 )
-from lyapcert.cli import _build_config, _parse_q, build_parser, main
+from lyapcert.cli import COMMAND_FLAGS, COMMON_FLAGS, _build_config, build_parser, main
 from lyapcert.dissipation import InputSignal, simulate_mild
 from lyapcert.models import heat_system
 from lyapcert.selftest import FAULT_TARGETS, run_selftest
@@ -83,16 +83,22 @@ def test_family_builds_the_model_once(monkeypatch):
     ("1", 1.0), ("2", 2.0), ("2.0", 2.0), ("inf", math.inf), ("INF", math.inf),
 ])
 def test_parse_q_accepts(text, value):
-    parsed = _parse_q(text)
+    parsed = _build_config(build_parser().parse_args(["analyze", "--q", text])).q
     assert parsed == value and type(parsed) is float
 
 
 @pytest.mark.parametrize("text", ["3", "nan", "x"])
-def test_parse_q_refuses(text):
-    import argparse
-
-    with pytest.raises(argparse.ArgumentTypeError, match="q must be 1, 2 or inf"):
-        _parse_q(text)
+def test_parse_q_refuses(text, capsys):
+    # --q is a plain float; AnalysisConfig is the one gate on its value.
+    if text == "x":
+        with pytest.raises(SystemExit) as info:
+            build_parser().parse_args(["analyze", "--q", text])
+        assert info.value.code == 2
+        assert "invalid float value: 'x'" in capsys.readouterr().err
+        return
+    args = build_parser().parse_args(["analyze", "--q", text])
+    with pytest.raises(ConfigError, match="use 1, 2 or inf"):
+        _build_config(args)
 
 
 def test_config_requires_target():
@@ -296,6 +302,38 @@ def test_trends_csv_numbers_equal_report_json(tmp_path):
             assert float(row["value"]) == expected[key]
             matched += 1
     assert matched == len(expected) > 0
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_a_non_finite_number_is_not_written_as_json(tmp_path, value):
+    with pytest.raises(ValueError, match="JSON compliant"):
+        _write_artifacts(str(tmp_path), {"doc": ("doc.json", {"value": value})})
+
+
+_OVERFLOWING_SCAN = {"model": None, "modes": [2, 3, 4], "system": {
+    "type": "spectral", "eigenvalues": [0.1, 0.2, 0.3, 0.4], "input_coeffs": [1, 1, 1, 1],
+}}
+
+
+@pytest.mark.parametrize("gamma", ["300", "1000"])
+@pytest.mark.parametrize("command", ["admissibility-scan", "analyze"])
+@pytest.mark.parametrize("action", ["error", "default"])
+def test_a_scan_that_overflows_is_a_config_error(tmp_path, capsys, action, command, gamma):
+    # 0.1^-1000 overflows in the power, 0.1^-300 only in the norm; either
+    # would write NaN and Infinity, which are not JSON.  The refusal must
+    # not depend on whether RuntimeWarnings are errors.
+    import warnings
+
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(_OVERFLOWING_SCAN), encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter(action, RuntimeWarning)
+        code = main([command, "--config", str(path), "--gamma", gamma,
+                     "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: the class scan at gamma = {gamma} overflows")
+    assert not (tmp_path / "out").exists()
 
 
 def test_numeric_rows_are_written_as_the_csv_writer_writes_them(tmp_path):
@@ -665,7 +703,15 @@ def _assert_config_error(tmp_path, capsys, command, flags, doc):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"model": "counterexample", "modes": [8, 16, 32], **doc}),
                     encoding="utf-8")
-    assert main([command, "--config", str(path)] + flags) == 2
+    argv = [command, "--config", str(path)] + flags
+    if flags and flags[0] not in COMMAND_FLAGS[command]:
+        # A flag the subcommand does not read is argparse's usage error.
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
+        return
+    assert main(argv) == 2
     assert "config error:" in capsys.readouterr().err
 
 
@@ -703,6 +749,93 @@ def test_list_flags_name_their_element_type(flag, text, noun, capsys):
         build_parser().parse_args(["analyze", flag, text])
     assert info.value.code == 2
     assert f"not a comma-separated {noun} list: {text!r}" in capsys.readouterr().err
+
+
+def _subcommands():
+    import argparse
+
+    parser = build_parser()
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def test_each_subcommand_registers_exactly_its_table_flags():
+    import re
+
+    commands = _subcommands()
+    assert sum(len(flags) for flags in COMMAND_FLAGS.values()) == 28
+    for name, flags in COMMAND_FLAGS.items():
+        registered = [s for a in commands[name]._actions for s in a.option_strings]
+        assert registered == ["-h", "--help", *flags]
+        listed = set(re.findall(r"(--[a-z-]+)", commands[name].format_help()))
+        assert listed == set(flags) | {"--help"}
+
+
+def test_readme_lists_the_flags_of_each_subcommand():
+    import pathlib
+    import re
+
+    text = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text[text.index("Each takes only the flags it reads:"):]
+    block = block[:block.index("\n\n", block.index("\n* "))]
+    listed = {}
+    for item in re.split(r"\n\* ", block)[1:]:
+        names, _, flags = item.partition(":")
+        for name in re.findall(r"`([a-z-]+)`", names):
+            listed.setdefault(name, set()).update(re.findall(r"`(--[a-z-]+)", flags))
+    assert listed.pop("selftest") == {"--seed", "--fault"}
+    assert listed == {name: set(flags) for name, flags in COMMAND_FLAGS.items()}
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("simulate", "--gamma", "0.3"),
+    ("simulate", "--q", "inf"),
+    ("simulate", "--horizon", "5"),
+    ("lyapunov-eval", "--gamma", "0.3"),
+    ("lyapunov-eval", "--q", "inf"),
+    ("lyapunov-eval", "--horizon", "5"),
+    ("lyapunov-eval", "--delta-override", "1e9"),
+    ("admissibility-scan", "--delta-override", "1.0"),
+])
+def test_a_flag_the_subcommand_does_not_read_exits_2(command, flag, value, capsys):
+    with pytest.raises(SystemExit) as info:
+        main([command, "--model", "heat-neumann", "--modes", "8", flag, value])
+    assert info.value.code == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+
+
+# One value per flag a subcommand reads beyond the common five, each
+# different from its default, and the artifact that must show it.
+FLAG_EFFECTS = [
+    ("analyze", "--gamma", "0.1", "report.json"),
+    ("analyze", "--q", "inf", "report.json"),
+    ("analyze", "--horizon", "3", "trends.csv"),
+    ("analyze", "--delta-override", "1.0", "trends.csv"),
+    ("admissibility-scan", "--gamma", "0.1", "admissibility.json"),
+    ("admissibility-scan", "--q", "1", "admissibility.json"),
+    ("admissibility-scan", "--horizon", "3", "admissibility.json"),
+    ("simulate", "--delta-override", "1.0", "gainfit.json"),
+]
+
+
+def test_flag_effects_cover_every_table_flag():
+    covered = {(command, flag) for command, flag, _, _ in FLAG_EFFECTS}
+    assert covered == {
+        (command, flag) for command, flags in COMMAND_FLAGS.items()
+        for flag in flags if flag not in COMMON_FLAGS
+    }
+
+
+@pytest.mark.parametrize(
+    "command, flag, value, artifact", FLAG_EFFECTS, ids=[f"{c}{f}" for c, f, _, _ in FLAG_EFFECTS]
+)
+def test_every_table_flag_changes_an_artifact(tmp_path, command, flag, value, artifact):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"sample_count": 8}), encoding="utf-8")
+    argv = [command, "--model", "heat-neumann", "--modes", "4,8,16", "--config", str(path)]
+    main(argv + ["--out", str(tmp_path / "default")])
+    main(argv + [flag, value, "--out", str(tmp_path / "flag")])
+    default = _read(tmp_path / "default" / artifact)
+    assert _read(tmp_path / "flag" / artifact) != default
 
 
 def test_config_integral_float_modes_become_ints(tmp_path):
@@ -858,9 +991,11 @@ def test_cli_admissibility_scan_runs_only_its_stages(tmp_path, monkeypatch):
     doc = json.loads(_read(tmp_path / "admissibility.json"))
     assert doc["constant_verdict"] == "bounded"
     # The config checks of the full analysis still apply.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"delta_override": 100}), encoding="utf-8")
     code = main([
         "admissibility-scan", "--model", "heat-neumann", "--modes", SMALL,
-        "--delta-override", "100",
+        "--config", str(path),
     ])
     assert code == 2
 

@@ -632,6 +632,24 @@ def test_dense_sample_cloud_probes_the_input_direction():
     assert any(np.array_equal(state, direction) for state in cloud)
 
 
+def test_decomposition_bounds_i3_by_the_gramian_constant():
+    # K2(h) is the same float admissibility_constant(sys, 2, h) reports.
+    from lyapcert.admissibility import admissibility_constant
+
+    a = np.array([[-1.0, 6.0, 0.0], [0.0, -2.0, 4.0], [0.0, 0.0, -3.0]])
+    for sys in (_random_system(6)[0], MatrixSystem(a, np.array([1.0, -0.5, 2.0]))):
+        form = build_v_half(sys)
+        report = proof_decomposition(form, sys, np.ones(sys.dimension), 0.3, h=0.2)
+        k2 = admissibility_constant(sys, 2, 0.2).constant
+        assert report.k2_constant == form.a2 * k2**2
+
+
+@pytest.mark.parametrize("h", [0.0, -0.1, math.nan, math.inf])
+def test_decomposition_refuses_a_nonpositive_or_nonfinite_h(h):
+    with pytest.raises(ValueError, match="h must be positive and finite"):
+        proof_decomposition(build_half_norm(SCALAR), SCALAR, [1.0], 0.0, h=h)
+
+
 def test_decomposition_requires_square_function_form():
     from lyapcert.lyapunov import QuadraticForm
 
