@@ -106,10 +106,13 @@ def test_matrix_realization_matches_diagonal():
     assert k_dense == pytest.approx(k_diag, rel=1e-9)
 
 
-def test_dense_l2_constant_makes_one_expm_per_horizon(monkeypatch):
+@pytest.mark.parametrize("segments", [8, 64])
+def test_dense_l2_constant_makes_one_expm_per_horizon(monkeypatch, segments):
     # The Gramian needs one Lyapunov solve per system and one expm per
-    # (system, horizon); no time grid is built.
+    # (system, horizon); no time grid is built, whatever its resolution.
     import scipy.linalg
+
+    from lyapcert import admissibility
 
     calls, solves = [], []
     original, solve = scipy.linalg.expm, scipy.linalg.solve_continuous_lyapunov
@@ -124,6 +127,7 @@ def test_dense_l2_constant_makes_one_expm_per_horizon(monkeypatch):
 
     monkeypatch.setattr(scipy.linalg, "expm", counted)
     monkeypatch.setattr(scipy.linalg, "solve_continuous_lyapunov", counted_solve)
+    monkeypatch.setattr(admissibility, "GRID_SEGMENTS", segments)
     # The 3-state system drives its third state from the first two, so the
     # 2-state system is its leading section and the constants grow with N.
     systems = [
@@ -138,9 +142,12 @@ def test_dense_l2_constant_makes_one_expm_per_horizon(monkeypatch):
     assert solves == [(2, 2), (3, 3)]
 
 
-def test_dense_q_one_constant_makes_one_expm_per_node(monkeypatch):
+@pytest.mark.parametrize("segments", [8, 64, GRID_SEGMENTS])
+def test_dense_q_one_constant_makes_one_expm_per_node(monkeypatch, segments):
     # The kernel norms are exact free steps of b; no input-map column is built.
     import scipy.linalg
+
+    from lyapcert import admissibility
 
     calls = []
     original = scipy.linalg.expm
@@ -150,9 +157,10 @@ def test_dense_q_one_constant_makes_one_expm_per_node(monkeypatch):
         return original(a)
 
     monkeypatch.setattr(scipy.linalg, "expm", counted)
+    monkeypatch.setattr(admissibility, "GRID_SEGMENTS", segments)
     sys = MatrixSystem(np.array([[-1.0, 4.0], [0.0, -3.0]]), np.array([[1.0], [-2.0]]))
     admissibility_constant(sys, 1, horizon=5.0)
-    assert calls == [(2, 2)] * (GRID_SEGMENTS + 1)
+    assert calls == [(2, 2)] * (segments + 1)
 
 
 def test_trend_refuses_what_the_constant_refuses():
