@@ -9,7 +9,7 @@ Two complementary probes of an input column ``b``:
   ``||int_0^T T(T-s) B u(s) ds|| <= K ||u||_{L^q(0,T)}``.  At q = 2 it is
   exact on both realizations, the square root of the top eigenvalue of the
   input Gramian; so are q = 1 and q = inf on diagonal systems, while dense
-  systems sample those two on a graded time grid.
+  systems sample those two on a graded time grid that ``systems`` builds.
   :func:`admissibility_trend` computes every constant of a (horizon, mode
   count) sweep; :func:`admissibility_constant` is its one-system,
   one-horizon case.
@@ -45,8 +45,6 @@ __all__ = [
 # against the sweep size above which a sweep diverges.
 BOUNDED_RATIO = 1.02
 DIVERGING_SLOPE = 0.05
-# Segments of the graded grid that samples the dense q = 1 and q = inf constants.
-GRID_SEGMENTS = 512
 
 
 def classify_trend(sizes, values):
@@ -174,16 +172,6 @@ def _normalize_q(q):
     raise ValueError(f"unsupported integrability exponent {q!r}; use 1, 2 or inf")
 
 
-def _graded_backward_grid(fastest_rate, horizon):
-    # Backward-time nodes 0 = tau_0 < ... < tau_m = horizon.  A geometric
-    # layout resolves every modal boundary layer 1/lam_n with a bounded
-    # number of segments per e-fold, which a uniform grid cannot afford
-    # for stiff spectra.
-    tau_min = min(horizon / GRID_SEGMENTS, 0.25 / fastest_rate)
-    nodes = np.geomspace(tau_min, horizon, GRID_SEGMENTS)
-    return np.concatenate([[0.0], nodes])
-
-
 def admissibility_constant(sys, q, horizon) -> AdmissibilityEstimate:
     """The q-admissibility constant of the input map at one horizon.
 
@@ -199,9 +187,9 @@ def admissibility_trend(systems, q, horizons) -> AdmissibilityEstimate:
     ``sqrt(lambda_max(W_T))`` of the input Gramian, from each system's
     ``l2_input_constants``.  q = 1 and q = inf come from its
     ``lq_input_constants``: closed forms on diagonal systems, and on dense
-    ones samples on one graded grid of ``GRID_SEGMENTS`` segments, built on
-    first use for the largest horizon and the stiffest dense system (the
-    largest ``grid_rate``).  Smaller horizons are snapped onto its nodes.
+    ones samples on a graded time grid up to the largest horizon, with the
+    smaller horizons snapped onto its nodes.  Every system is passed the
+    sweep's fastest rate, so the dense systems of a sweep share one grid.
 
     Monotonicity in T and N is exact for the Gramian: a larger T increases
     ``W_T`` in the Loewner order, and a leading truncation's Gramian is a
@@ -215,21 +203,13 @@ def admissibility_trend(systems, q, horizons) -> AdmissibilityEstimate:
         raise ValueError("need at least one system and one horizon")
     if not all(0.0 < t < math.inf for t in horizons):
         raise ValueError("horizon must be positive and finite")
-    rate = max(s.grid_rate for s in systems)
-    master = []
-
-    def grid():
-        if not master:
-            nodes = _graded_backward_grid(rate, horizons[-1])
-            master.append(np.unique(np.concatenate([nodes, np.asarray(horizons)])))
-        return master[0]
-
+    rate = max(s.fastest_rate for s in systems)
     rows = []
     for sys in systems:
         if q == 2.0:
             constants = sys.l2_input_constants(horizons)
         else:
-            constants = sys.lq_input_constants(q, horizons, grid)
+            constants = sys.lq_input_constants(q, horizons, rate)
         rows.extend((t, sys.dimension, k) for t, k in zip(horizons, constants))
     return AdmissibilityEstimate(
         q=q, horizon=horizons[-1], constant=rows[-1][2], trend=tuple(rows)

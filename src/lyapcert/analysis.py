@@ -237,32 +237,12 @@ def _write_artifacts(out_dir, artifacts):
     return paths
 
 
-def _fitted(builder, config):
-    """Per-system certify function: the sampled fit of ``builder``'s form on the default cloud."""
-
-    def certify(sys):
-        form = builder(sys)
-        cloud = default_sample_cloud(sys, form, count=config.sample_count, seed=config.seed)
-        return form, fit_dissipation(form, sys, cloud)
-
-    return certify
-
-
-def _exact(builder):
-    """Per-system certify function: the exact certificate of ``builder``'s form."""
-
-    def certify(sys):
-        form = builder(sys)
-        return form, exact_certificate(form, sys)
-
-    return certify
-
-
-def _certificate_trend(label, family, certify, rows):
-    """Certify a form across the family with ``certify(sys) -> (form, report)``; returns the slot."""
+def _certificate_trend(label, family, builder, certify, rows):
+    """Certify ``builder(sys)`` across the family with ``certify(form, sys)``; returns the slot."""
     a3_values, a4_values, feasible = [], [], True
     for sys in family:
-        form, report = certify(sys)
+        form = builder(sys)
+        report = certify(form, sys)
         provenance = form.provenance
         if report.infeasible:
             feasible = False
@@ -457,11 +437,16 @@ def run_analyze(config: AnalysisConfig):
     """Full analysis of one family; returns (report dict, artifact paths)."""
     label, family, slots, rows = admissibility_stages(config)
     largest = family[-1]
-    coercive_builder = largest.coercive_candidate(build_half_norm, build_v_half)
-    slots["coercive_quadratic_l2"] = _certificate_trend(
-        label, family, _fitted(coercive_builder, config), rows
+
+    def fitted(form, sys):  # the sampled fit on the default cloud
+        cloud = default_sample_cloud(sys, form, count=config.sample_count, seed=config.seed)
+        return fit_dissipation(form, sys, cloud)
+
+    coercive = largest.coercive_candidate(build_half_norm, build_v_half)
+    slots["coercive_quadratic_l2"] = _certificate_trend(label, family, coercive, fitted, rows)
+    slots["noncoercive_w0"] = _certificate_trend(
+        label, family, build_w_plain, exact_certificate, rows
     )
-    slots["noncoercive_w0"] = _certificate_trend(label, family, _exact(build_w_plain), rows)
 
     condition_numbers = []
     for sys in family:

@@ -3,9 +3,11 @@
 Subcommands: ``analyze``, ``simulate``, ``admissibility-scan``,
 ``lyapunov-eval``, ``selftest``; each takes only the flags it reads
 (``COMMAND_FLAGS``).  Exit codes: 0 success, 2 configuration or usage
-error, 3 an infeasibility finding (a result, not an error), 4 invariant
-violation.  All numeric output is full double precision with '.' decimal
-separators and LF line endings; a fixed seed makes outputs byte-identical.
+error, or a system or horizon refused as ill-conditioned
+(``ConditioningError``), 3 an infeasibility finding (a result, not an
+error), 4 invariant violation.  All numeric output is full double
+precision with '.' decimal separators and LF line endings; a fixed seed
+makes outputs byte-identical.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .analysis import (
 )
 from .lyapunov import build_half_norm, build_v_half, build_w_plain, build_w_q
 from .selftest import FAULT_TARGETS, run_selftest
+from .systems import ConditioningError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -221,7 +224,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, ConditioningError) as exc:
         print(f"config error: {exc}", file=_sys.stderr)
         return EXIT_CONFIG
     except InvariantViolationError as exc:

@@ -200,18 +200,19 @@ def _neville_limit(hs, values):
     return diagonal[-1], np.abs(diagonal[-1] - diagonal[-2])
 
 
-def _dini_quotients(form: QuadraticForm, sys, states, levels, hs, v0):
-    """Dini estimates of a stack of states, whose V values are ``v0``, per input level.
+def _dini_quotients(form: QuadraticForm, sys, states, levels, hs):
+    """Dini estimates of a stack of states per input level.
 
     Each level is held constant over every step, so ``x(h)`` is one exact
-    step of the whole stack per level and step size.  Returns the
+    :meth:`step` of the whole stack per level and step size.  Returns the
     extrapolated derivatives of the quotients ``(V(x(h)) - V(x))/h`` and
     their error bars, each of shape (states, levels).
     """
+    v0 = form.values(states)
     quotients = np.empty((len(states), len(levels), len(hs)))
     for j, h in enumerate(hs):
-        for i, moved in enumerate(sys.level_steps(states, levels, h)):
-            quotients[:, i, j] = (form.values(moved) - v0) / h
+        for i, level in enumerate(levels):
+            quotients[:, i, j] = (form.values(sys.step(states, level, h)) - v0) / h
     value, bar = _neville_limit(hs, quotients)
     # Round-off floor: the difference quotient carries eps*|V|/h of noise,
     # amplified by the extrapolation weights.
@@ -242,7 +243,7 @@ def dini_derivative(form: QuadraticForm, sys, x, u) -> DiniEstimate:
     u = _coerce_input(u)
     x = as_state(sys, x)
     hs = _stiff_h_sequence(sys, u)
-    value, bar = _dini_quotients(form, sys, x[None, :], [u.value0], hs, form.values(x))
+    value, bar = _dini_quotients(form, sys, x[None, :], [u.value0], hs)
     return DiniEstimate(value=float(value[0, 0]), error_bar=float(bar[0, 0]))
 
 
@@ -338,9 +339,7 @@ def fit_dissipation(
             f"state length {states.shape[1]} does not match system dimension {sys.dimension}"
         )
     levels = [float(u) for u in sample_inputs]
-    hs = _stiff_h_sequence(sys)
-    v0 = form.values(states)
-    dini = _dini_quotients(form, sys, states, levels, hs, v0)[0]
+    dini = _dini_quotients(form, sys, states, levels, _stiff_h_sequence(sys))[0]
     norms_sq = np.real((states.conj()[:, None, :] @ states[..., None])[:, 0, 0])
     levels_sq = [level**2 for level in levels]
     samples = np.column_stack(
@@ -423,7 +422,7 @@ def _falsifier_residuals(form, sys, bottom, maximizer, a3max, a3, a4):
     residuals, bars = [], []
     for level in SAMPLE_LEVELS:
         x, decay = (bottom, a3max) if level == 0.0 else (maximizer * level, a3)
-        value, bar = _dini_quotients(form, sys, x[None, :], [level], hs, form.values(x))
+        value, bar = _dini_quotients(form, sys, x[None, :], [level], hs)
         norm_sq = float(np.real(np.vdot(x, x)))
         residuals.append(value[0, 0] + decay * norm_sq - a4 * level**2)
         bars.append(bar[0, 0])

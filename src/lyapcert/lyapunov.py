@@ -21,6 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .systems import ConditioningError
+
 __all__ = [
     "ContractionReport",
     "GainEnvelope",
@@ -132,14 +134,14 @@ def build_v_half(sys) -> QuadraticForm:
     i.e. half the squared norm.  Dense systems solve the Lyapunov equation
     A^H P + P A = -S^H S with S = (-A)^(1/2); the error bound ``||E||_2`` of
     ``sys.square_function_error`` must stay within ``1e-6 max(1, |V(p)|)``
-    at the unit probe ``p = 1/sqrt(n)``, or RuntimeError is raised.
+    at the unit probe ``p = 1/sqrt(n)``, or :class:`ConditioningError` is raised.
     """
     provenance = "square-function integral, exponent one half"
     form = QuadraticForm(**sys.square_function_form(0.5, provenance))
     probe = np.ones(sys.dimension) / np.sqrt(sys.dimension)
     error = sys.square_function_error(0.5)
     if not error <= 1e-6 * max(1.0, abs(form.value(probe))):
-        raise RuntimeError(f"Lyapunov solve fails its refinement check: ||E||_2 = {error:.6g}")
+        raise ConditioningError(f"Lyapunov solve fails its refinement check: ||E||_2 = {error:.6g}")
     return form
 
 
@@ -195,7 +197,7 @@ def contraction_similarity(sys):
     half = -sys.dissipation_operator(form) / 2.0  # (PA + A^H P)/2
     margin = float(np.max(half) if half.ndim == 1 else np.linalg.eigvalsh(half)[-1])
     if form.a1 <= 0:
-        raise RuntimeError("Lyapunov solve returned a non-positive operator")
+        raise ConditioningError("Lyapunov solve returned a non-positive operator")
     report = ContractionReport(
         condition_number=float(form.a2 / form.a1),
         dissipativity_margin=margin,

@@ -12,7 +12,7 @@ never branch on the realization:
 * ``truncations(sizes)``, the family that a sweep over mode counts analyzes;
 * ``step(x, u, h)``, the exact state after ``h`` under the constant input
   ``u`` (``u=None`` is the free flow ``T(h) x``) of one state or of each
-  row of a stack; ``level_steps(states, levels, h)`` steps per input level;
+  row of a stack;
 * ``neg_power(alpha)`` and ``neg_power_apply(alpha, x)``, the operator
   ``(-A)^alpha`` (per-mode factors for diagonal systems), cached per
   instance and exponent as read-only arrays;
@@ -33,9 +33,10 @@ never branch on the realization:
   ``W_T = int_0^T T(tau) b b^H T(tau)^H dtau``: a pivoted Cholesky factor
   on diagonal systems, one Lyapunov solve and one ``expm`` per horizon on
   dense ones;
-* ``lq_input_constants(q, horizons, grid)``, the q = 1 and q = inf
-  constants: closed forms, or sampled on the sweep's graded time grid,
-  which resolves the largest ``grid_rate``.
+* ``lq_input_constants(q, horizons, rate)``, the q = 1 and q = inf
+  constants: closed forms on diagonal systems, which ignore ``rate``; dense
+  ones sample a graded time grid of ``GRID_SEGMENTS`` segments that
+  resolves the relaxation time ``1/rate``.
 
 States are plain 1-D numpy arrays; helpers here validate their length
 against the owning system.
@@ -83,6 +84,9 @@ CHOLESKY_STOP = 1e-15
 STEP_MEMO_ENTRIES = 36
 STEP_MEMO_BYTES = 2**23
 
+# Segments of the graded grid that samples the dense q = 1 and q = inf constants.
+GRID_SEGMENTS = 512
+
 
 class DimensionMismatchError(ValueError):
     """State or input dimensions inconsistent with the owning system."""
@@ -119,6 +123,13 @@ def _solve_lyapunov(a, rhs):
             raise ConditioningError(f"Lyapunov solve refused: {exc}") from None
 
 
+def _finite_semigroup(values, horizon):
+    # ``values`` read off the semigroup up to the horizon, refused unless finite.
+    if not np.all(np.isfinite(values)):
+        raise ConditioningError(f"the semigroup is not finite up to the horizon T = {horizon:g}")
+    return values
+
+
 def _gramian_factor(lam, b, horizon):
     """Pivoted Cholesky factor of the diagonal input Gramian at one horizon.
 
@@ -128,27 +139,40 @@ def _gramian_factor(lam, b, horizon):
     diagonal of ``W - F^T F``, every entry at most ``CHOLESKY_STOP`` times
     ``trace(W)``.  ``W - F^T F`` is positive semidefinite, so
     ``lambda_max(F F^T) <= lambda_max(W) <= lambda_max(F F^T) + trace(residual)``.
+    A rate times the horizon that overflows is inf, whose ``expm1`` is the
+    limit -1.
     """
     n = lam.size
-    residual = b * (b * (-np.expm1(-2.0 * lam * horizon) / (2.0 * lam)))
-    stop = CHOLESKY_STOP * residual.sum()
-    factor = np.empty((min(n, 16), n))
-    rank = 0
-    while rank < n:
-        j = int(np.argmax(residual))
-        pivot = residual[j]
-        if pivot <= stop:
-            break
-        total = lam + lam[j]
-        column = b * (b[j] * (-np.expm1(-total * horizon) / total))
-        column -= factor[:rank, j] @ factor[:rank]
-        if rank == len(factor):  # grow the row buffer by doubling
-            factor = np.concatenate([factor, np.empty_like(factor)])[:n]
-        factor[rank] = column / np.sqrt(pivot)
-        residual -= factor[rank] ** 2
-        residual[j] = 0.0
-        rank += 1
+    with np.errstate(over="ignore"):  # entered once: a pivot loop pays for each entry
+        residual = b * (b * (-np.expm1(-2.0 * lam * horizon) / (2.0 * lam)))
+        stop = CHOLESKY_STOP * residual.sum()
+        factor = np.empty((min(n, 16), n))
+        rank = 0
+        while rank < n:
+            j = int(np.argmax(residual))
+            pivot = residual[j]
+            if pivot <= stop:
+                break
+            total = lam + lam[j]
+            column = b * (b[j] * (-np.expm1(-total * horizon) / total))
+            column -= factor[:rank, j] @ factor[:rank]
+            if rank == len(factor):  # grow the row buffer by doubling
+                factor = np.concatenate([factor, np.empty_like(factor)])[:n]
+            factor[rank] = column / np.sqrt(pivot)
+            residual -= factor[rank] ** 2
+            residual[j] = 0.0
+            rank += 1
     return factor[:rank], residual
+
+
+def _graded_backward_grid(fastest_rate, horizon):
+    # Backward-time nodes 0 = tau_0 < ... < tau_m = horizon.  A geometric
+    # layout resolves every modal boundary layer 1/lam_n with a bounded
+    # number of segments per e-fold, which a uniform grid cannot afford
+    # for stiff spectra.
+    tau_min = min(horizon / GRID_SEGMENTS, 0.25 / fastest_rate)
+    nodes = np.geomspace(tau_min, horizon, GRID_SEGMENTS)
+    return np.concatenate([[0.0], nodes])
 
 
 def _cached(sys, slot, exponent, compute):
@@ -178,7 +202,6 @@ class SpectralSystem:
 
     # W_q's lower constant lam_N^(2q-1)/2 drifts to zero across truncations for q < 1/2.
     coercivity_powers = (0.0, 0.25, 0.5)
-    grid_rate = 0.0  # the closed-form q = 1 and q = inf constants need no time grid
 
     def __post_init__(self):
         lam = np.array(self.eigenvalues, dtype=float).reshape(-1)
@@ -234,13 +257,6 @@ class SpectralSystem:
         gain = -np.expm1(-lam * h) / lam
         return decay * x + self.input_coeffs * (u * gain)
 
-    def level_steps(self, states, levels, h):
-        """Each level's :meth:`step` of ``states`` bit for bit, sharing one free flow."""
-        lam = self.eigenvalues
-        free = np.exp(-lam * h) * states
-        gain = -np.expm1(-lam * h) / lam
-        return (free + self.input_coeffs * (level * gain) for level in levels)
-
     def neg_power(self, alpha) -> np.ndarray:
         """Per-mode factors lam_n^alpha of (-A)^alpha."""
         return _cached(self, "_neg_powers", alpha, lambda: self.eigenvalues ** float(alpha))
@@ -292,17 +308,20 @@ class SpectralSystem:
             constants.append(_sqrt_top_eigenvalue(factor @ factor.T))
         return constants
 
-    def lq_input_constants(self, q, horizons, grid) -> list:
-        """The q = 1 or q = inf constant per horizon in closed form, without ``grid``.
+    def lq_input_constants(self, q, horizons, rate) -> list:
+        """The q = 1 or q = inf constant per horizon in closed form; ``rate`` is unused.
 
         Every mode's kernel ``b e^(-lam tau)`` peaks at ``tau = 0``, and with
         a scalar input every mode's response shares the sign of its b, so
-        the aligned sign input is worst and the integral telescopes.
+        the aligned sign input is worst and the integral telescopes.  A
+        product ``lam * t`` that overflows is inf, whose ``expm1`` is the limit -1.
         """
         lam, b = self.eigenvalues, self.input_coeffs
         if q == 1.0:
             return [float(np.linalg.norm(b))] * len(horizons)
-        return [float(np.linalg.norm(np.abs(b) * (-np.expm1(-lam * t) / lam))) for t in horizons]
+        with np.errstate(over="ignore"):
+            gains = [-np.expm1(-lam * t) / lam for t in horizons]
+        return [float(np.linalg.norm(np.abs(b) * gain)) for gain in gains]
 
 
 @dataclass(frozen=True)
@@ -370,9 +389,6 @@ class MatrixSystem:
         """Largest eigenvalue of (A + A^H)/2, from construction; may be positive."""
         return self._log_norm
 
-    # The graded grid of the sampled q = 1 and q = inf constants resolves the fastest rate.
-    grid_rate = fastest_rate
-
     def truncations(self, sizes) -> list:
         """``[self]``: a dense system is its own only truncation, whatever the sizes."""
         return [self]
@@ -410,10 +426,6 @@ class MatrixSystem:
                     del memo[next(iter(memo))]
                 memo[key] = propagator
         return (propagator[:n, :n] @ x[..., None])[..., 0] + propagator[:n, n]
-
-    def level_steps(self, states, levels, h):
-        """Each level's :meth:`step` of ``states``."""
-        return (self.step(states, level, h) for level in levels)
 
     def neg_power(self, alpha) -> np.ndarray:
         """The matrix (-A)^alpha; see :func:`matrix_neg_power`."""
@@ -507,7 +519,7 @@ class MatrixSystem:
 
         ``A W + W A^H = -b b^H`` gives the infinite-horizon Gramian ``W``, and
         ``W_T = W - E W E^H`` with ``E = e^(AT)``; an infinite horizon takes
-        ``W`` itself.
+        ``W`` itself.  An ``E`` that is not finite raises :class:`ConditioningError`.
         """
         b = self.input_coeffs[:, None]
         steady = _solve_lyapunov(self.a_matrix, -b @ b.conj().T)
@@ -515,29 +527,37 @@ class MatrixSystem:
         for horizon in horizons:
             gram = steady
             if horizon < np.inf:
-                semigroup = scipy.linalg.expm(self.a_matrix * horizon)
+                semigroup = _finite_semigroup(scipy.linalg.expm(self.a_matrix * horizon), horizon)
                 gram = steady - semigroup @ steady @ semigroup.conj().T
             constants.append(_sqrt_top_eigenvalue((gram + gram.conj().T) / 2.0))
         return constants
 
-    def lq_input_constants(self, q, horizons, grid) -> list:
-        """The q = 1 or q = inf constant per horizon T, sampled on the nodes of ``grid()`` up to T.
+    def lq_input_constants(self, q, horizons, rate) -> list:
+        """The q = 1 or q = inf constant per horizon T, sampled on one graded grid up to T.
 
-        q = 1 is the largest kernel norm ``||T(tau) B||`` over the nodes,
-        each the exact free step of b.  At q = inf column j holds the exact
-        integral ``A^-1 (T(tau_j+1) - T(tau_j)) B`` of ``T(tau) B`` over the
-        j-th segment, and the aligned-sign sum of the columns is the worst
-        bounded input when every segment shares the per-mode sign.
+        The grid has ``GRID_SEGMENTS`` segments up to the largest horizon,
+        resolves the relaxation time ``1/rate``, and holds every horizon as
+        a node.  A sweep passes its fastest rate, so that all its systems
+        sample one grid.  q = 1 is the largest kernel norm ``||T(tau) B||``
+        over the nodes, each the exact free step of b.  At q = inf column j
+        holds the exact integral ``A^-1 (T(tau_j+1) - T(tau_j)) B`` of
+        ``T(tau) B`` over the j-th segment, and the aligned-sign sum of the
+        columns is the worst bounded input when every segment shares the
+        per-mode sign.  A semigroup value that is not finite raises
+        :class:`ConditioningError`.
         """
-        master, b = grid(), self.input_coeffs
+        master = np.unique(np.concatenate([_graded_backward_grid(rate, max(horizons)), horizons]))
+        b = self.input_coeffs
         constants = []
         for t in horizons:
             nodes = master[master <= t * (1.0 + 1e-12)]
             if q == 1.0:
-                value = max(np.linalg.norm(self.step(b, None, tau)) for tau in nodes)
+                norms = [np.linalg.norm(self.step(b, None, tau)) for tau in nodes]
+                value = max(_finite_semigroup(norms, t))
             else:
                 inv_b = np.linalg.solve(self.a_matrix, b)
                 orbit = np.stack([scipy.linalg.expm(self.a_matrix * s) @ inv_b for s in nodes], 1)
+                _finite_semigroup(orbit, t)
                 value = np.linalg.norm(np.sum(np.abs(orbit[:, 1:] - orbit[:, :-1]), axis=1))
             constants.append(float(value))
         return constants
@@ -585,7 +605,13 @@ def _dyadic_matrix_power(matrix, k, m):
     if j % denominator:
         root = base
         for _ in range(m):
-            root = scipy.linalg.sqrtm(root)
+            # sqrtm only warns on an ill-conditioned root; refuse it instead.
+            with warnings.catch_warnings():
+                warnings.filterwarnings("error", category=scipy.linalg.LinAlgWarning)
+                try:
+                    root = scipy.linalg.sqrtm(root)
+                except scipy.linalg.LinAlgWarning as exc:
+                    raise ConditioningError(f"matrix square root refused: {exc}") from None
             if np.isrealobj(matrix) and np.iscomplexobj(root):
                 if np.abs(root.imag).max() > 1e-10 * max(np.abs(root.real).max(), 1.0):
                     raise ConditioningError("matrix square root is not real")

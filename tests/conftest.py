@@ -3,7 +3,7 @@
 These deliberately avoid the library's own code paths: quadrature goes
 through scipy on explicitly written integrands, series limits through
 partial sums, and input-map constants through the exact Gram matrix of
-the continuous kernel.
+the continuous kernel.  ``dense_nonnormal`` draws the dense test systems.
 """
 
 import numpy as np
@@ -62,3 +62,16 @@ def gram_constant(eigenvalues, coeffs, horizon):
     gram = sign[:, None] * sign[None, :] * magnitude * -np.expm1(-total * horizon)
     gram = gram * (b[:, None] != 0.0) * (b[None, :] != 0.0)
     return float(np.sqrt(np.linalg.eigvalsh(gram)[-1]))
+
+
+def dense_nonnormal(seed, n):
+    """``(A, b)`` of the dense-nonnormal benchmark system: spectral gap 0.5, unit ``b``.
+
+    ``A = R/sqrt(n) - (alpha(R/sqrt(n)) + 0.5) I`` for a Gaussian ``R`` drawn
+    from ``[seed, n]``, with ``alpha`` the spectral abscissa.
+    """
+    rng = np.random.default_rng([seed, n])
+    r = rng.standard_normal((n, n)) / np.sqrt(n)
+    a = r - (np.linalg.eigvals(r).real.max() + 0.5) * np.eye(n)
+    b = rng.standard_normal(n)
+    return a, b / np.linalg.norm(b)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from conftest import gram_constant
 from test_systems import REALIZATION_RTOL
 from lyapcert.admissibility import (
-    GRID_SEGMENTS,
     AdmissibilityEstimate,
     admissibility_constant,
     admissibility_trend,
@@ -17,7 +16,13 @@ from lyapcert.admissibility import (
     operator_class_scan,
 )
 from lyapcert.models import counterexample_system, heat_system
-from lyapcert.systems import CHOLESKY_STOP, MatrixSystem, SpectralSystem, _gramian_factor
+from lyapcert.systems import (
+    CHOLESKY_STOP,
+    GRID_SEGMENTS,
+    MatrixSystem,
+    SpectralSystem,
+    _gramian_factor,
+)
 
 
 def test_classify_trend_basic():
@@ -112,7 +117,7 @@ def test_dense_l2_constant_makes_one_expm_per_horizon(monkeypatch, segments):
     # (system, horizon); no time grid is built, whatever its resolution.
     import scipy.linalg
 
-    from lyapcert import admissibility
+    from lyapcert import systems
 
     calls, solves = [], []
     original, solve = scipy.linalg.expm, scipy.linalg.solve_continuous_lyapunov
@@ -127,7 +132,7 @@ def test_dense_l2_constant_makes_one_expm_per_horizon(monkeypatch, segments):
 
     monkeypatch.setattr(scipy.linalg, "expm", counted)
     monkeypatch.setattr(scipy.linalg, "solve_continuous_lyapunov", counted_solve)
-    monkeypatch.setattr(admissibility, "GRID_SEGMENTS", segments)
+    monkeypatch.setattr(systems, "GRID_SEGMENTS", segments)
     # The 3-state system drives its third state from the first two, so the
     # 2-state system is its leading section and the constants grow with N.
     systems = [
@@ -147,7 +152,7 @@ def test_dense_q_one_constant_makes_one_expm_per_node(monkeypatch, segments):
     # The kernel norms are exact free steps of b; no input-map column is built.
     import scipy.linalg
 
-    from lyapcert import admissibility
+    from lyapcert import systems
 
     calls = []
     original = scipy.linalg.expm
@@ -157,7 +162,7 @@ def test_dense_q_one_constant_makes_one_expm_per_node(monkeypatch, segments):
         return original(a)
 
     monkeypatch.setattr(scipy.linalg, "expm", counted)
-    monkeypatch.setattr(admissibility, "GRID_SEGMENTS", segments)
+    monkeypatch.setattr(systems, "GRID_SEGMENTS", segments)
     sys = MatrixSystem(np.array([[-1.0, 4.0], [0.0, -3.0]]), np.array([[1.0], [-2.0]]))
     admissibility_constant(sys, 1, horizon=5.0)
     assert calls == [(2, 2)] * (segments + 1)
@@ -369,17 +374,48 @@ def test_gramian_constant_never_decreases_in_modes_or_horizon(seed, octaves):
             assert later is None or later >= v * (1 - 1e-12)
 
 
-def test_graded_grid_is_built_only_for_dense_q_one_and_inf(monkeypatch):
-    import lyapcert.admissibility as admissibility
+@pytest.mark.parametrize("q", [1, math.inf])
+def test_every_dense_system_of_a_sweep_samples_the_fastest_rates_grid(monkeypatch, q):
+    # The 3-state system adds a rate-100 state to the 2-state one, stiffer
+    # than 0.25 * GRID_SEGMENTS / T, so the two systems' own grids differ.
+    # One shared grid keeps growing N from shrinking a sampled constant.
+    import lyapcert.systems as systems
 
     built = []
-    original = admissibility._graded_backward_grid
+    original = systems._graded_backward_grid
+
+    def recorded(*args):
+        built.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(systems, "_graded_backward_grid", recorded)
+    small = MatrixSystem(np.array([[-1.0, 4.0], [0.0, -3.0]]), np.array([1.0, -2.0]))
+    stiff = MatrixSystem(
+        np.array([[-1.0, 4.0, 0.0], [0.0, -3.0, 0.0], [1.0, 2.0, -100.0]]),
+        np.array([1.0, -2.0, 0.5]),
+    )
+    horizon = 5.0
+    assert small.fastest_rate < 0.25 * GRID_SEGMENTS / horizon < stiff.fastest_rate
+    assert not np.array_equal(
+        original(small.fastest_rate, horizon), original(stiff.fastest_rate, horizon)
+    )
+    estimate = admissibility_trend([stiff, small], q, [1.0, horizon])
+    assert built == [(stiff.fastest_rate, horizon)] * 2
+    shared = [k for _, n, k in estimate.trend if n == 2]
+    assert shared == small.lq_input_constants(q, [1.0, horizon], stiff.fastest_rate)
+
+
+def test_graded_grid_is_built_only_for_dense_q_one_and_inf(monkeypatch):
+    import lyapcert.systems as systems
+
+    built = []
+    original = systems._graded_backward_grid
 
     def counted(*args):
         built.append(args)
         return original(*args)
 
-    monkeypatch.setattr(admissibility, "_graded_backward_grid", counted)
+    monkeypatch.setattr(systems, "_graded_backward_grid", counted)
     diagonal = heat_system("neumann", 8)
     dense = MatrixSystem(np.array([[-1.0, 4.0], [0.0, -3.0]]), np.array([1.0, -2.0]))
     for q in (1, 2, math.inf):

@@ -2,10 +2,12 @@ import csv
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from conftest import dense_nonnormal
 from lyapcert.analysis import (
     AnalysisConfig,
     ConfigError,
@@ -189,6 +191,48 @@ def test_cli_multi_input_matrix_is_a_config_error(tmp_path, capsys, command):
     }), encoding="utf-8")
     assert main([command, "--config", str(path)]) == 2
     assert "scalar-input" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["analyze", "admissibility-scan", "lyapunov-eval", "simulate"])
+def test_an_ill_conditioned_system_is_a_config_error(tmp_path, capsys, command):
+    # Rates spread over 2^0 .. 2^300: the library refuses the Lyapunov solve,
+    # or V_half's matrix square root, with ConditioningError.
+    path = tmp_path / "stiff.json"
+    a = np.diag(-(2.0 ** np.linspace(0.0, 300.0, 8)))
+    path.write_text(json.dumps({"system": {"type": "matrix", "a": a.tolist(), "b": [1.0] * 8}}))
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1 and "refused" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["admissibility-scan"], ["admissibility-scan", "--q", "1"], ["analyze", "--q", "inf"],
+])
+def test_a_horizon_whose_semigroup_is_not_finite_is_a_config_error(tmp_path, capsys, argv):
+    a, b = dense_nonnormal(7, 8)
+    path = tmp_path / "dense.json"
+    path.write_text(json.dumps({"system": {"type": "matrix", "a": a.tolist(), "b": b.tolist()}}))
+    argv = argv + ["--config", str(path), "--out", str(tmp_path / "out")]
+    assert main(argv + ["--horizon", "1e100"]) == 2
+    err = capsys.readouterr().err
+    assert err == "config error: the semigroup is not finite up to the horizon T = 1e+100\n"
+    assert main(argv + ["--horizon", "1e20"]) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["admissibility-scan", "--model", "counterexample", "--modes", "64,128,256", "--horizon", "1e300"],
+    ["admissibility-scan", "--model", "counterexample", "--modes", "64,128,256", "--horizon", "1e300",
+     "--q", "inf"],
+    ["analyze", "--model", "heat-neumann", "--modes", SMALL, "--horizon", "1e306"],
+], ids=["scan-q2", "scan-qinf", "analyze"])
+def test_huge_diagonal_horizons_exit_zero_without_warning(tmp_path, argv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(argv + ["--out", str(tmp_path)]) == 0
+    for path in tmp_path.iterdir():
+        text = path.read_text()
+        assert "NaN" not in text and "Infinity" not in text and ",inf" not in text
 
 
 def test_analyze_flat_input_list_equals_column(tmp_path):

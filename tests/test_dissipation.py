@@ -537,15 +537,6 @@ def test_exact_certificate_document_has_the_fitted_keys():
     assert exact.to_config()["violations"] == []
 
 
-def test_level_steps_equal_each_step_bit_for_bit():
-    rng = np.random.default_rng(5)
-    sys = SpectralSystem(np.sort(rng.uniform(0.1, 1e4, 9)), rng.normal(size=9))
-    stack = rng.normal(size=(7, 9))
-    for h in (1e-6, 0.03):
-        for level, moved in zip(SAMPLE_LEVELS, sys.level_steps(stack, SAMPLE_LEVELS, h)):
-            assert np.array_equal(moved, sys.step(stack, level, h))
-
-
 def test_dense_falsifier_reuses_the_fit_propagators(monkeypatch):
     # The coercive fit and the W_0 falsifier step the same (level, h) pairs,
     # so once the fit has run the falsifier needs no matrix exponential.

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import quadrature_form_value, quadrature_matrix_form_value
+from conftest import dense_nonnormal, quadrature_form_value, quadrature_matrix_form_value
 from lyapcert.lyapunov import (
     GainEnvelope,
     IndefiniteFormError,
@@ -60,11 +60,7 @@ def test_v_half_matrix_against_quadrature():
 
 def _dense_seed7():
     """The dense n = 64 benchmark system of seed 7: non-normal, spectral gap 0.5."""
-    rng = np.random.default_rng([7, 64])
-    r = rng.standard_normal((64, 64)) / np.sqrt(64)
-    a = r - (np.linalg.eigvals(r).real.max() + 0.5) * np.eye(64)
-    b = rng.standard_normal(64)
-    return MatrixSystem(a, b / np.linalg.norm(b))
+    return MatrixSystem(*dense_nonnormal(7, 64))
 
 
 def _perturb_first_solve(monkeypatch, perturb):

@@ -1,10 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import dense_nonnormal
 from lyapcert.admissibility import admissibility_constant
 from lyapcert.models import build_model, counterexample_system
 from lyapcert.systems import (
@@ -552,6 +554,42 @@ def test_perturbed_lyapunov_solve_is_refused():
     assert SpectralSystem(lam, np.ones(8)).l2_input_constants([10.0])[0] == pytest.approx(
         0.70710678, rel=1e-8
     )
+
+
+def test_an_ill_conditioned_matrix_square_root_is_refused():
+    # scipy's sqrtm only warns on this spread of rates; V_half's (-A)^(1/2)
+    # refuses it rather than go on with a root that may be inaccurate.
+    from lyapcert.lyapunov import build_v_half
+
+    dense = MatrixSystem(np.diag(-(2.0 ** np.linspace(0.0, 300.0, 8))), np.ones(8))
+    with pytest.raises(ConditioningError, match="matrix square root refused"):
+        build_v_half(dense)
+
+
+def test_a_semigroup_that_is_not_finite_is_refused():
+    # expm(A T) of this non-normal system is NaN from about T = 1e50 on, which
+    # a q = 1 maximum would skip and which would make the other constants NaN.
+    sys = MatrixSystem(*dense_nonnormal(7, 8))
+    refused = "not finite up to the horizon T = 1e\\+100"
+    with pytest.raises(ConditioningError, match=refused):
+        sys.l2_input_constants([1e100])
+    for q in (1.0, math.inf):
+        with pytest.raises(ConditioningError, match=refused):
+            sys.lq_input_constants(q, [1e100], sys.fastest_rate)
+        assert math.isfinite(sys.lq_input_constants(q, [1e20], sys.fastest_rate)[0])
+    assert math.isfinite(sys.l2_input_constants([1e20])[0])
+
+
+def test_huge_diagonal_horizons_take_the_infinite_limit_without_warning():
+    # lam * T overflows to inf at T = 1e300, and expm1(-inf) = -1 is the limit.
+    sys = SpectralSystem([0.5, 3.0, 1e10, 1e300], [1.0, -2.0, 0.5, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for horizon in (1e300, 1e306):
+            assert sys.l2_input_constants([horizon]) == sys.l2_input_constants([math.inf])
+            assert sys.lq_input_constants(math.inf, [horizon], None) == (
+                sys.lq_input_constants(math.inf, [math.inf], None)
+            )
 
 
 # ------------------------------------ decay prefactors: closed form and grid
