@@ -20,9 +20,6 @@ never branch on the realization:
   the ``QuadraticForm`` arguments of W_q and of half the squared norm;
   dense W_q operators are one cached Lyapunov solve per exponent, whose
   error ``square_function_error(q)`` bounds;
-* ``coercive_candidate(half_norm, square_function)``, the coercive builder
-  that fits the generator, and ``coercivity_powers``, the W_q exponents
-  whose lower constants ``analyze`` tabulates;
 * ``dissipation_operator(form)``, ``M = -(PA + A^H P)`` of a form's ``P``,
   1-D when form and system are both diagonal;
 * ``decay_prefactors(powers, delta)``, per power ``r`` the smallest ``M``
@@ -99,6 +96,15 @@ class ConditioningError(RuntimeError):
 def _readonly(array):
     array.setflags(write=False)
     return array
+
+
+def _input_column(b):
+    # ``b`` read-only, refused where its squared norm b^H b overflows double precision.
+    with np.errstate(over="ignore", invalid="ignore"):
+        energy = np.vdot(b, b)
+    if not np.isfinite(energy):
+        raise ValueError("the input column's squared norm overflows double precision")
+    return _readonly(b)
 
 
 def _sqrt_top_eigenvalue(gram):
@@ -200,9 +206,6 @@ class SpectralSystem:
     input_coeffs: np.ndarray
     label: str = "spectral"
 
-    # W_q's lower constant lam_N^(2q-1)/2 drifts to zero across truncations for q < 1/2.
-    coercivity_powers = (0.0, 0.25, 0.5)
-
     def __post_init__(self):
         lam = np.array(self.eigenvalues, dtype=float).reshape(-1)
         b = np.array(self.input_coeffs, dtype=float).reshape(-1)
@@ -219,7 +222,7 @@ class SpectralSystem:
         if np.any(np.diff(lam) < 0.0):
             raise ValueError("eigenvalues must be sorted ascending")
         object.__setattr__(self, "eigenvalues", _readonly(lam))
-        object.__setattr__(self, "input_coeffs", _readonly(b))
+        object.__setattr__(self, "input_coeffs", _input_column(b))
 
     @property
     def dimension(self) -> int:
@@ -239,10 +242,6 @@ class SpectralSystem:
         """The leading sections with each of ``sizes`` modes that fits, in that order."""
         lam, b = self.eigenvalues, self.input_coeffs
         return [SpectralSystem(lam[:n], b[:n], label=self.label) for n in sizes if n <= lam.size]
-
-    def coercive_candidate(self, half_norm, square_function):
-        """``half_norm``: for a self-adjoint generator V_half is half the squared norm."""
-        return half_norm
 
     def step(self, x, u, h) -> np.ndarray:
         """Exact state after h under the constant input u (None: free flow).
@@ -338,8 +337,6 @@ class MatrixSystem:
     input_coeffs: np.ndarray
     label: str = "matrix"
 
-    coercivity_powers = ()  # a family of one has no lower-constant trend to show
-
     def __post_init__(self):
         a = np.array(self.a_matrix)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -364,7 +361,7 @@ class MatrixSystem:
                 f"a_matrix is not Hurwitz (spectral abscissa {spectrum.real.max():.6g})"
             )
         object.__setattr__(self, "a_matrix", _readonly(a))
-        object.__setattr__(self, "input_coeffs", _readonly(b))
+        object.__setattr__(self, "input_coeffs", _input_column(b))
         object.__setattr__(self, "_abscissa", float(spectrum.real.max()))
         object.__setattr__(self, "_fastest", float(np.abs(spectrum).max()))
         hermitian_part = (a + a.conj().T) / 2.0
@@ -392,10 +389,6 @@ class MatrixSystem:
     def truncations(self, sizes) -> list:
         """``[self]``: a dense system is its own only truncation, whatever the sizes."""
         return [self]
-
-    def coercive_candidate(self, half_norm, square_function):
-        """``square_function``: V_half, the coercive witness of a non-normal generator."""
-        return square_function
 
     def step(self, x, u, h) -> np.ndarray:
         """Exact state after h under the constant scalar input u (None: free flow).
@@ -472,8 +465,10 @@ class MatrixSystem:
         return -(pa + pa.conj().T)
 
     def power_semigroup_norms(self, powers, t) -> list:
-        """||(-A)^r T(t)|| per power r in the Euclidean operator norm, one expm."""
+        """||(-A)^r T(t)|| per power r in the 2-norm from one expm, refused unless finite."""
         semigroup = scipy.linalg.expm(self.a_matrix * t)
+        if not np.all(np.isfinite(semigroup)):
+            raise ConditioningError(f"the semigroup is not finite at t = {t:g}")
         return [float(np.linalg.norm(self.neg_power(r) @ semigroup, 2)) for r in powers]
 
     def decay_prefactors(self, powers, delta) -> list:
@@ -500,10 +495,14 @@ class MatrixSystem:
         best = [value(norm, r, 0.0) for r, (_, norm) in zip(powers, near)]
 
         def visit(t, near):
-            with np.errstate(over="ignore"):  # inf only means "evaluate"
+            with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN means "evaluate"
                 ceiling = [value(n, r, t) * np.exp(mu * (t - s)) for r, (s, n) in zip(powers, near)]
-            live = [i for i, top in enumerate(best) if ceiling[i] * (1 + CEILING_MARGIN) >= top]
-            norms = self.power_semigroup_norms([powers[i] for i in live], t) if live else []
+            live = [i for i, top in enumerate(best) if not ceiling[i] * (1 + CEILING_MARGIN) < top]
+            try:
+                norms = self.power_semigroup_norms([powers[i] for i in live], t) if live else []
+            except ConditioningError as exc:
+                where = f"on the decay sweep to 60/delta, delta = {delta:g}"
+                raise ConditioningError(f"{exc} {where}") from None
             for i, norm in zip(live, norms):
                 best[i] = max(best[i], value(norm, powers[i], t))
             return dict(zip(live, norms))
@@ -543,21 +542,24 @@ class MatrixSystem:
         holds the exact integral ``A^-1 (T(tau_j+1) - T(tau_j)) B`` of
         ``T(tau) B`` over the j-th segment, and the aligned-sign sum of the
         columns is the worst bounded input when every segment shares the
-        per-mode sign.  A semigroup value that is not finite raises
-        :class:`ConditioningError`.
+        per-mode sign.  The node values are computed once, up to the largest
+        horizon, and each horizon reduces its own prefix of them.  A semigroup
+        value that is not finite raises :class:`ConditioningError`.
         """
         master = np.unique(np.concatenate([_graded_backward_grid(rate, max(horizons)), horizons]))
         b = self.input_coeffs
+        if q == 1.0:
+            values = np.array([np.linalg.norm(self.step(b, None, tau)) for tau in master])
+        else:
+            inv_b = np.linalg.solve(self.a_matrix, b)
+            values = np.stack([scipy.linalg.expm(self.a_matrix * s) @ inv_b for s in master], 1)
         constants = []
         for t in horizons:
-            nodes = master[master <= t * (1.0 + 1e-12)]
+            nodes = np.count_nonzero(master <= t * (1.0 + 1e-12))
             if q == 1.0:
-                norms = [np.linalg.norm(self.step(b, None, tau)) for tau in nodes]
-                value = max(_finite_semigroup(norms, t))
+                value = max(_finite_semigroup(values[:nodes], t))
             else:
-                inv_b = np.linalg.solve(self.a_matrix, b)
-                orbit = np.stack([scipy.linalg.expm(self.a_matrix * s) @ inv_b for s in nodes], 1)
-                _finite_semigroup(orbit, t)
+                orbit = _finite_semigroup(values[:, :nodes], t)
                 value = np.linalg.norm(np.sum(np.abs(orbit[:, 1:] - orbit[:, :-1]), axis=1))
             constants.append(float(value))
         return constants

@@ -21,6 +21,7 @@ from lyapcert.systems import (
     GRID_SEGMENTS,
     MatrixSystem,
     SpectralSystem,
+    _graded_backward_grid,
     _gramian_factor,
 )
 
@@ -166,6 +167,49 @@ def test_dense_q_one_constant_makes_one_expm_per_node(monkeypatch, segments):
     sys = MatrixSystem(np.array([[-1.0, 4.0], [0.0, -3.0]]), np.array([[1.0], [-2.0]]))
     admissibility_constant(sys, 1, horizon=5.0)
     assert calls == [(2, 2)] * (segments + 1)
+
+
+def _per_horizon_constants(sys, q, horizons):
+    # Oracle: every horizon evaluates its own nodes of the sweep's grid afresh.
+    import scipy.linalg
+
+    grid = _graded_backward_grid(sys.fastest_rate, max(horizons))
+    master = np.unique(np.concatenate([grid, horizons]))
+    b, constants = sys.input_coeffs, []
+    for t in horizons:
+        nodes = master[master <= t * (1.0 + 1e-12)]
+        if q == 1:
+            constants.append(float(max(np.linalg.norm(sys.step(b, None, tau)) for tau in nodes)))
+            continue
+        inv_b = np.linalg.solve(sys.a_matrix, b)
+        orbit = np.stack([scipy.linalg.expm(sys.a_matrix * s) @ inv_b for s in nodes], 1)
+        segments = np.abs(orbit[:, 1:] - orbit[:, :-1])
+        constants.append(float(np.linalg.norm(np.sum(segments, axis=1))))
+    return constants
+
+
+@pytest.mark.parametrize("q", [1, math.inf])
+def test_a_dense_horizon_sweep_evaluates_each_grid_node_once(monkeypatch, q):
+    # 513 grid nodes plus the horizons 1 and 2: evaluating every horizon's
+    # nodes afresh made 1,336 expm calls.  The constants stay bit-identical.
+    import scipy.linalg
+
+    calls = []
+    original = scipy.linalg.expm
+
+    def counted(a):
+        calls.append(a.shape)
+        return original(a)
+
+    sys = MatrixSystem([[-1.0, 5.0], [0.0, -3.0]], [1.0, 1.0])
+    horizons = [1.0, 2.0, 5.0]
+    monkeypatch.setattr(scipy.linalg, "expm", counted)
+    estimate = admissibility_trend([sys], q, horizons)
+    monkeypatch.undo()
+    assert calls == [(2, 2)] * 515
+    assert [(t, k) for t, _, k in estimate.trend] == list(
+        zip(horizons, _per_horizon_constants(sys, q, horizons))
+    )
 
 
 def test_trend_refuses_what_the_constant_refuses():

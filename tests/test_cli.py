@@ -210,14 +210,62 @@ def test_an_ill_conditioned_system_is_a_config_error(tmp_path, capsys, command):
     ["admissibility-scan"], ["admissibility-scan", "--q", "1"], ["analyze", "--q", "inf"],
 ])
 def test_a_horizon_whose_semigroup_is_not_finite_is_a_config_error(tmp_path, capsys, argv):
-    a, b = dense_nonnormal(7, 8)
-    path = tmp_path / "dense.json"
-    path.write_text(json.dumps({"system": {"type": "matrix", "a": a.tolist(), "b": b.tolist()}}))
-    argv = argv + ["--config", str(path), "--out", str(tmp_path / "out")]
+    argv = argv + ["--config", _dense8_config(tmp_path), "--out", str(tmp_path / "out")]
     assert main(argv + ["--horizon", "1e100"]) == 2
     err = capsys.readouterr().err
     assert err == "config error: the semigroup is not finite up to the horizon T = 1e+100\n"
     assert main(argv + ["--horizon", "1e20"]) == 0
+
+
+def _dense8_config(tmp_path):
+    a, b = dense_nonnormal(7, 8)
+    path = tmp_path / "dense.json"
+    path.write_text(json.dumps({"system": {"type": "matrix", "a": a.tolist(), "b": b.tolist()}}))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["simulate", "analyze"])
+def test_a_small_dense_delta_override_exits_zero_without_warning(tmp_path, command):
+    # The sweep to 60/delta = 6e4 underflows semigroup norms to 0, whose
+    # ceiling 0 * e^(mu (t - s)) = 0 * inf warned "invalid value".
+    argv = [command, "--config", _dense8_config(tmp_path), "--delta-override", "1e-3"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 0
+
+
+@pytest.mark.parametrize("command", ["simulate", "analyze"])
+@pytest.mark.parametrize("delta", ["1e-40", "1e-60"])
+def test_a_dense_delta_whose_sweep_semigroup_is_not_finite_is_a_config_error(
+    tmp_path, capsys, command, delta
+):
+    # expm(A t) is NaN at the sweep's end 60/delta: analyze died with
+    # "LinAlgError: SVD did not converge", simulate exited 2 with that text.
+    argv = [command, "--config", _dense8_config(tmp_path), "--delta-override", delta]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: the semigroup is not finite at t = ")
+    assert err.endswith(f"on the decay sweep to 60/delta, delta = {delta}\n")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["admissibility-scan", "--modes", "3"],
+    ["admissibility-scan", "--modes", "1,2,3", "--gamma", ","],
+    ["admissibility-scan", "--modes", "3", "--q", "1"],
+    ["admissibility-scan", "--modes", "3", "--q", "inf"],
+    ["analyze", "--modes", "3"],
+], ids=["scan", "scan-sweep", "scan-q1", "scan-qinf", "analyze"])
+def test_an_input_column_whose_square_overflows_is_a_config_error(tmp_path, capsys, argv):
+    # b . b = inf: K2 read 0.0 and the sweep "bounded", "ISS"; the q = 1 and
+    # q = inf constants were inf, which the JSON artifacts refused.
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"system": {
+        "type": "spectral", "eigenvalues": [1, 2, 3], "input_coeffs": [1e300, 1, 1]}}))
+    argv = argv + ["--config", str(path), "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == "config error: the input column's squared norm overflows double precision\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -666,9 +714,9 @@ def test_infeasible_noncoercive_fit_is_a_finding(tmp_path, monkeypatch):
 
 
 def test_infeasible_coercive_fit_violates_the_half_power_edge(monkeypatch, capsys):
-    from lyapcert.lyapunov import build_half_norm
+    from lyapcert.lyapunov import build_v_half
 
-    _force_infeasible(monkeypatch, build_half_norm, {8, 16, 32})
+    _force_infeasible(monkeypatch, build_v_half, {8, 16, 32})
     assert main(["analyze", "--model", "heat-neumann", "--modes", SMALL]) == 4
     err = capsys.readouterr().err
     assert err.startswith("invariant violation:")

@@ -580,6 +580,26 @@ def test_a_semigroup_that_is_not_finite_is_refused():
     assert math.isfinite(sys.l2_input_constants([1e20])[0])
 
 
+@pytest.mark.parametrize("kind", ["spectral", "matrix"])
+def test_an_input_column_whose_square_overflows_is_refused(kind):
+    # b . b = inf made the diagonal Gramian factor rank 0, so K2 read 0.0,
+    # and the q = 1 and q = inf constants inf, which JSON cannot hold.
+    def build(b):
+        if kind == "spectral":
+            return SpectralSystem([1.0, 2.0, 3.0], b)
+        return MatrixSystem(np.diag([-1.0, -2.0, -3.0]), b)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for big in (1e300, -1e155):
+            with pytest.raises(ValueError, match="squared norm overflows"):
+                build([big, 1.0, 1.0])
+        assert build([1e154, 1.0, 1.0]).input_coeffs[0] == 1e154
+    with pytest.raises(ValueError, match="squared norm overflows"):
+        system_from_config({"type": "spectral", "eigenvalues": [1, 2, 3],
+                            "input_coeffs": [1e300, 1, 1]})
+
+
 def test_huge_diagonal_horizons_take_the_infinite_limit_without_warning():
     # lam * T overflows to inf at T = 1e300, and expm1(-inf) = -1 is the limit.
     sys = SpectralSystem([0.5, 3.0, 1e10, 1e300], [1.0, -2.0, 0.5, 1.0])
@@ -668,10 +688,15 @@ def _benchmark_dense(seed, n):
     return MatrixSystem(a, rng.standard_normal(n))
 
 
-def test_nearest_node_ceiling_prunes_the_dense_sweep(monkeypatch):
-    # With every ceiling taken from t = 0 this request made 235 node
+@pytest.mark.parametrize("n, delta", [(64, None), (8, 1e-3)], ids=["n64", "n8-delta-1e-3"])
+def test_nearest_node_ceiling_prunes_the_dense_sweep(monkeypatch, n, delta):
+    # At n = 64 with every ceiling taken from t = 0 this request made 235 node
     # evaluations and 681 2-norms; the exhaustive grid makes 601 and 1,803.
-    sys = _benchmark_dense(7, 64)
+    # At delta = 1e-3 the sweep runs to t = 6e4, where semigroup norms
+    # underflow to 0 and a ceiling 0 * e^(mu (t - s)) is 0 * inf: not a
+    # number, which must mean "evaluate", without a warning.
+    warnings.simplefilter("error")  # pytest restores the filters after the test
+    sys = _benchmark_dense(7, n)
     nodes, two_norms = [], []
     evaluate, norm = MatrixSystem.power_semigroup_norms, np.linalg.norm
 
@@ -686,13 +711,25 @@ def test_nearest_node_ceiling_prunes_the_dense_sweep(monkeypatch):
 
     monkeypatch.setattr(MatrixSystem, "power_semigroup_norms", counted_nodes)
     monkeypatch.setattr(np.linalg, "norm", counted_norm)
-    bounds = decay_bound_estimate(sys, (0.0, 0.25, 0.5))
+    bounds = decay_bound_estimate(sys, (0.0, 0.25, 0.5), delta=delta)
     monkeypatch.undo()
     assert len(set(nodes)) == len(nodes) <= 110
     assert len(two_norms) <= 250
     assert [b.prefactor for b in bounds] == _exhaustive_prefactors(
-        sys, (0.0, 0.25, 0.5), sys.spectral_gap / 2.0
+        sys, (0.0, 0.25, 0.5), sys.spectral_gap / 2.0 if delta is None else delta
     )
+
+
+@pytest.mark.parametrize("delta, t", [(1e-40, "1.74126e+41"), (1e-60, "1.01658e+61")])
+def test_a_decay_sweep_whose_semigroup_is_not_finite_is_refused(delta, t):
+    # The sweep ends at 60/delta, and expm(A t) of this system is NaN from
+    # about t = 1e39 on; its 2-norm failed as "SVD did not converge".
+    sys = MatrixSystem(*dense_nonnormal(7, 8))
+    refused = f"not finite at t = {t} on the decay sweep to 60/delta, delta = {delta:g}$"
+    with pytest.raises(ConditioningError, match=refused.replace("+", "\\+")):
+        decay_bound_estimate(sys, [0.0, 0.25, 0.5], delta=delta)
+    with pytest.raises(ConditioningError, match="not finite at t = 6e\\+61$"):
+        sys.power_semigroup_norms([0.0], 6e61)
 
 
 def _diagonal_grid_maximum(sys, powers, delta):
