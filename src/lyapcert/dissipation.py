@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .lyapunov import QuadraticForm, GainEnvelope
 from .systems import DimensionMismatchError, _readonly, as_state, semigroup_apply
@@ -452,6 +451,7 @@ def exact_certificate(form: QuadraticForm, sys, theta=0.5) -> ExactCertificate:
         a3max = float(m.min())
         bottom = np.eye(1, n, int(np.argmax(m <= a3max * (1.0 + 1e-12))))[0]
     else:
+        import scipy.linalg  # dense only: kept out of ``import lyapcert``
         lowest, vectors = scipy.linalg.eigh(m, subset_by_index=[0, 0])
         a3max, bottom = float(lowest[0]), vectors[:, 0]
     if not a3max > 0.0:

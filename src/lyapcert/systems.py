@@ -36,7 +36,8 @@ never branch on the realization:
   resolves the relaxation time ``1/rate``.
 
 States are plain 1-D numpy arrays; helpers here validate their length
-against the owning system.
+against the owning system.  Each dense function imports ``scipy.linalg``
+itself, which keeps scipy out of ``import lyapcert`` and of diagonal runs.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .rules import evaluate_rule
 
@@ -121,6 +121,7 @@ def _solve_lyapunov(a, rhs):
     that solution can be wrong in every digit, so it raises
     :class:`ConditioningError` instead.
     """
+    import scipy.linalg
     with warnings.catch_warnings():
         warnings.filterwarnings("error", "(?s).*perturbing the coefficients", RuntimeWarning)
         try:
@@ -401,6 +402,7 @@ class MatrixSystem:
         ``STEP_MEMO_ENTRIES`` of them and ``STEP_MEMO_BYTES`` in all, oldest
         dropped first; a memo hit holds the bytes of a fresh ``expm``.
         """
+        import scipy.linalg
         if u is None:
             return (scipy.linalg.expm(self.a_matrix * h) @ x[..., None])[..., 0]
         n = self.dimension
@@ -466,6 +468,7 @@ class MatrixSystem:
 
     def power_semigroup_norms(self, powers, t) -> list:
         """||(-A)^r T(t)|| per power r in the 2-norm from one expm, refused unless finite."""
+        import scipy.linalg
         semigroup = scipy.linalg.expm(self.a_matrix * t)
         if not np.all(np.isfinite(semigroup)):
             raise ConditioningError(f"the semigroup is not finite at t = {t:g}")
@@ -520,6 +523,7 @@ class MatrixSystem:
         ``W_T = W - E W E^H`` with ``E = e^(AT)``; an infinite horizon takes
         ``W`` itself.  An ``E`` that is not finite raises :class:`ConditioningError`.
         """
+        import scipy.linalg
         b = self.input_coeffs[:, None]
         steady = _solve_lyapunov(self.a_matrix, -b @ b.conj().T)
         constants = []
@@ -546,6 +550,7 @@ class MatrixSystem:
         horizon, and each horizon reduces its own prefix of them.  A semigroup
         value that is not finite raises :class:`ConditioningError`.
         """
+        import scipy.linalg
         master = np.unique(np.concatenate([_graded_backward_grid(rate, max(horizons)), horizons]))
         b = self.input_coeffs
         if q == 1.0:
@@ -598,6 +603,7 @@ def semigroup_apply(sys, t, x) -> np.ndarray:
 def _dyadic_matrix_power(matrix, k, m):
     # (matrix)^(k/2^m) for integer k through m nested Schur square roots;
     # valid for defective spectra as long as the spectrum avoids (-inf, 0].
+    import scipy.linalg
     n = matrix.shape[0]
     if k == 0:
         return np.eye(n, dtype=matrix.dtype)

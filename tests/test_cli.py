@@ -723,7 +723,8 @@ def test_infeasible_coercive_fit_violates_the_half_power_edge(monkeypatch, capsy
     assert "half-power-class-implies-coercive-certificate" in err
 
 
-def test_importing_the_cli_leaves_scipy_integrate_unloaded():
+def test_importing_lyapcert_and_its_cli_leaves_scipy_unloaded():
+    # Only dense systems and selftest load scipy, on their first call into it.
     import os
     import subprocess
     import sys
@@ -732,11 +733,18 @@ def test_importing_the_cli_leaves_scipy_integrate_unloaded():
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(lyapcert.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
-    code = "import sys, lyapcert.cli; print('scipy.integrate' in sys.modules)"
+    code = (
+        "import sys\n"
+        "def loaded(): return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "import lyapcert\n"
+        "print(loaded())\n"
+        "import lyapcert.cli\n"
+        "print(loaded())\n"
+    )
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.splitlines() == ["[]", "[]"]
 
 
 def test_cli_analyze_exit_codes(tmp_path):
