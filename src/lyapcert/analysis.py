@@ -182,23 +182,19 @@ class AnalysisConfig:
 def _family(config: AnalysisConfig):
     """The swept truncations described by the config, smallest first.
 
-    The largest truncation is built once: from a registered model, from a
-    rule document evaluated at the largest size, or from explicit lists.
-    Its ``truncations`` are the family: leading sections of it, so nested by
-    construction, or, for a matrix document, the one dense system.
+    The largest truncation is built once: from a registered model, or from
+    the inline system document, whose rules are evaluated at the largest
+    size.  Its ``truncations`` are the family: leading sections of it, so
+    nested by construction, or, for a matrix document, the one dense system.
     """
     modes = sorted(set(config.modes))
     if config.model is None and config.system is None:
         raise ConfigError("config needs a model name or an inline system")
-    doc = dict(config.system or {})
-    rules = doc.get("type") == "spectral" and ("eigenvalue_rule" in doc or "coeff_rule" in doc)
-    if rules:
-        doc["modes"] = modes[-1]
     try:
         if config.model is not None:
             largest = models.build_model(config.model, modes[-1])
         else:
-            largest = system_from_config(doc)
+            largest = system_from_config(config.system, modes=modes[-1])
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     family = largest.truncations(modes)
@@ -207,7 +203,7 @@ def _family(config: AnalysisConfig):
             f"the explicit sequences provide only {largest.dimension} modes; "
             "no requested truncation size fits"
         )
-    return (doc.get("label", "custom") if rules else largest.label), family
+    return largest.label, family
 
 
 def _write_artifacts(out_dir, artifacts):
@@ -360,12 +356,13 @@ def _check_edges(slots, q):
 def admissibility_stages(config: AnalysisConfig):
     """The stability, scan, input-constant and ISS stages of one family.
 
-    Returns ``(label, family, slots, rows)``: the slots
+    Returns ``(label, family, slots, rows, findings)``: the slots
     ``exponentially_stable``, ``gamma_scans``, ``two_admissibility`` and
-    ``l2_iss``, plus their ``trends.csv`` rows.  The last two are always at
-    q = 2; at ``config.q`` of 1 or inf the slot ``q_admissibility`` adds that
-    exponent's constants, verdict and ``lq_iss`` verdict.  ``run_analyze``
-    builds on them; ``admissibility-scan`` reports them alone.
+    ``l2_iss``, their ``trends.csv`` rows, and one finding per not-ISS
+    verdict.  The last two slots are always at q = 2; at ``config.q`` of 1
+    or inf the slot ``q_admissibility`` adds that exponent's constants,
+    verdict and ``lq_iss`` verdict.  ``run_analyze`` builds on them;
+    ``admissibility-scan`` reports them alone.
     """
     label, family = _family(config)
     rows = []
@@ -416,6 +413,7 @@ def admissibility_stages(config: AnalysisConfig):
         "provenance": "extrapolation norms of the input column across truncations",
     }
 
+    findings = []
     for q in dict.fromkeys((2.0, config.q)):
         estimate = admissibility_trend(family, q, [config.horizon])
         trend_rows, adm_verdict, adm_slope = estimate.mode_trend()
@@ -434,12 +432,15 @@ def admissibility_stages(config: AnalysisConfig):
             slots["l2_iss"] = dict(iss, provenance="stability combined with the constant trend")
         else:
             slots["q_admissibility"] = dict(constants, q=f"{q:g}", lq_iss=iss)
-    return label, family, slots, rows
+        if verdict.verdict == "not-ISS":
+            prefix = "" if q == 2.0 else f"q={q:g} "
+            findings.append(f"{prefix}input-map constants diverge across truncations")
+    return label, family, slots, rows, findings
 
 
 def run_analyze(config: AnalysisConfig):
     """Full analysis of one family; returns (report dict, artifact paths)."""
-    label, family, slots, rows = admissibility_stages(config)
+    label, family, slots, rows, findings = admissibility_stages(config)
     largest = family[-1]
 
     def fitted(form, sys):  # the sampled fit on the default cloud
@@ -464,12 +465,6 @@ def run_analyze(config: AnalysisConfig):
 
     edges = _check_edges(slots, config.q)
 
-    findings = []
-    if slots["l2_iss"]["value"] == "not-ISS":
-        findings.append("input-map constants diverge across truncations")
-    q_slot = slots.get("q_admissibility")
-    if q_slot and q_slot["lq_iss"]["value"] == "not-ISS":
-        findings.append(f"q={q_slot['q']} input-map constants diverge across truncations")
     for slot_name in ("coercive_quadratic_l2", "noncoercive_w0"):
         status = slots[slot_name]["value"]
         if not status.startswith("certified"):

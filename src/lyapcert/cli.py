@@ -122,7 +122,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_admissibility_scan(args) -> int:
     config = _build_config(args)
-    label, _, slots, _ = admissibility_stages(config)
+    label, _, slots, _, findings = admissibility_stages(config)
     scans = slots["gamma_scans"]["value"]
     adm, q_slot = slots["two_admissibility"], slots.get("q_admissibility")
     verdict_doc = {
@@ -143,12 +143,10 @@ def _cmd_admissibility_scan(args) -> int:
         print(f"  gamma={gamma}: {entry['verdict']} (exponent {entry['exponent']:.4g})")
     print(f"  q=2.0: {adm['value']}")
     print(f"  verdict: {slots['l2_iss']['value']}")
-    verdicts = [slots["l2_iss"]["value"]]
     if q_slot:
-        verdicts.append(q_slot["lq_iss"]["value"])
         print(f"  q={config.q}: {q_slot['value']}")
-        print(f"  verdict at q={config.q}: {verdicts[-1]}")
-    return EXIT_FINDING if "not-ISS" in verdicts else EXIT_OK
+        print(f"  verdict at q={config.q}: {q_slot['lq_iss']['value']}")
+    return EXIT_FINDING if findings else EXIT_OK
 
 
 def _cmd_lyapunov_eval(args) -> int:

@@ -8,15 +8,16 @@ The constructors realize the square-function integrals
 which for a diagonal generator collapse to explicit per-mode weights
 ``lam^(2q-1) / 2``.  Dense systems go through a continuous Lyapunov solve
 instead, one per system and exponent; the system supplies the operator
-(``square_function_form``).  V_half's solve must pass a refinement check
-that bounds its error over every unit state.  The quadrature of the
+(``square_function_form``).  The half squared norm does not depend on the
+generator: it is weight 1/2 per coordinate on every realization, and on a
+diagonal system it equals V_half.  V_half's solve must pass a refinement
+check that bounds its error over every unit state.  The quadrature of the
 defining integral, the orbit energy ``dissipation._orbit_energy``, serves
 only the three-term decomposition there.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -159,15 +160,13 @@ def build_w_q(sys, q) -> QuadraticForm:
 
 
 def build_w_plain(sys) -> QuadraticForm:
-    """The plain orbit-energy form int ||T(t)x||^2 dt, alias of W_q at q = 0."""
-    return dataclasses.replace(
-        build_w_q(sys, 0.0), provenance="orbit energy integral (exponent zero)"
-    )
+    """The plain orbit-energy form int ||T(t)x||^2 dt, W_q at q = 0."""
+    return QuadraticForm(**sys.square_function_form(0.0, "orbit energy integral (exponent zero)"))
 
 
 def build_half_norm(sys) -> QuadraticForm:
-    """Half the squared state norm, the canonical self-adjoint candidate."""
-    return QuadraticForm(**sys.half_norm_form("half squared norm"))
+    """Half the squared state norm, weight 1/2 per coordinate on every realization."""
+    return QuadraticForm(weights=np.full(sys.dimension, 0.5), provenance="half squared norm")
 
 
 @dataclass(frozen=True)

@@ -16,10 +16,10 @@ never branch on the realization:
 * ``neg_power(alpha)`` and ``neg_power_apply(alpha, x)``, the operator
   ``(-A)^alpha`` (per-mode factors for diagonal systems), cached per
   instance and exponent as read-only arrays;
-* ``square_function_form(q, provenance)`` and ``half_norm_form(provenance)``,
-  the ``QuadraticForm`` arguments of W_q and of half the squared norm;
-  dense W_q operators are one cached Lyapunov solve per exponent, whose
-  error ``square_function_error(q)`` bounds;
+* ``square_function_form(q, provenance)``, the ``QuadraticForm`` arguments
+  of W_q; dense W_q operators are one cached Lyapunov solve per exponent,
+  whose error ``square_function_error(q)`` bounds (the half squared norm
+  does not depend on the generator, so no realization builds it);
 * ``dissipation_operator(form)``, ``M = -(PA + A^H P)`` of a form's ``P``,
   1-D when form and system are both diagonal;
 * ``decay_prefactors(powers, delta)``, per power ``r`` the smallest ``M``
@@ -83,6 +83,12 @@ STEP_MEMO_BYTES = 2**23
 
 # Segments of the graded grid that samples the dense q = 1 and q = inf constants.
 GRID_SEGMENTS = 512
+
+# The keys that each type of system document reads; any other key is refused.
+SYSTEM_KEYS = {
+    "spectral": ("type", "label", "eigenvalues", "eigenvalue_rule", "input_coeffs", "coeff_rule"),
+    "matrix": ("type", "label", "a", "b"),
+}
 
 
 class DimensionMismatchError(ValueError):
@@ -269,11 +275,6 @@ class SpectralSystem:
         weights = self.eigenvalues ** (2.0 * q - 1.0) / 2.0
         return {"weights": weights, "provenance": provenance, "generator_power": q}
 
-    def half_norm_form(self, provenance) -> dict:
-        """Weights 1/2: for a self-adjoint generator half the squared norm is W_q at q = 1/2."""
-        weights = np.full(self.dimension, 0.5)
-        return {"weights": weights, "provenance": provenance, "generator_power": 0.5}
-
     def square_function_error(self, q) -> float:
         """0: the square-function weights are closed forms, with no solve to refine."""
         return 0.0
@@ -443,11 +444,6 @@ class MatrixSystem:
         """W_q's operator, the Lyapunov solve P cached per exponent."""
         p = self._square_function_operator(q)
         return {"p_matrix": p, "provenance": provenance + " (Lyapunov solve)", "generator_power": q}
-
-    def half_norm_form(self, provenance) -> dict:
-        """``P = I/2``, which is no square-function form of a non-normal generator."""
-        p = np.eye(self.dimension) * 0.5
-        return {"p_matrix": p, "provenance": provenance, "generator_power": None}
 
     def square_function_error(self, q) -> float:
         """``||E||_2`` of the error ``E = P - P_exact`` of the cached W_q operator P.
@@ -740,6 +736,8 @@ def _number_array(doc, key, flat=False):
 
 def _list_or_rule(doc, key, rule_key, modes):
     # The explicit numbers under ``key``, or the rule under ``rule_key`` at n = 1 .. modes.
+    if key in doc and rule_key in doc:
+        raise ValueError(f"spectral config gives both '{key}' and '{rule_key}'")
     if key in doc:
         return _number_array(doc, key, flat=True)
     if rule_key not in doc:
@@ -749,32 +747,32 @@ def _list_or_rule(doc, key, rule_key, modes):
     return evaluate_rule(doc[rule_key], int(modes))
 
 
-def system_from_config(doc: dict):
-    """Build a system from its JSON configuration document.
+def system_from_config(doc: dict, modes=None):
+    """Build a system from its JSON document, refusing by name any key its type does not read.
 
-    Spectral documents carry either explicit ``eigenvalues``/``input_coeffs``
-    lists or ``eigenvalue_rule``/``coeff_rule`` strings plus ``modes``;
-    matrix documents carry a dense ``a`` and one input column ``b``, a flat
-    list or an n x 1 nested list.  Explicit entries must be numbers.
+    ``SYSTEM_KEYS`` lists the keys of each ``type``; ``label`` must be a
+    string.  Spectral documents give each sequence as an explicit list
+    (``eigenvalues``, ``input_coeffs``) or as a rule (``eigenvalue_rule``,
+    ``coeff_rule``) evaluated at n = 1 .. ``modes``, not both; with a rule
+    the label defaults to "custom".  Matrix documents carry a dense ``a``
+    and one input column ``b``, a flat list or an n x 1 nested list.
+    Explicit entries must be numbers.
     """
     if not isinstance(doc, dict):
         raise ValueError("system config must be a JSON object")
     kind = doc.get("type")
+    if not isinstance(kind, str) or kind not in SYSTEM_KEYS:
+        raise ValueError(f"unknown system type {kind!r}")
+    unknown = sorted(set(doc) - set(SYSTEM_KEYS[kind]))
+    if unknown:
+        raise ValueError(f"unknown {kind} system keys: {', '.join(unknown)}")
+    label = doc.get("label", "custom" if {"eigenvalue_rule", "coeff_rule"} & doc.keys() else kind)
+    if not isinstance(label, str):
+        raise ValueError("system 'label' must be a string")
     if kind == "spectral":
-        modes = doc.get("modes")
-        if modes is not None and (not _is_number(modes) or modes < 1 or modes % 1):
-            raise ValueError("'modes' must be a positive integer")
         eigenvalues = _list_or_rule(doc, "eigenvalues", "eigenvalue_rule", modes)
         coeffs = _list_or_rule(doc, "input_coeffs", "coeff_rule", modes)
-        if modes is not None and (len(eigenvalues) != int(modes) or len(coeffs) != int(modes)):
-            raise ValueError("'modes' disagrees with the sequence lengths")
-        return SpectralSystem(
-            np.array(eigenvalues), np.array(coeffs), label=doc.get("label", "spectral")
-        )
-    if kind == "matrix":
-        if "a" not in doc or "b" not in doc:
-            raise ValueError("matrix config needs 'a' and 'b'")
-        return MatrixSystem(
-            _number_array(doc, "a"), _number_array(doc, "b"), label=doc.get("label", "matrix")
-        )
-    raise ValueError(f"unknown system type {kind!r}")
+        return SpectralSystem(np.array(eigenvalues), np.array(coeffs), label=label)
+    if "a" not in doc or "b" not in doc:
+        raise ValueError("matrix config needs 'a' and 'b'")
+    return MatrixSystem(_number_array(doc, "a"), _number_array(doc, "b"), label=label)

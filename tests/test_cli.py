@@ -795,6 +795,25 @@ BAD_VALUES = [
     pytest.param("analyze", [], {"model": None, "modes": [2], "system": {
         "type": "matrix", "a": [[-1.0, 0.0], [0.0, -2.0]], "b": ["1", 1.0],
     }}, id="string-input-column-entry"),
+    pytest.param("admissibility-scan", [], {"model": None, "modes": [1, 2, 3], "system": {
+        "type": "spectral", "eigenvalue_rule": "n^2", "coeff_rule": "1", "modes": 5,
+    }}, id="system-document-modes"),
+    pytest.param("admissibility-scan", [], {"model": None, "modes": [1, 2, 3], "system": {
+        "type": "spectral", "eigenvalues": [1.0, 4.0, 9.0], "input_coeffs": [1, 1, 1],
+        "lable": "typo",
+    }}, id="unknown-system-key"),
+    pytest.param("admissibility-scan", [], {"model": None, "modes": [2], "system": {
+        "type": "matrix", "a": [[-1.0, 0.0], [0.0, -2.0]], "b": [1.0, 1.0],
+        "eigenvalues": [1.0, 2.0],
+    }}, id="matrix-document-eigenvalues"),
+    pytest.param("admissibility-scan", [], {"model": None, "modes": [1, 2, 3], "system": {
+        "type": "spectral", "eigenvalues": [1.0, 4.0, 9.0], "eigenvalue_rule": "n^2",
+        "input_coeffs": [1, 1, 1],
+    }}, id="list-and-rule"),
+    pytest.param("admissibility-scan", [], {"model": None, "modes": [1, 2, 3], "system": {
+        "type": "spectral", "eigenvalues": [1.0, 4.0, 9.0], "input_coeffs": [1, 1, 1],
+        "label": 5,
+    }}, id="label-not-a-string"),
 ]
 COMMANDS = ("analyze", "simulate", "admissibility-scan", "lyapunov-eval")
 
@@ -1113,6 +1132,15 @@ def test_cli_lyapunov_eval(tmp_path):
     assert forms["w_plain"]["a1"] < forms["w_plain"]["a2"]
 
 
+def test_dense_lyapunov_eval_writes_the_half_norm_as_weights(tmp_path):
+    argv = ["lyapunov-eval", "--config", _dense8_config(tmp_path), "--out", str(tmp_path / "out")]
+    assert main(argv) == 0
+    forms = json.loads(_read(tmp_path / "out" / "forms.json"))["forms"]
+    assert forms["half_norm"] == {"kind": "diagonal", "weights": [0.5] * 8,
+                                  "provenance": "half squared norm", "a1": 0.5, "a2": 0.5}
+    assert forms["w_plain"]["provenance"].endswith(" (Lyapunov solve)")
+
+
 def test_cli_simulate(tmp_path):
     out = tmp_path / "sim"
     code = main([
@@ -1293,8 +1321,19 @@ def test_simulate_run(tmp_path):
 ])
 def test_exponent_bridge_names_the_threshold_of_the_requested_q(model, q, bridge):
     config = AnalysisConfig(model=model, modes=(16, 64, 256), q=q)
-    _, _, slots, _ = admissibility_stages(config)
+    _, _, slots, _, _ = admissibility_stages(config)
     assert slots["gamma_scans"]["exponent_bridge"] == bridge
+
+
+@pytest.mark.parametrize("model, q, findings", [
+    ("heat-dirichlet", 2, ["input-map constants diverge across truncations"]),
+    ("heat-dirichlet", math.inf, ["input-map constants diverge across truncations"]),
+    ("heat-neumann", 1, ["q=1 input-map constants diverge across truncations"]),
+    ("heat-neumann", 2, []),
+])
+def test_admissibility_stages_return_the_not_iss_findings(model, q, findings):
+    config = AnalysisConfig(model=model, modes=(16, 64, 256), q=q)
+    assert admissibility_stages(config)[4] == findings
 
 
 def test_scan_keeps_l2_verdicts_at_q_two_and_adds_the_requested_q(tmp_path, capsys):

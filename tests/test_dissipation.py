@@ -570,7 +570,7 @@ def test_decomposition_unforced():
 
 
 def test_decomposition_scalar_reconstruction():
-    form = build_half_norm(SCALAR)
+    form = build_v_half(SCALAR)
     report = proof_decomposition(form, SCALAR, [1.0], 1.0, h=0.1)
     # x = u = 1 is the equilibrium, so V(phi(h, x, u)) = 1/2 exactly.
     assert report.direct_value == pytest.approx(0.5, rel=1e-14)
@@ -638,7 +638,7 @@ def test_decomposition_bounds_i3_by_the_gramian_constant():
 @pytest.mark.parametrize("h", [0.0, -0.1, math.nan, math.inf])
 def test_decomposition_refuses_a_nonpositive_or_nonfinite_h(h):
     with pytest.raises(ValueError, match="h must be positive and finite"):
-        proof_decomposition(build_half_norm(SCALAR), SCALAR, [1.0], 0.0, h=h)
+        proof_decomposition(build_v_half(SCALAR), SCALAR, [1.0], 0.0, h=h)
 
 
 def test_decomposition_requires_square_function_form():

@@ -178,6 +178,30 @@ def test_half_norm_matches_v_half():
     assert build_half_norm(sys).value([1.0] * 10) == pytest.approx(5.0)
 
 
+def test_dense_half_norm_is_weight_one_half_per_coordinate():
+    # The half squared norm does not depend on the generator, dense or diagonal.
+    form = build_half_norm(_dense_seed7())
+    assert form.p_matrix is None and np.array_equal(form.weights, np.full(64, 0.5))
+    assert form.to_config()["kind"] == "diagonal"
+    assert (form.a1, form.a2, form.generator_power) == (0.5, 0.5, None)
+
+
+def test_w_plain_checks_its_form_once(monkeypatch):
+    # W_0 is built with its own provenance, not rebuilt to rename it: one
+    # __post_init__, the symmetry check and eigvalsh of a dense P, per form.
+    post_init, checked = QuadraticForm.__post_init__, []
+
+    def counted(form):
+        checked.append(form.provenance)
+        post_init(form)
+
+    monkeypatch.setattr(QuadraticForm, "__post_init__", counted)
+    dense, diagonal = build_w_plain(_dense_seed7()), build_w_plain(_random_system(3)[0])
+    assert checked == [dense.provenance, diagonal.provenance]
+    assert dense.provenance == "orbit energy integral (exponent zero) (Lyapunov solve)"
+    assert diagonal.provenance == "orbit energy integral (exponent zero)"
+
+
 def test_coercivity_bounds_constant_weights():
     form = QuadraticForm(weights=np.full(4, 0.5))
     assert (form.a1, form.a2) == (0.5, 0.5)

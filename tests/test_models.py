@@ -16,8 +16,8 @@ from lyapcert.systems import fractional_power_apply, system_from_config
 
 def _rule_system(eigenvalue_rule, coeff_rule, modes):
     return system_from_config(
-        {"type": "spectral", "eigenvalue_rule": eigenvalue_rule, "coeff_rule": coeff_rule,
-         "modes": modes}
+        {"type": "spectral", "eigenvalue_rule": eigenvalue_rule, "coeff_rule": coeff_rule},
+        modes=modes,
     )
 
 

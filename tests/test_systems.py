@@ -293,9 +293,8 @@ def test_config_rules():
         "type": "spectral",
         "eigenvalue_rule": "(n*pi)^2",
         "coeff_rule": "sqrt(2)*n*pi*(-1)^(n+1)",
-        "modes": 3,
     }
-    sys = system_from_config(doc)
+    sys = system_from_config(doc, modes=3)
     assert sys.eigenvalues == pytest.approx([(n * math.pi) ** 2 for n in (1, 2, 3)])
 
 
@@ -311,6 +310,11 @@ def test_config_errors():
         system_from_config({"type": "unknown"})
     with pytest.raises(ValueError):
         system_from_config({"type": "spectral", "eigenvalue_rule": "n"})
+    with pytest.raises(ValueError, match="^unknown spectral system keys: lable, modes$"):
+        system_from_config({"type": "spectral", "eigenvalues": [1.0], "input_coeffs": [1.0],
+                            "modes": 1, "lable": "x"})
+    with pytest.raises(ValueError, match="^unknown system type \\['spectral'\\]$"):
+        system_from_config({"type": ["spectral"]})
 
 
 def test_decay_bound_delta_at_the_gap_is_refused():
