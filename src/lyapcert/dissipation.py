@@ -15,7 +15,7 @@ The certificate fit reads one (states x input levels) table of samples,
 with array expressions for its cap, a4 and residuals; a non-finite sample
 is a violation and never a bound.  :func:`exact_certificate` needs no
 samples: it reads (a3, a4) off the form's operator and keeps the Dini
-estimator as its falsifier at the states where the pair binds.
+estimator as its falsifier at the pair's two binding states.
 The three integrals of :func:`proof_decomposition` are orbit energies,
 quadratures of the square-function integral (:func:`_orbit_energy`).
 An ISS envelope is falsified node by node on the runs of
@@ -308,7 +308,7 @@ class DissipationReport:
         }
 
 
-# The constant input levels of the certificate fit and of the falsifier.
+# The constant input levels of the certificate fit.
 SAMPLE_LEVELS = (0.0, 0.5, -0.5, 1.0, -1.0)
 
 
@@ -387,11 +387,11 @@ class ExactCertificate:
     flow is ``-<Mx, x> + 2 Re<Px, bu>``, so ``a3max = lambda_min(M)`` is the
     largest decay coefficient, and at ``a3 = theta * a3max`` the least input
     coefficient is ``a4 = b^H P (M - a3 I)^-1 P b`` (the Schur complement).
-    ``residuals`` and ``error_bars`` hold, per input level of
-    ``SAMPLE_LEVELS``, the Dini falsifier where the certificate binds: the
-    ``lambda_min(M)`` direction against ``a3max`` at the zero level, and the
-    maximizer ``(M - a3 I)^-1 P b u`` against ``(a3, a4)`` at every other
-    level.  A level whose residual exceeds its error bar is a violation.
+    ``residuals`` and ``error_bars`` hold the Dini falsifier at the two
+    binding states, unforced then forced: the ``lambda_min(M)`` direction
+    against ``a3max`` at level 0, and the maximizer ``(M - a3 I)^-1 P b``
+    against ``(a3, a4)`` at level 1; the residual at ``(c x, c u)`` is ``c^2``
+    times that at ``(x, u)``.  An index whose residual exceeds its bar is a violation.
     """
 
     a1: float
@@ -416,11 +416,10 @@ class ExactCertificate:
 
 
 def _falsifier_residuals(form, sys, bottom, maximizer, a3max, a3, a4):
-    """Dini residuals and error bars at the binding states, one per level of ``SAMPLE_LEVELS``."""
+    """Dini residuals and error bars at the two binding states: level 0, then level 1."""
     hs = _stiff_h_sequence(sys)
     residuals, bars = [], []
-    for level in SAMPLE_LEVELS:
-        x, decay = (bottom, a3max) if level == 0.0 else (maximizer * level, a3)
+    for x, level, decay in ((bottom, 0.0, a3max), (maximizer, 1.0, a3)):
         value, bar = _dini_quotients(form, sys, x[None, :], [level], hs)
         norm_sq = float(np.real(np.vdot(x, x)))
         residuals.append(value[0, 0] + decay * norm_sq - a4 * level**2)
@@ -466,9 +465,9 @@ def exact_certificate(form: QuadraticForm, sys, theta=0.5) -> ExactCertificate:
     residuals, bars = _falsifier_residuals(form, sys, bottom, maximizer, a3max, a3, a4)
     reason = ""
     if not np.all(residuals <= bars):
-        worst = int(np.argmax(residuals - bars))  # a NaN residual is the worst
+        worst = int(np.argmax(residuals - bars))  # a NaN residual is the worst; index = level
         reason = (
-            f"the Dini falsifier exceeds its error bar at input level {SAMPLE_LEVELS[worst]:g}: "
+            f"the Dini falsifier exceeds its error bar at input level {worst}: "
             f"residual {residuals[worst]:.6g} against {bars[worst]:.6g}"
         )
     return ExactCertificate(form.a1, form.a2, a3max, a3, a4, residuals, bars, reason)

@@ -12,7 +12,8 @@ never branch on the realization:
 * ``truncations(sizes)``, the family that a sweep over mode counts analyzes;
 * ``step(x, u, h)``, the exact state after ``h`` under the constant input
   ``u`` (``u=None`` is the free flow ``T(h) x``) of one state or of each
-  row of a stack;
+  row of a stack; a dense forced step is ``T(h) x + u g(h)``, one ``expm``
+  per step size whatever the level;
 * ``neg_power(alpha)`` and ``neg_power_apply(alpha, x)``, the operator
   ``(-A)^alpha`` (per-mode factors for diagonal systems), cached per
   instance and exponent as read-only arrays;
@@ -395,33 +396,32 @@ class MatrixSystem:
     def step(self, x, u, h) -> np.ndarray:
         """Exact state after h under the constant scalar input u (None: free flow).
 
-        The forced step exponentiates the augmented matrix ``[[A h, B u h],
-        [0, 0]]``, whose last column carries the input integral.  Stacked
-        matrix-vector products keep each row of a stack bit-identical to
-        its own step; ``x @ E.T`` would not.  Augmented propagators are
-        memoized per instance on the exact ``(h, u)``, at most
-        ``STEP_MEMO_ENTRIES`` of them and ``STEP_MEMO_BYTES`` in all, oldest
-        dropped first; a memo hit holds the bytes of a fresh ``expm``.
+        By superposition the forced step is ``E x + u g``, with ``E = e^(Ah)``
+        and ``g = int_0^h e^(As) b ds`` read off ``expm([[A h, b h], [0, 0]])``;
+        the free flow takes its own ``e^(Ah)``.  Stacked matrix-vector products
+        keep each row of a stack bit-identical to its own step; ``x @ E.T``
+        would not.  Propagators are memoized per instance on the exact ``h``,
+        whatever the level, at most ``STEP_MEMO_ENTRIES`` of them and
+        ``STEP_MEMO_BYTES`` in all, oldest dropped first; a memo hit holds the
+        bytes of a fresh ``expm``.
         """
         import scipy.linalg
         if u is None:
             return (scipy.linalg.expm(self.a_matrix * h) @ x[..., None])[..., 0]
         n = self.dimension
         memo = self.__dict__.setdefault("_propagators", {})
-        key = (h, str(u))  # str tells -0.0 from 0.0 and a complex level from a real one
-        propagator = memo.get(key)
+        propagator = memo.get(h)
         if propagator is None:
-            forcing = self.input_coeffs * u
-            aug = np.zeros((n + 1, n + 1), dtype=np.result_type(self.a_matrix, forcing, float))
+            aug = np.zeros((n + 1, n + 1), np.result_type(self.a_matrix, self.input_coeffs, float))
             aug[:n, :n] = self.a_matrix * h
-            aug[:n, n] = forcing * h
+            aug[:n, n] = self.input_coeffs * h
             propagator = _readonly(scipy.linalg.expm(aug))
             limit = min(STEP_MEMO_ENTRIES, STEP_MEMO_BYTES // propagator.nbytes)
             if limit:
                 while len(memo) >= limit:
                     del memo[next(iter(memo))]
-                memo[key] = propagator
-        return (propagator[:n, :n] @ x[..., None])[..., 0] + propagator[:n, n]
+                memo[h] = propagator
+        return (propagator[:n, :n] @ x[..., None])[..., 0] + propagator[:n, n] * u
 
     def neg_power(self, alpha) -> np.ndarray:
         """The matrix (-A)^alpha; see :func:`matrix_neg_power`."""
@@ -537,32 +537,27 @@ class MatrixSystem:
         The grid has ``GRID_SEGMENTS`` segments up to the largest horizon,
         resolves the relaxation time ``1/rate``, and holds every horizon as
         a node.  A sweep passes its fastest rate, so that all its systems
-        sample one grid.  q = 1 is the largest kernel norm ``||T(tau) B||``
-        over the nodes, each the exact free step of b.  At q = inf column j
-        holds the exact integral ``A^-1 (T(tau_j+1) - T(tau_j)) B`` of
-        ``T(tau) B`` over the j-th segment, and the aligned-sign sum of the
-        columns is the worst bounded input when every segment shares the
-        per-mode sign.  The node values are computed once, up to the largest
-        horizon, and each horizon reduces its own prefix of them.  A semigroup
-        value that is not finite raises :class:`ConditioningError`.
+        sample one grid.  Each node is an exact free :meth:`step`, of b at
+        q = 1, whose constant is the largest norm ``||T(tau) B||``, and of
+        ``A^-1 B`` at q = inf, whose consecutive differences are the exact
+        integrals of ``T(tau) B`` over the segments; their aligned-sign sum is
+        the worst bounded input when every segment shares the per-mode sign.
+        Each horizon reduces its own prefix of the nodes, refused with
+        :class:`ConditioningError` unless its norms (q = 1) or vectors
+        (q = inf) are finite.
         """
-        import scipy.linalg
         master = np.unique(np.concatenate([_graded_backward_grid(rate, max(horizons)), horizons]))
-        b = self.input_coeffs
-        if q == 1.0:
-            values = np.array([np.linalg.norm(self.step(b, None, tau)) for tau in master])
-        else:
-            inv_b = np.linalg.solve(self.a_matrix, b)
-            values = np.stack([scipy.linalg.expm(self.a_matrix * s) @ inv_b for s in master], 1)
+        start = self.input_coeffs if q == 1.0 else np.linalg.solve(self.a_matrix, self.input_coeffs)
+        orbit = [self.step(start, None, tau) for tau in master]
+        values = np.array([np.linalg.norm(v) for v in orbit]) if q == 1.0 else np.stack(orbit, 1)
         constants = []
         for t in horizons:
             nodes = np.count_nonzero(master <= t * (1.0 + 1e-12))
+            prefix = _finite_semigroup(values[..., :nodes], t)
             if q == 1.0:
-                value = max(_finite_semigroup(values[:nodes], t))
+                constants.append(float(max(prefix)))
             else:
-                orbit = _finite_semigroup(values[:, :nodes], t)
-                value = np.linalg.norm(np.sum(np.abs(orbit[:, 1:] - orbit[:, :-1]), axis=1))
-            constants.append(float(value))
+                constants.append(float(np.linalg.norm(np.sum(np.abs(np.diff(prefix)), axis=1))))
         return constants
 
 
@@ -734,8 +729,9 @@ def _number_array(doc, key, flat=False):
     return entries.astype(float)
 
 
-def _list_or_rule(doc, key, rule_key, modes):
-    # The explicit numbers under ``key``, or the rule under ``rule_key`` at n = 1 .. modes.
+def _list_or_rule(doc, key, rule_key, modes, other):
+    # The numbers under ``key``, or the rule under ``rule_key`` at n = 1 .. modes,
+    # or at n = 1 .. the length of the other sequence's list ``other``.
     if key in doc and rule_key in doc:
         raise ValueError(f"spectral config gives both '{key}' and '{rule_key}'")
     if key in doc:
@@ -744,7 +740,8 @@ def _list_or_rule(doc, key, rule_key, modes):
         raise ValueError(f"spectral config needs '{key}' or '{rule_key}'")
     if modes is None:
         raise ValueError(f"{rule_key} requires 'modes'")
-    return evaluate_rule(doc[rule_key], int(modes))
+    size = _number_array(doc, other, flat=True).size if other in doc else int(modes)
+    return evaluate_rule(doc[rule_key], size)
 
 
 def system_from_config(doc: dict, modes=None):
@@ -753,10 +750,10 @@ def system_from_config(doc: dict, modes=None):
     ``SYSTEM_KEYS`` lists the keys of each ``type``; ``label`` must be a
     string.  Spectral documents give each sequence as an explicit list
     (``eigenvalues``, ``input_coeffs``) or as a rule (``eigenvalue_rule``,
-    ``coeff_rule``) evaluated at n = 1 .. ``modes``, not both; with a rule
-    the label defaults to "custom".  Matrix documents carry a dense ``a``
-    and one input column ``b``, a flat list or an n x 1 nested list.
-    Explicit entries must be numbers.
+    ``coeff_rule``), not both, a rule evaluated at n = 1 .. ``modes`` or
+    at the other list's length; with a rule the label defaults to "custom".
+    Matrix documents carry a dense ``a`` and one input column ``b``, a flat
+    list or an n x 1 nested list.  Explicit entries must be numbers.
     """
     if not isinstance(doc, dict):
         raise ValueError("system config must be a JSON object")
@@ -770,8 +767,8 @@ def system_from_config(doc: dict, modes=None):
     if not isinstance(label, str):
         raise ValueError("system 'label' must be a string")
     if kind == "spectral":
-        eigenvalues = _list_or_rule(doc, "eigenvalues", "eigenvalue_rule", modes)
-        coeffs = _list_or_rule(doc, "input_coeffs", "coeff_rule", modes)
+        eigenvalues = _list_or_rule(doc, "eigenvalues", "eigenvalue_rule", modes, "input_coeffs")
+        coeffs = _list_or_rule(doc, "input_coeffs", "coeff_rule", modes, "eigenvalues")
         return SpectralSystem(np.array(eigenvalues), np.array(coeffs), label=label)
     if "a" not in doc or "b" not in doc:
         raise ValueError("matrix config needs 'a' and 'b'")

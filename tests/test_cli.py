@@ -167,6 +167,30 @@ def test_explicit_sequences_reject_oversized_modes():
         run_analyze(config)
 
 
+@pytest.mark.parametrize("mixed", ["eigenvalue-list", "coeff-list"])
+def test_a_rule_next_to_a_list_follows_the_list_length(tmp_path, mixed):
+    # A rule is evaluated at the other sequence's list length, so the family
+    # is the list's leading sections, as for two lists; only the default
+    # label differs.
+    squares = [float(n * n) for n in range(1, 11)]
+    docs = {"lists": {"eigenvalues": squares, "input_coeffs": [1] * 10},
+            "eigenvalue-list": {"eigenvalues": squares, "coeff_rule": "1"},
+            "coeff-list": {"eigenvalue_rule": "n^2", "input_coeffs": [1] * 10}}
+    for name in ("lists", mixed):
+        path = tmp_path / f"{name}.json"
+        doc = {"system": dict(docs[name], type="spectral"), "modes": [4, 8]}
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        for command in ("admissibility-scan", "analyze"):
+            out = tmp_path / name / command
+            assert main([command, "--config", str(path), "--out", str(out)]) == 0
+    for command in ("admissibility-scan", "analyze"):
+        written = sorted(p.name for p in (tmp_path / "lists" / command).iterdir())
+        assert written == sorted(p.name for p in (tmp_path / mixed / command).iterdir())
+        for name in written:
+            got = _read(tmp_path / mixed / command / name).replace(b"custom", b"spectral")
+            assert got == _read(tmp_path / "lists" / command / name)
+
+
 def test_multi_input_matrix_rejected_by_config():
     config = AnalysisConfig.from_dict(
         {

@@ -9,6 +9,8 @@ from lyapcert.dissipation import (
     ENVELOPE_RTOL,
     InputSignal,
     SAMPLE_LEVELS,
+    _dini_quotients,
+    _stiff_h_sequence,
     default_sample_cloud,
     dini_derivative,
     exact_certificate,
@@ -255,7 +257,7 @@ def test_dense_fit_exponentiates_once_per_level_and_step(monkeypatch):
     monkeypatch.setattr(scipy.linalg, "expm", counted)
     levels = (0.0, 0.5, -0.5, 1.0, -1.0)
     fit_dissipation(form, sys, cloud, sample_inputs=levels)
-    assert len(calls) == len(levels) * 7
+    assert len(calls) == 7  # one per step size, whatever the level
 
 
 def test_sample_cloud_memory_is_linear_in_the_dimension():
@@ -492,7 +494,46 @@ def test_w0_falsifier_residuals_lie_within_their_error_bars(model, n):
     cert = exact_certificate(build_w_plain(sys), sys)
     assert not cert.infeasible and cert.violations == ()
     assert np.all(np.abs(cert.residuals) <= cert.error_bars)
-    assert cert.residuals.shape == (len(SAMPLE_LEVELS),)
+    assert cert.residuals.shape == cert.error_bars.shape == (2,)
+
+
+@settings(max_examples=30, deadline=None)
+@given(model=st.sampled_from(["heat-neumann", "heat-dirichlet", "counterexample", "random"]),
+       n=st.integers(1, 300), seed=st.integers(0, 2**32 - 1))
+def test_diagonal_dini_quotients_are_homogeneous_of_degree_two(model, n, seed):
+    # V is quadratic and the flow linear, so the Dini table at (l x, l u) is
+    # l^2 times the one at (x, u), bit for bit on diagonal systems at every
+    # level the fit samples: the falsifier's level 1 stands for the others.
+    rng = np.random.default_rng(seed)
+    if model == "random":
+        sys = SpectralSystem(np.sort(rng.uniform(0.1, 1e4, n)), rng.normal(size=n))
+    else:
+        sys = build_model(model, n)
+    states, hs = rng.standard_normal((3, n)), _stiff_h_sequence(sys)
+    for form in (build_w_plain(sys), build_v_half(sys), build_w_q(sys, 0.25)):
+        value, bar = _dini_quotients(form, sys, states, [1.0], hs)
+        for level in SAMPLE_LEVELS:
+            scaled, scaled_bar = _dini_quotients(form, sys, level * states, [level], hs)
+            assert np.array_equal(scaled, level**2 * value)
+            assert np.array_equal(scaled_bar, level**2 * bar)
+
+
+def test_exact_certificate_steps_only_its_two_binding_levels(monkeypatch):
+    import lyapcert.dissipation as dissipation
+
+    stepped = []
+    original = dissipation._dini_quotients
+
+    def spy(form, sys, states, levels, hs):
+        stepped.append(list(levels))
+        return original(form, sys, states, levels, hs)
+
+    monkeypatch.setattr(dissipation, "_dini_quotients", spy)
+    for sys in (heat_system("neumann", 16), _dense_system(5, 6)):
+        stepped.clear()
+        cert = exact_certificate(build_w_plain(sys), sys)
+        assert not cert.infeasible and cert.residuals.shape == (2,)
+        assert stepped == [[0.0], [1.0]]
 
 
 def test_w0_certificate_on_the_dense_benchmark_system():
@@ -538,8 +579,8 @@ def test_exact_certificate_document_has_the_fitted_keys():
 
 
 def test_dense_falsifier_reuses_the_fit_propagators(monkeypatch):
-    # The coercive fit and the W_0 falsifier step the same (level, h) pairs,
-    # so once the fit has run the falsifier needs no matrix exponential.
+    # The coercive fit and the W_0 falsifier step the same step sizes, so
+    # once the fit has run the falsifier needs no matrix exponential.
     import scipy.linalg
 
     rng = np.random.default_rng(8)
@@ -550,7 +591,7 @@ def test_dense_falsifier_reuses_the_fit_propagators(monkeypatch):
     original = scipy.linalg.expm
     monkeypatch.setattr(scipy.linalg, "expm", lambda a: calls.append(a.shape) or original(a))
     fit_dissipation(form, sys, default_sample_cloud(sys, form, count=8))
-    assert calls == [(7, 7)] * (len(SAMPLE_LEVELS) * 7)
+    assert calls == [(7, 7)] * 7
     calls.clear()
     assert not exact_certificate(w0, sys).infeasible
     assert calls == []

@@ -491,31 +491,34 @@ def _dense_system(seed, n=5):
 
 
 def test_memoized_step_holds_the_bytes_of_a_fresh_expm():
+    # The unit-column propagator gives E x + u g at every level.
     import scipy.linalg
 
     sys, rng = _dense_system(4)
     stack = rng.normal(size=(3, 5))
     aug = np.zeros((6, 6))
     aug[:5, :5] = sys.a_matrix * 0.01
-    aug[:5, 5] = sys.input_coeffs * -0.5 * 0.01
+    aug[:5, 5] = sys.input_coeffs * 0.01
     fresh = scipy.linalg.expm(aug)
-    expected = (fresh[:5, :5] @ stack[..., None])[..., 0] + fresh[:5, 5]
+    expected = (fresh[:5, :5] @ stack[..., None])[..., 0] + fresh[:5, 5] * -0.5
     first = sys.step(stack, -0.5, 0.01)
     assert len(sys._propagators) == 1
     hit = sys.step(stack, -0.5, 0.01)
     assert len(sys._propagators) == 1
     assert first.tobytes() == hit.tobytes() == expected.tobytes()
-    assert np.array_equal(sys._propagators[(0.01, "-0.5")], fresh)
+    assert np.array_equal(sys._propagators[0.01], fresh)
 
 
 def test_step_memo_keys_on_the_exact_level_and_step():
     sys, rng = _dense_system(5)
     x = rng.normal(size=5)
-    for u in (0.0, -0.0, 1, 1.0, 1 + 0j):
+    for u in (0.0, -0.0, 1, 1.0, 1 + 0j):  # every level shares the step's propagator
         sys.step(x, u, 0.1)
+    assert list(sys._propagators) == [0.1]
+    assert np.iscomplexobj(sys.step(x, 1 + 0j, 0.1)) and not np.iscomplexobj(sys.step(x, 1, 0.1))
     sys.step(x, 1.0, np.nextafter(0.1, 1.0))
     sys.step(x, None, 0.1)  # the free flow is not memoized
-    assert len(sys._propagators) == 6
+    assert len(sys._propagators) == 2
 
 
 def test_step_memo_stays_bounded():
@@ -526,7 +529,7 @@ def test_step_memo_stays_bounded():
         assert len(sys._propagators) <= STEP_MEMO_ENTRIES
     assert len(sys._propagators) == STEP_MEMO_ENTRIES
     # The oldest entries go first; the newest stay.
-    assert (0.01 * 3 * STEP_MEMO_ENTRIES, "1.0") in sys._propagators
+    assert 0.01 * 3 * STEP_MEMO_ENTRIES in sys._propagators
 
 
 def test_step_memo_stays_within_its_byte_budget(monkeypatch):
@@ -541,6 +544,27 @@ def test_step_memo_stays_within_its_byte_budget(monkeypatch):
     fresh, _ = _dense_system(7)
     fresh.step(rng.normal(size=5), 0.5, 0.1)
     assert fresh._propagators == {}
+
+
+def test_dense_step_exponentiates_once_per_step_size(monkeypatch):
+    # Superposition: every input level reads E x + u g off one propagator,
+    # within rounding of the level's own augmented exponential.
+    import scipy.linalg
+    from lyapcert.dissipation import SAMPLE_LEVELS
+
+    sys, rng = _dense_system(9)
+    x = rng.normal(size=5)
+    calls = []
+    original = scipy.linalg.expm
+    monkeypatch.setattr(scipy.linalg, "expm", lambda a: calls.append(a.shape) or original(a))
+    for level in SAMPLE_LEVELS:
+        aug = np.zeros((6, 6))
+        aug[:5, :5] = sys.a_matrix * 0.01
+        aug[:5, 5] = sys.input_coeffs * level * 0.01
+        own = original(aug)
+        expected = own[:5, :5] @ x + own[:5, 5]
+        assert sys.step(x, level, 0.01) == pytest.approx(expected, rel=1e-14, abs=1e-16)
+    assert calls == [(6, 6)]
 
 
 def test_perturbed_lyapunov_solve_is_refused():
