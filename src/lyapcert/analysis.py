@@ -211,10 +211,11 @@ def _write_artifacts(out_dir, artifacts):
 
     A dict is written as indented JSON with sorted keys and a trailing LF,
     a ``(header, rows)`` pair as CSV, where floats keep their ``repr`` and
-    ``None`` is an empty field.  Rows given as a numeric array are joined
+    ``None`` is an empty field.  Rows given as a float64 array are joined
     from the ``repr`` of each entry, the CSV writer's bytes without its
-    per-field work.  A NaN or infinity in a dict is refused, since JSON
-    has no such token.  Without ``out_dir`` nothing is written.
+    per-field work; a field is formatted only where its bits differ from the
+    field above it.  A NaN or infinity in a dict is refused, since JSON has
+    no such token.  Without ``out_dir`` nothing is written.
     """
     if not out_dir:
         return {}
@@ -231,7 +232,14 @@ def _write_artifacts(out_dir, artifacts):
                 writer = csv.writer(handle, lineterminator="\n")
                 writer.writerow(header)
                 if isinstance(rows, np.ndarray):
-                    handle.writelines(",".join(map(repr, row.tolist())) + "\n" for row in rows)
+                    if rows.dtype != np.float64:  # the bit view below is float64's
+                        raise TypeError(f"numeric rows must be float64, not {rows.dtype}")
+                    bits, fields = rows.view(np.uint64), [""] * rows.shape[1]
+                    for i, row in enumerate(bits):
+                        changed = np.flatnonzero(row != bits[i - 1]) if i else np.arange(row.size)
+                        for k, value in zip(changed.tolist(), rows[i, changed].tolist()):
+                            fields[k] = repr(value)
+                        handle.write(",".join(fields) + "\n")
                 else:
                     writer.writerows(rows)
     return paths

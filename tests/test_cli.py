@@ -8,21 +8,24 @@ import numpy as np
 import pytest
 
 from conftest import dense_nonnormal
+from lyapcert import analysis
 from lyapcert.analysis import (
     AnalysisConfig,
     ConfigError,
     InvariantViolationError,
     _check_edges,
     _family,
+    _trajectory_table,
     _write_artifacts,
     admissibility_stages,
     run_analyze,
     run_simulate,
 )
 from lyapcert.cli import COMMAND_FLAGS, COMMON_FLAGS, _build_config, build_parser, main
-from lyapcert.dissipation import InputSignal, simulate_mild
+from lyapcert.dissipation import InputSignal, gain_ensemble, simulate_mild
 from lyapcert.models import heat_system
 from lyapcert.selftest import FAULT_TARGETS, run_selftest
+from lyapcert.systems import MatrixSystem
 
 
 SMALL = "8,16,32"
@@ -459,6 +462,78 @@ def test_numeric_rows_are_written_as_the_csv_writer_writes_them(tmp_path):
     written = _write_artifacts(str(tmp_path / "b"), {"t": ("t.csv", (header, rows.tolist()))})
     with open(joined["t"], "rb") as a, open(written["t"], "rb") as b:
         assert a.read() == b.read()
+
+
+def _bits_to_floats(*patterns):
+    return np.array(patterns, dtype=np.uint64).view(np.float64)
+
+
+def _analyze_step_response(sys):
+    """The table ``run_analyze`` writes as ``trajectories.csv`` for ``sys``."""
+    t_end = min(AnalysisConfig().horizon, max(1.0, 4.0 / sys.spectral_gap))
+    grid = np.linspace(0.0, t_end, 101)
+    response = simulate_mild(sys, np.zeros(sys.dimension), InputSignal.constant(1.0), grid)
+    return _trajectory_table(response)
+
+
+# Tables whose unchanged fields the array branch reuses: signed zeros that
+# flip row to row (equal as floats, printed apart), NaNs whose payloads
+# differ (unequal to themselves, printed alike), infinities, the smallest
+# subnormal, repeated rows and degenerate shapes.
+QUIET_NAN, PAYLOAD_NAN, NEGATIVE_NAN = _bits_to_floats(
+    0x7FF8000000000000, 0x7FF0000000000001, 0xFFF8000000000123
+)
+EDGE_TABLES = {
+    "signed-zero-flips": np.array([[0.0, -0.0, 1.0], [-0.0, 0.0, 1.0], [0.0, -0.0, -0.0],
+                                   [0.0, 0.0, 0.0]]),
+    "nan-payloads": np.array([[QUIET_NAN, np.inf, 5e-324], [PAYLOAD_NAN, -np.inf, 5e-324],
+                              [NEGATIVE_NAN, np.inf, -5e-324], [NEGATIVE_NAN, np.inf, 0.0]]),
+    "repeated-row": np.array([[1.0 / 3.0, 2.0], [1.0 / 3.0, 2.0], [1.0 / 3.0, 2.0]]),
+    "one-row": np.array([[0.1, -0.0, np.nan, 1e300]]),
+    "one-column": np.array([[0.0], [-0.0], [-0.0], [np.nan], [2.5]]),
+}
+
+
+def _real_tables():
+    yield "heat-neumann-256", _analyze_step_response(heat_system("neumann", 256))
+    yield "dense-n8-seed3", _analyze_step_response(MatrixSystem(*dense_nonnormal(3, 8)))
+    yield "simulate-run", _trajectory_table(gain_ensemble(heat_system("dirichlet", 32), 5)[4])
+
+
+@pytest.mark.parametrize("name", list(EDGE_TABLES) + ["real"])
+def test_numeric_tables_match_the_csv_writer_byte_for_byte(tmp_path, name):
+    if name == "real":
+        tables = list(_real_tables())
+    else:
+        rows = EDGE_TABLES[name]
+        tables = [(name, ([f"c{k}" for k in range(rows.shape[1])], rows))]
+    for label, (header, rows) in tables:
+        joined = _write_artifacts(str(tmp_path / "a"), {"t": ("t.csv", (header, rows))})
+        written = _write_artifacts(str(tmp_path / "b"), {"t": ("t.csv", (header, rows.tolist()))})
+        assert _read(joined["t"]) == _read(written["t"]), label
+
+
+def test_the_writer_formats_only_the_fields_that_change(monkeypatch, tmp_path):
+    formatted = []
+    monkeypatch.setattr(analysis, "repr", lambda v: formatted.append(v) or repr(v), raising=False)
+
+    def count(rows):
+        formatted.clear()
+        _write_artifacts(str(tmp_path), {"t": ("t.csv", ([""] * rows.shape[1], rows))})
+        return len(formatted)
+
+    _, rows = _analyze_step_response(heat_system("neumann", 256))
+    assert rows.size == 26058
+    assert count(rows) <= 0.05 * rows.size
+    rows = np.random.default_rng(11).choice([0.0, -0.0, 1.5, np.nan], size=(40, 9))
+    bits = rows.view(np.uint64)
+    assert count(rows) == rows.shape[1] + np.count_nonzero(bits[1:] != bits[:-1])
+
+
+@pytest.mark.parametrize("dtype", [np.complex128, np.int64])
+def test_numeric_rows_of_another_dtype_are_refused(tmp_path, dtype):
+    with pytest.raises(TypeError, match="must be float64"):
+        _write_artifacts(str(tmp_path), {"t": ("t.csv", (["x"], np.ones((2, 1), dtype=dtype)))})
 
 
 def test_trajectories_csv_parses_back_to_the_simulated_states(tmp_path):
