@@ -205,13 +205,18 @@ def _dini_quotients(form: QuadraticForm, sys, states, levels, hs):
     Each level is held constant over every step, so ``x(h)`` is one exact
     :meth:`step` of the whole stack per level and step size.  Returns the
     extrapolated derivatives of the quotients ``(V(x(h)) - V(x))/h`` and
-    their error bars, each of shape (states, levels).
+    their error bars, each of shape (states, levels).  The table allocates
+    one work array of the stack's size: each cell steps into it and ``V``
+    squares in place there, with the bytes of a fresh step and ``V``.
     """
     v0 = form.values(states)
     quotients = np.empty((len(states), len(levels), len(hs)))
+    work = None
     for j, h in enumerate(hs):
         for i, level in enumerate(levels):
-            quotients[:, i, j] = (form.values(sys.step(states, level, h)) - v0) / h
+            work = sys.step(states, level, h, out=work)
+            quotients[:, i, j] = (form.values(work, overwrite=True) - v0) / h
+    del work  # freed before the extrapolation's temporaries
     value, bar = _neville_limit(hs, quotients)
     # Round-off floor: the difference quotient carries eps*|V|/h of noise,
     # amplified by the extrapolation weights.

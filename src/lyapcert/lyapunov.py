@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .systems import ConditioningError
+from .systems import ConditioningError, _in_place
 
 __all__ = [
     "ContractionReport",
@@ -98,14 +98,22 @@ class QuadraticForm:
             return int(self.weights.size)
         return int(self.p_matrix.shape[0])
 
-    def values(self, states) -> np.ndarray:
-        """V of each row of a stack of states, bit-identical to ``value``."""
+    def values(self, states, overwrite=False) -> np.ndarray:
+        """V of each row of a stack of states, bit-identical to ``value``.
+
+        With ``overwrite`` a diagonal form squares a real float ``states`` in
+        place, which must then be writable, and leaves it holding the weighted
+        squares; the values keep their bits.  A dense ``P`` ignores it.
+        """
         states = np.atleast_2d(states)
         if states.shape[1] != self.dimension:
             raise ValueError("state length does not match the form")
         if self.weights is not None:
-            squares = states * states if np.isrealobj(states) else np.abs(states) ** 2
-            return np.sum(self.weights * squares, axis=-1)
+            if np.isrealobj(states):
+                squares = np.multiply(states, states, out=states if overwrite else None)
+            else:
+                squares = np.abs(states) ** 2
+            return np.sum(_in_place(np.multiply, squares, self.weights), axis=-1)
         return np.real((states.conj()[:, None, :] @ (self.p_matrix @ states[..., None]))[:, 0, 0])
 
     def value(self, x) -> float:

@@ -10,10 +10,11 @@ never branch on the realization:
 * ``dimension``, ``spectral_gap`` and ``fastest_rate`` (the largest
   eigenvalue modulus, computed once per instance);
 * ``truncations(sizes)``, the family that a sweep over mode counts analyzes;
-* ``step(x, u, h)``, the exact state after ``h`` under the constant input
-  ``u`` (``u=None`` is the free flow ``T(h) x``) of one state or of each
-  row of a stack; a dense forced step is ``T(h) x + u g(h)``, one ``expm``
-  per step size whatever the level;
+* ``step(x, u, h, out=None)``, the exact state after ``h`` under the
+  constant input ``u`` (``u=None`` is the free flow ``T(h) x``) of one
+  state or of each row of a stack, written into ``out`` if given; a dense
+  forced step is ``T(h) x + u g(h)``, one ``expm`` per step size whatever
+  the level;
 * ``neg_power(alpha)`` and ``neg_power_apply(alpha, x)``, the operator
   ``(-A)^alpha`` (per-mode factors for diagonal systems), cached per
   instance and exponent as read-only arrays;
@@ -103,6 +104,23 @@ class ConditioningError(RuntimeError):
 def _readonly(array):
     array.setflags(write=False)
     return array
+
+
+def _in_place(op, target, operand):
+    # ``op(target, operand)``, written into ``target`` where its dtype holds
+    # the result (not for a complex level on a real state); the bits are
+    # those of the fresh expression either way.
+    if np.can_cast(operand.dtype, target.dtype):
+        return op(target, operand, out=target)
+    return op(target, operand)
+
+
+def _matvec(matrix, x, out):
+    # ``matrix @ x`` per row of a stack, written into ``out`` if given.
+    if out is None:
+        return (matrix @ x[..., None])[..., 0]
+    np.matmul(matrix, x[..., None], out=out[..., None])
+    return out
 
 
 def _input_column(b):
@@ -251,18 +269,20 @@ class SpectralSystem:
         lam, b = self.eigenvalues, self.input_coeffs
         return [SpectralSystem(lam[:n], b[:n], label=self.label) for n in sizes if n <= lam.size]
 
-    def step(self, x, u, h) -> np.ndarray:
+    def step(self, x, u, h, out=None) -> np.ndarray:
         """Exact state after h under the constant input u (None: free flow).
 
-        Per mode ``exp(-lam h) x + b u (1 - exp(-lam h)) / lam``.
+        Per mode ``exp(-lam h) x + b u (1 - exp(-lam h)) / lam``.  ``out``,
+        an array of the result's shape and dtype that does not overlap
+        ``x``, receives the state and is returned, with the bytes of a
+        fresh step.
         """
         lam = self.eigenvalues
-        decay = np.exp(-lam * h)
+        state = np.multiply(np.exp(-lam * h), x, out=out)
         if u is None:
-            return decay * x
+            return state
         # 1 - exp(-lam h) through expm1 to keep small lam*h exact.
-        gain = -np.expm1(-lam * h) / lam
-        return decay * x + self.input_coeffs * (u * gain)
+        return _in_place(np.add, state, self.input_coeffs * (u * (-np.expm1(-lam * h) / lam)))
 
     def neg_power(self, alpha) -> np.ndarray:
         """Per-mode factors lam_n^alpha of (-A)^alpha."""
@@ -393,7 +413,7 @@ class MatrixSystem:
         """``[self]``: a dense system is its own only truncation, whatever the sizes."""
         return [self]
 
-    def step(self, x, u, h) -> np.ndarray:
+    def step(self, x, u, h, out=None) -> np.ndarray:
         """Exact state after h under the constant scalar input u (None: free flow).
 
         By superposition the forced step is ``E x + u g``, with ``E = e^(Ah)``
@@ -403,11 +423,13 @@ class MatrixSystem:
         would not.  Propagators are memoized per instance on the exact ``h``,
         whatever the level, at most ``STEP_MEMO_ENTRIES`` of them and
         ``STEP_MEMO_BYTES`` in all, oldest dropped first; a memo hit holds the
-        bytes of a fresh ``expm``.
+        bytes of a fresh ``expm``.  ``out``, an array of the result's shape and
+        dtype that does not overlap ``x``, receives the state and is returned,
+        with the bytes of a fresh step.
         """
         import scipy.linalg
         if u is None:
-            return (scipy.linalg.expm(self.a_matrix * h) @ x[..., None])[..., 0]
+            return _matvec(scipy.linalg.expm(self.a_matrix * h), x, out)
         n = self.dimension
         memo = self.__dict__.setdefault("_propagators", {})
         propagator = memo.get(h)
@@ -421,7 +443,7 @@ class MatrixSystem:
                 while len(memo) >= limit:
                     del memo[next(iter(memo))]
                 memo[h] = propagator
-        return (propagator[:n, :n] @ x[..., None])[..., 0] + propagator[:n, n] * u
+        return _in_place(np.add, _matvec(propagator[:n, :n], x, out), propagator[:n, n] * u)
 
     def neg_power(self, alpha) -> np.ndarray:
         """The matrix (-A)^alpha; see :func:`matrix_neg_power`."""

@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import dense_nonnormal
 from lyapcert.dissipation import (
     ENVELOPE_RTOL,
     InputSignal,
     SAMPLE_LEVELS,
     _dini_quotients,
+    _neville_limit,
     _stiff_h_sequence,
     default_sample_cloud,
     dini_derivative,
@@ -401,9 +403,9 @@ def test_fit_evaluates_v_of_the_states_once(kind, monkeypatch):
     calls = []
     original = QuadraticForm.values
 
-    def counted(self, states):
+    def counted(self, states, **kwargs):
         calls.append(np.shape(states))
-        return original(self, states)
+        return original(self, states, **kwargs)
 
     monkeypatch.setattr(QuadraticForm, "values", counted)
     levels = (0.0, 0.5, -0.5, 1.0, -1.0)
@@ -516,6 +518,53 @@ def test_diagonal_dini_quotients_are_homogeneous_of_degree_two(model, n, seed):
             scaled, scaled_bar = _dini_quotients(form, sys, level * states, [level], hs)
             assert np.array_equal(scaled, level**2 * value)
             assert np.array_equal(scaled_bar, level**2 * bar)
+
+
+def _fresh_array_dini_quotients(form, sys, states, levels, hs):
+    # The table with a fresh state and fresh squares per cell.
+    v0 = form.values(states)
+    quotients = np.empty((len(states), len(levels), len(hs)))
+    for j, h in enumerate(hs):
+        for i, level in enumerate(levels):
+            quotients[:, i, j] = (form.values(sys.step(states, level, h)) - v0) / h
+    value, bar = _neville_limit(hs, quotients)
+    noise = 32.0 * np.finfo(float).eps * (
+        np.abs(v0)[:, None] / hs[-1] + np.abs(quotients).max(axis=-1)
+    )
+    return value, 4.0 * np.where(noise > bar, noise, bar)
+
+
+@pytest.mark.parametrize("kind", ["heat-neumann", "dense"])
+def test_dini_table_in_one_work_array_holds_the_fresh_array_bytes(kind):
+    if kind == "heat-neumann":
+        sys = heat_system("neumann", 256)
+    else:
+        sys = MatrixSystem(*dense_nonnormal(7, 8))
+    form = build_v_half(sys)
+    states = default_sample_cloud(sys, form)
+    hs = _stiff_h_sequence(sys)
+    value, bar = _dini_quotients(form, sys, states, SAMPLE_LEVELS, hs)
+    expected_value, expected_bar = _fresh_array_dini_quotients(form, sys, states, SAMPLE_LEVELS, hs)
+    assert value.tobytes() == expected_value.tobytes()
+    assert bar.tobytes() == expected_bar.tobytes()
+
+
+def test_dini_table_allocates_one_state_stack():
+    # One work array for all 35 cells; a fresh state and fresh squares per
+    # cell would peak at about three stacks.
+    import tracemalloc
+
+    sys = heat_system("neumann", 4096)
+    form = build_v_half(sys)
+    states = default_sample_cloud(sys, form)
+    hs = _stiff_h_sequence(sys)
+    tracemalloc.start()
+    try:
+        _dini_quotients(form, sys, states, SAMPLE_LEVELS, hs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * states.nbytes
 
 
 def test_exact_certificate_steps_only_its_two_binding_levels(monkeypatch):

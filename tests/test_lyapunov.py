@@ -186,6 +186,28 @@ def test_dense_half_norm_is_weight_one_half_per_coordinate():
     assert (form.a1, form.a2, form.generator_power) == (0.5, 0.5, None)
 
 
+@pytest.mark.parametrize("kind", ["diagonal real", "diagonal complex", "dense"])
+def test_values_overwrite_keeps_the_bits(kind):
+    # Squaring in place changes where the squares live, not their bits.
+    # Without ``overwrite`` the states are left as they were.
+    rng = np.random.default_rng(11)
+    if kind == "dense":
+        form = build_v_half(MatrixSystem(*dense_nonnormal(7, 8)))
+    else:
+        form = build_w_plain(_random_system(4, n=8)[0])
+    states = rng.normal(size=(9, 8))
+    if kind == "diagonal complex":
+        states = states + 1j * rng.normal(size=(9, 8))
+    original = states.copy()
+    expected = form.values(states)
+    assert states.tobytes() == original.tobytes()
+    assert form.values(states, overwrite=True).tobytes() == expected.tobytes()
+    if kind == "diagonal real":
+        assert not np.array_equal(states, original)
+    else:
+        assert states.tobytes() == original.tobytes()
+
+
 def test_w_plain_checks_its_form_once(monkeypatch):
     # W_0 is built with its own provenance, not rebuilt to rename it: one
     # __post_init__, the symmetry check and eigvalsh of a dense P, per form.

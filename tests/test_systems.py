@@ -483,6 +483,27 @@ def test_step_on_a_stack_equals_each_row(kind):
             assert np.array_equal(stepped, np.array([sys.step(x, u, h) for x in stack]))
 
 
+@pytest.mark.parametrize("kind", ["spectral", "matrix"])
+def test_step_into_out_holds_the_bytes_of_a_fresh_step(kind):
+    # ``out`` is written and returned; whatever it held before (here the
+    # previous cell's state) does not reach the result.
+    rng = np.random.default_rng(8)
+    n = 7
+    if kind == "spectral":
+        sys = SpectralSystem(np.sort(rng.uniform(0.1, 40.0, n)), rng.normal(size=n))
+    else:
+        sys = MatrixSystem(*dense_nonnormal(5, n))
+    stack = rng.normal(size=(6, n))
+    for x in (stack, stack[2]):
+        buf = np.empty_like(x)
+        for u in (None, 0.0, -0.0, -0.5, 1.0):
+            for h in (1e-3, 0.07):
+                fresh = sys.step(x, u, h)
+                stepped = sys.step(x, u, h, out=buf)
+                assert stepped is buf
+                assert stepped.tobytes() == fresh.tobytes()
+
+
 def _dense_system(seed, n=5):
     rng = np.random.default_rng(seed)
     raw = rng.normal(size=(n, n))
