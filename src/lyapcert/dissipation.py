@@ -13,9 +13,8 @@ Dini derivatives of V come from one table: each input level and step size
 takes one exact step of a stack of states (:func:`_dini_quotients`).
 The certificate fit reads one (states x input levels) table of samples,
 with array expressions for its cap, a4 and residuals; a non-finite sample
-is a violation and never a bound.  :func:`exact_certificate` needs no
-samples: it reads (a3, a4) off the form's operator and keeps the Dini
-estimator as its falsifier at the pair's two binding states.
+is a violation and never a bound.  :func:`exact_certificate` simulates
+nothing: it reads (a3, a4) off the form's operator, with a rounding enclosure.
 The three integrals of :func:`proof_decomposition` are orbit energies,
 quadratures of the square-function integral (:func:`_orbit_energy`).
 An ISS envelope is falsified node by node on the runs of
@@ -317,6 +316,7 @@ class DissipationReport:
 SAMPLE_LEVELS = (0.0, 0.5, -0.5, 1.0, -1.0)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # non-finite samples are violations
 def fit_dissipation(
     form: QuadraticForm,
     sys,
@@ -392,11 +392,8 @@ class ExactCertificate:
     flow is ``-<Mx, x> + 2 Re<Px, bu>``, so ``a3max = lambda_min(M)`` is the
     largest decay coefficient, and at ``a3 = theta * a3max`` the least input
     coefficient is ``a4 = b^H P (M - a3 I)^-1 P b`` (the Schur complement).
-    ``residuals`` and ``error_bars`` hold the Dini falsifier at the two
-    binding states, unforced then forced: the ``lambda_min(M)`` direction
-    against ``a3max`` at level 0, and the maximizer ``(M - a3 I)^-1 P b``
-    against ``(a3, a4)`` at level 1; the residual at ``(c x, c u)`` is ``c^2``
-    times that at ``(x, u)``.  An index whose residual exceeds its bar is a violation.
+    The exact pair of the stored form and system, at this ``a3``, lies within
+    ``a3max_radius`` and ``a4_radius`` of it.  ``violations`` is always empty.
     """
 
     a1: float
@@ -404,44 +401,54 @@ class ExactCertificate:
     a3max: float
     a3: float
     a4: float
-    residuals: np.ndarray
-    error_bars: np.ndarray
+    a3max_radius: float
+    a4_radius: float
     infeasible_reason: str = ""
+    violations: tuple = ()
 
-    @property
-    def infeasible(self) -> bool:
-        return bool(self.infeasible_reason)
-
-    @property
-    def violations(self) -> tuple:
-        return tuple(int(i) for i in np.flatnonzero(~(self.residuals <= self.error_bars)))
-
-    # The slot document has the keys of a fitted certificate.
-    to_config = DissipationReport.to_config
+    # Read like a fitted certificate; the slot document has the same keys.
+    infeasible, to_config = DissipationReport.infeasible, DissipationReport.to_config
 
 
-def _falsifier_residuals(form, sys, bottom, maximizer, a3max, a3, a4):
-    """Dini residuals and error bars at the two binding states: level 0, then level 1."""
-    hs = _stiff_h_sequence(sys)
-    residuals, bars = [], []
-    for x, level, decay in ((bottom, 0.0, a3max), (maximizer, 1.0, a3)):
-        value, bar = _dini_quotients(form, sys, x[None, :], [level], hs)
-        norm_sq = float(np.real(np.vdot(x, x)))
-        residuals.append(value[0, 0] + decay * norm_sq - a4 * level**2)
-        bars.append(bar[0, 0])
-    return np.array(residuals), np.array(bars)
+def _gamma(k):  # Higham's gamma_k = k u / (1 - k u), the error of k roundings
+    return k * 2.0**-53 / (1.0 - k * 2.0**-53)
+
+
+def _dense_enclosure(form, sys, m):
+    """``(a3max, radius, slack)`` for ``m = fl(M)``, where ``slack >= ||M - m||_2``.
+
+    ``lambda_min(M)`` lies below the Rayleigh quotient of the ``eigh`` vector and above
+    a shift ``s`` where a float Cholesky ``R`` of ``m - s I`` exists, less its backward
+    error ``gamma_(n+2) ||R||_F^2`` (Rump, BIT 46, 2006); both move by ``slack``.
+    """
+    import scipy.linalg  # dense only: kept out of ``import lyapcert``
+    n, gamma = len(m), _gamma(len(m) + 2)
+    abs_p = np.abs(np.diag(form.weights) if form.p_matrix is None else form.p_matrix)
+    abs_a = np.abs(sys.neg_power(1.0))  # exactly -A: lam per mode, or the dense matrix
+    pa = abs_p * abs_a if abs_a.ndim == 1 else abs_p @ abs_a
+    slack = float(np.linalg.norm(gamma * (pa + pa.T + np.abs(m))))  # n-term dots, one sum
+    lowest, vectors = scipy.linalg.eigh(m, subset_by_index=[0, 0])
+    a3max, v = float(lowest[0]), vectors[:, 0]
+    shift = a3max - 2.0 * (slack + gamma * float(np.trace(np.abs(m)) + n * abs(a3max)))
+    try:
+        r = np.linalg.cholesky(m - shift * np.eye(n))
+    except np.linalg.LinAlgError:  # no lower bound: unresolved
+        return a3max, np.inf, slack
+    quotient = float(np.real(np.vdot(v, m @ v)) / np.real(np.vdot(v, v)))
+    below = (a3max - shift) + gamma * float(np.vdot(r, r).real) + slack
+    above = quotient - a3max + gamma * abs(quotient) + 2.0 * slack
+    return a3max, (1.0 + _gamma(4)) * max(below, above), slack  # and the radius's rounding
 
 
 def exact_certificate(form: QuadraticForm, sys, theta=0.5) -> ExactCertificate:
     """The exact dissipation certificate of ``form`` on ``sys`` at ``a3 = theta * a3max``.
 
-    ``M`` comes from the form's own ``P``, so the residual of the Lyapunov
-    solve behind ``P`` is accounted for.  Diagonal forms on diagonal systems
-    are O(N): ``M`` is ``2 w lam`` and ``a4 = sum (w b)^2 / (2 w lam - a3)``;
-    their ``lambda_min`` direction is the slowest mode attaining the minimum.
-    Otherwise ``M`` is dense: one ``eigh`` for its smallest eigenpair and
-    one solve.  A non-positive ``a3max`` or a falsified binding state makes
-    the certificate infeasible.
+    ``M`` comes from the form's own ``P``, so the residual of the Lyapunov solve behind
+    ``P`` is accounted for.  Diagonal radii are a priori and O(N): ``M = 2 w lam`` carries
+    one rounding, each term of ``a4 = sum (w b)^2 / (M - a3)`` a few plus ``M``'s times
+    ``1/(1 - theta)``, the sum ``N - 1``.  Dense ones come from :func:`_dense_enclosure` and
+    ``a4``'s solve residual over ``lambda_min(M - a3 I)``.  Infeasible means the enclosure
+    proves ``a3max <= 0``; unresolved, that it proves neither that nor ``M - a3 I > 0``.
     """
     if not 0.0 < theta < 1.0:
         raise ValueError("theta must lie strictly between 0 and 1")
@@ -453,29 +460,29 @@ def exact_certificate(form: QuadraticForm, sys, theta=0.5) -> ExactCertificate:
     pb, m = form.p_apply(sys.input_coeffs), sys.dissipation_operator(form)
     if m.ndim == 1:
         a3max = float(m.min())
-        bottom = np.eye(1, n, int(np.argmax(m <= a3max * (1.0 + 1e-12))))[0]
+        a3max_radius = _gamma(2) * a3max  # fl(2 w lam), and the radius's own rounding
     else:
-        import scipy.linalg  # dense only: kept out of ``import lyapcert``
-        lowest, vectors = scipy.linalg.eigh(m, subset_by_index=[0, 0])
-        a3max, bottom = float(lowest[0]), vectors[:, 0]
-    if not a3max > 0.0:
-        empty = np.empty(0)
-        return ExactCertificate(
-            form.a1, form.a2, a3max, 0.0, 0.0, empty, empty,
-            f"no positive decay coefficient: lambda_min(M) = {a3max!r}",
-        )
+        a3max, a3max_radius, slack = _dense_enclosure(form, sys, m)
+    if not (1.0 - theta) * a3max > a3max_radius:  # then lambda_min(M - a3 I) > 0
+        reason = f"unresolved: lambda_min(M) = {a3max!r} within {a3max_radius!r}"
+        if a3max <= -a3max_radius:
+            reason = f"no positive decay coefficient: lambda_min(M) = {a3max!r}"
+        return ExactCertificate(form.a1, form.a2, a3max, 0.0, 0.0, a3max_radius, np.inf, reason)
     a3 = theta * a3max
     maximizer = pb / (m - a3) if m.ndim == 1 else np.linalg.solve(m - a3 * np.eye(n), pb)
     a4 = float(np.real(np.vdot(pb, maximizer)))
-    residuals, bars = _falsifier_residuals(form, sys, bottom, maximizer, a3max, a3, a4)
-    reason = ""
-    if not np.all(residuals <= bars):
-        worst = int(np.argmax(residuals - bars))  # a NaN residual is the worst; index = level
-        reason = (
-            f"the Dini falsifier exceeds its error bar at input level {worst}: "
-            f"residual {residuals[worst]:.6g} against {bars[worst]:.6g}"
-        )
-    return ExactCertificate(form.a1, form.a2, a3max, a3, a4, residuals, bars, reason)
+    if m.ndim == 1:
+        a4_radius = _gamma(n + 6 + int(np.ceil(1.0 / (1.0 - theta)))) * a4
+    else:  # P b's rounding and the dot's, then the residual against the exact M - a3 I
+        gamma, x_norm, pb_norm = _gamma(n + 2), np.linalg.norm(maximizer), np.linalg.norm(pb)
+        p_norm = np.linalg.norm(form.weights if form.p_matrix is None else form.p_matrix)
+        pb_error = gamma * (p_norm * np.linalg.norm(sys.input_coeffs) + pb_norm)
+        residual = np.linalg.norm(pb - (m - a3 * np.eye(n)) @ maximizer) + pb_error
+        residual += 2.0 * (slack + gamma * a3) * x_norm
+        a4_radius = float((1.0 + _gamma(4)) * (pb_error * x_norm + (pb_norm + pb_error) * residual
+                          / ((1.0 - theta) * a3max - a3max_radius)))  # <= lambda_min(M - a3 I)
+    reason = "" if np.isfinite(a4_radius) else f"unresolved: a4 = {a4!r} within {a4_radius!r}"
+    return ExactCertificate(form.a1, form.a2, a3max, a3, a4, a3max_radius, a4_radius, reason)
 
 
 @dataclass(frozen=True)
@@ -497,17 +504,10 @@ def input_scaling_check(form: QuadraticForm, sys, u, c_list) -> ScalingReport:
     zero = np.zeros(sys.dimension)
     grid = np.array([0.0, 1e-3])
     base = form.value(simulate_mild(sys, zero, u, grid).states[-1])
-    measured = []
-    errors = []
-    for c in c_list:
-        value = form.value(simulate_mild(sys, zero, u.scaled(c), grid).states[-1])
-        expected = c * c * base
-        measured.append(value)
-        if expected == 0.0:
-            errors.append(abs(value))
-        else:
-            errors.append(abs(value - expected) / abs(expected))
-    worst = max(errors) if errors else 0.0
+    measured = [form.value(simulate_mild(sys, zero, u.scaled(c), grid).states[-1]) for c in c_list]
+    # Relative to c^2 V(phi(h, 0, u)), absolute where that is 0.
+    errors = [abs(v - c * c * base) / (abs(c * c * base) or 1.0) for c, v in zip(c_list, measured)]
+    worst = max(errors, default=0.0)
     return ScalingReport(
         factors=tuple(float(c) for c in c_list),
         measured=tuple(measured),

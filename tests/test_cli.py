@@ -310,6 +310,34 @@ def test_huge_diagonal_horizons_exit_zero_without_warning(tmp_path, argv):
         assert "NaN" not in text and "Infinity" not in text and ",inf" not in text
 
 
+def _spectral_config(tmp_path, eigenvalues, coeffs):
+    path = tmp_path / "spectral.json"
+    path.write_text(json.dumps({"system": {
+        "type": "spectral", "eigenvalues": eigenvalues, "input_coeffs": coeffs}}))
+    return str(path)
+
+
+def test_a_spectrum_too_stiff_for_any_dini_step_certifies_w0(tmp_path, capsys):
+    # The exact W_0 a3max is 1; a Dini falsifier read it as infeasible.
+    config = _spectral_config(tmp_path, [2.0**200, 2.0**201, 2.0**230], [1, 1, 1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["analyze", "--config", config, "--modes", "2,3"]) == 0
+    assert "slot noncoercive_w0: certified" in capsys.readouterr().out
+
+
+def test_an_input_column_near_overflow_is_a_finding_with_warnings_as_errors(tmp_path, capsys):
+    # The sampled fit's overflowing samples are violations, not warnings:
+    # the run exits 3 with its finding, as it does without the filter.
+    config = _spectral_config(tmp_path, [1, 2, 3], [1e154, 1, 1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["analyze", "--config", config, "--modes", "2,3"]) == 3
+    out = capsys.readouterr().out
+    assert "finding: coercive_quadratic_l2: infeasible" in out
+    assert "slot noncoercive_w0: certified" in out
+
+
 def test_analyze_flat_input_list_equals_column(tmp_path):
     rng = np.random.default_rng(5)
     a = rng.normal(size=(4, 4)) / 2.0 - 2.0 * np.eye(4)
@@ -786,19 +814,17 @@ def _force_infeasible(monkeypatch, builder, modes):
 
 
 def test_infeasible_noncoercive_fit_is_a_finding(tmp_path, monkeypatch):
-    # The W_0 slot is exact; its certificate is infeasible when the Dini
-    # falsifier at its binding states exceeds the error bar.
-    import lyapcert.dissipation as dissipation
+    # The W_0 slot is exact; its certificate is infeasible when the rounding
+    # enclosure proves a3max <= 0, here with M negated at N = 16.
+    from lyapcert.systems import SpectralSystem
 
-    original = dissipation._falsifier_residuals
+    original = SpectralSystem.dissipation_operator
 
-    def falsify(form, sys, *args):
-        residuals, bars = original(form, sys, *args)
-        if form.generator_power == 0.0 and sys.dimension == 16:
-            residuals = residuals + 2.0 * bars + 1.0
-        return residuals, bars
+    def negated(sys, form):
+        m = original(sys, form)
+        return -m if form.generator_power == 0.0 and sys.dimension == 16 else m
 
-    monkeypatch.setattr(dissipation, "_falsifier_residuals", falsify)
+    monkeypatch.setattr(SpectralSystem, "dissipation_operator", negated)
     out = tmp_path / "out"
     assert main(["analyze", "--model", "heat-neumann", "--modes", SMALL, "--out", str(out)]) == 3
     report = json.loads(_read(out / "report.json"))

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -456,15 +457,13 @@ EXACT_CASES = st.sampled_from([(0.0, 0), (0.25, 0), (0.5, 0), (0.0, 40)])
 def test_exact_certificate_is_realization_independent(seed, case):
     # The O(N) closed form against eigh and a solve on the dense embedding;
     # beyond W_0 the spread stays small, since lambda_min(M) of W_q is then
-    # only normwise accurate.  The dense lambda_min(M) direction of W_0 is
-    # any unit vector of a cluster at 1; at a 2^40 spread it can hold modes
-    # too stiff for the Dini steps, which the falsifier reads as a violation.
+    # only normwise accurate.  Both certify, at a 2^40 spread too.
     q, octaves = case
     lam, b = _resolvable_family(seed, octaves)
     diagonal, dense = SpectralSystem(lam, b), MatrixSystem(np.diag(-lam), b)
     ref = exact_certificate(build_w_q(diagonal, q), diagonal)
     got = exact_certificate(build_w_q(dense, q), dense)
-    assert not ref.infeasible and (octaves or not got.infeasible)
+    assert not ref.infeasible and not got.infeasible
     for name in ("a3max", "a3", "a4"):
         assert getattr(got, name) == pytest.approx(getattr(ref, name), rel=REALIZATION_RTOL)
 
@@ -488,15 +487,35 @@ def test_exact_certificate_scales_with_the_input_column(seed, octaves, dense, c)
     assert got.a4 == pytest.approx(c * c * ref.a4, rel=1e-12)
 
 
-@settings(max_examples=30, deadline=None)
-@given(model=st.sampled_from(["heat-neumann", "heat-dirichlet", "counterexample"]),
-       n=st.integers(1, 300))
-def test_w0_falsifier_residuals_lie_within_their_error_bars(model, n):
-    sys = build_model(model, n)
-    cert = exact_certificate(build_w_plain(sys), sys)
-    assert not cert.infeasible and cert.violations == ()
-    assert np.all(np.abs(cert.residuals) <= cert.error_bars)
-    assert cert.residuals.shape == cert.error_bars.shape == (2,)
+def _binding_states(form, sys, cert):
+    # The lambda_min(M) direction and the maximizer (M - a3 I)^-1 P b of a
+    # certificate, where its inequality holds with equality.
+    m, pb = sys.dissipation_operator(form), form.p_apply(sys.input_coeffs)
+    if m.ndim == 1:
+        return np.eye(1, m.size, int(np.argmin(m)))[0], pb / (m - cert.a3)
+    bottom = np.linalg.eigh(m)[1][:, 0]
+    return bottom, np.linalg.solve(m - cert.a3 * np.eye(len(m)), pb)
+
+
+README_SWEEPS = [(model, n) for model, sizes in (("heat-neumann", (16, 64, 256)),
+                 ("heat-dirichlet", (16, 64, 256)), ("counterexample", (64, 128, 256)))
+                 for n in sizes]
+
+
+@pytest.mark.parametrize("model, n", README_SWEEPS + [("dense-seed-7", 64)])
+def test_w0_binding_states_lie_within_their_dini_error_bars(model, n):
+    # A check of the exact W_0 certificate against the dynamics: the Dini
+    # derivative at each binding state meets the certified inequality with
+    # equality, unforced against a3max and at input level 1 against (a3, a4).
+    sys = _dense_seed7() if model == "dense-seed-7" else build_model(model, n)
+    form = build_w_plain(sys)
+    cert = exact_certificate(form, sys)
+    assert not cert.infeasible
+    bottom, maximizer = _binding_states(form, sys, cert)
+    for x, level, decay in ((bottom, 0.0, cert.a3max), (maximizer, 1.0, cert.a3)):
+        dini = dini_derivative(form, sys, x, level)
+        residual = dini.value + decay * float(np.vdot(x, x)) - cert.a4 * level**2
+        assert abs(residual) <= dini.error_bar
 
 
 @settings(max_examples=30, deadline=None)
@@ -567,29 +586,32 @@ def test_dini_table_allocates_one_state_stack():
     assert peak <= 1.25 * states.nbytes
 
 
-def test_exact_certificate_steps_only_its_two_binding_levels(monkeypatch):
+def test_exact_certificate_simulates_nothing(monkeypatch):
+    # The certificate is algebra on P, A and b: no step, Dini table or
+    # matrix exponential, on either realization or form kind.
+    import scipy.linalg
+
     import lyapcert.dissipation as dissipation
 
-    stepped = []
-    original = dissipation._dini_quotients
+    def refuse(*args, **kwargs):
+        raise AssertionError("exact_certificate simulated")
 
-    def spy(form, sys, states, levels, hs):
-        stepped.append(list(levels))
-        return original(form, sys, states, levels, hs)
-
-    monkeypatch.setattr(dissipation, "_dini_quotients", spy)
-    for sys in (heat_system("neumann", 16), _dense_system(5, 6)):
-        stepped.clear()
-        cert = exact_certificate(build_w_plain(sys), sys)
-        assert not cert.infeasible and cert.residuals.shape == (2,)
-        assert stepped == [[0.0], [1.0]]
+    diagonal, dense = heat_system("neumann", 16), _dense_system(5, 6)
+    forms = [(build_w_plain(diagonal), diagonal), (QuadraticForm(p_matrix=np.eye(16)), diagonal),
+             (build_half_norm(dense), dense), (build_w_plain(dense), dense)]
+    for target, name in ((SpectralSystem, "step"), (MatrixSystem, "step"),
+                         (dissipation, "_dini_quotients"), (scipy.linalg, "expm")):
+        monkeypatch.setattr(target, name, refuse)
+    for form, sys in forms:
+        assert exact_certificate(form, sys).violations == ()
 
 
 def test_w0_certificate_on_the_dense_benchmark_system():
     sys = _dense_seed7()
     cert = exact_certificate(build_w_plain(sys), sys)
     assert not cert.infeasible and cert.violations == ()
-    assert np.all(np.abs(cert.residuals) <= cert.error_bars)
+    assert 0.0 < cert.a3max_radius <= 1e-10 * cert.a3max
+    assert 0.0 < cert.a4_radius <= 1e-10 * cert.a4
     assert cert.a3max == pytest.approx(1.0, abs=1e-12)
     assert cert.a4 == pytest.approx(1.25799375, rel=1e-8)
 
@@ -627,23 +649,113 @@ def test_exact_certificate_document_has_the_fitted_keys():
     assert exact.to_config()["violations"] == []
 
 
-def test_dense_falsifier_reuses_the_fit_propagators(monkeypatch):
-    # The coercive fit and the W_0 falsifier step the same step sizes, so
-    # once the fit has run the falsifier needs no matrix exponential.
-    import scipy.linalg
+def _exact_pivots(k):
+    # The LDL^T pivots of a symmetric rational matrix, up to the first
+    # non-positive one: k is positive definite iff they are all positive.
+    k, pivots = [row[:] for row in k], []
+    for i in range(len(k)):
+        pivots.append(k[i][i])
+        if pivots[-1] <= 0:
+            break
+        for r in range(i + 1, len(k)):
+            f = k[r][i] / k[i][i]
+            k[r][i:] = [x - f * y for x, y in zip(k[r][i:], k[i][i:])]
+    return pivots
 
-    rng = np.random.default_rng(8)
-    raw = rng.normal(size=(6, 6))
-    sys = MatrixSystem(raw - (np.linalg.eigvals(raw).real.max() + 0.5) * np.eye(6), rng.normal(size=6))
-    form, w0 = build_v_half(sys), build_w_plain(sys)
-    calls = []
-    original = scipy.linalg.expm
-    monkeypatch.setattr(scipy.linalg, "expm", lambda a: calls.append(a.shape) or original(a))
-    fit_dissipation(form, sys, default_sample_cloud(sys, form, count=8))
-    assert calls == [(7, 7)] * 7
-    calls.clear()
-    assert not exact_certificate(w0, sys).infeasible
-    assert calls == []
+
+def _exact_solve(k, rhs):
+    # Gaussian elimination on a rational positive definite k.
+    a = [row[:] + [v] for row, v in zip(k, rhs)]
+    n = len(a)
+    for i in range(n):
+        for r in range(i + 1, n):
+            f = a[r][i] / a[i][i]
+            a[r][i:] = [x - f * y for x, y in zip(a[r][i:], a[i][i:])]
+    x = [Fraction(0)] * n
+    for i in reversed(range(n)):
+        x[i] = (a[i][n] - sum(a[i][c] * x[c] for c in range(i + 1, n))) / a[i][i]
+    return x
+
+
+def _assert_encloses_the_exact_pair(form, sys):
+    # The exact M = -(P A + A^T P) and a4 = b^T P (M - a3 I)^-1 P b of the
+    # stored floats, in rational arithmetic, against the reported radii.
+    cert = exact_certificate(form, sys)
+    assert not cert.infeasible, cert.infeasible_reason
+    exact = np.vectorize(Fraction, otypes=[object])
+    b, a3 = exact(sys.input_coeffs), Fraction(cert.a3)
+    lo = Fraction(cert.a3max) - Fraction(cert.a3max_radius)
+    hi = Fraction(cert.a3max) + Fraction(cert.a3max_radius)
+    if form.weights is not None and isinstance(sys, SpectralSystem):
+        pb, m = exact(form.weights) * b, 2 * exact(form.weights) * exact(sys.eigenvalues)
+        assert lo < min(m) <= hi  # the pivots of a diagonal M
+        a4 = sum(pb * pb / (m - a3))
+    else:
+        p = exact(np.diag(form.weights) if form.p_matrix is None else form.p_matrix)
+        a = exact(np.diag(-sys.eigenvalues) if isinstance(sys, SpectralSystem) else sys.a_matrix)
+        m, pb = -(p.dot(a) + a.T.dot(p)), p.dot(b)
+        eye = np.eye(len(m), dtype=int)
+        assert all(v > 0 for v in _exact_pivots((m - lo * eye).tolist()))
+        assert not all(v > 0 for v in _exact_pivots((m - hi * eye).tolist()))
+        a4 = sum(pb * _exact_solve((m - a3 * eye).tolist(), list(pb)))
+    assert abs(a4 - Fraction(cert.a4)) <= Fraction(cert.a4_radius)
+
+
+@pytest.mark.parametrize("n", [1, 17, 300])
+@pytest.mark.parametrize("model", ["heat-neumann", "heat-dirichlet", "counterexample"])
+def test_exact_certificate_encloses_the_rational_pair_on_the_models(model, n):
+    sys = build_model(model, n)
+    for form in (build_w_plain(sys), build_w_q(sys, 0.25), build_v_half(sys)):
+        _assert_encloses_the_exact_pair(form, sys)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 6))
+def test_exact_certificate_encloses_the_rational_pair_on_dense_forms(seed, n):
+    # Non-normal dense systems with their W_0 and V_half, and a dense
+    # positive definite P on a diagonal system with rates in [1, 2].
+    rng = np.random.default_rng(seed)
+    raw = rng.normal(size=(n, n)) + 3.0 * np.triu(rng.normal(size=(n, n)), 1)
+    dense = MatrixSystem(raw - (np.linalg.eigvals(raw).real.max() + 0.5) * np.eye(n),
+                         rng.normal(size=n))
+    for form in (build_w_plain(dense), build_v_half(dense)):
+        _assert_encloses_the_exact_pair(form, dense)
+    q = rng.normal(size=(n, n)) * 0.1
+    diagonal = SpectralSystem(np.sort(rng.uniform(1.0, 2.0, n)), rng.normal(size=n))
+    _assert_encloses_the_exact_pair(QuadraticForm(p_matrix=np.eye(n) + q @ q.T), diagonal)
+
+
+def test_stiff_w0_certificate_needs_no_resolvable_mode():
+    # Every mode is too stiff for any Dini step; the closed form is exact.
+    sys = SpectralSystem(2.0 ** np.array([200.0, 201.0, 230.0]), [1.0, 1.0, 1.0])
+    cert = exact_certificate(build_w_plain(sys), sys)
+    assert not cert.infeasible and cert.a3max == 1.0
+    assert cert.a4 == pytest.approx(np.sum(0.5 / sys.eigenvalues**2), rel=1e-15)
+    dense = MatrixSystem(np.diag(-(2.0 ** np.arange(41.0))), np.ones(41))
+    cert = exact_certificate(build_w_plain(dense), dense)
+    assert not cert.infeasible and cert.a3max == pytest.approx(1.0, rel=1e-10)
+
+
+def test_extreme_columns_and_slow_modes_get_finite_enclosures():
+    # Where the Dini error bar overflows or cannot see a slow mode, the
+    # enclosure stays finite.
+    big = SpectralSystem([1.0, 2.0, 3.0], [1e154, 1.0, 1.0])
+    slow = SpectralSystem([1e-15, 1.0, 2.0], [1.0, 1.0, 1.0])
+    for sys, a3max, a4 in ((big, 1.0, 5e307), (slow, 1e-15, 5e14)):
+        cert = exact_certificate(build_v_half(sys), sys)
+        assert not cert.infeasible and cert.a3max == a3max
+        assert cert.a4 == pytest.approx(a4, rel=1e-14)
+        assert np.isfinite(cert.a3max_radius) and np.isfinite(cert.a4_radius)
+    assert not exact_certificate(build_w_plain(big), big).infeasible
+
+
+def test_an_enclosure_that_holds_zero_is_unresolved():
+    # M = -(A + A^T) = [[2, -2], [-2, 2]] has lambda_min exactly 0.
+    sys = MatrixSystem(np.array([[-1.0, 2.0], [0.0, -1.0]]), np.array([1.0, 1.0]))
+    cert = exact_certificate(QuadraticForm(p_matrix=np.eye(2)), sys)
+    assert abs(cert.a3max) <= cert.a3max_radius < 1e-12
+    assert cert.infeasible and cert.infeasible_reason.startswith("unresolved: lambda_min(M)")
+    assert (cert.a3, cert.a4) == (0.0, 0.0)
 
 
 # --------------------------------------------------------- decomposition
