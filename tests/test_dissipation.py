@@ -586,24 +586,46 @@ def test_dini_table_allocates_one_state_stack():
     assert peak <= 1.25 * states.nbytes
 
 
-def test_exact_certificate_simulates_nothing(monkeypatch):
-    # The certificate is algebra on P, A and b: no step, Dini table or
-    # matrix exponential, on either realization or form kind.
-    import scipy.linalg
-
+def test_exact_certificate_steps_only_its_two_binding_levels(monkeypatch):
+    # The certificate once stepped its two binding levels (u = 0 and u = 1)
+    # to falsify itself by simulation. It now encloses its own rounding, so
+    # it steps neither: no step and no Dini table, on either realization or
+    # form kind.
     import lyapcert.dissipation as dissipation
 
     def refuse(*args, **kwargs):
-        raise AssertionError("exact_certificate simulated")
+        raise AssertionError("exact_certificate stepped")
 
     diagonal, dense = heat_system("neumann", 16), _dense_system(5, 6)
     forms = [(build_w_plain(diagonal), diagonal), (QuadraticForm(p_matrix=np.eye(16)), diagonal),
              (build_half_norm(dense), dense), (build_w_plain(dense), dense)]
     for target, name in ((SpectralSystem, "step"), (MatrixSystem, "step"),
-                         (dissipation, "_dini_quotients"), (scipy.linalg, "expm")):
+                         (dissipation, "_dini_quotients")):
         monkeypatch.setattr(target, name, refuse)
     for form, sys in forms:
         assert exact_certificate(form, sys).violations == ()
+
+
+def test_dense_falsifier_reuses_the_fit_propagators(monkeypatch):
+    # The coercive fit exponentiates once per step size. The W_0 certificate
+    # whose Dini falsifier once reused those propagators has no falsifier
+    # left, so it needs no matrix exponential, before the fit or after it.
+    import scipy.linalg
+
+    rng = np.random.default_rng(8)
+    raw = rng.normal(size=(6, 6))
+    sys = MatrixSystem(raw - (np.linalg.eigvals(raw).real.max() + 0.5) * np.eye(6), rng.normal(size=6))
+    form, w0 = build_v_half(sys), build_w_plain(sys)
+    calls = []
+    original = scipy.linalg.expm
+    monkeypatch.setattr(scipy.linalg, "expm", lambda a: calls.append(a.shape) or original(a))
+    assert not exact_certificate(w0, sys).infeasible
+    assert calls == []
+    fit_dissipation(form, sys, default_sample_cloud(sys, form, count=8))
+    assert calls == [(7, 7)] * 7
+    calls.clear()
+    assert not exact_certificate(w0, sys).infeasible
+    assert calls == []
 
 
 def test_w0_certificate_on_the_dense_benchmark_system():
