@@ -30,7 +30,6 @@ from .admissibility import (
 )
 from .dissipation import (
     ENVELOPE_RTOL,
-    InputSignal,
     default_sample_cloud,
     envelope_excess,
     exact_certificate,
@@ -510,9 +509,7 @@ def run_analyze(config: AnalysisConfig):
         )
         t_end = min(config.horizon, max(1.0, 4.0 / largest.spectral_gap))
         grid = np.linspace(0.0, t_end, 101)
-        response = simulate_mild(
-            largest, np.zeros(largest.dimension), InputSignal.constant(1.0), grid
-        )
+        response = simulate_mild(largest, np.zeros(largest.dimension), 1.0, grid)
         files["trajectories"] = ("trajectories.csv", _trajectory_table(response))
     return report, _write_artifacts(config.out_dir, files)
 
@@ -520,8 +517,7 @@ def run_analyze(config: AnalysisConfig):
 def _trajectory_table(traj):
     """CSV header and rows of a trajectory: the time, every state coordinate, the input."""
     header = ["t"] + [f"mode_{k}" for k in range(1, traj.states.shape[1] + 1)] + ["u"]
-    inputs = [traj.input.value_at(t) for t in traj.times]
-    return header, np.column_stack([traj.times, traj.states, inputs])
+    return header, np.column_stack([traj.times, traj.states, traj.input.value_at(traj.times)])
 
 
 def run_simulate(config: AnalysisConfig):

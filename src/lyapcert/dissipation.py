@@ -7,14 +7,17 @@ piecewise-constant inputs every step is evaluated in closed form
     x_n(t+h) = exp(-lam_n h) x_n(t) + b_n u (1 - exp(-lam_n h)) / lam_n,
 
 so simulation introduces no discretization error beyond round-off; matrix
-systems use an exponential integrator on each constant-input segment.
+systems use an exponential integrator on each constant-input segment.  An
+input is split into pieces once per grid (:meth:`InputSignal.pieces`): a
+trajectory is one walk through them, and its input energies one cumsum.
 
 Dini derivatives of V come from one table: each input level and step size
 takes one exact step of a stack of states (:func:`_dini_quotients`).
 The certificate fit reads one (states x input levels) table of samples,
-with array expressions for its cap, a4 and residuals; a non-finite sample
-is a violation and never a bound.  :func:`exact_certificate` simulates
-nothing: it reads (a3, a4) off the form's operator, with a rounding enclosure.
+with array expressions for its cap, a4 and residuals; a non-finite sample,
+or a forced one whose a4 slope overflows, is a violation and never a bound.
+:func:`exact_certificate` simulates nothing: it reads (a3, a4) off the
+form's operator, with a rounding enclosure.
 The three integrals of :func:`proof_decomposition` are orbit energies,
 quadratures of the square-function integral (:func:`_orbit_energy`).
 An ISS envelope is falsified node by node on the runs of
@@ -99,23 +102,25 @@ class InputSignal:
     def value0(self) -> float:
         return float(self.values[0])
 
-    def value_at(self, t) -> float:
-        idx = int(np.searchsorted(self.breakpoints, t, side="right")) - 1
-        return float(self.values[max(idx, 0)])
+    def value_at(self, t):
+        """The level at each time of ``t``, an array or a scalar; the first level before 0."""
+        return self.values[np.maximum(np.searchsorted(self.breakpoints, t, side="right") - 1, 0)]
 
-    def segments_on(self, t0, t1):
-        """Constant pieces covering [t0, t1] as (start, end, value) triples."""
-        if t1 < t0:
-            raise ValueError("empty interval")
-        if t1 == t0:
-            return []
-        cuts = self.breakpoints[(self.breakpoints > t0) & (self.breakpoints < t1)]
-        edges = np.concatenate([[t0], cuts, [t1]])
-        return [(a, b, self.value_at(a)) for a, b in zip(edges[:-1], edges[1:])]
+    def pieces(self, times):
+        """The increasing ``times`` merged with the earlier breakpoints, and each piece's level."""
+        nodes = np.sort(np.concatenate([times, self.breakpoints[self.breakpoints < times[-1]]]))
+        nodes = nodes[np.diff(nodes, prepend=-np.inf) > 0.0]  # union1d's hashing grows RSS
+        return nodes, self.value_at(nodes[:-1])
 
-    def l2_sq_on(self, t0, t1) -> float:
-        """Integral of u^2 over [t0, t1], exact for the hold representation."""
-        return float(sum((b - a) * v * v for a, b, v in self.segments_on(t0, t1)))
+    def energy(self, times) -> np.ndarray:
+        """``int_0^t u^2`` at each of the increasing ``times``, exact for the holds."""
+        times = np.asarray(times, dtype=float)
+        nodes, levels = self.pieces(times[-1:])  # the holds of [0, times[-1]]
+        done = np.concatenate([[0.0], np.cumsum(np.diff(nodes) * levels * levels)])
+        last = np.maximum(np.searchsorted(nodes, times) - 1, 0)  # t in (nodes[last], nodes[last+1]]
+        level = self.value_at(nodes[last])
+        # Whole holds left to right, then t's own part: the bytes of sum((b - a) * v * v).
+        return np.where(times > 0.0, done[last] + (times - nodes[last]) * level * level, 0.0)
 
     def scaled(self, c) -> "InputSignal":
         return InputSignal(self.breakpoints.copy(), self.values * float(c))
@@ -153,23 +158,22 @@ class Trajectory:
 
 
 def simulate_mild(sys, x0, u, grid) -> Trajectory:
-    """Mild solution on a grid, exact per constant-input segment.
+    """Mild solution on a grid from 0, exact per constant-input segment.
 
-    The grid must start at 0; input breakpoints falling inside a grid cell
-    are honored by splitting the cell internally, so the snapshots carry
-    no discretization error for the supported input family.
+    One walk steps through the input's pieces on the grid (its nodes and the
+    breakpoints inside it) and keeps the state at each grid node, so the
+    snapshots carry no discretization error for the supported input family.
     """
     u = _coerce_input(u)
     grid = np.asarray(grid, dtype=float).reshape(-1)
     if grid.size < 1 or grid[0] != 0.0 or np.any(np.diff(grid) <= 0.0):
         raise ValueError("grid must increase strictly from 0")
-    x = as_state(sys, x0)
-    states = [x.copy()]
-    for t0, t1 in zip(grid[:-1], grid[1:]):
-        for a, b, value in u.segments_on(t0, t1):
-            x = sys.step(x, value, b - a)
-        states.append(x.copy())
-    return Trajectory(times=grid.copy(), states=np.vstack(states), input=u)
+    nodes, levels = u.pieces(grid)
+    states = [as_state(sys, x0)]
+    for h, level in zip(np.diff(nodes).tolist(), levels.tolist()):
+        states.append(sys.step(states[-1], level, h))
+    at_grid = np.searchsorted(nodes, grid)
+    return Trajectory(times=grid.copy(), states=np.vstack([states[i] for i in at_grid]), input=u)
 
 
 def _stiff_h_sequence(sys, u: InputSignal | None = None):
@@ -284,7 +288,8 @@ class DissipationReport:
     value) per (state, input level) pair, state-major; ``violations`` holds
     the rows the certified inequality does not cover (empty for a valid
     certificate).  A row whose dini value or ||x||^2 is not finite is always
-    a violation and never bounds a3, a4 or the tolerance.
+    a violation and never bounds a3, a4 or the tolerance; a forced row whose
+    a4 slope overflows is a violation and never bounds a4.
     """
 
     a1: float
@@ -330,11 +335,11 @@ def fit_dissipation(
     samples, and a4 the smallest value the forced samples then imply.  Both,
     and the tolerance, are taken over the finite samples only, so every
     finite residual at that pair is nonpositive up to rounding by
-    construction.  A non-finite sample is reported as a violation and makes
-    the fit infeasible, wherever it sits in the cloud.  ``sample_inputs``
-    are scalar input levels, each held constant, so every level shares one
-    step sequence.  ``sample_states`` is a stack of states, an array or a
-    list of rows, and is converted once.
+    construction.  A non-finite sample, or a forced one whose a4 slope
+    overflows, is a violation and makes the fit infeasible, wherever it sits
+    in the cloud.  ``sample_inputs`` are scalar input levels, each held
+    constant, so every level shares one step sequence.  ``sample_states`` is
+    a stack of states, an array or a list of rows, and is converted once.
     """
     states = np.asarray(sample_states)
     states = states.astype(complex if np.iscomplexobj(states) else float).reshape(len(states), -1)
@@ -358,17 +363,18 @@ def fit_dissipation(
     if not unforced.any():
         raise ValueError("the sample cloud must pair a nonzero state with a zero input level")
     cap = float(np.min(-v[unforced] / xx[unforced]))
-    violated = ~finite
     if cap > 0.0:
         forced = finite & (uu > 0.0)
         slopes = (v[forced] + cap * xx[forced]) / uu[forced]
-        a4 = max(0.0, float(slopes.max())) if slopes.size else 0.0
-        res = v[finite] + cap * xx[finite] - a4 * uu[finite]
-        violated[finite] = ~(res <= tol)
-        worst = float(res.max())
+        finite[forced] = np.isfinite(slopes)  # an overflowed slope is a violation, never a bound
+        a4 = max(0.0, float(slopes[finite[forced]].max(initial=0.0)))
+        res = v + cap * xx - a4 * uu
+        violated = ~(finite & (res <= tol))
+        worst = float(res[finite].max())
         reason = "non-finite derivative estimates in the cloud" if violated.any() else ""
     else:
         cap = a4 = 0.0
+        violated = ~finite
         worst = float(v[unforced].max())
         reason = "no positive decay coefficient is feasible on the unforced samples"
     return DissipationReport(
@@ -591,7 +597,7 @@ def proof_decomposition(form: QuadraticForm, sys, x, u, h) -> DecompositionRepor
     i1_check = abs(i1 - form.value(free)) / scale
 
     k2 = form.a2 * sys.l2_input_constants([h])[0] ** 2
-    energy = u.l2_sq_on(0.0, h)
+    energy = u.energy([h])[0]
     bound_ok = bool(i3 <= k2 * energy * (1.0 + 1e-9) + 1e-300)
     return DecompositionReport(
         i1=i1,
@@ -645,7 +651,7 @@ def envelope_excess(envelope: GainEnvelope, trajectories) -> np.ndarray:
     """
     rows = []
     for tr in trajectories:
-        energy = np.array([tr.input.l2_sq_on(0.0, t) for t in tr.times])
+        energy = tr.input.energy(tr.times)
         bound = envelope.bound(np.linalg.norm(tr.x0), tr.times, np.sqrt(energy))
         norms = tr.norms()
         positive = bound > 0.0

@@ -246,18 +246,16 @@ def _check_simulation_exactness(rng):
     worst = 0.0
     for _ in range(10):
         sys = _random_system(rng, max_modes=6)
-        x0 = rng.normal(size=sys.dimension)
-        u = InputSignal([0.0, 0.4, 1.1], rng.normal(size=3))
+        x = x0 = rng.normal(size=sys.dimension)
+        breakpoints, values = np.array([0.0, 0.4, 1.1]), rng.normal(size=3)
         grid = np.array([0.0, 0.25, 0.4, 0.8, 1.5])
-        traj = simulate_mild(sys, x0, u, grid)
-        x = x0.astype(float)
-        k = 0
-        for t0, t1 in zip(grid[:-1], grid[1:]):
-            for a, b, value in u.segments_on(t0, t1):
-                h = b - a
-                decay = np.exp(-sys.eigenvalues * h)
+        traj = simulate_mild(sys, x0, InputSignal(breakpoints, values), grid)
+        for k, (t0, t1) in enumerate(zip(grid[:-1], grid[1:]), 1):
+            edges = [t0, *breakpoints[(breakpoints > t0) & (breakpoints < t1)], t1]
+            for a, b in zip(edges[:-1], edges[1:]):
+                decay = np.exp(-sys.eigenvalues * (b - a))
+                value = values[breakpoints <= a][-1]  # the hold in force from a
                 x = decay * x + sys.input_coeffs * value * (1 - decay) / sys.eigenvalues
-            k += 1
             worst = max(worst, np.abs(x - traj.states[k]).max())
     return worst <= 1e-12, f"worst per-mode residual {worst:.2e}"
 

@@ -338,6 +338,20 @@ def test_an_input_column_near_overflow_is_a_finding_with_warnings_as_errors(tmp_
     assert "slot noncoercive_w0: certified" in out
 
 
+def test_an_input_column_near_overflow_writes_a_finite_report(tmp_path, capsys):
+    # A forced sample whose a4 slope overflows is a violation and never a
+    # bound, so no infinite a4 reaches the strict-JSON report.
+    config = _spectral_config(tmp_path, [1, 2, 3], [1e154, 1, 1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["analyze", "--config", config, "--modes", "2,3",
+                     "--out", str(tmp_path / "out")]) == 3
+    assert "finding: coercive_quadratic_l2: infeasible" in capsys.readouterr().out
+    with open(tmp_path / "out" / "report.json", encoding="utf-8") as handle:
+        certificate = json.load(handle)["slots"]["coercive_quadratic_l2"]["certificate"]
+    assert math.isfinite(certificate["a4"]) and certificate["violations"]
+
+
 def test_analyze_flat_input_list_equals_column(tmp_path):
     rng = np.random.default_rng(5)
     a = rng.normal(size=(4, 4)) / 2.0 - 2.0 * np.eye(4)
@@ -1318,7 +1332,7 @@ def test_simulate_gain_covers_the_top_gramian_input(tmp_path):
     values = np.exp(-np.outer(horizon - (starts + horizon / 4000.0), lam)) @ (b * top)
     u = InputSignal(starts, values)
     reached = simulate_mild(sys, np.zeros(16), u, [0.0, horizon]).states[-1]
-    ratio = np.linalg.norm(reached) / math.sqrt(u.l2_sq_on(0.0, horizon))
+    ratio = np.linalg.norm(reached) / math.sqrt(u.energy([horizon])[0])
     assert ratio >= 0.6538
     out = tmp_path / "sim"
     assert main(["simulate", "--model", "heat-neumann", "--modes", "16", "--seed", "7",

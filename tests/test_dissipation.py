@@ -60,6 +60,8 @@ def test_input_signal_kinds():
     pw = InputSignal([0.0, 1.0], [1.0, -1.0])
     assert pw.value_at(0.5) == 1.0
     assert pw.value_at(1.0) == -1.0  # right-continuous at the breakpoint
+    times = np.array([-1.0, 0.0, 0.5, 1.0, 2.0])
+    assert pw.value_at(times).tolist() == [1.0, 1.0, 1.0, -1.0, -1.0]  # the first level before 0
     sine = InputSignal.sampled_sinusoid(2.0, 0.25, 4.0, samples=8)
     assert sine.value0 == 0.0
 
@@ -73,11 +75,56 @@ def test_input_signal_validation():
 
 def test_input_signal_l2():
     pw = InputSignal([0.0, 1.0], [2.0, 1.0])
-    assert pw.l2_sq_on(0.0, 3.0) == pytest.approx(4.0 + 2.0)
-    assert pw.l2_sq_on(0.5, 1.5) == pytest.approx(2.0 + 0.5)
+    assert pw.energy([3.0])[0] == pytest.approx(4.0 + 2.0)
+    assert np.diff(pw.energy([0.5, 1.5]))[0] == pytest.approx(2.0 + 0.5)
 
 
 # ------------------------------------------------------------- simulation
+
+
+def _per_cell_walk(sys, x0, u, grid):
+    """States of one exact step per piece of each grid cell, and per-node energies.
+
+    Each cell is split at the breakpoints inside it; the energy at a node is
+    ``sum((b - a) * v * v)`` over ``[0, t]`` split at the breakpoints.
+    """
+    bp = u.breakpoints
+
+    def split(t0, t1):
+        edges = [t0, *bp[(bp > t0) & (bp < t1)], t1]
+        return [(a, b, u.values[bp <= a][-1]) for a, b in zip(edges[:-1], edges[1:])]
+
+    x = np.asarray(x0, dtype=float)
+    states = [x]
+    for t0, t1 in zip(grid[:-1], grid[1:]):
+        for a, b, v in split(t0, t1):
+            x = sys.step(x, v, b - a)
+        states.append(x)
+    energies = [sum((b - a) * v * v for a, b, v in split(0.0, t)) if t > 0 else 0.0 for t in grid]
+    return np.vstack(states), np.array(energies, dtype=float)
+
+
+WALK_CASES = {
+    "sinusoid-inside-cells": (InputSignal.sampled_sinusoid(1.5, 0.7, 3.0, 32), np.linspace(0, 3, 21)),
+    "breakpoint-on-a-node": (InputSignal([0.0, 0.5, 1.25], [1.0, -2.0, 0.5]),
+                             np.array([0.0, 0.5, 1.0, 1.5])),
+    "breakpoints-past-the-end": (InputSignal([0.0, 0.3, 2.0, 5.0], [0.4, 1.0, -1.0, 3.0]),
+                                 np.linspace(0.0, 1.0, 5)),
+    "one-node-grid": (InputSignal([0.0, 0.2], [1.0, -1.0]), np.array([0.0])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WALK_CASES))
+@pytest.mark.parametrize("kind", ["diagonal", "dense"])
+def test_one_walk_matches_the_per_cell_split(kind, case):
+    # The pieces table gives the bytes of a per-cell split: the same (a, b)
+    # floats, levels and step order, and each energy the same left-to-right sum.
+    sys = _random_system(8, n=8)[0] if kind == "diagonal" else MatrixSystem(*dense_nonnormal(7, 8))
+    u, grid = WALK_CASES[case]
+    x0 = np.random.default_rng(3).normal(size=8)
+    states, energies = _per_cell_walk(sys, x0, u, grid)
+    assert simulate_mild(sys, x0, u, grid).states.tobytes() == states.tobytes()
+    assert u.energy(grid).tobytes() == energies.tobytes()
 
 
 def test_unforced_trajectory_matches_semigroup():
