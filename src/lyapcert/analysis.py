@@ -213,19 +213,20 @@ def _write_artifacts(out_dir, artifacts):
     ``None`` is an empty field.  Rows given as a float64 array are joined
     from the ``repr`` of each entry, the CSV writer's bytes without its
     per-field work; a field is formatted only where its bits differ from the
-    field above it.  A NaN or infinity in a dict is refused, since JSON has
-    no such token.  Without ``out_dir`` nothing is written.
+    field above it.  A NaN or infinity in a dict (JSON has no such token) is
+    refused before any file is opened.  Without ``out_dir`` nothing is written.
     """
     if not out_dir:
         return {}
+    documents = {kind: json.dumps(content, indent=2, sort_keys=True, allow_nan=False) + "\n"
+                 for kind, (_, content) in artifacts.items() if isinstance(content, dict)}
     os.makedirs(out_dir, exist_ok=True)
     paths = {}
     for kind, (name, content) in artifacts.items():
         paths[kind] = os.path.join(out_dir, name)
         with open(paths[kind], "w", encoding="utf-8", newline="") as handle:
-            if isinstance(content, dict):
-                json.dump(content, handle, indent=2, sort_keys=True, allow_nan=False)
-                handle.write("\n")
+            if kind in documents:
+                handle.write(documents[kind])
             else:
                 header, rows = content
                 writer = csv.writer(handle, lineterminator="\n")

@@ -2,18 +2,19 @@
 
 Subcommands: ``analyze``, ``simulate``, ``admissibility-scan``,
 ``lyapunov-eval``, ``selftest``; each takes only the flags it reads
-(``COMMAND_FLAGS``).  Exit codes: 0 success, 2 configuration or usage
-error, or a system or horizon refused as ill-conditioned
-(``ConditioningError``), 3 an infeasibility finding (a result, not an
-error), 4 invariant violation.  All numeric output is full double
-precision with '.' decimal separators and LF line endings; a fixed seed
-makes outputs byte-identical.
+(``COMMAND_FLAGS``), through a parser that ``main`` builds once per
+process.  Exit codes: 0 success, 2 configuration or usage error, or a
+system or horizon refused as ill-conditioned (``ConditioningError``), 3 an
+infeasibility finding (a result, not an error), 4 invariant violation.
+All numeric output is full double precision with '.' decimal separators
+and LF line endings; a fixed seed makes outputs byte-identical.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys as _sys
 
@@ -217,9 +218,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)  # main's, built once: parsing leaves no state in it
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ConfigError, ConditioningError) as exc:

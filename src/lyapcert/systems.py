@@ -44,6 +44,7 @@ itself, which keeps scipy out of ``import lyapcert`` and of diagonal runs.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -166,32 +167,37 @@ def _gramian_factor(lam, b, horizon):
     """Pivoted Cholesky factor of the diagonal input Gramian at one horizon.
 
     ``W_nm = b_n b_m (1 - e^(-(lam_n + lam_m) T)) / (lam_n + lam_m)`` is built
-    one pivot column at a time, never as an N x N matrix.  Returns
-    ``(factor, residual)``: the r x N factor ``F`` with ``W ~ F^T F`` and the
-    diagonal of ``W - F^T F``, every entry at most ``CHOLESKY_STOP`` times
-    ``trace(W)``.  ``W - F^T F`` is positive semidefinite, so
+    one pivot column at a time in three length-N work vectors that every
+    pivot reuses, never as an N x N matrix, with the bytes of a loop that
+    allocates fresh arrays.  Returns ``(factor, residual)``: the r x N factor
+    ``F`` with ``W ~ F^T F`` and the diagonal of ``W - F^T F``, every entry
+    at most ``CHOLESKY_STOP`` times ``trace(W)``.  ``W - F^T F`` is positive
+    semidefinite, so
     ``lambda_max(F F^T) <= lambda_max(W) <= lambda_max(F F^T) + trace(residual)``.
-    A rate times the horizon that overflows is inf, whose ``expm1`` is the
-    limit -1.
+    A rate times the horizon that overflows is inf, whose ``expm1`` is the limit -1.
     """
     n = lam.size
+    column, update, square = np.empty(n), np.empty(n), np.empty(n)
     with np.errstate(over="ignore"):  # entered once: a pivot loop pays for each entry
         residual = b * (b * (-np.expm1(-2.0 * lam * horizon) / (2.0 * lam)))
         stop = CHOLESKY_STOP * residual.sum()
         factor = np.empty((min(n, 16), n))
         rank = 0
         while rank < n:
-            j = int(np.argmax(residual))
+            j = int(residual.argmax())
             pivot = residual[j]
             if pivot <= stop:
                 break
-            total = lam + lam[j]
-            column = b * (b[j] * (-np.expm1(-total * horizon) / total))
-            column -= factor[:rank, j] @ factor[:rank]
+            total = np.add(lam, lam[j], out=square)  # square is free until the row is squared
+            np.expm1(np.multiply(total, -horizon, out=column), out=column)
+            column /= total
+            column *= -b[j]
+            column *= b
+            column -= np.matmul(factor[:rank, j], factor[:rank], out=update)
             if rank == len(factor):  # grow the row buffer by doubling
                 factor = np.concatenate([factor, np.empty_like(factor)])[:n]
-            factor[rank] = column / np.sqrt(pivot)
-            residual -= factor[rank] ** 2
+            np.divide(column, math.sqrt(pivot), out=factor[rank])
+            residual -= np.square(factor[rank], out=square)
             residual[j] = 0.0
             rank += 1
     return factor[:rank], residual

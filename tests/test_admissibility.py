@@ -371,6 +371,84 @@ def test_cholesky_factor_encloses_the_top_eigenvalue(seed, octaves):
     assert residual.max() <= CHOLESKY_STOP * total
 
 
+def _fresh_array_gramian_factor(lam, b, horizon):
+    # Reference: the pivot loop as it was before it reused work vectors,
+    # allocating fresh arrays at every pivot.
+    n = lam.size
+    with np.errstate(over="ignore"):  # entered once: a pivot loop pays for each entry
+        residual = b * (b * (-np.expm1(-2.0 * lam * horizon) / (2.0 * lam)))
+        stop = CHOLESKY_STOP * residual.sum()
+        factor = np.empty((min(n, 16), n))
+        rank = 0
+        while rank < n:
+            j = int(np.argmax(residual))
+            pivot = residual[j]
+            if pivot <= stop:
+                break
+            total = lam + lam[j]
+            column = b * (b[j] * (-np.expm1(-total * horizon) / total))
+            column -= factor[:rank, j] @ factor[:rank]
+            if rank == len(factor):  # grow the row buffer by doubling
+                factor = np.concatenate([factor, np.empty_like(factor)])[:n]
+            factor[rank] = column / np.sqrt(pivot)
+            residual -= factor[rank] ** 2
+            residual[j] = 0.0
+            rank += 1
+    return factor[:rank], residual
+
+
+def _assert_same_factor_bytes(lam, b, horizon):
+    factor, residual = _gramian_factor(lam, b, horizon)
+    ref_factor, ref_residual = _fresh_array_gramian_factor(lam, b, horizon)
+    assert factor.shape == ref_factor.shape
+    assert factor.tobytes() == ref_factor.tobytes()
+    assert residual.tobytes() == ref_residual.tobytes()
+    return factor
+
+
+# The README sizes of the three registered models, counterexample N = 300
+# (full rank past a power of two), and heat-neumann N = 4096, whose rank 43
+# grows the row buffer 16 -> 32 -> 64.
+_FACTOR_SYSTEMS = (
+    [heat_system("neumann", n) for n in (16, 64, 256, 4096)]
+    + [heat_system("dirichlet", n) for n in (16, 64, 256)]
+    + [counterexample_system(n) for n in (64, 128, 256, 300)]
+)
+
+
+@pytest.mark.parametrize("horizon", [0.5, 1.0, 10.0, math.inf])
+@pytest.mark.parametrize("sys", _FACTOR_SYSTEMS, ids=lambda s: f"{s.label}-{s.dimension}")
+def test_gramian_factor_has_the_bytes_of_the_fresh_array_loop(sys, horizon):
+    factor = _assert_same_factor_bytes(sys.eigenvalues, sys.input_coeffs, horizon)
+    if sys.dimension == 4096 and horizon == 10.0:
+        assert len(factor.base) == 64 and 32 < len(factor) <= 64
+
+
+@settings(max_examples=60, deadline=None)
+@FAMILIES
+def test_gramian_factor_has_the_bytes_of_the_fresh_array_loop_on_random_families(seed, octaves):
+    _assert_same_factor_bytes(*_diagonal_family(seed, octaves))
+
+
+def test_gramian_factor_allocates_its_row_buffer_and_a_few_vectors():
+    # The peak is the last doubling of the row buffer: the old rows, their
+    # empty twin and the joined buffer, twice the final buffer.  Everything
+    # else alive at once is a few length-N vectors.
+    import tracemalloc
+
+    sys = counterexample_system(256)
+    lam, b, n = sys.eigenvalues, sys.input_coeffs, sys.dimension
+    _gramian_factor(lam, b, 10.0)  # warm numpy's caches outside the trace
+    tracemalloc.start()
+    try:
+        factor, _ = _gramian_factor(lam, b, 10.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert factor.base.shape == (n, n)
+    assert peak <= 2 * factor.base.nbytes + 6 * n * 8
+
+
 @settings(max_examples=40, deadline=None)
 @given(seed=SEEDS, octaves=st.sampled_from([0, 40]))
 def test_gramian_constant_is_realization_independent(seed, octaves):

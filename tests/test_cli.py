@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import dense_nonnormal
-from lyapcert import analysis
+from lyapcert import analysis, cli
 from lyapcert.analysis import (
     AnalysisConfig,
     ConfigError,
@@ -467,8 +467,42 @@ def test_trends_csv_numbers_equal_report_json(tmp_path):
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 def test_a_non_finite_number_is_not_written_as_json(tmp_path, value):
-    with pytest.raises(ValueError, match="JSON compliant"):
-        _write_artifacts(str(tmp_path), {"doc": ("doc.json", {"value": value})})
+    # Every document is refused before any file of the call is opened: no
+    # doc.json is left behind half written, an old one keeps its bytes, and
+    # the CSV of the same call is not written either.
+    for existing in (None, b'{"kept": true}\n'):
+        out = tmp_path / ("fresh" if existing is None else "existing")
+        out.mkdir()
+        if existing is not None:
+            (out / "doc.json").write_bytes(existing)
+        with pytest.raises(ValueError, match="JSON compliant"):
+            _write_artifacts(str(out), {"table": ("table.csv", (["x"], [[1.0]])),
+                                        "doc": ("doc.json", {"value": value})})
+        assert sorted(path.name for path in out.iterdir()) == ([] if existing is None else ["doc.json"])
+        assert existing is None or (out / "doc.json").read_bytes() == existing
+
+
+def test_main_reuses_one_parser_and_carries_no_state_between_calls(tmp_path, capsys):
+    # --q inf and then no --q: a parser that kept the first call's value
+    # would rerun the q = inf stage.  Each run must match a fresh parser's.
+    model = ["--model", "heat-dirichlet", "--modes", "16,64,256"]
+    argvs = [["admissibility-scan"] + model + ["--q", "inf"], ["admissibility-scan"] + model]
+
+    def run(argv, out):
+        code = main(argv + ["--out", str(out)])
+        stdout = capsys.readouterr().out.replace(str(out), "OUT")
+        return code, stdout, {path.name: path.read_bytes() for path in out.iterdir()}
+
+    fresh = []
+    for k, argv in enumerate(argvs):
+        cli._parser.cache_clear()
+        fresh.append(run(argv, tmp_path / f"fresh-{k}"))
+    cli._parser.cache_clear()
+    reused = [run(argv, tmp_path / f"reused-{k}") for k, argv in enumerate(argvs)]
+    info = cli._parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)  # one build, then one reuse
+    assert "verdict at q=inf" in reused[0][1] and "q=inf" not in reused[1][1]
+    assert reused == fresh
 
 
 _OVERFLOWING_SCAN = {"model": None, "modes": [2, 3, 4], "system": {
