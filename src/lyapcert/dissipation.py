@@ -53,9 +53,17 @@ __all__ = [
 ]
 
 
+def _real_levels(levels) -> np.ndarray:
+    # Input levels as a fresh float64 array, where they enter: the input is
+    # real, so a complex level is refused rather than cut to its real part.
+    if np.iscomplexobj(levels):
+        raise TypeError("input levels must be real, not complex")
+    return np.array(levels, dtype=float)
+
+
 @dataclass(frozen=True)
 class InputSignal:
-    """A right-continuous piecewise-constant scalar input.
+    """A right-continuous piecewise-constant real scalar input.
 
     ``values[i]`` holds on ``[breakpoints[i], breakpoints[i+1])`` and the
     last value extends to infinity.  Sinusoids enter as sampled holds, so
@@ -68,7 +76,7 @@ class InputSignal:
 
     def __post_init__(self):
         bp = np.array(self.breakpoints, dtype=float).reshape(-1)
-        vals = np.array(self.values, dtype=float).reshape(-1)
+        vals = _real_levels(self.values).reshape(-1)
         if bp.size != vals.size or bp.size < 1:
             raise ValueError("breakpoints and values must have equal positive length")
         if bp[0] != 0.0:
@@ -77,10 +85,8 @@ class InputSignal:
             raise ValueError("breakpoints must be strictly increasing")
         if not (np.all(np.isfinite(bp)) and np.all(np.isfinite(vals))):
             raise ValueError("breakpoints and values must be finite")
-        bp.setflags(write=False)
-        vals.setflags(write=False)
-        object.__setattr__(self, "breakpoints", bp)
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "breakpoints", _readonly(bp))
+        object.__setattr__(self, "values", _readonly(vals))
 
     @classmethod
     def zero(cls):
@@ -88,7 +94,7 @@ class InputSignal:
 
     @classmethod
     def constant(cls, level):
-        return cls(np.array([0.0]), np.array([float(level)]))
+        return cls([0.0], [level])
 
     @classmethod
     def sampled_sinusoid(cls, amplitude, frequency, t_end, samples=64):
@@ -123,14 +129,14 @@ class InputSignal:
         return np.where(times > 0.0, done[last] + (times - nodes[last]) * level * level, 0.0)
 
     def scaled(self, c) -> "InputSignal":
-        return InputSignal(self.breakpoints.copy(), self.values * float(c))
+        return InputSignal(self.breakpoints, self.values * _real_levels(c))
 
 
 def _coerce_input(u) -> InputSignal:
     if isinstance(u, InputSignal):
         return u
     if np.isscalar(u):
-        return InputSignal.constant(float(u))
+        return InputSignal.constant(u)
     raise TypeError("inputs must be InputSignal instances or scalar levels")
 
 
@@ -337,7 +343,7 @@ def fit_dissipation(
     finite residual at that pair is nonpositive up to rounding by
     construction.  A non-finite sample, or a forced one whose a4 slope
     overflows, is a violation and makes the fit infeasible, wherever it sits
-    in the cloud.  ``sample_inputs`` are scalar input levels, each held
+    in the cloud.  ``sample_inputs`` are real scalar input levels, each held
     constant, so every level shares one step sequence.  ``sample_states`` is
     a stack of states, an array or a list of rows, and is converted once.
     """
@@ -347,7 +353,7 @@ def fit_dissipation(
         raise DimensionMismatchError(
             f"state length {states.shape[1]} does not match system dimension {sys.dimension}"
         )
-    levels = [float(u) for u in sample_inputs]
+    levels = _real_levels(list(sample_inputs)).tolist()
     dini = _dini_quotients(form, sys, states, levels, _stiff_h_sequence(sys))[0]
     norms_sq = np.real((states.conj()[:, None, :] @ states[..., None])[:, 0, 0])
     levels_sq = [level**2 for level in levels]

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .systems import ConditioningError, _in_place
+from .systems import ConditioningError
 
 __all__ = [
     "ContractionReport",
@@ -101,11 +101,12 @@ class QuadraticForm:
     def values(self, states, overwrite=False) -> np.ndarray:
         """V of each row of a stack of states, bit-identical to ``value``.
 
-        With ``overwrite`` a diagonal form squares a real float ``states`` in
-        place, which must then be writable, and leaves it holding the weighted
-        squares; the values keep their bits.  A dense ``P`` ignores it.
+        The states are read as complex128 if complex, else float64, as by
+        ``as_state``.  With ``overwrite`` a diagonal form squares float64
+        ``states`` in place, which must then be writable, and leaves it holding
+        the weighted squares; the values keep their bits.  A dense ``P`` ignores it.
         """
-        states = np.atleast_2d(states)
+        states = np.atleast_2d(np.asarray(states, complex if np.iscomplexobj(states) else float))
         if states.shape[1] != self.dimension:
             raise ValueError("state length does not match the form")
         if self.weights is not None:
@@ -113,7 +114,7 @@ class QuadraticForm:
                 squares = np.multiply(states, states, out=states if overwrite else None)
             else:
                 squares = np.abs(states) ** 2
-            return np.sum(_in_place(np.multiply, squares, self.weights), axis=-1)
+            return np.sum(np.multiply(squares, self.weights, out=squares), axis=-1)
         return np.real((states.conj()[:, None, :] @ (self.p_matrix @ states[..., None]))[:, 0, 0])
 
     def value(self, x) -> float:

@@ -11,10 +11,10 @@ never branch on the realization:
   eigenvalue modulus, computed once per instance);
 * ``truncations(sizes)``, the family that a sweep over mode counts analyzes;
 * ``step(x, u, h, out=None)``, the exact state after ``h`` under the
-  constant input ``u`` (``u=None`` is the free flow ``T(h) x``) of one
-  state or of each row of a stack, written into ``out`` if given; a dense
-  forced step is ``T(h) x + u g(h)``, one ``expm`` per step size whatever
-  the level;
+  constant real input ``u`` (``u=None`` is the free flow ``T(h) x``) of one
+  state or of each row of a stack, written into ``out`` if given, the
+  forcing added in place; a dense forced step is ``T(h) x + u g(h)``, one
+  ``expm`` per step size whatever the level;
 * ``neg_power(alpha)`` and ``neg_power_apply(alpha, x)``, the operator
   ``(-A)^alpha`` (per-mode factors for diagonal systems), cached per
   instance and exponent as read-only arrays;
@@ -79,9 +79,8 @@ CEILING_MARGIN = 1e-9
 # residual diagonal entry is at most this fraction of the Gramian's trace.
 CHOLESKY_STOP = 1e-15
 
-# A dense system keeps at most this many augmented step propagators, and at
-# most this many bytes of them, in its per-instance memo.
-STEP_MEMO_ENTRIES = 36
+# A dense system keeps at most this many bytes of augmented step
+# propagators in its per-instance memo.
 STEP_MEMO_BYTES = 2**23
 
 # Segments of the graded grid that samples the dense q = 1 and q = inf constants.
@@ -105,15 +104,6 @@ class ConditioningError(RuntimeError):
 def _readonly(array):
     array.setflags(write=False)
     return array
-
-
-def _in_place(op, target, operand):
-    # ``op(target, operand)``, written into ``target`` where its dtype holds
-    # the result (not for a complex level on a real state); the bits are
-    # those of the fresh expression either way.
-    if np.can_cast(operand.dtype, target.dtype):
-        return op(target, operand, out=target)
-    return op(target, operand)
 
 
 def _matvec(matrix, x, out):
@@ -194,8 +184,8 @@ def _gramian_factor(lam, b, horizon):
             column *= -b[j]
             column *= b
             column -= np.matmul(factor[:rank, j], factor[:rank], out=update)
-            if rank == len(factor):  # grow the row buffer by doubling
-                factor = np.concatenate([factor, np.empty_like(factor)])[:n]
+            if rank == len(factor):  # double the row buffer in place, never past N rows
+                factor.resize((min(2 * rank, n), n), refcheck=False)  # no view of it is alive
             np.divide(column, math.sqrt(pivot), out=factor[rank])
             residual -= np.square(factor[rank], out=square)
             residual[j] = 0.0
@@ -276,19 +266,19 @@ class SpectralSystem:
         return [SpectralSystem(lam[:n], b[:n], label=self.label) for n in sizes if n <= lam.size]
 
     def step(self, x, u, h, out=None) -> np.ndarray:
-        """Exact state after h under the constant input u (None: free flow).
+        """Exact state after h under the constant real input u (None: free flow).
 
-        Per mode ``exp(-lam h) x + b u (1 - exp(-lam h)) / lam``.  ``out``,
-        an array of the result's shape and dtype that does not overlap
-        ``x``, receives the state and is returned, with the bytes of a
-        fresh step.
+        Per mode ``exp(-lam h) x + b u (1 - exp(-lam h)) / lam``, the forcing added
+        in place: a complex level on a real state is refused (``TypeError``).
+        ``out``, an array of the result's shape and dtype that does not overlap
+        ``x``, receives the state and is returned, with the bytes of a fresh step.
         """
         lam = self.eigenvalues
         state = np.multiply(np.exp(-lam * h), x, out=out)
         if u is None:
             return state
         # 1 - exp(-lam h) through expm1 to keep small lam*h exact.
-        return _in_place(np.add, state, self.input_coeffs * (u * (-np.expm1(-lam * h) / lam)))
+        return np.add(state, self.input_coeffs * (u * (-np.expm1(-lam * h) / lam)), out=state)
 
     def neg_power(self, alpha) -> np.ndarray:
         """Per-mode factors lam_n^alpha of (-A)^alpha."""
@@ -420,18 +410,19 @@ class MatrixSystem:
         return [self]
 
     def step(self, x, u, h, out=None) -> np.ndarray:
-        """Exact state after h under the constant scalar input u (None: free flow).
+        """Exact state after h under the constant real scalar input u (None: free flow).
 
         By superposition the forced step is ``E x + u g``, with ``E = e^(Ah)``
         and ``g = int_0^h e^(As) b ds`` read off ``expm([[A h, b h], [0, 0]])``;
         the free flow takes its own ``e^(Ah)``.  Stacked matrix-vector products
         keep each row of a stack bit-identical to its own step; ``x @ E.T``
         would not.  Propagators are memoized per instance on the exact ``h``,
-        whatever the level, at most ``STEP_MEMO_ENTRIES`` of them and
-        ``STEP_MEMO_BYTES`` in all, oldest dropped first; a memo hit holds the
-        bytes of a fresh ``expm``.  ``out``, an array of the result's shape and
-        dtype that does not overlap ``x``, receives the state and is returned,
-        with the bytes of a fresh step.
+        whatever the level, at most ``STEP_MEMO_BYTES`` bytes of them, oldest
+        dropped first; a memo hit holds the bytes of a fresh ``expm``.  ``u g``
+        is added in place, so a complex level on a real state is refused
+        (``TypeError``).  ``out``, an array of the result's shape and dtype
+        that does not overlap ``x``, receives the state and is returned, with
+        the bytes of a fresh step.
         """
         import scipy.linalg
         if u is None:
@@ -444,12 +435,11 @@ class MatrixSystem:
             aug[:n, :n] = self.a_matrix * h
             aug[:n, n] = self.input_coeffs * h
             propagator = _readonly(scipy.linalg.expm(aug))
-            limit = min(STEP_MEMO_ENTRIES, STEP_MEMO_BYTES // propagator.nbytes)
-            if limit:
-                while len(memo) >= limit:
-                    del memo[next(iter(memo))]
-                memo[h] = propagator
-        return _in_place(np.add, _matvec(propagator[:n, :n], x, out), propagator[:n, n] * u)
+            memo[h] = propagator
+            while len(memo) * propagator.nbytes > STEP_MEMO_BYTES:
+                del memo[next(iter(memo))]
+        state = _matvec(propagator[:n, :n], x, out)
+        return np.add(state, propagator[:n, n] * u, out=state)
 
     def neg_power(self, alpha) -> np.ndarray:
         """The matrix (-A)^alpha; see :func:`matrix_neg_power`."""

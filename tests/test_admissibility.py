@@ -431,22 +431,23 @@ def test_gramian_factor_has_the_bytes_of_the_fresh_array_loop_on_random_families
 
 
 def test_gramian_factor_allocates_its_row_buffer_and_a_few_vectors():
-    # The peak is the last doubling of the row buffer: the old rows, their
-    # empty twin and the joined buffer, twice the final buffer.  Everything
-    # else alive at once is a few length-N vectors.
+    # The row buffer grows in place and never past N rows (counterexample
+    # N = 300 at full rank grows 256 -> 300, not to 512).  Everything else
+    # alive at once is a few length-N vectors.
     import tracemalloc
 
-    sys = counterexample_system(256)
-    lam, b, n = sys.eigenvalues, sys.input_coeffs, sys.dimension
-    _gramian_factor(lam, b, 10.0)  # warm numpy's caches outside the trace
-    tracemalloc.start()
-    try:
-        factor, _ = _gramian_factor(lam, b, 10.0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert factor.base.shape == (n, n)
-    assert peak <= 2 * factor.base.nbytes + 6 * n * 8
+    for n in (256, 300):
+        sys = counterexample_system(n)
+        lam, b = sys.eigenvalues, sys.input_coeffs
+        _gramian_factor(lam, b, 10.0)  # warm numpy's caches outside the trace
+        tracemalloc.start()
+        try:
+            factor, _ = _gramian_factor(lam, b, 10.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert factor.shape == factor.base.shape == (n, n)
+        assert peak <= factor.base.nbytes + 6 * n * 8
 
 
 @settings(max_examples=40, deadline=None)

@@ -19,6 +19,7 @@ from lyapcert.dissipation import (
     exact_certificate,
     fit_dissipation,
     envelope_excess,
+    gain_ensemble,
     input_scaling_check,
     proof_decomposition,
     simulate_mild,
@@ -983,3 +984,62 @@ def test_gain_fit_flags_non_decaying_run():
     assert excess[0, 0] == 0.0
     assert np.all(excess[0, 1:] > ENVELOPE_RTOL)
     assert excess[1].max() <= ENVELOPE_RTOL
+
+
+_DOOR_SYSTEM = heat_system("neumann", 8)
+_DOOR_STATE = np.eye(1, 8, 0)[0]
+
+# Every entry through which an input level reaches the systems.
+_DOOR_ENTRIES = {
+    "InputSignal values": lambda u: InputSignal([0.0, 1.0], np.array([0.0, u])),
+    "InputSignal.constant": lambda u: InputSignal.constant(u),
+    "InputSignal.sampled_sinusoid": lambda u: InputSignal.sampled_sinusoid(u, 0.5, 2.0),
+    "InputSignal.scaled": lambda u: InputSignal.constant(1.0).scaled(u),
+    "simulate_mild": lambda u: simulate_mild(_DOOR_SYSTEM, _DOOR_STATE, u, [0.0, 0.5]),
+    "dini_derivative": lambda u: dini_derivative(
+        build_half_norm(_DOOR_SYSTEM), _DOOR_SYSTEM, _DOOR_STATE, u
+    ),
+    "input_scaling_check": lambda u: input_scaling_check(
+        build_half_norm(_DOOR_SYSTEM), _DOOR_SYSTEM, 1.0, [1.0, u]
+    ),
+    "fit_dissipation": lambda u: fit_dissipation(
+        build_half_norm(_DOOR_SYSTEM), _DOOR_SYSTEM, [_DOOR_STATE], sample_inputs=(0.0, u)
+    ),
+}
+
+
+@pytest.mark.parametrize("level", [1j, np.complex128(2j)], ids=["complex", "numpy-complex128"])
+@pytest.mark.parametrize("entry", list(_DOOR_ENTRIES))
+def test_every_entry_refuses_a_complex_input_level(entry, level):
+    # The systems take one real scalar input.  A numpy complex level was cut
+    # to its real part with only a ComplexWarning: the fit recorded u^2 = 0
+    # for the forced level 2j and fitted it as unforced.
+    with pytest.raises(TypeError):
+        _DOOR_ENTRIES[entry](level)
+
+
+def test_real_levels_of_any_real_type_pass_the_door():
+    # Python and numpy ints, bools and floats read as float64 levels.
+    for level in (2, np.float32(0.5), np.int64(-3), True):
+        assert InputSignal.constant(level).values.tolist() == [float(level)]
+    assert InputSignal([0, 1], np.array([1, 2])).values.dtype == np.float64
+    report = fit_dissipation(
+        build_half_norm(_DOOR_SYSTEM), _DOOR_SYSTEM, [_DOOR_STATE], sample_inputs=(0, 1)
+    )
+    assert report.samples[:, 1].tolist() == [0.0, 1.0]
+
+
+def test_simulate_exponentiates_once_per_step_size_across_its_runs(monkeypatch):
+    # The six runs of simulate share the system's propagator memo: each
+    # distinct step size of any run costs one augmented expm, on the dense
+    # n = 64 family of the benchmark, whatever the run and the level.
+    import scipy.linalg
+
+    sys = MatrixSystem(*dense_nonnormal(7, 64))
+    calls = []
+    original = scipy.linalg.expm
+    monkeypatch.setattr(scipy.linalg, "expm", lambda a: calls.append(a.shape) or original(a))
+    runs = gain_ensemble(sys, 7)
+    steps = {h for run in runs for h in np.diff(run.input.pieces(run.times)[0]).tolist()}
+    assert len(steps) > 1
+    assert calls == [(65, 65)] * len(steps)

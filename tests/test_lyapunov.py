@@ -396,3 +396,21 @@ def test_form_serialization():
     dense = QuadraticForm(p_matrix=np.diag([1.0, 2.0])).to_config()
     assert dense["kind"] == "dense"
     assert dense["p"] == [[1.0, 0.0], [0.0, 2.0]]
+
+
+@pytest.mark.parametrize("kind", ["diagonal", "dense"])
+def test_values_of_ints_and_float32_equal_the_float64_values(kind):
+    # The states are converted to float64 once, before any product: an int
+    # list and float32 states give the bits of their float64 copies (float32
+    # squares once rounded to single precision on a diagonal form).
+    rng = np.random.default_rng(5)
+    if kind == "dense":
+        form = build_v_half(MatrixSystem(*dense_nonnormal(7, 8)))
+    else:
+        form = build_w_plain(_random_system(4, n=8)[0])
+    ints = rng.integers(-9, 10, size=(3, 8))
+    singles = rng.normal(size=(3, 8)).astype(np.float32)
+    assert form.values(ints.tolist()).tobytes() == form.values(ints.astype(float)).tobytes()
+    assert form.value(ints[0].tolist()) == form.value(ints[0].astype(float))
+    assert form.values(singles).tobytes() == form.values(singles.astype(float)).tobytes()
+    assert form.values(singles, overwrite=True).tobytes() == form.values(singles.astype(float)).tobytes()

@@ -10,7 +10,6 @@ from conftest import dense_nonnormal
 from lyapcert.admissibility import admissibility_constant
 from lyapcert.models import build_model, counterexample_system
 from lyapcert.systems import (
-    STEP_MEMO_ENTRIES,
     ConditioningError,
     DecayBound,
     DimensionMismatchError,
@@ -533,24 +532,28 @@ def test_memoized_step_holds_the_bytes_of_a_fresh_expm():
 def test_step_memo_keys_on_the_exact_level_and_step():
     sys, rng = _dense_system(5)
     x = rng.normal(size=5)
-    for u in (0.0, -0.0, 1, 1.0, 1 + 0j):  # every level shares the step's propagator
+    for u in (0.0, -0.0, 1, 1.0):  # every level shares the step's propagator
         sys.step(x, u, 0.1)
     assert list(sys._propagators) == [0.1]
-    assert np.iscomplexobj(sys.step(x, 1 + 0j, 0.1)) and not np.iscomplexobj(sys.step(x, 1, 0.1))
+    assert not np.iscomplexobj(sys.step(x, 1, 0.1))
     sys.step(x, 1.0, np.nextafter(0.1, 1.0))
     sys.step(x, None, 0.1)  # the free flow is not memoized
     assert len(sys._propagators) == 2
 
 
-def test_step_memo_stays_bounded():
+def test_step_memo_stays_bounded(monkeypatch):
+    import lyapcert.systems as systems
+
+    entries = 12  # 6 x 6 propagators of 8-byte floats
+    monkeypatch.setattr(systems, "STEP_MEMO_BYTES", entries * 6 * 6 * 8)
     sys, rng = _dense_system(6)
     x = rng.normal(size=5)
-    for k in range(3 * STEP_MEMO_ENTRIES):
+    for k in range(3 * entries):
         sys.step(x, 1.0, 0.01 * (k + 1))
-        assert len(sys._propagators) <= STEP_MEMO_ENTRIES
-    assert len(sys._propagators) == STEP_MEMO_ENTRIES
+        assert len(sys._propagators) <= entries
+    assert len(sys._propagators) == entries
     # The oldest entries go first; the newest stay.
-    assert 0.01 * 3 * STEP_MEMO_ENTRIES in sys._propagators
+    assert list(sys._propagators) == [0.01 * (k + 1) for k in range(2 * entries, 3 * entries)]
 
 
 def test_step_memo_stays_within_its_byte_budget(monkeypatch):
@@ -565,6 +568,51 @@ def test_step_memo_stays_within_its_byte_budget(monkeypatch):
     fresh, _ = _dense_system(7)
     fresh.step(rng.normal(size=5), 0.5, 0.1)
     assert fresh._propagators == {}
+
+
+def _step_system(kind):
+    if kind == "diagonal":
+        return SpectralSystem([0.5, 1.0, 3.0, 8.0, 20.0], [1.0, -2.0, 0.5, 1.0, 3.0])
+    return _dense_system(3)[0]
+
+
+@pytest.mark.parametrize("kind", ["diagonal", "dense"])
+def test_step_refuses_a_complex_level_on_a_real_state(kind):
+    # The forcing is added in place, and a real state's dtype cannot hold a
+    # complex level: numpy's same-kind casting refuses it.
+    sys = _step_system(kind)
+    x = np.linspace(-1.0, 1.0, 5)
+    for level in (1j, np.complex128(2j), 1 + 0j):
+        with pytest.raises(TypeError):
+            sys.step(x, level, 0.1)
+        with pytest.raises(TypeError):
+            sys.step(np.stack([x, -x]), level, 0.1, out=np.empty((2, 5)))
+
+
+@pytest.mark.parametrize("kind", ["diagonal", "dense"])
+def test_step_of_a_complex_state_under_a_real_level_keeps_its_bytes(kind):
+    # A complex state takes a real level in place, with the bits of the fresh
+    # expression, and ``out`` comes back as given.
+    import scipy.linalg
+
+    sys = _step_system(kind)
+    rng = np.random.default_rng(2)
+    stack = rng.normal(size=(3, 5)) + 1j * rng.normal(size=(3, 5))
+    h, u = 0.05, -0.75
+    if kind == "diagonal":
+        lam, b = sys.eigenvalues, sys.input_coeffs
+        expected = np.exp(-lam * h) * stack + b * (u * (-np.expm1(-lam * h) / lam))
+    else:
+        aug = np.zeros((6, 6))
+        aug[:5, :5] = sys.a_matrix * h
+        aug[:5, 5] = sys.input_coeffs * h
+        fresh = scipy.linalg.expm(aug)
+        expected = (fresh[:5, :5] @ stack[..., None])[..., 0] + fresh[:5, 5] * u
+    assert sys.step(stack, u, h).tobytes() == expected.tobytes()
+    out = np.empty_like(stack)
+    assert sys.step(stack, u, h, out=out) is out
+    assert out.tobytes() == expected.tobytes()
+    assert sys.step(stack[0], u, h).tobytes() == expected[0].tobytes()
 
 
 def test_dense_step_exponentiates_once_per_step_size(monkeypatch):
