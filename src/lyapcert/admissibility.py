@@ -10,9 +10,10 @@ Two complementary probes of an input column ``b``:
   exact on both realizations, the square root of the top eigenvalue of the
   input Gramian; so are q = 1 and q = inf on diagonal systems, while dense
   systems sample those two on a graded time grid that ``systems`` builds.
-  :func:`admissibility_trend` computes every constant of a (horizon, mode
-  count) sweep; :func:`admissibility_constant` is its one-system,
-  one-horizon case.
+  :func:`admissibility_trend` computes every constant of a sweep into one
+  table, ``constants[i, j]`` at the i-th horizon of the j-th system, with
+  horizons and mode counts ascending; its last row is the trend over modes.
+  :func:`admissibility_constant` is the one-system, one-horizon case.
 
 The two need not agree -- a bounded constant with a diverging scan is the
 interesting regime -- and the trend classifier below keeps its thresholds
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .systems import extrapolation_norm
+from .systems import _readonly, extrapolation_norm
 
 __all__ = [
     "AdmissibilityEstimate",
@@ -123,31 +124,36 @@ def operator_class_scan(systems, gamma) -> OperatorClassReport:
 
 @dataclass(frozen=True)
 class AdmissibilityEstimate:
-    """Empirical input-map constant K(T, N) for one integrability exponent.
+    """Input-map constants K(T, N) of one sweep, for one integrability exponent.
 
-    ``trend`` lists (horizon, dimension, constant) triples; the entries
-    are nondecreasing in both horizon and mode count, which is asserted
-    when the trend table carries a sweep.
+    ``constants[i, j]`` is the constant at ``horizons[i]`` of the sweep's
+    ``j``-th system, whose mode count is ``mode_counts[j]``: a read-only
+    float64 table with one row per horizon and one column per system.  Both
+    tuples must increase strictly, and the table must be nondecreasing
+    along each axis.
     """
 
     q: float
-    horizon: float
-    constant: float
-    trend: tuple
+    horizons: tuple
+    mode_counts: tuple
+    constants: np.ndarray
 
     def __post_init__(self):
-        by_t = {}
-        by_n = {}
-        for horizon, modes, value in self.trend:
-            by_t.setdefault(horizon, []).append((modes, value))
-            by_n.setdefault(modes, []).append((horizon, value))
-        for groups in (by_t, by_n):
-            for rows in groups.values():
-                rows.sort()
-                values = [v for _, v in rows]
-                for lo, hi in zip(values, values[1:]):
-                    if hi < lo * (1.0 - 1e-9):
-                        raise ValueError("admissibility constants must be nondecreasing")
+        table = _readonly(np.array(self.constants, dtype=float))
+        if table.shape != (len(self.horizons), len(self.mode_counts)):
+            raise ValueError("constants need one row per horizon and one column per system")
+        for name, axis in (("horizons", self.horizons), ("mode counts", self.mode_counts)):
+            if any(b <= a for a, b in zip(axis, axis[1:])):
+                raise ValueError(f"{name} must be strictly increasing")
+        for k in (table, table.T):
+            if np.any(k[1:] < k[:-1] * (1.0 - 1e-9)):
+                raise ValueError("admissibility constants must be nondecreasing")
+        object.__setattr__(self, "constants", table)
+
+    @property
+    def constant(self) -> float:
+        """The constant of the largest system at the largest horizon."""
+        return float(self.constants[-1, -1])
 
     def mode_trend(self):
         """The (mode count, constant) rows at the largest horizon, with their verdict.
@@ -156,11 +162,10 @@ class AdmissibilityEstimate:
         ``(rows, "inconclusive", 0.0)`` when fewer than two truncations
         were swept.
         """
-        horizon = max(t for t, _, _ in self.trend)
-        rows = sorted((n, v) for t, n, v in self.trend if t == horizon)
+        rows = list(zip(self.mode_counts, self.constants[-1].tolist()))
         if len(rows) < 2:
             return rows, "inconclusive", 0.0
-        verdict, slope = classify_trend([n for n, _ in rows], [v for _, v in rows])
+        verdict, slope = classify_trend(self.mode_counts, self.constants[-1])
         return rows, verdict, slope
 
 
@@ -194,7 +199,8 @@ def admissibility_trend(systems, q, horizons) -> AdmissibilityEstimate:
     Monotonicity in T and N is exact for the Gramian: a larger T increases
     ``W_T`` in the Loewner order, and a leading truncation's Gramian is a
     leading principal block, so Cauchy interlacing orders the top
-    eigenvalues.  On the grid, growing T appends columns.
+    eigenvalues.  On the grid, growing T appends columns.  The estimate
+    refuses a sweep that repeats a horizon or a mode count.
     """
     q = _normalize_q(q)
     systems = sorted(systems, key=lambda s: s.dimension)
@@ -204,16 +210,12 @@ def admissibility_trend(systems, q, horizons) -> AdmissibilityEstimate:
     if not all(0.0 < t < math.inf for t in horizons):
         raise ValueError("horizon must be positive and finite")
     rate = max(s.fastest_rate for s in systems)
-    rows = []
-    for sys in systems:
-        if q == 2.0:
-            constants = sys.l2_input_constants(horizons)
-        else:
-            constants = sys.lq_input_constants(q, horizons, rate)
-        rows.extend((t, sys.dimension, k) for t, k in zip(horizons, constants))
-    return AdmissibilityEstimate(
-        q=q, horizon=horizons[-1], constant=rows[-1][2], trend=tuple(rows)
-    )
+    columns = [
+        sys.l2_input_constants(horizons) if q == 2.0 else sys.lq_input_constants(q, horizons, rate)
+        for sys in systems
+    ]
+    counts = tuple(s.dimension for s in systems)
+    return AdmissibilityEstimate(q, tuple(horizons), counts, np.column_stack(columns))
 
 
 @dataclass(frozen=True)

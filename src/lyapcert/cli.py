@@ -3,9 +3,12 @@
 Subcommands: ``analyze``, ``simulate``, ``admissibility-scan``,
 ``lyapunov-eval``, ``selftest``; each takes only the flags it reads
 (``COMMAND_FLAGS``), through a parser that ``main`` builds once per
-process.  Exit codes: 0 success, 2 configuration or usage error, or a
-system or horizon refused as ill-conditioned (``ConditioningError``), 3 an
-infeasibility finding (a result, not an error), 4 invariant violation.
+process.  ``--seed`` is accepted everywhere so that one command line can
+fix every output, although ``admissibility-scan`` and ``lyapunov-eval``
+draw nothing at random.  Exit codes: 0 success, 2 configuration or usage
+error, or a system or horizon refused as ill-conditioned
+(``ConditioningError``), 3 an infeasibility finding (a result, not an
+error), 4 invariant violation.
 All numeric output is full double precision with '.' decimal separators
 and LF line endings; a fixed seed makes outputs byte-identical.
 """

@@ -55,9 +55,11 @@ __all__ = [
 
 def _real_levels(levels) -> np.ndarray:
     # Input levels as a fresh float64 array, where they enter: the input is
-    # real, so a complex level is refused rather than cut to its real part.
-    if np.iscomplexobj(levels):
-        raise TypeError("input levels must be real, not complex")
+    # real, so a complex, text or None level is refused, not cut to its real
+    # part, parsed or read as nan.
+    levels = np.asarray(levels)
+    if levels.dtype.kind not in "biuf":
+        raise TypeError(f"input levels must be real numbers, not {levels.dtype}")
     return np.array(levels, dtype=float)
 
 
@@ -135,7 +137,7 @@ class InputSignal:
 def _coerce_input(u) -> InputSignal:
     if isinstance(u, InputSignal):
         return u
-    if np.isscalar(u):
+    if np.ndim(u) == 0:
         return InputSignal.constant(u)
     raise TypeError("inputs must be InputSignal instances or scalar levels")
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .systems import ConditioningError
+from .systems import ConditioningError, DimensionMismatchError
 
 __all__ = [
     "ContractionReport",
@@ -108,7 +108,7 @@ class QuadraticForm:
         """
         states = np.atleast_2d(np.asarray(states, complex if np.iscomplexobj(states) else float))
         if states.shape[1] != self.dimension:
-            raise ValueError("state length does not match the form")
+            raise DimensionMismatchError("state length does not match the form")
         if self.weights is not None:
             if np.isrealobj(states):
                 squares = np.multiply(states, states, out=states if overwrite else None)

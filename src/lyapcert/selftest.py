@@ -185,18 +185,9 @@ def _check_homogeneity(rng):
 
 def _check_constant_monotonicity(rng):
     family = [counterexample_system(n) for n in (4, 8, 16, 32)]
-    estimate = admissibility_trend(family, 2, [2.5, 5.0, 10.0])
-    by_t = {}
-    by_n = {}
-    for t, n, v in estimate.trend:
-        by_t.setdefault(t, []).append((n, v))
-        by_n.setdefault(n, []).append((t, v))
-    ok = True
-    for rows in list(by_t.values()) + list(by_n.values()):
-        rows.sort()
-        values = [v for _, v in rows]
-        ok = ok and all(b >= a * (1 - 1e-12) for a, b in zip(values, values[1:]))
-    return ok, f"{len(estimate.trend)} sweep entries monotone"
+    table = admissibility_trend(family, 2, [2.5, 5.0, 10.0]).constants
+    ok = all(np.all(k[1:] >= k[:-1] * (1 - 1e-12)) for k in (table, table.T))
+    return ok, f"{table.size} sweep entries monotone"
 
 
 def _check_lemma_bridge(rng):
@@ -211,8 +202,8 @@ def _check_lemma_bridge(rng):
             operator_class_scan(family, g).verdict == "bounded" for g in (0.3, 0.375, 0.45)
         )
         if bounded_below_half:
-            rows, _, _ = admissibility_trend(family, 2, [5.0]).mode_trend()
-            ratios = [b / a for (_, a), (_, b) in zip(rows, rows[1:])]
+            k = admissibility_trend(family, 2, [5.0]).constants[-1]
+            ratios = (k[1:] / k[:-1]).tolist()
             bounded = all(r <= BOUNDED_RATIO for r in ratios)
             ok = ok and bounded
             details.append(f"{name}: scan bounded, constants bounded={bounded}")
@@ -322,9 +313,9 @@ def _check_counterexample_trichotomy(rng):
     threequarter = operator_class_scan([counterexample_system(n) for n in (10, 20, 40)], 0.75)
     # The top eigenvector of the input Gramian delocalizes slowly; the
     # doubling ratios only settle below the threshold from N = 64 on.
-    estimate = admissibility_trend([counterexample_system(n) for n in (64, 128, 256)], 2, [10.0])
-    rows, _, _ = estimate.mode_trend()
-    ratios = [b / a for (_, a), (_, b) in zip(rows, rows[1:])]
+    deep = [counterexample_system(n) for n in (64, 128, 256)]
+    k = admissibility_trend(deep, 2, [10.0]).constants[-1]
+    ratios = (k[1:] / k[:-1]).tolist()
     ok = half.verdict == "diverging" and threequarter.verdict == "bounded"
     ok = ok and all(r <= BOUNDED_RATIO for r in ratios)
     return ok, (

@@ -207,9 +207,8 @@ def test_a_dense_horizon_sweep_evaluates_each_grid_node_once(monkeypatch, q):
     estimate = admissibility_trend([sys], q, horizons)
     monkeypatch.undo()
     assert calls == [(2, 2)] * 515
-    assert [(t, k) for t, _, k in estimate.trend] == list(
-        zip(horizons, _per_horizon_constants(sys, q, horizons))
-    )
+    assert estimate.horizons == tuple(horizons)
+    assert estimate.constants[:, 0].tolist() == _per_horizon_constants(sys, q, horizons)
 
 
 def test_trend_refuses_what_the_constant_refuses():
@@ -251,35 +250,59 @@ def test_unsupported_q():
 def test_counterexample_constant_bounded_despite_diverging_scan():
     family = [counterexample_system(n) for n in (64, 128, 256)]
     est = admissibility_trend(family, 2, [10.0])
-    rows = sorted((n, v) for _, n, v in est.trend)
-    ratios = [b / a for (_, a), (_, b) in zip(rows, rows[1:])]
-    assert all(r <= 1.02 for r in ratios)
+    k = est.constants[-1]
+    assert np.all(k[1:] / k[:-1] <= 1.02)
     # Cross-check the plateau against the exact Gram oracle.
     oracle = gram_constant(family[-1].eigenvalues, family[-1].input_coeffs, 10.0)
-    assert rows[-1][1] == pytest.approx(oracle, rel=1e-12)
+    assert k[-1] == pytest.approx(oracle, rel=1e-12)
 
 
 def test_trend_monotone_in_horizon_and_modes():
     family = [counterexample_system(n) for n in (4, 8, 16)]
-    est = admissibility_trend(family, 2, [2.0, 5.0, 10.0])
-    by_t, by_n = {}, {}
-    for t, n, v in est.trend:
-        by_t.setdefault(t, []).append((n, v))
-        by_n.setdefault(n, []).append((t, v))
-    for rows in list(by_t.values()) + list(by_n.values()):
-        rows.sort()
-        values = [v for _, v in rows]
-        assert all(b >= a * (1 - 1e-12) for a, b in zip(values, values[1:]))
+    k = admissibility_trend(family, 2, [2.0, 5.0, 10.0]).constants
+    assert k.shape == (3, 3)
+    for table in (k, k.T):  # along the horizons, then along the mode counts
+        assert np.all(table[1:] >= table[:-1] * (1 - 1e-12))
 
 
-def test_estimate_monotonicity_validation():
-    with pytest.raises(ValueError):
-        AdmissibilityEstimate(
-            q=2.0,
-            horizon=1.0,
-            constant=1.0,
-            trend=((1.0, 4, 2.0), (1.0, 8, 1.0)),
-        )
+@pytest.mark.parametrize("horizons, mode_counts, constants, message", [
+    pytest.param((1.0,), (4, 8), [[2.0, 1.0]], "nondecreasing", id="decrease-in-modes"),
+    pytest.param((1.0, 2.0), (4,), [[2.0], [1.0]], "nondecreasing", id="decrease-in-horizon"),
+    pytest.param((1.0, 2.0), (4,), [[1.0, 2.0]], "one row per horizon", id="wrong-shape"),
+    pytest.param((1.0, 1.0), (4,), [[1.0], [1.0]], "horizons must be strictly increasing",
+                 id="repeated-horizon"),
+    pytest.param((1.0,), (4, 4), [[1.0, 1.0]], "mode counts must be strictly increasing",
+                 id="repeated-mode-count"),
+])
+def test_estimate_monotonicity_validation(horizons, mode_counts, constants, message):
+    with pytest.raises(ValueError, match=message):
+        AdmissibilityEstimate(2.0, horizons, mode_counts, constants)
+
+
+def test_trend_refuses_a_sweep_that_repeats_a_horizon_or_a_mode_count():
+    # Repeated horizons duplicated every mode-trend row; two dense 2-state
+    # systems were classified by a polyfit over equal sizes at one horizon,
+    # and over two horizons were refused as decreasing.
+    sys = heat_system("neumann", 4)
+    with pytest.raises(ValueError, match="horizons must be strictly increasing"):
+        admissibility_trend([sys], 2, [5.0, 5.0])
+    pair = [MatrixSystem(np.diag([-1.0, -2.0]), [1.0, 1.0]),
+            MatrixSystem(np.diag([-1.0, -3.0]), [1.0, 0.5])]
+    for horizons in ([5.0], [1.0, 5.0]):
+        with pytest.raises(ValueError, match="mode counts must be strictly increasing"):
+            admissibility_trend(pair, 2, horizons)
+    with pytest.raises(ValueError, match="mode counts must be strictly increasing"):
+        admissibility_trend([sys, heat_system("neumann", 4)], 1, [5.0])
+
+
+def test_estimate_table_is_read_only_and_ends_in_the_constant():
+    family = [counterexample_system(n) for n in (4, 8)]
+    est = admissibility_trend(family, 2, [1.0, 5.0])
+    assert est.constants.dtype == np.float64 and not est.constants.flags.writeable
+    assert est.constant == est.constants[-1, -1]
+    rows, verdict, slope = est.mode_trend()
+    assert rows == [(4, est.constants[1, 0]), (8, est.constants[1, 1])]
+    assert (verdict, slope) == classify_trend([4, 8], est.constants[-1])
 
 
 @settings(max_examples=25, deadline=None)
@@ -353,6 +376,32 @@ def test_gramian_constant_matches_gram_oracle(seed, octaves):
     lam, b, horizon = _diagonal_family(seed, octaves)
     est = admissibility_constant(SpectralSystem(lam, b), 2, horizon)
     assert est.constant == pytest.approx(gram_constant(lam, b, horizon), rel=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=SEEDS,
+    octaves=st.sampled_from([0, 300]),
+    q=st.sampled_from([1, 2, math.inf]),
+    horizons=st.lists(st.floats(0.05, 40.0), min_size=1, max_size=3, unique=True),
+)
+def test_each_table_entry_has_the_bytes_of_its_systems_own_constant(seed, octaves, q, horizons):
+    # constants[i, j] is family[j]'s own constant at the i-th ascending horizon.
+    lam, b, _ = _diagonal_family(seed, octaves)
+    family = [SpectralSystem(lam[:n], b[:n]) for n in range(1, lam.size + 1)]
+    est = admissibility_trend(family, q, horizons)
+    horizons = sorted(horizons)
+    assert est.horizons == tuple(horizons)
+    assert est.mode_counts == tuple(range(1, lam.size + 1))
+    assert est.constants.shape == (len(horizons), lam.size)
+    rate = family[-1].fastest_rate
+    for j, sys in enumerate(family):
+        if q == 2:
+            own = sys.l2_input_constants(horizons)
+        else:
+            own = sys.lq_input_constants(q, horizons, rate)
+        for i, value in enumerate(own):
+            assert est.constants[i, j].tobytes() == np.float64(value).tobytes()
 
 
 @settings(max_examples=60, deadline=None)
@@ -491,10 +540,8 @@ def test_gramian_constant_never_decreases_in_modes_or_horizon(seed, octaves):
     lam, b, horizon = _diagonal_family(seed, octaves)
     family = [SpectralSystem(lam[:n], b[:n]) for n in range(1, lam.size + 1)]
     est = admissibility_trend(family, 2, [horizon / 4.0, horizon / 2.0, horizon])
-    values = {(t, n): v for t, n, v in est.trend}
-    for (t, n), v in values.items():
-        for later in (values.get((t, n + 1)), values.get((2.0 * t, n))):
-            assert later is None or later >= v * (1 - 1e-12)
+    for table in (est.constants, est.constants.T):  # along the horizons, then the mode counts
+        assert np.all(table[1:] >= table[:-1] * (1 - 1e-12))
 
 
 @pytest.mark.parametrize("q", [1, math.inf])
@@ -524,7 +571,8 @@ def test_every_dense_system_of_a_sweep_samples_the_fastest_rates_grid(monkeypatc
     )
     estimate = admissibility_trend([stiff, small], q, [1.0, horizon])
     assert built == [(stiff.fastest_rate, horizon)] * 2
-    shared = [k for _, n, k in estimate.trend if n == 2]
+    assert estimate.mode_counts == (2, 3)
+    shared = estimate.constants[:, 0].tolist()
     assert shared == small.lq_input_constants(q, [1.0, horizon], stiff.fastest_rate)
 
 

@@ -1008,12 +1008,16 @@ _DOOR_ENTRIES = {
 }
 
 
-@pytest.mark.parametrize("level", [1j, np.complex128(2j)], ids=["complex", "numpy-complex128"])
+@pytest.mark.parametrize(
+    "level", [1j, np.complex128(2j), "0.5", b"0.5"],
+    ids=["complex", "numpy-complex128", "str", "bytes"],
+)
 @pytest.mark.parametrize("entry", list(_DOOR_ENTRIES))
 def test_every_entry_refuses_a_complex_input_level(entry, level):
     # The systems take one real scalar input.  A numpy complex level was cut
     # to its real part with only a ComplexWarning: the fit recorded u^2 = 0
-    # for the forced level 2j and fitted it as unforced.
+    # for the forced level 2j and fitted it as unforced.  A numeric string
+    # was parsed, as the config door does not allow.
     with pytest.raises(TypeError):
         _DOOR_ENTRIES[entry](level)
 
@@ -1027,6 +1031,17 @@ def test_real_levels_of_any_real_type_pass_the_door():
         build_half_norm(_DOOR_SYSTEM), _DOOR_SYSTEM, [_DOOR_STATE], sample_inputs=(0, 1)
     )
     assert report.samples[:, 1].tolist() == [0.0, 1.0]
+    # A 0-d real array is a scalar level, with the bytes of its float.
+    grid = [0.0, 0.5, 1.0]
+    zero_d = simulate_mild(_DOOR_SYSTEM, _DOOR_STATE, np.array(0.5), grid)
+    level = simulate_mild(_DOOR_SYSTEM, _DOOR_STATE, 0.5, grid)
+    assert zero_d.states.tobytes() == level.states.tobytes()
+    assert zero_d.input.values.tobytes() == level.input.values.tobytes()
+    # None and sequences are no scalar level; bools still are.
+    for other in (None, [0.5], np.array([0.5]), np.array(None)):
+        with pytest.raises(TypeError):
+            simulate_mild(_DOOR_SYSTEM, _DOOR_STATE, other, grid)
+    assert simulate_mild(_DOOR_SYSTEM, _DOOR_STATE, True, grid).input.values.tolist() == [1.0]
 
 
 def test_simulate_exponentiates_once_per_step_size_across_its_runs(monkeypatch):

@@ -16,7 +16,7 @@ from lyapcert.lyapunov import (
     build_w_q,
     contraction_similarity,
 )
-from lyapcert.systems import MatrixSystem, SpectralSystem
+from lyapcert.systems import DimensionMismatchError, MatrixSystem, SpectralSystem
 
 
 def _random_system(seed, n=6, hi=50.0):
@@ -348,6 +348,16 @@ def test_values_rows_equal_single_values():
         assert form.values(stack).tolist() == [form.value(x) for x in stack]
         with pytest.raises(ValueError):
             form.values(np.ones((2, 5)))
+
+
+def test_a_state_of_the_wrong_length_is_a_dimension_mismatch():
+    # The same error as as_state, fit_dissipation and exact_certificate raise.
+    sys, _ = _random_system(4)
+    for form in (build_w_q(sys, 0.25), QuadraticForm(p_matrix=np.diag(np.arange(1.0, 7.0)))):
+        with pytest.raises(DimensionMismatchError, match="state length does not match"):
+            form.values(np.ones((2, 5)))
+        with pytest.raises(DimensionMismatchError):
+            form.value(np.ones(7))
 
 
 @pytest.mark.parametrize("kind", ["real", "complex"])
