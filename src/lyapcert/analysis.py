@@ -278,22 +278,29 @@ def _certificate_trend(label, family, builder, certify, rows):
     }
 
 
-def _bridge(scans, q):
-    """``(g_star, bridged, threshold)`` of the exponent bridge at input exponent ``q``.
+def _bridge(scans, config):
+    """``(g_star, bridged, threshold)`` of the exponent bridge at input exponent ``config.q``.
 
     ``g_star`` is the smallest scan exponent whose verdict is bounded (or
-    None), ``bridged`` whether it lies strictly below ``1 - 1/q``, and
-    ``threshold`` names that bound in words.
+    None), ``bridged`` the :func:`_scan_premise` of the requested gammas
+    strictly below ``1 - 1/q``, and ``threshold`` names that bound in words.
     """
     g_star = min((float(g) for g, e in scans.items() if e["verdict"] == "bounded"), default=None)
-    limit = 1.0 - 1.0 / q
-    threshold = "one half" if q == 2 else f"1 - 1/q = {limit:g}"
-    return g_star, g_star is not None and g_star < limit, threshold
+    limit = 1.0 - 1.0 / config.q
+    threshold = "one half" if config.q == 2 else f"1 - 1/q = {limit:g}"
+    return g_star, _scan_premise(scans, [g for g in config.gammas if g < limit]), threshold
 
 
 def _tri(value, yes):
     """Slot value as True (starts with ``yes``), None (inconclusive) or False."""
     return True if value.startswith(yes) else None if "inconclusive" in value else False
+
+
+def _scan_premise(scans, gammas):
+    # True if the scan at one of ``gammas`` is bounded; else None (unknown)
+    # if one is inconclusive or did not run, else False.
+    verdicts = {scans.get(f"{g:g}", {}).get("verdict") for g in gammas}
+    return True if "bounded" in verdicts else None if verdicts - {"diverging"} else False
 
 
 def _theorem(premise, conclusion, iff):
@@ -305,23 +312,26 @@ def _theorem(premise, conclusion, iff):
     return "holds" if premise == conclusion else "violated"
 
 
-def _check_edges(slots, q):
+def _check_edges(slots, config):
     """Evaluate the six implication edges against the filled slots, one row each.
 
     Three theorems, through :func:`_theorem`: the admissibility criterion
-    (an iff, at q = 2), the exponent bridge at input exponent ``q`` (a
-    bounded scan at some gamma < 1 - 1/q implies bounded q-constants) and
-    the half-power construction; a violated one aborts the run.  The
-    orbit-energy edge is an observation, the crossed edge is witnessed or
-    not, and the similarity obstruction is not checkable at finite N.
+    (an iff, at q = 2), the exponent bridge at input exponent ``config.q``
+    (a bounded scan at some gamma < 1 - 1/q implies bounded q-constants) and
+    the half-power construction; a violated one aborts the run, and a scan
+    premise that no scan decides is unknown.  The orbit-energy edge is an
+    observation, the crossed edge is witnessed or not, and the similarity
+    obstruction is not checkable at finite N.
     """
     stable, scans = slots["exponentially_stable"]["value"], slots["gamma_scans"]["value"]
     adm, iss = slots["two_admissibility"]["value"], slots["l2_iss"]["value"]
     coercive = slots["coercive_quadratic_l2"]["value"]
     noncoercive = slots["noncoercive_w0"]["value"]
     adm_q = slots.get("q_admissibility", slots["two_admissibility"])["value"]
-    g_star, bridged, threshold = _bridge(scans, q)
+    g_star, bridged, threshold = _bridge(scans, config)
+    half_premise = _scan_premise(scans, [g for g in config.gammas if f"{g:g}" == "0.5"])
     half = scans["0.5"]["verdict"] if "0.5" in scans else None
+    unknown = "a scan there is inconclusive" if scans else "a scan needs three truncations"
     witnessed = adm == "bounded" and half == "diverging"
     rows = [
         ("stability-plus-bounded-input-constant-iff-l2-iss",
@@ -331,13 +341,15 @@ def _check_edges(slots, q):
         ("weakened-class-below-half-implies-bounded-input-constant",
          _theorem(bridged, _tri(adm_q, "bounded"), iff=False),
          f"bounded scan at gamma={g_star} and constants {adm_q}" if bridged else
-         f"no bounded scan strictly below {threshold} at these truncations",
+         f"no bounded scan strictly below {threshold} at these truncations" if bridged is False
+         else f"no bounded scan strictly below {threshold}: {unknown}",
          "sufficient admissibility exponent bridge q > 2/(1+2p)"),
         ("half-power-class-implies-coercive-certificate",
-         _theorem(half == "bounded", _tri(coercive, "certified"), iff=False),
-         "no scan at gamma = 1/2 requested" if half is None else
-         f"half-power scan bounded and coercive certificate {coercive}" if half == "bounded" else
-         f"half-power scan {half}; the hypothesis fails",
+         _theorem(half_premise, _tri(coercive, "certified"), iff=False),
+         f"half-power scan bounded and coercive certificate {coercive}" if half_premise else
+         f"half-power scan {half}; the hypothesis fails" if half_premise is False and half else
+         "no scan at gamma = 1/2 requested" if half_premise is False else
+         f"no bounded scan at gamma = 1/2: {unknown}",
          "self-adjoint coercive construction from the half squared norm"),
         ("noncoercive-orbit-energy-certificate",
          "holds" if _tri(noncoercive, "certified") else "not-observed",
@@ -401,7 +413,7 @@ def admissibility_stages(config: AnalysisConfig):
             }
             for n, v in zip(scan.mode_counts, scan.norms):
                 rows.append((label, "extrapolation", "class_scan_norm", f"{gamma:g}", n, None, v))
-    g_star, bridged, threshold = _bridge(scans, config.q)
+    g_star, bridged, threshold = _bridge(scans, config)
     if bridged:
         bridge = (
             f"membership at exponent {g_star:g} implies admissibility for every "
@@ -471,7 +483,7 @@ def run_analyze(config: AnalysisConfig):
         "only its distortion trend is informative",
     }
 
-    edges = _check_edges(slots, config.q)
+    edges = _check_edges(slots, config)
 
     for slot_name in ("coercive_quadratic_l2", "noncoercive_w0"):
         status = slots[slot_name]["value"]

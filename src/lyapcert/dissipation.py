@@ -210,6 +210,7 @@ def _neville_limit(hs, values):
     return diagonal[-1], np.abs(diagonal[-1] - diagonal[-2])
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite table is the caller's to read
 def _dini_quotients(form: QuadraticForm, sys, states, levels, hs):
     """Dini estimates of a stack of states per input level.
 
@@ -404,7 +405,7 @@ class ExactCertificate:
 
     With ``V = <Px, x>`` and ``M = -(PA + A^H P)``, the derivative along the
     flow is ``-<Mx, x> + 2 Re<Px, bu>``, so ``a3max = lambda_min(M)`` is the
-    largest decay coefficient, and at ``a3 = theta * a3max`` the least input
+    largest decay coefficient, and at ``a3 = a3max / 2`` the least input
     coefficient is ``a4 = b^H P (M - a3 I)^-1 P b`` (the Schur complement).
     The exact pair of the stored form and system, at this ``a3``, lies within
     ``a3max_radius`` and ``a4_radius`` of it.  ``violations`` is always empty.
@@ -454,18 +455,16 @@ def _dense_enclosure(form, sys, m):
     return a3max, (1.0 + _gamma(4)) * max(below, above), slack  # and the radius's rounding
 
 
-def exact_certificate(form: QuadraticForm, sys, theta=0.5) -> ExactCertificate:
-    """The exact dissipation certificate of ``form`` on ``sys`` at ``a3 = theta * a3max``.
+def exact_certificate(form: QuadraticForm, sys) -> ExactCertificate:
+    """The exact dissipation certificate of ``form`` on ``sys`` at ``a3 = a3max / 2``.
 
     ``M`` comes from the form's own ``P``, so the residual of the Lyapunov solve behind
     ``P`` is accounted for.  Diagonal radii are a priori and O(N): ``M = 2 w lam`` carries
-    one rounding, each term of ``a4 = sum (w b)^2 / (M - a3)`` a few plus ``M``'s times
-    ``1/(1 - theta)``, the sum ``N - 1``.  Dense ones come from :func:`_dense_enclosure` and
+    one rounding, each term of ``a4 = sum (w b)^2 / (M - a3)`` a few plus ``M``'s twice
+    (``M - a3 >= M / 2``), the sum ``N - 1``.  Dense ones come from :func:`_dense_enclosure` and
     ``a4``'s solve residual over ``lambda_min(M - a3 I)``.  Infeasible means the enclosure
     proves ``a3max <= 0``; unresolved, that it proves neither that nor ``M - a3 I > 0``.
     """
-    if not 0.0 < theta < 1.0:
-        raise ValueError("theta must lie strictly between 0 and 1")
     n = sys.dimension
     if form.dimension != n:
         raise DimensionMismatchError(
@@ -477,16 +476,16 @@ def exact_certificate(form: QuadraticForm, sys, theta=0.5) -> ExactCertificate:
         a3max_radius = _gamma(2) * a3max  # fl(2 w lam), and the radius's own rounding
     else:
         a3max, a3max_radius, slack = _dense_enclosure(form, sys, m)
-    if not (1.0 - theta) * a3max > a3max_radius:  # then lambda_min(M - a3 I) > 0
+    if not 0.5 * a3max > a3max_radius:  # then lambda_min(M - a3 I) > 0
         reason = f"unresolved: lambda_min(M) = {a3max!r} within {a3max_radius!r}"
         if a3max <= -a3max_radius:
             reason = f"no positive decay coefficient: lambda_min(M) = {a3max!r}"
         return ExactCertificate(form.a1, form.a2, a3max, 0.0, 0.0, a3max_radius, np.inf, reason)
-    a3 = theta * a3max
+    a3 = 0.5 * a3max
     maximizer = pb / (m - a3) if m.ndim == 1 else np.linalg.solve(m - a3 * np.eye(n), pb)
     a4 = float(np.real(np.vdot(pb, maximizer)))
     if m.ndim == 1:
-        a4_radius = _gamma(n + 6 + int(np.ceil(1.0 / (1.0 - theta)))) * a4
+        a4_radius = _gamma(n + 8) * a4
     else:  # P b's rounding and the dot's, then the residual against the exact M - a3 I
         gamma, x_norm, pb_norm = _gamma(n + 2), np.linalg.norm(maximizer), np.linalg.norm(pb)
         p_norm = np.linalg.norm(form.weights if form.p_matrix is None else form.p_matrix)
@@ -494,7 +493,7 @@ def exact_certificate(form: QuadraticForm, sys, theta=0.5) -> ExactCertificate:
         residual = np.linalg.norm(pb - (m - a3 * np.eye(n)) @ maximizer) + pb_error
         residual += 2.0 * (slack + gamma * a3) * x_norm
         a4_radius = float((1.0 + _gamma(4)) * (pb_error * x_norm + (pb_norm + pb_error) * residual
-                          / ((1.0 - theta) * a3max - a3max_radius)))  # <= lambda_min(M - a3 I)
+                          / (0.5 * a3max - a3max_radius)))  # <= lambda_min(M - a3 I)
     reason = "" if np.isfinite(a4_radius) else f"unresolved: a4 = {a4!r} within {a4_radius!r}"
     return ExactCertificate(form.a1, form.a2, a3max, a3, a4, a3max_radius, a4_radius, reason)
 

@@ -38,8 +38,10 @@ never branch on the realization:
   resolves the relaxation time ``1/rate``.
 
 States are plain 1-D numpy arrays; helpers here validate their length
-against the owning system.  Each dense function imports ``scipy.linalg``
-itself, which keeps scipy out of ``import lyapcert`` and of diagonal runs.
+against the owning system.  Every dense ``e^(At)`` but the forced step's is
+one ``MatrixSystem._semigroup``, refused unless finite.  Each dense function
+imports ``scipy.linalg`` itself, which keeps scipy out of ``import lyapcert``
+and of diagonal runs.
 """
 
 from __future__ import annotations
@@ -65,10 +67,6 @@ __all__ = [
     "semigroup_apply",
     "system_from_config",
 ]
-
-# Eigendecompositions with a worse-conditioned eigenvector basis than this
-# are not trusted for generic fractional powers.
-EIGENVECTOR_COND_LIMIT = 1e8
 
 # Relative slack by which a node's decay-bound ceiling may fall short of a
 # power's running maximum and the node still be evaluated; far above the
@@ -144,13 +142,6 @@ def _solve_lyapunov(a, rhs):
             return scipy.linalg.solve_continuous_lyapunov(a, rhs)
         except RuntimeWarning as exc:
             raise ConditioningError(f"Lyapunov solve refused: {exc}") from None
-
-
-def _finite_semigroup(values, horizon):
-    # ``values`` read off the semigroup up to the horizon, refused unless finite.
-    if not np.all(np.isfinite(values)):
-        raise ConditioningError(f"the semigroup is not finite up to the horizon T = {horizon:g}")
-    return values
 
 
 def _gramian_factor(lam, b, horizon):
@@ -424,9 +415,9 @@ class MatrixSystem:
         that does not overlap ``x``, receives the state and is returned, with
         the bytes of a fresh step.
         """
-        import scipy.linalg
         if u is None:
-            return _matvec(scipy.linalg.expm(self.a_matrix * h), x, out)
+            return _matvec(self._semigroup(h), x, out)
+        import scipy.linalg
         n = self.dimension
         memo = self.__dict__.setdefault("_propagators", {})
         propagator = memo.get(h)
@@ -480,12 +471,17 @@ class MatrixSystem:
         pa = (np.diag(form.weights) if form.p_matrix is None else form.p_matrix) @ self.a_matrix
         return -(pa + pa.conj().T)
 
-    def power_semigroup_norms(self, powers, t) -> list:
-        """||(-A)^r T(t)|| per power r in the 2-norm from one expm, refused unless finite."""
+    def _semigroup(self, t) -> np.ndarray:
+        """``T(t) = e^(At)`` from one expm; :class:`ConditioningError` unless finite."""
         import scipy.linalg
         semigroup = scipy.linalg.expm(self.a_matrix * t)
         if not np.all(np.isfinite(semigroup)):
             raise ConditioningError(f"the semigroup is not finite at t = {t:g}")
+        return semigroup
+
+    def power_semigroup_norms(self, powers, t) -> list:
+        """||(-A)^r T(t)|| per power r in the 2-norm from one :meth:`_semigroup`."""
+        semigroup = self._semigroup(t)
         return [float(np.linalg.norm(self.neg_power(r) @ semigroup, 2)) for r in powers]
 
     def decay_prefactors(self, powers, delta) -> list:
@@ -534,17 +530,16 @@ class MatrixSystem:
         """sqrt(lambda_max(W_T)) per horizon T, from one Lyapunov solve and one expm each.
 
         ``A W + W A^H = -b b^H`` gives the infinite-horizon Gramian ``W``, and
-        ``W_T = W - E W E^H`` with ``E = e^(AT)``; an infinite horizon takes
-        ``W`` itself.  An ``E`` that is not finite raises :class:`ConditioningError`.
+        ``W_T = W - E W E^H`` with ``E = e^(AT)`` from :meth:`_semigroup`; an
+        infinite horizon takes ``W`` itself.
         """
-        import scipy.linalg
         b = self.input_coeffs[:, None]
         steady = _solve_lyapunov(self.a_matrix, -b @ b.conj().T)
         constants = []
         for horizon in horizons:
             gram = steady
             if horizon < np.inf:
-                semigroup = _finite_semigroup(scipy.linalg.expm(self.a_matrix * horizon), horizon)
+                semigroup = self._semigroup(horizon)
                 gram = steady - semigroup @ steady @ semigroup.conj().T
             constants.append(_sqrt_top_eigenvalue((gram + gram.conj().T) / 2.0))
         return constants
@@ -560,18 +555,19 @@ class MatrixSystem:
         ``A^-1 B`` at q = inf, whose consecutive differences are the exact
         integrals of ``T(tau) B`` over the segments; their aligned-sign sum is
         the worst bounded input when every segment shares the per-mode sign.
-        Each horizon reduces its own prefix of the nodes, refused with
-        :class:`ConditioningError` unless its norms (q = 1) or vectors
-        (q = inf) are finite.
+        Each horizon reduces its own prefix of the nodes.  Norms (q = 1) or
+        vectors (q = inf) that overflow under a finite semigroup are refused
+        with :class:`ConditioningError`.
         """
         master = np.unique(np.concatenate([_graded_backward_grid(rate, max(horizons)), horizons]))
         start = self.input_coeffs if q == 1.0 else np.linalg.solve(self.a_matrix, self.input_coeffs)
         orbit = [self.step(start, None, tau) for tau in master]
         values = np.array([np.linalg.norm(v) for v in orbit]) if q == 1.0 else np.stack(orbit, 1)
+        if not np.all(np.isfinite(values)):
+            raise ConditioningError(f"the input orbit is not finite up to t = {master[-1]:g}")
         constants = []
         for t in horizons:
-            nodes = np.count_nonzero(master <= t * (1.0 + 1e-12))
-            prefix = _finite_semigroup(values[..., :nodes], t)
+            prefix = values[..., :np.count_nonzero(master <= t * (1.0 + 1e-12))]
             if q == 1.0:
                 constants.append(float(max(prefix)))
             else:
@@ -613,10 +609,7 @@ def _dyadic_matrix_power(matrix, k, m):
     # (matrix)^(k/2^m) for integer k through m nested Schur square roots;
     # valid for defective spectra as long as the spectrum avoids (-inf, 0].
     import scipy.linalg
-    n = matrix.shape[0]
-    if k == 0:
-        return np.eye(n, dtype=matrix.dtype)
-    base = matrix if k > 0 else np.linalg.inv(matrix)
+    base = matrix if k >= 0 else np.linalg.inv(matrix)
     j, denominator = abs(k), 2**m
     out = np.linalg.matrix_power(base, j // denominator)
     if j % denominator:
@@ -634,38 +627,33 @@ def _dyadic_matrix_power(matrix, k, m):
                     raise ConditioningError("matrix square root is not real")
                 root = root.real
         out = out @ np.linalg.matrix_power(root, j % denominator)
-    if not np.all(np.isfinite(out.real)):
-        raise ConditioningError("dyadic matrix power produced non-finite entries")
     return out
 
 
 def matrix_neg_power(sys: MatrixSystem, alpha):
-    """The operator (-A)^alpha for a matrix system.
+    """The operator (-A)^alpha for a matrix system, exact for defective spectra.
 
-    Exponents k/2^m with m <= 2 (denominator 1, 2 or 4) go through nested
-    Schur square roots, which stay exact for defective spectra and give the
-    same bytes on every call.  Other powers use the eigendecomposition and
-    refuse when the eigenvector basis is conditioned worse than
-    ``EIGENVECTOR_COND_LIMIT``.
+    Exponents k/2^m with m <= 2 (denominator 1, 2 or 4), the fast path, go
+    through nested Schur square roots; every other one through Higham and
+    Lin's Schur-Pade algorithm (SIAM J. Matrix Anal. Appl. 32, 2011).  Neither
+    uses eigenvectors; a power that is not finite raises ConditioningError.
     """
     neg_a = -sys.a_matrix
     for m in range(3):
         scaled = alpha * 2**m
         k = round(scaled)
         if abs(scaled - k) <= 1e-12:
-            return _dyadic_matrix_power(neg_a, int(k), m)
-    w, v = np.linalg.eig(neg_a)
-    cond = np.linalg.cond(v)
-    if not np.isfinite(cond) or cond > EIGENVECTOR_COND_LIMIT:
-        raise ConditioningError(
-            f"eigenvector basis condition {cond:.3g} exceeds {EIGENVECTOR_COND_LIMIT:.1e}; "
-            f"power {alpha} refused"
-        )
-    powered = (v * w.astype(complex) ** alpha) @ np.linalg.inv(v)
-    if np.isrealobj(sys.a_matrix) and np.abs(powered.imag).max() <= 1e-12 * max(
-        np.abs(powered.real).max(), 1.0
-    ):
-        powered = powered.real
+            powered = _dyadic_matrix_power(neg_a, int(k), m)
+            break
+    else:
+        import scipy.linalg
+        powered = scipy.linalg.fractional_matrix_power(neg_a, alpha)
+        if np.isrealobj(neg_a) and np.abs(powered.imag).max() <= 1e-12 * max(
+            np.abs(powered.real).max(), 1.0
+        ):
+            powered = powered.real
+    if not np.all(np.isfinite(powered)):
+        raise ConditioningError(f"matrix power {alpha} produced non-finite entries")
     return powered
 
 

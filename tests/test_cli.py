@@ -240,7 +240,9 @@ def test_a_horizon_whose_semigroup_is_not_finite_is_a_config_error(tmp_path, cap
     argv = argv + ["--config", _dense8_config(tmp_path), "--out", str(tmp_path / "out")]
     assert main(argv + ["--horizon", "1e100"]) == 2
     err = capsys.readouterr().err
-    assert err == "config error: the semigroup is not finite up to the horizon T = 1e+100\n"
+    # The one message of every dense e^(At) refusal; it read "... up to the
+    # horizon T = 1e+100" before the semigroup was refused in one place.
+    assert err == "config error: the semigroup is not finite at t = 1e+100\n"
     assert main(argv + ["--horizon", "1e20"]) == 0
 
 
@@ -686,7 +688,7 @@ def test_edge_violation_detection():
         "contraction_similarity": {"condition_numbers": []},
     }
     with pytest.raises(InvariantViolationError, match="stability-plus-bounded-input-constant-iff-l2-iss"):
-        _check_edges(slots, q=2.0)
+        _check_edges(slots, AnalysisConfig())
 
 
 IFF = "stability-plus-bounded-input-constant-iff-l2-iss"
@@ -741,9 +743,30 @@ EDGE_BRANCHES = [
     pytest.param({}, HALF, "vacuous", "no scan at gamma = 1/2 requested", id="half-not-requested"),
     pytest.param({"scans": {"0.5": "diverging"}}, HALF, "vacuous",
                  "half-power scan diverging; the hypothesis fails", id="half-hypothesis-fails"),
-    pytest.param({"scans": {"0.5": "inconclusive"}}, HALF, "vacuous",
-                 "half-power scan inconclusive; the hypothesis fails",
+    # An inconclusive half-power scan decides nothing, so the edge cannot be vacuous.
+    pytest.param({"scans": {"0.5": "inconclusive"}}, HALF, "inconclusive",
+                 "no bounded scan at gamma = 1/2: a scan there is inconclusive",
                  id="half-hypothesis-inconclusive"),
+    # A requested gamma whose scan did not run (fewer than three truncations)
+    # leaves a premise unknown; one that was not requested leaves it failed.
+    pytest.param({"gammas": (0.25, 0.5)}, HALF, "inconclusive",
+                 "no bounded scan at gamma = 1/2: a scan needs three truncations",
+                 id="half-not-scanned"),
+    pytest.param({"gammas": (0.25,)}, HALF, "vacuous", "no scan at gamma = 1/2 requested",
+                 id="half-not-requested-not-scanned"),
+    pytest.param({"gammas": (0.25, 0.5)}, BRIDGE, "inconclusive",
+                 "no bounded scan strictly below one half: a scan needs three truncations",
+                 id="bridge-not-scanned"),
+    pytest.param({"gammas": (0.5, 0.75)}, BRIDGE, "vacuous",
+                 "no bounded scan strictly below one half at these truncations",
+                 id="bridge-not-scanned-none-below-half"),
+    pytest.param({"q": 1.0, "gammas": (0.0, 0.5)}, BRIDGE, "vacuous",
+                 "no bounded scan strictly below 1 - 1/q = 0 at these truncations",
+                 id="bridge-q1-not-scanned"),
+    pytest.param({"scans": {"0.25": "inconclusive", "0.375": "diverging", "0.5": "bounded"}},
+                 BRIDGE, "inconclusive",
+                 "no bounded scan strictly below one half: a scan there is inconclusive",
+                 id="bridge-scan-inconclusive"),
     pytest.param({"scans": {"0.5": "bounded"}}, HALF, "holds",
                  "half-power scan bounded and coercive certificate certified", id="half-holds"),
     pytest.param({"scans": {"0.5": "bounded"}, "coercive": "certified-single-truncation"},
@@ -800,19 +823,38 @@ EDGE_BRANCHES = [
 
 @pytest.mark.parametrize("overrides, edge_id, status, detail", EDGE_BRANCHES)
 def test_every_edge_branch(overrides, edge_id, status, detail):
+    # The requested gammas default to those of the scans, each of which ran.
     overrides = dict(overrides)
     q = overrides.pop("q", 2.0)
+    gammas = overrides.pop("gammas", tuple(float(g) for g in overrides.get("scans", {})))
     slots = _edge_slots(**overrides)
+    config = AnalysisConfig(q=q, gammas=gammas)
     if status == "violated":
         with pytest.raises(InvariantViolationError) as caught:
-            _check_edges(slots, q=q)
+            _check_edges(slots, config)
         assert str(caught.value) == f"theorem edge(s) reported violated: {edge_id}"
         return
-    edges = _check_edges(slots, q=q)
+    edges = _check_edges(slots, config)
     assert [e["id"] for e in edges] == [IFF, BRIDGE, HALF, ORBIT, CROSSED, SIMILARITY]
     assert all(sorted(e) == ["detail", "id", "provenance", "status"] for e in edges)
     edge = {e["id"]: e for e in edges}[edge_id]
     assert (edge["status"], edge["detail"]) == (status, detail)
+
+
+@pytest.mark.parametrize("config", [
+    {"model": "heat-neumann", "modes": (8, 16)},
+    {"system": {"type": "matrix", "a": [[-1.0, 10.0], [0.0, -2.0]], "b": [1.0, 1.0]}},
+])
+def test_a_run_without_scans_leaves_both_scan_premises_unknown(config):
+    # No scan runs below three truncations (a dense system is one), so the
+    # default gammas 1/4, 3/8 and 1/2 decide neither premise: both edges
+    # read inconclusive, where they used to read vacuous.
+    report, _ = run_analyze(AnalysisConfig(**config))
+    assert report["slots"]["gamma_scans"]["value"] == {}
+    edges = {e["id"]: (e["status"], e["detail"]) for e in report["edges"]}
+    unscanned = ": a scan needs three truncations"
+    assert edges[BRIDGE] == ("inconclusive", f"no bounded scan strictly below one half{unscanned}")
+    assert edges[HALF] == ("inconclusive", f"no bounded scan at gamma = 1/2{unscanned}")
 
 
 def test_l1_run_on_heat_neumann_leaves_the_bridge_vacuous():

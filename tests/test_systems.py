@@ -194,10 +194,34 @@ def test_matrix_generic_power_well_conditioned():
     assert np.allclose(direct, -a @ x, rtol=1e-12)
 
 
-def test_matrix_generic_power_defective_refused():
+@pytest.mark.parametrize("p", [0.3, -0.3, 0.7])
+def test_matrix_generic_power_of_a_jordan_block_is_its_closed_form(p):
+    # -A = I + N with N = [[0, -10], [0, 0]] nilpotent, so (-A)^p = I + p N
+    # exactly; an eigenvector basis of this defective block does not exist.
     sys = MatrixSystem(np.array([[-1.0, 10.0], [0.0, -1.0]]), np.ones((2, 1)))
-    with pytest.raises(ConditioningError):
-        fractional_power_apply(sys, 0.3, np.array([1.0, 1.0]))
+    closed = np.array([[1.0, -10.0 * p], [0.0, 1.0]])
+    assert np.allclose(matrix_neg_power(sys, p), closed, rtol=0.0, atol=1e-14)
+    x = np.array([1.0, 1.0])
+    assert np.allclose(fractional_power_apply(sys, p, x), closed @ x, rtol=0.0, atol=1e-14)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_matrix_generic_powers_compose_and_commute_on_nonnormal_generators(seed):
+    # A skewed non-normal Hurwitz A (as in the selftest's log-norm check) at
+    # a power p that is not a multiple of 1/4: (-A)^p (-A)^(1-p) = -A, and
+    # (-A)^p commutes with A.
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 9))
+    raw = rng.normal(size=(n, n)) + 3.0 * np.triu(rng.normal(size=(n, n)), 1)
+    a = raw - (np.linalg.eigvals(raw).real.max() + 0.5) * np.eye(n)
+    sys = MatrixSystem(a, np.ones(n))
+    p = float(rng.uniform(0.01, 0.99))
+    if abs(4 * p - round(4 * p)) < 1e-6:
+        p += 0.01
+    power, rest = matrix_neg_power(sys, p), matrix_neg_power(sys, 1.0 - p)
+    scale = np.linalg.norm(a)
+    assert np.linalg.norm(power @ rest + a) <= 1e-12 * scale
+    assert np.linalg.norm(power @ a - a @ power) <= 1e-12 * np.linalg.norm(power) * scale
 
 
 def test_extrapolation_norm_gamma_zero(two_mode):
@@ -664,17 +688,41 @@ def test_an_ill_conditioned_matrix_square_root_is_refused():
 
 
 def test_a_semigroup_that_is_not_finite_is_refused():
-    # expm(A T) of this non-normal system is NaN from about T = 1e50 on, which
+    # expm(A t) of this non-normal system is NaN from about t = 1e38 on, which
     # a q = 1 maximum would skip and which would make the other constants NaN.
+    # Every dense e^(At) is refused in one place, with one message: the L2
+    # constant and the free step at the horizon, the decay norms at t, and the
+    # graded grids of q = 1 and q = inf at their first node past that.
     sys = MatrixSystem(*dense_nonnormal(7, 8))
-    refused = "not finite up to the horizon T = 1e\\+100"
-    with pytest.raises(ConditioningError, match=refused):
+    refused = "^the semigroup is not finite at t = "
+    for call in (
+        lambda: sys.step(np.ones(8), None, 1e100),
+        lambda: sys.power_semigroup_norms([0.0], 1e100),
+        lambda: sys.l2_input_constants([1e100]),
+        lambda: sys.lq_input_constants(1.0, [1e100], sys.fastest_rate),
+        lambda: sys.lq_input_constants(math.inf, [1e100], sys.fastest_rate),
+    ):
+        with pytest.raises(ConditioningError, match=refused):
+            call()
+    with pytest.raises(ConditioningError, match=f"{refused}1e\\+100$"):
         sys.l2_input_constants([1e100])
     for q in (1.0, math.inf):
-        with pytest.raises(ConditioningError, match=refused):
-            sys.lq_input_constants(q, [1e100], sys.fastest_rate)
         assert math.isfinite(sys.lq_input_constants(q, [1e20], sys.fastest_rate)[0])
     assert math.isfinite(sys.l2_input_constants([1e20])[0])
+
+
+@pytest.mark.parametrize("a, b, q", [
+    (np.array([[-1.0, 1e200], [0.0, -1.0]]), np.array([0.0, 1e150]), 1.0),
+    (np.array([[-1e-300, 0.0], [0.0, -1.0]]), np.array([1e10, 0.0]), math.inf),
+])
+def test_an_input_orbit_that_is_not_finite_under_a_finite_semigroup_is_refused(a, b, q):
+    # Every e^(At) here is finite, but T(t) b overflows (q = 1), or A^-1 b
+    # does (q = inf): the constant would be inf or NaN, so it is refused.
+    sys = MatrixSystem(a, b)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.all(np.isfinite(sys._semigroup(10.0)))
+        with pytest.raises(ConditioningError, match="^the input orbit is not finite up to t = 10$"):
+            sys.lq_input_constants(q, [10.0], sys.fastest_rate)
 
 
 @pytest.mark.parametrize("kind", ["spectral", "matrix"])
