@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lyapunov import QuadraticForm, GainEnvelope
-from .systems import DimensionMismatchError, _readonly, as_state, semigroup_apply
+from .systems import DimensionMismatchError, _readonly, _real_array, as_state, semigroup_apply
 
 __all__ = [
     "DecompositionReport",
@@ -53,16 +53,6 @@ __all__ = [
 ]
 
 
-def _real_levels(levels) -> np.ndarray:
-    # Input levels as a fresh float64 array, where they enter: the input is
-    # real, so a complex, text or None level is refused, not cut to its real
-    # part, parsed or read as nan.
-    levels = np.asarray(levels)
-    if levels.dtype.kind not in "biuf":
-        raise TypeError(f"input levels must be real numbers, not {levels.dtype}")
-    return np.array(levels, dtype=float)
-
-
 @dataclass(frozen=True)
 class InputSignal:
     """A right-continuous piecewise-constant real scalar input.
@@ -77,8 +67,8 @@ class InputSignal:
     values: np.ndarray
 
     def __post_init__(self):
-        bp = np.array(self.breakpoints, dtype=float).reshape(-1)
-        vals = _real_levels(self.values).reshape(-1)
+        bp = _real_array(self.breakpoints, "breakpoints").reshape(-1).copy()
+        vals = _real_array(self.values, "input levels").reshape(-1).copy()
         if bp.size != vals.size or bp.size < 1:
             raise ValueError("breakpoints and values must have equal positive length")
         if bp[0] != 0.0:
@@ -122,7 +112,7 @@ class InputSignal:
 
     def energy(self, times) -> np.ndarray:
         """``int_0^t u^2`` at each of the increasing ``times``, exact for the holds."""
-        times = np.asarray(times, dtype=float)
+        times = _real_array(times, "times")
         nodes, levels = self.pieces(times[-1:])  # the holds of [0, times[-1]]
         done = np.concatenate([[0.0], np.cumsum(np.diff(nodes) * levels * levels)])
         last = np.maximum(np.searchsorted(nodes, times) - 1, 0)  # t in (nodes[last], nodes[last+1]]
@@ -131,7 +121,7 @@ class InputSignal:
         return np.where(times > 0.0, done[last] + (times - nodes[last]) * level * level, 0.0)
 
     def scaled(self, c) -> "InputSignal":
-        return InputSignal(self.breakpoints, self.values * _real_levels(c))
+        return InputSignal(self.breakpoints, self.values * _real_array(c, "input levels"))
 
 
 def _coerce_input(u) -> InputSignal:
@@ -151,11 +141,12 @@ class Trajectory:
     input: InputSignal
 
     def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
+        times = _real_array(self.times, "times")
         if times.ndim != 1 or times[0] != 0.0 or np.any(np.diff(times) <= 0.0):
             raise ValueError("times must increase strictly from 0")
         if self.states.shape[0] != times.size:
             raise ValueError("one state snapshot per time node is required")
+        object.__setattr__(self, "times", times)
 
     @property
     def x0(self) -> np.ndarray:
@@ -173,7 +164,7 @@ def simulate_mild(sys, x0, u, grid) -> Trajectory:
     snapshots carry no discretization error for the supported input family.
     """
     u = _coerce_input(u)
-    grid = np.asarray(grid, dtype=float).reshape(-1)
+    grid = _real_array(grid, "time grid").reshape(-1)
     if grid.size < 1 or grid[0] != 0.0 or np.any(np.diff(grid) <= 0.0):
         raise ValueError("grid must increase strictly from 0")
     nodes, levels = u.pieces(grid)
@@ -281,7 +272,7 @@ def default_sample_cloud(sys, form: QuadraticForm, count=200, seed=0) -> np.ndar
     rows += [np.eye(1, n, k) for k in ([0, 1, n - 1] if n > 1 else [0])]
     b = sys.input_coeffs
     if np.linalg.norm(b) > 0:
-        rows.append(np.asarray(b, dtype=float) / np.linalg.norm(b))
+        rows.append(b / np.linalg.norm(b))
         wl = sys.dissipation_operator(form)
         if wl.ndim == 1:
             aligned, floor = form.weights * b, float(wl.min())
@@ -346,19 +337,20 @@ def fit_dissipation(
     finite residual at that pair is nonpositive up to rounding by
     construction.  A non-finite sample, or a forced one whose a4 slope
     overflows, is a violation and makes the fit infeasible, wherever it sits
-    in the cloud.  ``sample_inputs`` are real scalar input levels, each held
+    in the cloud.  ``sample_inputs`` are scalar input levels, each held
     constant, so every level shares one step sequence.  ``sample_states`` is
-    a stack of states, an array or a list of rows, and is converted once.
+    a stack of states, an array or a list of rows; both enter through
+    :func:`_real_array`, the states once.
     """
-    states = np.asarray(sample_states)
-    states = states.astype(complex if np.iscomplexobj(states) else float).reshape(len(states), -1)
+    states = _real_array(sample_states, "sample states")
+    states = states.reshape(len(states), -1)
     if states.shape[1] != sys.dimension:
         raise DimensionMismatchError(
             f"state length {states.shape[1]} does not match system dimension {sys.dimension}"
         )
-    levels = _real_levels(list(sample_inputs)).tolist()
+    levels = _real_array(list(sample_inputs), "input levels").tolist()
     dini = _dini_quotients(form, sys, states, levels, _stiff_h_sequence(sys))[0]
-    norms_sq = np.real((states.conj()[:, None, :] @ states[..., None])[:, 0, 0])
+    norms_sq = (states[:, None, :] @ states[..., None])[:, 0, 0]
     levels_sq = [level**2 for level in levels]
     samples = np.column_stack(
         [np.repeat(norms_sq, len(levels)), np.tile(levels_sq, len(states)), dini.ravel()]
@@ -403,10 +395,10 @@ def fit_dissipation(
 class ExactCertificate:
     """The exact pair (a3, a4) for V' <= -a3 ||x||^2 + a4 u^2 on a truncation.
 
-    With ``V = <Px, x>`` and ``M = -(PA + A^H P)``, the derivative along the
-    flow is ``-<Mx, x> + 2 Re<Px, bu>``, so ``a3max = lambda_min(M)`` is the
+    With ``V = <Px, x>`` and ``M = -(PA + A^T P)``, the derivative along the
+    flow is ``-<Mx, x> + 2 <Px, bu>``, so ``a3max = lambda_min(M)`` is the
     largest decay coefficient, and at ``a3 = a3max / 2`` the least input
-    coefficient is ``a4 = b^H P (M - a3 I)^-1 P b`` (the Schur complement).
+    coefficient is ``a4 = b^T P (M - a3 I)^-1 P b`` (the Schur complement).
     The exact pair of the stored form and system, at this ``a3``, lies within
     ``a3max_radius`` and ``a4_radius`` of it.  ``violations`` is always empty.
     """
@@ -449,8 +441,8 @@ def _dense_enclosure(form, sys, m):
         r = np.linalg.cholesky(m - shift * np.eye(n))
     except np.linalg.LinAlgError:  # no lower bound: unresolved
         return a3max, np.inf, slack
-    quotient = float(np.real(np.vdot(v, m @ v)) / np.real(np.vdot(v, v)))
-    below = (a3max - shift) + gamma * float(np.vdot(r, r).real) + slack
+    quotient = float(np.vdot(v, m @ v) / np.vdot(v, v))
+    below = (a3max - shift) + gamma * float(np.vdot(r, r)) + slack
     above = quotient - a3max + gamma * abs(quotient) + 2.0 * slack
     return a3max, (1.0 + _gamma(4)) * max(below, above), slack  # and the radius's rounding
 
@@ -483,7 +475,7 @@ def exact_certificate(form: QuadraticForm, sys) -> ExactCertificate:
         return ExactCertificate(form.a1, form.a2, a3max, 0.0, 0.0, a3max_radius, np.inf, reason)
     a3 = 0.5 * a3max
     maximizer = pb / (m - a3) if m.ndim == 1 else np.linalg.solve(m - a3 * np.eye(n), pb)
-    a4 = float(np.real(np.vdot(pb, maximizer)))
+    a4 = float(np.vdot(pb, maximizer))
     if m.ndim == 1:
         a4_radius = _gamma(n + 8) * a4
     else:  # P b's rounding and the dot's, then the residual against the exact M - a3 I
@@ -547,7 +539,7 @@ class DecompositionReport:
 
 
 def _orbit_energy(sys, q, a, b) -> float:
-    # Quadrature of int_0^{25/gap} Re<(-A)^q T(t) a, (-A)^q T(t) b> dt.  The
+    # Quadrature of int_0^{25/gap} <(-A)^q T(t) a, (-A)^q T(t) b> dt.  The
     # truncated mass is below exp(-50) of the total.  When ``b is a`` the
     # semigroup is evaluated once per node.  scipy.integrate is imported
     # here, its only library use, to keep it out of ``import lyapcert``.
@@ -559,7 +551,7 @@ def _orbit_energy(sys, q, a, b) -> float:
     def integrand(t):
         oa = orbit(t, a)
         ob = oa if b is a else orbit(t, b)
-        return float(np.real(np.vdot(oa, ob)))
+        return float(np.vdot(oa, ob))
 
     value, _ = scipy.integrate.quad(
         integrand, 0.0, 25.0 / sys.spectral_gap, epsabs=1e-13, epsrel=1e-11, limit=500
@@ -573,7 +565,7 @@ def proof_decomposition(form: QuadraticForm, sys, x, u, h) -> DecompositionRepor
     With S the generator power behind the form and z the forced state,
 
         I1 = int ||S T(t) T(h)x||^2 dt                (= V(T(h)x)),
-        I2 = 2 int Re<S T(t) T(h)x, S T(t) z> dt      (signed cross term),
+        I2 = 2 int <S T(t) T(h)x, S T(t) z> dt        (signed cross term),
         I3 = int ||S T(t) z||^2 dt                    (= V(z)),
 
     each evaluated by quadrature of its defining integral (I2 as its own

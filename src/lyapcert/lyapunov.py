@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .systems import ConditioningError, DimensionMismatchError
+from .systems import ConditioningError, DimensionMismatchError, _real_array
 
 __all__ = [
     "ContractionReport",
@@ -64,23 +64,24 @@ class QuadraticForm:
     def __post_init__(self):
         if (self.weights is None) == (self.p_matrix is None):
             raise ValueError("provide exactly one of weights or p_matrix")
+        name = "weights" if self.p_matrix is None else "p_matrix"
+        data = _real_array(getattr(self, name), name)
+        if data.size < 1 or not np.all(np.isfinite(data)):
+            raise ValueError(f"{name} must be a non-empty finite sequence")
         if self.weights is not None:
-            w = np.array(self.weights, dtype=float).reshape(-1)
-            if w.size < 1 or not np.all(np.isfinite(w)):
-                raise ValueError("weights must be a non-empty finite sequence")
+            w = data.reshape(-1).copy()
             if np.any(w <= 0.0):
                 raise IndefiniteFormError("diagonal weights must be strictly positive")
             w.setflags(write=False)
             object.__setattr__(self, "weights", w)
             lo, hi = float(w.min()), float(w.max())
         else:
-            p = np.array(self.p_matrix)
-            if p.ndim != 2 or p.shape[0] != p.shape[1]:
+            if data.ndim != 2 or data.shape[0] != data.shape[1]:
                 raise ValueError("p_matrix must be square")
-            scale = max(float(np.abs(p).max()), 1.0)
-            if np.abs(p - p.conj().T).max() > 1e-10 * scale:
-                raise ValueError("p_matrix must be symmetric (Hermitian)")
-            p = (p + p.conj().T) / 2.0
+            scale = max(float(np.abs(data).max()), 1.0)
+            if np.abs(data - data.T).max() > 1e-10 * scale:
+                raise ValueError("p_matrix must be symmetric")
+            p = (data + data.T) / 2.0
             eigs = np.linalg.eigvalsh(p)
             if eigs[0] < -_PSD_TOL * scale:
                 raise IndefiniteFormError(
@@ -101,21 +102,19 @@ class QuadraticForm:
     def values(self, states, overwrite=False) -> np.ndarray:
         """V of each row of a stack of states, bit-identical to ``value``.
 
-        The states are read as complex128 if complex, else float64, as by
-        ``as_state``.  With ``overwrite`` a diagonal form squares float64
-        ``states`` in place, which must then be writable, and leaves it holding
-        the weighted squares; the values keep their bits.  A dense ``P`` ignores it.
+        The states go through :func:`_real_array`, as by ``as_state``, which
+        hands a float64 stack back as itself.  With ``overwrite`` a diagonal
+        form squares a float64 ``states`` in place, which must then be
+        writable, and leaves it holding the weighted squares; the values keep
+        their bits.  A dense ``P`` ignores it.
         """
-        states = np.atleast_2d(np.asarray(states, complex if np.iscomplexobj(states) else float))
+        states = np.atleast_2d(_real_array(states, "states"))
         if states.shape[1] != self.dimension:
             raise DimensionMismatchError("state length does not match the form")
         if self.weights is not None:
-            if np.isrealobj(states):
-                squares = np.multiply(states, states, out=states if overwrite else None)
-            else:
-                squares = np.abs(states) ** 2
+            squares = np.multiply(states, states, out=states if overwrite else None)
             return np.sum(np.multiply(squares, self.weights, out=squares), axis=-1)
-        return np.real((states.conj()[:, None, :] @ (self.p_matrix @ states[..., None]))[:, 0, 0])
+        return (states[:, None, :] @ (self.p_matrix @ states[..., None]))[:, 0, 0]
 
     def value(self, x) -> float:
         """Evaluate V(x)."""
@@ -123,7 +122,7 @@ class QuadraticForm:
 
     def p_apply(self, x) -> np.ndarray:
         """Apply the representing operator P to a state."""
-        x = np.asarray(x).reshape(-1)
+        x = _real_array(x, "states").reshape(-1)
         if self.weights is not None:
             return self.weights * x
         return self.p_matrix @ x
@@ -132,7 +131,7 @@ class QuadraticForm:
         if self.weights is not None:
             doc = {"kind": "diagonal", "weights": [float(v) for v in self.weights]}
         else:
-            doc = {"kind": "dense", "p": self.p_matrix.real.tolist()}
+            doc = {"kind": "dense", "p": self.p_matrix.tolist()}
         doc["provenance"] = self.provenance
         return doc
 
@@ -142,7 +141,7 @@ def build_v_half(sys) -> QuadraticForm:
 
     Diagonal systems collapse to the constant weight 1/2 for every mode,
     i.e. half the squared norm.  Dense systems solve the Lyapunov equation
-    A^H P + P A = -S^H S with S = (-A)^(1/2); the error bound ``||E||_2`` of
+    A^T P + P A = -S^T S with S = (-A)^(1/2); the error bound ``||E||_2`` of
     ``sys.square_function_error`` must stay within ``1e-6 max(1, |V(p)|)``
     at the unit probe ``p = 1/sqrt(n)``, or :class:`ConditioningError` is raised.
     """
@@ -189,20 +188,20 @@ class ContractionReport:
 
 
 def contraction_similarity(sys):
-    """Take P with A^H P + P A = -I and verify dissipativity in <Px, x>.
+    """Take P with A^T P + P A = -I and verify dissipativity in <Px, x>.
 
     Returns ``(form, report)``.  P is the operator of W_0 from
     :func:`build_w_q`: weights 1/(2 lam) for diagonal generators, the
     system's cached Lyapunov solve otherwise.  In the new scalar product
-    Re <Ax, Px> = -1/2 ||x||^2, so the margin, the exact sup of
-    Re <Ax, Px> / ||x||^2, must be nonpositive up to 1e-10.
+    <Ax, Px> = -1/2 ||x||^2, so the margin, the exact sup of
+    <Ax, Px> / ||x||^2, must be nonpositive up to 1e-10.
     ``condition_number`` a2/a1 of P measures how far the similarity
     transform P^(1/2) distorts the original norm; its growth across
     truncations is the quantity worth tracking.  ``decay_rate`` is the
     certified rate a = 1 / (2 a2) of W(x) = ||P^(1/2) x||.
     """
     form = build_w_q(sys, 0.0)
-    half = -sys.dissipation_operator(form) / 2.0  # (PA + A^H P)/2
+    half = -sys.dissipation_operator(form) / 2.0  # (PA + A^T P)/2
     margin = float(np.max(half) if half.ndim == 1 else np.linalg.eigvalsh(half)[-1])
     if form.a1 <= 0:
         raise ConditioningError("Lyapunov solve returned a non-positive operator")

@@ -5,7 +5,8 @@ and returns a named pass/fail line.  The checks are analytic, so the
 pass/fail pattern must not depend on the seed.  ``fault`` injects a
 deliberate corruption into one check, used to exercise the failure path
 itself.  Only the checks in ``FAULT_TARGETS`` implement a corruption, and
-only they can be named.
+only they can be named.  A defect that is not finite fails its check: each
+running worst case is ``np.maximum``, which keeps a NaN that ``max`` drops.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ def _check_semigroup_law(rng):
         once = semigroup_apply(sys, s, semigroup_apply(sys, t, x))
         joint = semigroup_apply(sys, s + t, x)
         scale = max(np.linalg.norm(joint), 1e-300)
-        worst = max(worst, np.linalg.norm(once - joint) / scale)
+        worst = np.maximum(worst, np.linalg.norm(once - joint) / scale)
     a = np.array([[-1.0, 10.0], [0.0, -2.0]])
     sys_m = MatrixSystem(a, np.array([[1.0], [1.0]]))
     x = np.array([1.0, -0.5])
@@ -85,7 +86,7 @@ def _check_fractional_commutation(rng):
         left = fractional_power_apply(sys, alpha, semigroup_apply(sys, t, x))
         right = semigroup_apply(sys, t, fractional_power_apply(sys, alpha, x))
         scale = max(np.linalg.norm(right), 1e-300)
-        worst = max(worst, np.linalg.norm(left - right) / scale)
+        worst = np.maximum(worst, np.linalg.norm(left - right) / scale)
     return worst <= 1e-12, f"worst commutation defect {worst:.2e}"
 
 
@@ -97,7 +98,7 @@ def _check_exponential_stability(rng):
         t = rng.uniform(0.0, 3.0)
         lhs = np.linalg.norm(semigroup_apply(sys, t, x))
         rhs = np.exp(-sys.spectral_gap * t) * np.linalg.norm(x)
-        worst = max(worst, lhs - rhs * (1.0 + 1e-12))
+        worst = np.maximum(worst, lhs - rhs * (1.0 + 1e-12))
     return worst <= 0.0, f"worst bound excess {worst:.2e}"
 
 
@@ -106,7 +107,7 @@ def _check_extrapolation_gamma_zero(rng):
     for _ in range(25):
         sys = _random_system(rng)
         v = rng.normal(size=sys.dimension)
-        worst = max(worst, abs(extrapolation_norm(sys, 0.0, v) - np.linalg.norm(v)))
+        worst = np.maximum(worst, abs(extrapolation_norm(sys, 0.0, v) - np.linalg.norm(v)))
     return worst <= 1e-13, f"worst gamma=0 defect {worst:.2e}"
 
 
@@ -118,7 +119,7 @@ def _check_self_adjoint_identity(rng, fault=False):
         if fault:
             weights[0] *= 1.0 + 1e-6
         reference = build_half_norm(sys).weights
-        worst = max(worst, np.abs(weights - reference).max())
+        worst = np.maximum(worst, np.abs(weights - reference).max())
     return worst <= 1e-12, f"worst weight deviation {worst:.2e}"
 
 
@@ -128,7 +129,7 @@ def _check_jmp20_identity(rng):
         sys = _random_system(rng, lam_range=(0.1, 1000.0))
         weights = build_w_q(sys, 0.0).weights
         reference = 0.5 / sys.eigenvalues
-        worst = max(worst, np.abs(weights / reference - 1.0).max())
+        worst = np.maximum(worst, np.abs(weights / reference - 1.0).max())
     return worst <= 1e-12, f"worst relative deviation {worst:.2e}"
 
 
@@ -149,7 +150,7 @@ def _check_quadrature_consistency(rng):
 
         value, _ = scipy.integrate.quad(integrand, 0.0, horizon, epsabs=1e-13, epsrel=1e-11, limit=400)
         value += float(np.sum(lam ** (2 * q - 1) / 2 * np.exp(-2 * lam * horizon) * x**2))
-        worst = max(worst, abs(value - form.value(x)) / max(1.0, abs(value)))
+        worst = np.maximum(worst, abs(value - form.value(x)) / max(1.0, abs(value)))
     return worst <= 1e-8, f"worst quadrature mismatch {worst:.2e}"
 
 
@@ -179,7 +180,7 @@ def _check_homogeneity(rng):
         c = float(rng.uniform(0.1, 10.0))
         v_scaled = form.value(c * x)
         expected = c * c * form.value(x)
-        worst = max(worst, abs(v_scaled - expected) / max(expected, 1e-300))
+        worst = np.maximum(worst, abs(v_scaled - expected) / max(expected, 1e-300))
     return worst <= 1e-13, f"worst homogeneity defect {worst:.2e}"
 
 
@@ -247,7 +248,7 @@ def _check_simulation_exactness(rng):
                 decay = np.exp(-sys.eigenvalues * (b - a))
                 value = values[breakpoints <= a][-1]  # the hold in force from a
                 x = decay * x + sys.input_coeffs * value * (1 - decay) / sys.eigenvalues
-            worst = max(worst, np.abs(x - traj.states[k]).max())
+            worst = np.maximum(worst, np.abs(x - traj.states[k]).max())
     return worst <= 1e-12, f"worst per-mode residual {worst:.2e}"
 
 
@@ -261,7 +262,8 @@ def _check_dini_consistency(rng):
         est = dini_derivative(form, sys, x, level)
         drift = -sys.eigenvalues * x + sys.input_coeffs * level
         analytic = float(2.0 * np.sum(form.weights * x * drift))
-        worst = max(worst, abs(est.value - analytic) - est.error_bar)
+        bar = est.error_bar if np.isfinite(est.error_bar) else np.nan  # blind: never holds
+        worst = np.maximum(worst, abs(est.value - analytic) - bar)
     return worst <= 0.0, f"worst excess over error bar {worst:.2e}"
 
 
@@ -363,7 +365,7 @@ def _check_contraction_margin(rng):
         sys = MatrixSystem(raw - shift * np.eye(n), np.ones((n, 1)))
         _, report = contraction_similarity(sys)
         ok = ok and report.satisfied
-        worst = max(worst, report.dissipativity_margin)
+        worst = np.maximum(worst, report.dissipativity_margin)
     return ok, f"worst dissipativity margin {worst:.2e}"
 
 
@@ -378,12 +380,12 @@ def _check_log_norm_step(rng, fault=False):
         s, t = np.sort(rng.uniform(0.0, 2.0, size=2))
         for s in (0.0, s):
             ratio = np.divide(norms(sys, (0.0, 0.25, 0.5), t), norms(sys, (0.0, 0.25, 0.5), s))
-            worst = max(worst, ratio.max() / np.exp(rate * (t - s)) - 1.0)
+            worst = np.maximum(worst, ratio.max() / np.exp(rate * (t - s)) - 1.0)
     return worst <= 1e-12, f"worst excess over the log-norm step {worst:.2e}"
 
 
 def _check_w0_exact_certificate(rng, fault=False):
-    # W_0 solves A^H P + P A = -I, so M = -(PA + A^H P) = I + E with the solve
+    # W_0 solves A^T P + P A = -I, so M = -(PA + A^T P) = I + E with the solve
     # residual r = ||E|| (plus rounding): |a3max - 1| <= r, and a4 = ||Pb||^2 /
     # (1 - a3) within ||Pb||^2 r / ((1 - a3)(1 - a3 - r)).  Both ratios to their
     # bound must stay at most 1; the fault certifies a P off by one part in a million.
@@ -398,11 +400,11 @@ def _check_w0_exact_certificate(rng, fault=False):
         form = QuadraticForm(p_matrix=p * (1.0 + 1e-6)) if fault else build_w_plain(sys)
         cert = exact_certificate(form, sys)
         pb_sq, gap = float(np.sum((p @ sys.input_coeffs) ** 2)), 1.0 - cert.a3
-        worst = max(
+        worst = np.max([
             worst,
             abs(cert.a3max - 1.0) / r,
             abs(cert.a4 - pb_sq / gap) / (pb_sq * r / (gap * (gap - r))),
-        )
+        ])
     return worst <= 1.0, f"worst deviation {worst:.3g} of the solve-residual bound"
 
 

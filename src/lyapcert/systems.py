@@ -22,14 +22,14 @@ never branch on the realization:
   of W_q; dense W_q operators are one cached Lyapunov solve per exponent,
   whose error ``square_function_error(q)`` bounds (the half squared norm
   does not depend on the generator, so no realization builds it);
-* ``dissipation_operator(form)``, ``M = -(PA + A^H P)`` of a form's ``P``,
+* ``dissipation_operator(form)``, ``M = -(PA + A^T P)`` of a form's ``P``,
   1-D when form and system are both diagonal;
 * ``decay_prefactors(powers, delta)``, per power ``r`` the smallest ``M``
   with ``||(-A)^r T(t)|| <= M t^-r e^(-delta t)``: in closed form on
   diagonal systems, a grid maximum on dense ones;
 * ``l2_input_constants(horizons)``, per horizon T the exact L2 input-map
   constant ``sqrt(lambda_max(W_T))`` of the input Gramian
-  ``W_T = int_0^T T(tau) b b^H T(tau)^H dtau``: a pivoted Cholesky factor
+  ``W_T = int_0^T T(tau) b b^T T(tau)^T dtau``: a pivoted Cholesky factor
   on diagonal systems, one Lyapunov solve and one ``expm`` per horizon on
   dense ones;
 * ``lq_input_constants(q, horizons, rate)``, the q = 1 and q = inf
@@ -37,11 +37,13 @@ never branch on the realization:
   ones sample a graded time grid of ``GRID_SEGMENTS`` segments that
   resolves the relaxation time ``1/rate``.
 
-States are plain 1-D numpy arrays; helpers here validate their length
-against the owning system.  Every dense ``e^(At)`` but the forced step's is
-one ``MatrixSystem._semigroup``, refused unless finite.  Each dense function
-imports ``scipy.linalg`` itself, which keeps scipy out of ``import lyapcert``
-and of diagonal runs.
+Every array enters through one door, :func:`_real_array`, as float64:
+complex, text, bytes or ``None`` data raise ``TypeError`` there, so no
+path past it handles a complex number.  States are plain 1-D arrays whose
+length helpers here check against the owning system.  Every dense
+``e^(At)`` but the forced step's is one ``MatrixSystem._semigroup``,
+refused unless finite.  Each dense function imports ``scipy.linalg``
+itself, which keeps scipy out of ``import lyapcert`` and of diagonal runs.
 """
 
 from __future__ import annotations
@@ -99,6 +101,14 @@ class ConditioningError(RuntimeError):
     """A matrix-function result would be numerically untrustworthy."""
 
 
+def _real_array(values, what) -> np.ndarray:
+    # The one door for arrays: float64, a float64 array itself and never a copy.
+    values = np.asarray(values)
+    if values.dtype.kind not in "biuf":
+        raise TypeError(f"{what} must be real numbers, not {values.dtype}")
+    return values.astype(float, copy=False)
+
+
 def _readonly(array):
     array.setflags(write=False)
     return array
@@ -113,7 +123,7 @@ def _matvec(matrix, x, out):
 
 
 def _input_column(b):
-    # ``b`` read-only, refused where its squared norm b^H b overflows double precision.
+    # ``b`` read-only, refused where its squared norm b^T b overflows double precision.
     with np.errstate(over="ignore", invalid="ignore"):
         energy = np.vdot(b, b)
     if not np.isfinite(energy):
@@ -122,13 +132,13 @@ def _input_column(b):
 
 
 def _sqrt_top_eigenvalue(gram):
-    # sqrt(lambda_max) of a Hermitian positive semidefinite matrix; 0 if empty.
+    # sqrt(lambda_max) of a symmetric positive semidefinite matrix; 0 if empty.
     top = np.linalg.eigvalsh(gram)[-1] if gram.size else 0.0
     return float(np.sqrt(max(top, 0.0)))
 
 
 def _solve_lyapunov(a, rhs):
-    """X with ``a X + X a^H = rhs``, refused where LAPACK had to perturb the problem.
+    """X with ``a X + X a^T = rhs``, refused where LAPACK had to perturb the problem.
 
     ``scipy.linalg.solve_continuous_lyapunov`` perturbs eigenvalue sums it
     deems near zero (rates spread beyond about 2^52) and then only warns;
@@ -220,8 +230,8 @@ class SpectralSystem:
     label: str = "spectral"
 
     def __post_init__(self):
-        lam = np.array(self.eigenvalues, dtype=float).reshape(-1)
-        b = np.array(self.input_coeffs, dtype=float).reshape(-1)
+        lam = _real_array(self.eigenvalues, "eigenvalues").reshape(-1).copy()
+        b = _real_array(self.input_coeffs, "input coefficients").reshape(-1).copy()
         if lam.size < 1:
             raise ValueError("at least one mode is required")
         if lam.size != b.size:
@@ -260,9 +270,10 @@ class SpectralSystem:
         """Exact state after h under the constant real input u (None: free flow).
 
         Per mode ``exp(-lam h) x + b u (1 - exp(-lam h)) / lam``, the forcing added
-        in place: a complex level on a real state is refused (``TypeError``).
-        ``out``, an array of the result's shape and dtype that does not overlap
-        ``x``, receives the state and is returned, with the bytes of a fresh step.
+        in place.  ``out``, an array of the result's shape and dtype that does
+        not overlap ``x``, receives the state and is returned, with the bytes of
+        a fresh step.  Nothing is checked: every caller hands in door-checked
+        float64 states.
         """
         lam = self.eigenvalues
         state = np.multiply(np.exp(-lam * h), x, out=out)
@@ -288,11 +299,11 @@ class SpectralSystem:
         return 0.0
 
     def dissipation_operator(self, form) -> np.ndarray:
-        """``M = -(PA + A^H P)``: ``2 w lam`` for diagonal weights w, else a dense matrix."""
+        """``M = -(PA + A^T P)``: ``2 w lam`` for diagonal weights w, else a dense matrix."""
         if form.weights is not None:
             return 2.0 * form.weights * self.eigenvalues
         pa = form.p_matrix * -self.eigenvalues  # P A scales the columns of P
-        return -(pa + pa.conj().T)
+        return -(pa + pa.T)
 
     def decay_prefactors(self, powers, delta) -> list:
         """sup over t > 0 of t^r ||(-A)^r T(t)|| e^(delta t) per power r, in closed form.
@@ -348,10 +359,10 @@ class MatrixSystem:
     label: str = "matrix"
 
     def __post_init__(self):
-        a = np.array(self.a_matrix)
+        a = np.array(_real_array(self.a_matrix, "a_matrix"))
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("a_matrix must be square")
-        b = np.array(self.input_coeffs)
+        b = np.array(_real_array(self.input_coeffs, "input coefficients"))
         if b.ndim == 2 and b.shape[1] == 1:
             b = b.reshape(-1)
         if b.ndim != 1:
@@ -374,8 +385,7 @@ class MatrixSystem:
         object.__setattr__(self, "input_coeffs", _input_column(b))
         object.__setattr__(self, "_abscissa", float(spectrum.real.max()))
         object.__setattr__(self, "_fastest", float(np.abs(spectrum).max()))
-        hermitian_part = (a + a.conj().T) / 2.0
-        object.__setattr__(self, "_log_norm", float(np.linalg.eigvalsh(hermitian_part)[-1]))
+        object.__setattr__(self, "_log_norm", float(np.linalg.eigvalsh((a + a.T) / 2.0)[-1]))
 
     @property
     def dimension(self) -> int:
@@ -393,7 +403,7 @@ class MatrixSystem:
 
     @property
     def log_norm(self) -> float:
-        """Largest eigenvalue of (A + A^H)/2, from construction; may be positive."""
+        """Largest eigenvalue of (A + A^T)/2, from construction; may be positive."""
         return self._log_norm
 
     def truncations(self, sizes) -> list:
@@ -410,10 +420,9 @@ class MatrixSystem:
         would not.  Propagators are memoized per instance on the exact ``h``,
         whatever the level, at most ``STEP_MEMO_BYTES`` bytes of them, oldest
         dropped first; a memo hit holds the bytes of a fresh ``expm``.  ``u g``
-        is added in place, so a complex level on a real state is refused
-        (``TypeError``).  ``out``, an array of the result's shape and dtype
+        is added in place.  ``out``, an array of the result's shape and dtype
         that does not overlap ``x``, receives the state and is returned, with
-        the bytes of a fresh step.
+        the bytes of a fresh step.  Nothing is checked, as on diagonal systems.
         """
         if u is None:
             return _matvec(self._semigroup(h), x, out)
@@ -422,7 +431,7 @@ class MatrixSystem:
         memo = self.__dict__.setdefault("_propagators", {})
         propagator = memo.get(h)
         if propagator is None:
-            aug = np.zeros((n + 1, n + 1), np.result_type(self.a_matrix, self.input_coeffs, float))
+            aug = np.zeros((n + 1, n + 1))
             aug[:n, :n] = self.a_matrix * h
             aug[:n, n] = self.input_coeffs * h
             propagator = _readonly(scipy.linalg.expm(aug))
@@ -440,12 +449,12 @@ class MatrixSystem:
         return self.neg_power(alpha) @ x
 
     def _square_function_operator(self, q) -> np.ndarray:
-        # P with A^H P + P A = -S^H S, S = (-A)^q, so that
+        # P with A^T P + P A = -S^T S, S = (-A)^q, so that
         # <P x, x> = int ||S exp(At) x||^2 dt; one solve per exponent.
         def solve():
             s = self.neg_power(q)
-            p = _solve_lyapunov(self.a_matrix.conj().T, -(s.conj().T @ s))
-            return (p + p.conj().T) / 2.0
+            p = _solve_lyapunov(self.a_matrix.T, -(s.T @ s))
+            return (p + p.T) / 2.0
 
         return _cached(self, "_square_functions", q, solve)
 
@@ -457,19 +466,19 @@ class MatrixSystem:
     def square_function_error(self, q) -> float:
         """``||E||_2`` of the error ``E = P - P_exact`` of the cached W_q operator P.
 
-        One refinement solve: E solves ``A^H E + E A = R`` with P's residual
-        ``R = A^H P + P A + S^H S`` (Higham, Accuracy and Stability of
+        One refinement solve: E solves ``A^T E + E A = R`` with P's residual
+        ``R = A^T P + P A + S^T S`` (Higham, Accuracy and Stability of
         Numerical Algorithms, ch. 16); ``|<Ex, x>| <= ||E||_2`` at unit x.
         """
         p, s = self._square_function_operator(q), self.neg_power(q)
-        a_h = self.a_matrix.conj().T
-        error = _solve_lyapunov(a_h, a_h @ p + p @ self.a_matrix + s.conj().T @ s)
+        a_t = self.a_matrix.T
+        error = _solve_lyapunov(a_t, a_t @ p + p @ self.a_matrix + s.T @ s)
         return float(np.linalg.norm(error, 2))
 
     def dissipation_operator(self, form) -> np.ndarray:
-        """``M = -(PA + A^H P)`` of a form's operator P, a dense matrix."""
+        """``M = -(PA + A^T P)`` of a form's operator P, a dense matrix."""
         pa = (np.diag(form.weights) if form.p_matrix is None else form.p_matrix) @ self.a_matrix
-        return -(pa + pa.conj().T)
+        return -(pa + pa.T)
 
     def _semigroup(self, t) -> np.ndarray:
         """``T(t) = e^(At)`` from one expm; :class:`ConditioningError` unless finite."""
@@ -529,19 +538,19 @@ class MatrixSystem:
     def l2_input_constants(self, horizons) -> list:
         """sqrt(lambda_max(W_T)) per horizon T, from one Lyapunov solve and one expm each.
 
-        ``A W + W A^H = -b b^H`` gives the infinite-horizon Gramian ``W``, and
-        ``W_T = W - E W E^H`` with ``E = e^(AT)`` from :meth:`_semigroup`; an
+        ``A W + W A^T = -b b^T`` gives the infinite-horizon Gramian ``W``, and
+        ``W_T = W - E W E^T`` with ``E = e^(AT)`` from :meth:`_semigroup`; an
         infinite horizon takes ``W`` itself.
         """
         b = self.input_coeffs[:, None]
-        steady = _solve_lyapunov(self.a_matrix, -b @ b.conj().T)
+        steady = _solve_lyapunov(self.a_matrix, -b @ b.T)
         constants = []
         for horizon in horizons:
             gram = steady
             if horizon < np.inf:
                 semigroup = self._semigroup(horizon)
-                gram = steady - semigroup @ steady @ semigroup.conj().T
-            constants.append(_sqrt_top_eigenvalue((gram + gram.conj().T) / 2.0))
+                gram = steady - semigroup @ steady @ semigroup.T
+            constants.append(_sqrt_top_eigenvalue((gram + gram.T) / 2.0))
         return constants
 
     def lq_input_constants(self, q, horizons, rate) -> list:
@@ -576,13 +585,8 @@ class MatrixSystem:
 
 
 def as_state(sys, x) -> np.ndarray:
-    """Validate and return ``x`` as a 1-D state array of the right length."""
-    arr = np.asarray(x)
-    if np.iscomplexobj(arr):
-        arr = arr.astype(complex)
-    else:
-        arr = arr.astype(float)
-    arr = arr.reshape(-1)
+    """``x`` through :func:`_real_array` as a 1-D float64 state of the system's length."""
+    arr = _real_array(x, "states").reshape(-1)
     if arr.size != sys.dimension:
         raise DimensionMismatchError(
             f"state length {arr.size} does not match system dimension {sys.dimension}"
@@ -622,7 +626,7 @@ def _dyadic_matrix_power(matrix, k, m):
                     root = scipy.linalg.sqrtm(root)
                 except scipy.linalg.LinAlgWarning as exc:
                     raise ConditioningError(f"matrix square root refused: {exc}") from None
-            if np.isrealobj(matrix) and np.iscomplexobj(root):
+            if np.iscomplexobj(root):
                 if np.abs(root.imag).max() > 1e-10 * max(np.abs(root.real).max(), 1.0):
                     raise ConditioningError("matrix square root is not real")
                 root = root.real
@@ -636,7 +640,7 @@ def matrix_neg_power(sys: MatrixSystem, alpha):
     Exponents k/2^m with m <= 2 (denominator 1, 2 or 4), the fast path, go
     through nested Schur square roots; every other one through Higham and
     Lin's Schur-Pade algorithm (SIAM J. Matrix Anal. Appl. 32, 2011).  Neither
-    uses eigenvectors; a power that is not finite raises ConditioningError.
+    uses eigenvectors; a power that is not finite or not real raises ConditioningError.
     """
     neg_a = -sys.a_matrix
     for m in range(3):
@@ -648,9 +652,9 @@ def matrix_neg_power(sys: MatrixSystem, alpha):
     else:
         import scipy.linalg
         powered = scipy.linalg.fractional_matrix_power(neg_a, alpha)
-        if np.isrealobj(neg_a) and np.abs(powered.imag).max() <= 1e-12 * max(
-            np.abs(powered.real).max(), 1.0
-        ):
+        if np.iscomplexobj(powered) and np.all(np.isfinite(powered)):  # else refused below
+            if np.abs(powered.imag).max() > 1e-12 * max(np.abs(powered.real).max(), 1.0):
+                raise ConditioningError(f"matrix power {alpha} is not real")
             powered = powered.real
     if not np.all(np.isfinite(powered)):
         raise ConditioningError(f"matrix power {alpha} produced non-finite entries")
@@ -690,7 +694,7 @@ class DecayBound:
             raise ValueError("power must be nonnegative")
 
     def evaluate(self, t):
-        t = np.asarray(t, dtype=float)
+        t = _real_array(t, "times")
         return self.prefactor * t ** (-self.power) * np.exp(-self.rate * t)
 
 
@@ -775,7 +779,7 @@ def system_from_config(doc: dict, modes=None):
     if kind == "spectral":
         eigenvalues = _list_or_rule(doc, "eigenvalues", "eigenvalue_rule", modes, "input_coeffs")
         coeffs = _list_or_rule(doc, "input_coeffs", "coeff_rule", modes, "eigenvalues")
-        return SpectralSystem(np.array(eigenvalues), np.array(coeffs), label=label)
+        return SpectralSystem(eigenvalues, coeffs, label=label)
     if "a" not in doc or "b" not in doc:
         raise ValueError("matrix config needs 'a' and 'b'")
     return MatrixSystem(_number_array(doc, "a"), _number_array(doc, "b"), label=label)

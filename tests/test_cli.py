@@ -3,12 +3,13 @@ import dataclasses
 import json
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from conftest import dense_nonnormal
-from lyapcert import analysis, cli
+from lyapcert import analysis, cli, selftest
 from lyapcert.analysis import (
     AnalysisConfig,
     ConfigError,
@@ -22,10 +23,10 @@ from lyapcert.analysis import (
     run_simulate,
 )
 from lyapcert.cli import COMMAND_FLAGS, COMMON_FLAGS, _build_config, build_parser, main
-from lyapcert.dissipation import InputSignal, gain_ensemble, simulate_mild
+from lyapcert.dissipation import DiniEstimate, InputSignal, gain_ensemble, simulate_mild
 from lyapcert.models import heat_system
 from lyapcert.selftest import FAULT_TARGETS, run_selftest
-from lyapcert.systems import MatrixSystem
+from lyapcert.systems import MatrixSystem, SpectralSystem, semigroup_apply
 
 
 SMALL = "8,16,32"
@@ -1513,6 +1514,54 @@ def test_homogeneous_decay_check_fails_on_a_zero_a3(flags):
     line, verdict = proc.stdout.splitlines()
     assert line.startswith("FAIL  homogeneous-value-decay: a3 0;")
     assert verdict == "False"
+
+
+def _nan_states(sys, t, x):
+    return np.full(np.shape(x), np.nan)
+
+
+def _nan_form(sys, *_):
+    return SimpleNamespace(weights=np.full(sys.dimension, np.nan), value=lambda x: np.nan)
+
+
+@pytest.mark.parametrize("check, owner, name, fake", [
+    pytest.param("semigroup-law", selftest, "semigroup_apply",
+                 lambda sys, t, x: (_nan_states if isinstance(sys, SpectralSystem)
+                                    else semigroup_apply)(sys, t, x), id="semigroup-law"),
+    pytest.param("fractional-power-commutation", selftest, "semigroup_apply", _nan_states,
+                 id="fractional-power-commutation"),
+    pytest.param("exponential-stability-bound", selftest, "semigroup_apply", _nan_states,
+                 id="exponential-stability-bound"),
+    pytest.param("extrapolation-gamma-zero", selftest, "extrapolation_norm",
+                 lambda *_: np.nan, id="extrapolation-gamma-zero"),
+    pytest.param("self-adjoint-identity", selftest, "build_v_half", _nan_form,
+                 id="self-adjoint-identity"),
+    pytest.param("inverse-generator-identity", selftest, "build_w_q", _nan_form,
+                 id="inverse-generator-identity"),
+    pytest.param("quadrature-consistency", selftest, "build_w_q", _nan_form,
+                 id="quadrature-consistency"),
+    pytest.param("form-homogeneity", selftest, "build_w_q", _nan_form, id="form-homogeneity"),
+    pytest.param("diagonal-simulation-exactness", selftest, "simulate_mild",
+                 lambda sys, x0, u, grid: SimpleNamespace(
+                     states=np.full((len(grid), sys.dimension), np.nan)),
+                 id="diagonal-simulation-exactness"),
+    pytest.param("dini-analytic-consistency", selftest, "dini_derivative",
+                 lambda *_: DiniEstimate(np.nan, 1.0), id="dini-nan-value"),
+    pytest.param("dini-analytic-consistency", selftest, "dini_derivative",
+                 lambda *_: DiniEstimate(0.0, np.inf), id="dini-infinite-bar"),
+    pytest.param("log-norm-semigroup-step", MatrixSystem, "power_semigroup_norms",
+                 lambda sys, powers, t: [np.nan] * len(powers), id="log-norm-semigroup-step"),
+    pytest.param("w0-exact-certificate", selftest, "exact_certificate",
+                 lambda form, sys: SimpleNamespace(a3max=np.nan, a3=0.5, a4=np.nan),
+                 id="w0-exact-certificate"),
+])
+def test_a_defect_that_is_not_finite_fails_its_check(monkeypatch, check, owner, name, fake):
+    # A running ``max(worst, d)`` kept ``worst`` when d was NaN, so each of
+    # these checks passed on a NaN defect; an infinite Dini bar cannot see
+    # any defect, so it never holds.
+    monkeypatch.setattr(owner, name, fake)
+    ok, detail = dict(selftest._CHECKS)[check](np.random.default_rng(0))
+    assert not ok, detail
 
 
 def test_simulate_run(tmp_path):

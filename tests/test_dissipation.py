@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 from fractions import Fraction
@@ -12,6 +13,7 @@ from lyapcert.dissipation import (
     ENVELOPE_RTOL,
     InputSignal,
     SAMPLE_LEVELS,
+    Trajectory,
     _dini_quotients,
     _neville_limit,
     _stiff_h_sequence,
@@ -35,10 +37,15 @@ from lyapcert.lyapunov import (
 )
 from lyapcert.models import build_model, heat_system
 from lyapcert.systems import (
+    DecayBound,
     DimensionMismatchError,
     MatrixSystem,
     SpectralSystem,
+    _real_array,
+    as_state,
     decay_bound_estimate,
+    extrapolation_norm,
+    fractional_power_apply,
     semigroup_apply,
 )
 from test_systems import REALIZATION_RTOL
@@ -379,15 +386,11 @@ def test_fit_reads_an_array_and_a_list_of_rows_alike(kind):
 
 @pytest.mark.parametrize("kind", ["heat-neumann", "dense"])
 def test_fit_norms_equal_the_per_row_vdot(kind):
-    # ||x||^2 of the stacked product is the per-row np.vdot, bit for bit,
-    # also for complex states.
+    # ||x||^2 of the stacked product is the per-row np.vdot, bit for bit.
     sys = heat_system("neumann", 9) if kind == "heat-neumann" else _dense_system(5, 3)
-    rng = np.random.default_rng(11)
-    states = rng.normal(size=(7, sys.dimension))
-    if kind == "dense":
-        states = states + 1j * rng.normal(size=states.shape)
+    states = np.random.default_rng(11).normal(size=(7, sys.dimension))
     report = fit_dissipation(build_w_plain(sys), sys, states, sample_inputs=(0.0,))
-    assert list(report.samples[:, 0]) == [np.vdot(x, x).real for x in states]
+    assert list(report.samples[:, 0]) == [np.vdot(x, x) for x in states]
 
 
 def test_fit_refuses_a_wrong_width_stack():
@@ -574,6 +577,7 @@ def test_w0_binding_states_lie_within_their_dini_error_bars(model, n):
     for x, level, decay in ((bottom, 0.0, cert.a3max), (maximizer, 1.0, cert.a3)):
         dini = dini_derivative(form, sys, x, level)
         residual = dini.value + decay * float(np.vdot(x, x)) - cert.a4 * level**2
+        assert np.isfinite(dini.error_bar)  # an infinite bar would hold vacuously
         assert abs(residual) <= dini.error_bar
 
 
@@ -997,49 +1001,120 @@ def test_gain_fit_flags_non_decaying_run():
 
 _DOOR_SYSTEM = heat_system("neumann", 8)
 _DOOR_STATE = np.eye(1, 8, 0)[0]
+_DOOR_FORM = build_half_norm(_DOOR_SYSTEM)
 
-# Every entry through which an input level reaches the systems.
+# Every entry through which an array or a scalar input level reaches the
+# library, each with a valid float64 argument: a flat list, a nested list
+# or a scalar level.
 _DOOR_ENTRIES = {
-    "InputSignal values": lambda u: InputSignal([0.0, 1.0], np.array([0.0, u])),
-    "InputSignal.constant": lambda u: InputSignal.constant(u),
-    "InputSignal.sampled_sinusoid": lambda u: InputSignal.sampled_sinusoid(u, 0.5, 2.0),
-    "InputSignal.scaled": lambda u: InputSignal.constant(1.0).scaled(u),
-    "simulate_mild": lambda u: simulate_mild(_DOOR_SYSTEM, _DOOR_STATE, u, [0.0, 0.5]),
-    "dini_derivative": lambda u: dini_derivative(
-        build_half_norm(_DOOR_SYSTEM), _DOOR_SYSTEM, _DOOR_STATE, u
+    "SpectralSystem eigenvalues": (lambda a: SpectralSystem(a, [1.0, 1.0]), [1.0, 1.0]),
+    "SpectralSystem input_coeffs": (lambda a: SpectralSystem([1.0, 2.0], a), [1.0, 0.0]),
+    "MatrixSystem a_matrix": (lambda a: MatrixSystem(a, [1.0, 1.0]), [[-1.0, 0.0], [0.0, -2.0]]),
+    "MatrixSystem b": (lambda a: MatrixSystem(np.diag([-1.0, -2.0]), a), [1.0, 0.0]),
+    "QuadraticForm weights": (lambda a: QuadraticForm(weights=a), [1.0, 1.0]),
+    "QuadraticForm p_matrix": (lambda a: QuadraticForm(p_matrix=a), [[1.0, 0.0], [0.0, 1.0]]),
+    "QuadraticForm.values": (lambda a: _DOOR_FORM.values(a), [list(_DOOR_STATE)] * 2),
+    "QuadraticForm.value": (lambda a: _DOOR_FORM.value(a), list(_DOOR_STATE)),
+    "as_state": (lambda a: as_state(_DOOR_SYSTEM, a), list(_DOOR_STATE)),
+    "simulate_mild state": (
+        lambda a: simulate_mild(_DOOR_SYSTEM, a, 0.5, [0.0, 0.5]), list(_DOOR_STATE)
     ),
-    "input_scaling_check": lambda u: input_scaling_check(
-        build_half_norm(_DOOR_SYSTEM), _DOOR_SYSTEM, 1.0, [1.0, u]
+    "simulate_mild grid": (lambda a: simulate_mild(_DOOR_SYSTEM, _DOOR_STATE, 0.5, a), [0.0, 1.0]),
+    "semigroup_apply": (lambda a: semigroup_apply(_DOOR_SYSTEM, 0.5, a), list(_DOOR_STATE)),
+    "fractional_power_apply": (
+        lambda a: fractional_power_apply(_DOOR_SYSTEM, 0.5, a), list(_DOOR_STATE)
     ),
-    "fit_dissipation": lambda u: fit_dissipation(
-        build_half_norm(_DOOR_SYSTEM), _DOOR_SYSTEM, [_DOOR_STATE], sample_inputs=(0.0, u)
+    "extrapolation_norm": (lambda a: extrapolation_norm(_DOOR_SYSTEM, 0.5, a), list(_DOOR_STATE)),
+    "dini_derivative state": (
+        lambda a: dini_derivative(_DOOR_FORM, _DOOR_SYSTEM, a, 0.5), list(_DOOR_STATE)
+    ),
+    "proof_decomposition state": (
+        lambda a: proof_decomposition(build_v_half(_DOOR_SYSTEM), _DOOR_SYSTEM, a, 0.5, 0.1),
+        list(_DOOR_STATE),
+    ),
+    "fit_dissipation states": (
+        lambda a: fit_dissipation(_DOOR_FORM, _DOOR_SYSTEM, a, sample_inputs=(0.0, 1.0)),
+        [list(_DOOR_STATE)] * 2,
+    ),
+    "InputSignal breakpoints": (lambda a: InputSignal(a, [0.0, 1.0]), [0.0, 1.0]),
+    "InputSignal.energy times": (lambda a: InputSignal.constant(1.0).energy(a), [0.0, 1.0]),
+    "Trajectory times": (
+        lambda a: Trajectory(a, np.zeros((2, 8)), InputSignal.zero()), [0.0, 1.0]
+    ),
+    "DecayBound.evaluate times": (lambda a: DecayBound(1.0, 1.0, 0.0).evaluate(a), [0.0, 1.0]),
+    "InputSignal values": (lambda a: InputSignal([0.0, 1.0], a), [0.0, 1.0]),
+    "InputSignal.constant": (lambda u: InputSignal.constant(u), 1.0),
+    "InputSignal.sampled_sinusoid": (lambda u: InputSignal.sampled_sinusoid(u, 0.5, 2.0), 1.0),
+    "InputSignal.scaled": (lambda u: InputSignal.constant(1.0).scaled(u), 1.0),
+    "simulate_mild level": (
+        lambda u: simulate_mild(_DOOR_SYSTEM, _DOOR_STATE, u, [0.0, 0.5]), 1.0
+    ),
+    "dini_derivative level": (
+        lambda u: dini_derivative(_DOOR_FORM, _DOOR_SYSTEM, _DOOR_STATE, u), 1.0
+    ),
+    "input_scaling_check factors": (
+        lambda a: input_scaling_check(_DOOR_FORM, _DOOR_SYSTEM, 1.0, a), [1.0, 1.0]
+    ),
+    "fit_dissipation levels": (
+        lambda a: fit_dissipation(_DOOR_FORM, _DOOR_SYSTEM, [_DOOR_STATE], sample_inputs=a),
+        [0.0, 1.0],
     ),
 }
 
 
+def _with_last_entry(value, last):
+    # ``value`` with its last scalar replaced by ``last``; a scalar is replaced whole.
+    if not isinstance(value, list):
+        return last
+    return value[:-1] + [_with_last_entry(value[-1], last)]
+
+
+def _fingerprint(result):
+    # Everything a result holds, arrays by dtype, shape and bytes.
+    if isinstance(result, np.ndarray):
+        return result.dtype.str, result.shape, result.tobytes()
+    if dataclasses.is_dataclass(result):
+        return tuple(_fingerprint(getattr(result, f.name)) for f in dataclasses.fields(result))
+    if isinstance(result, (list, tuple)):
+        return tuple(_fingerprint(v) for v in result)
+    if isinstance(result, (int, float, np.number)):  # the value, whatever its scalar type
+        return float(result)
+    return repr(result)
+
+
 @pytest.mark.parametrize(
-    "level", [1j, np.complex128(2j), "0.5", b"0.5"],
-    ids=["complex", "numpy-complex128", "str", "bytes"],
+    "bad", [1j, np.complex128(2j), "0.5", b"0.5", None],
+    ids=["complex", "numpy-complex128", "str", "bytes", "None"],
 )
 @pytest.mark.parametrize("entry", list(_DOOR_ENTRIES))
-def test_every_entry_refuses_a_complex_input_level(entry, level):
-    # The systems take one real scalar input.  A numpy complex level was cut
-    # to its real part with only a ComplexWarning: the fit recorded u^2 = 0
-    # for the forced level 2j and fitted it as unforced.  A numeric string
-    # was parsed, as the config door does not allow.
+def test_every_entry_refuses_non_real_data(entry, bad):
+    # Every array and input level enters through one door.  A complex number
+    # was cut to its real part with only a ComplexWarning (input levels,
+    # SpectralSystem) or kept (MatrixSystem, QuadraticForm, states), a numeric
+    # string was parsed, as the config door does not allow, and None read as nan.
+    call, valid = _DOOR_ENTRIES[entry]
+    call(valid)
     with pytest.raises(TypeError):
-        _DOOR_ENTRIES[entry](level)
+        call(_with_last_entry(valid, bad))
+
+
+@pytest.mark.parametrize("entry", list(_DOOR_ENTRIES))
+def test_real_data_of_any_real_type_reads_as_float64(entry):
+    # int, bool and float32 arrays of the same values give the bytes of the
+    # float64 run, wherever they enter; a bool variant where every value is 0 or 1.
+    call, valid = _DOOR_ENTRIES[entry]
+    expected = _fingerprint(call(np.array(valid)))
+    dtypes = [np.int64, np.float32] + ([bool] if set(np.ravel(valid)) <= {0.0, 1.0} else [])
+    for dtype in dtypes:
+        assert _fingerprint(call(np.array(valid).astype(dtype))) == expected, dtype
+        assert _fingerprint(call(np.array(valid).astype(dtype).tolist())) == expected, dtype
 
 
 def test_real_levels_of_any_real_type_pass_the_door():
-    # Python and numpy ints, bools and floats read as float64 levels.
+    # Python and numpy scalars read as float64 levels; arrays of each real
+    # type are checked at every entry above.
     for level in (2, np.float32(0.5), np.int64(-3), True):
         assert InputSignal.constant(level).values.tolist() == [float(level)]
-    assert InputSignal([0, 1], np.array([1, 2])).values.dtype == np.float64
-    report = fit_dissipation(
-        build_half_norm(_DOOR_SYSTEM), _DOOR_SYSTEM, [_DOOR_STATE], sample_inputs=(0, 1)
-    )
-    assert report.samples[:, 1].tolist() == [0.0, 1.0]
     # A 0-d real array is a scalar level, with the bytes of its float.
     grid = [0.0, 0.5, 1.0]
     zero_d = simulate_mild(_DOOR_SYSTEM, _DOOR_STATE, np.array(0.5), grid)
@@ -1051,6 +1126,17 @@ def test_real_levels_of_any_real_type_pass_the_door():
         with pytest.raises(TypeError):
             simulate_mild(_DOOR_SYSTEM, _DOOR_STATE, other, grid)
     assert simulate_mild(_DOOR_SYSTEM, _DOOR_STATE, True, grid).input.values.tolist() == [1.0]
+
+
+def test_the_door_hands_float64_back_without_a_copy():
+    # A float64 array passes the door as itself, so ``values(..., overwrite=True)``
+    # squares the caller's stack in place; as_state is a view of a float64 state.
+    states = np.random.default_rng(3).normal(size=(4, 8))
+    assert _real_array(states, "states") is states
+    assert np.shares_memory(as_state(_DOOR_SYSTEM, states[0]), states)
+    squares = states * states
+    _DOOR_FORM.values(states, overwrite=True)
+    assert np.array_equal(states, squares * 0.5)
 
 
 def test_simulate_exponentiates_once_per_step_size_across_its_runs(monkeypatch):

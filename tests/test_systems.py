@@ -49,7 +49,8 @@ def test_constructor_validation():
     ids=["nan-imaginary-b", "inf-imaginary-a"],
 )
 def test_matrix_system_refuses_non_finite_imaginary_parts(a, b):
-    with pytest.raises(ValueError, match="matrices must be finite"):
+    # Complex data is refused where it enters, whatever its imaginary part.
+    with pytest.raises(TypeError, match="must be real numbers, not complex128"):
         MatrixSystem(a, b)
 
 
@@ -203,6 +204,24 @@ def test_matrix_generic_power_of_a_jordan_block_is_its_closed_form(p):
     assert np.allclose(matrix_neg_power(sys, p), closed, rtol=0.0, atol=1e-14)
     x = np.array([1.0, 1.0])
     assert np.allclose(fractional_power_apply(sys, p, x), closed @ x, rtol=0.0, atol=1e-14)
+
+
+@pytest.mark.parametrize("imag", [1e-6, 1e-14], ids=["not-real", "real-within-rounding"])
+def test_the_schur_pade_path_refuses_a_power_that_is_not_real(monkeypatch, imag):
+    # A real generator has a real power: an imaginary part above 1e-12 of the
+    # largest real entry is refused, as the dyadic path refuses a complex square
+    # root, and one below it is dropped.
+    import scipy.linalg
+
+    power = scipy.linalg.fractional_matrix_power
+    monkeypatch.setattr(scipy.linalg, "fractional_matrix_power",
+                        lambda m, p: power(m, p) + 1j * imag * np.eye(len(m)))
+    sys = MatrixSystem(np.array([[-2.0, 1.0], [1.0, -3.0]]), np.ones(2))
+    if imag > 1e-12:
+        with pytest.raises(ConditioningError, match="^matrix power 0.3 is not real$"):
+            matrix_neg_power(sys, 0.3)
+    else:
+        assert np.array_equal(matrix_neg_power(sys, 0.3), power(-sys.a_matrix, 0.3).real)
 
 
 @pytest.mark.parametrize("seed", range(12))
