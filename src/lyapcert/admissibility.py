@@ -18,6 +18,8 @@ Two complementary probes of an input column ``b``:
 The two need not agree -- a bounded constant with a diverging scan is the
 interesting regime -- and the trend classifier below keeps its thresholds
 explicit as the module constants ``BOUNDED_RATIO`` and ``DIVERGING_SLOPE``.
+Horizons, the exponent q (which also reads the text ``"inf"``) and every
+trend record enter through the float64 door of ``systems``.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .systems import _readonly, extrapolation_norm
+from .systems import _readonly, _real_array, extrapolation_norm
 
 __all__ = [
     "AdmissibilityEstimate",
@@ -58,12 +60,11 @@ def classify_trend(sizes, values):
     divergence threshold.  A sweep that is still growing at its end with
     a supercritical slope is diverging; anything else stays inconclusive.
     """
-    sizes = np.asarray(sizes, dtype=float)
-    values = np.asarray(values, dtype=float)
+    sizes, values = _real_array(sizes, "trend sizes"), _real_array(values, "trend values")
     if sizes.size != values.size or sizes.size < 2:
         raise ValueError("need at least two sweep points")
-    if np.any(values < 0.0):
-        raise ValueError("trend values must be nonnegative")
+    if not np.all((values >= 0.0) & (values < math.inf)):
+        raise ValueError("trend values must be finite and nonnegative")
     if np.all(values == 0.0):
         return "bounded", 0.0
     floor = values[values > 0].min() * 1e-300 + 1e-300
@@ -89,9 +90,10 @@ class OperatorClassReport:
     growth_exponent: float
 
     def __post_init__(self):
-        norms = np.asarray(self.norms, dtype=float)
+        norms = _real_array(self.norms, "scan norms")
         if np.any(np.diff(norms) < -1e-9 * max(norms.max(), 1.0)):
             raise ValueError("scan norms must be nondecreasing in the mode count")
+        object.__setattr__(self, "norms", tuple(norms.tolist()))
 
 
 def operator_class_scan(systems, gamma) -> OperatorClassReport:
@@ -116,7 +118,7 @@ def operator_class_scan(systems, gamma) -> OperatorClassReport:
     return OperatorClassReport(
         gamma=float(gamma),
         mode_counts=tuple(counts),
-        norms=tuple(float(v) for v in norms),
+        norms=norms,
         verdict=verdict,
         growth_exponent=slope,
     )
@@ -139,7 +141,7 @@ class AdmissibilityEstimate:
     constants: np.ndarray
 
     def __post_init__(self):
-        table = _readonly(np.array(self.constants, dtype=float))
+        table = _readonly(np.array(_real_array(self.constants, "admissibility constants")))
         if table.shape != (len(self.horizons), len(self.mode_counts)):
             raise ValueError("constants need one row per horizon and one column per system")
         for name, axis in (("horizons", self.horizons), ("mode counts", self.mode_counts)):
@@ -172,9 +174,10 @@ class AdmissibilityEstimate:
 def _normalize_q(q):
     if isinstance(q, str) and q.lower() == "inf":
         return math.inf
-    if not isinstance(q, bool) and q in (1, 2, math.inf):
-        return float(q)
-    raise ValueError(f"unsupported integrability exponent {q!r}; use 1, 2 or inf")
+    value = None if isinstance(q, (bool, str)) or q is None else _real_array(q, "q").tolist()
+    if value not in (1, 2, math.inf):
+        raise ValueError(f"unsupported integrability exponent {q!r}; use 1, 2 or inf")
+    return value
 
 
 def admissibility_constant(sys, q, horizon) -> AdmissibilityEstimate:
@@ -204,7 +207,7 @@ def admissibility_trend(systems, q, horizons) -> AdmissibilityEstimate:
     """
     q = _normalize_q(q)
     systems = sorted(systems, key=lambda s: s.dimension)
-    horizons = sorted(float(t) for t in horizons)
+    horizons = sorted(_real_array(horizons, "horizons").tolist())
     if not systems or not horizons:
         raise ValueError("need at least one system and one horizon")
     if not all(0.0 < t < math.inf for t in horizons):

@@ -145,7 +145,7 @@ class AnalysisConfig:
         object.__setattr__(self, "gammas", tuple(dict.fromkeys(self.gammas)))
         try:
             object.__setattr__(self, "q", _normalize_q(self.q))
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from None
         if not _is_number(self.horizon) or not 0 < self.horizon < math.inf:
             raise ConfigError("horizon must be finite and positive")

@@ -13,6 +13,7 @@ trajectory is one walk through them, and its input energies one cumsum.
 
 Dini derivatives of V come from one table: each input level and step size
 takes one exact step of a stack of states (:func:`_dini_quotients`).
+States, levels, breakpoints, times and that table pass the ``systems`` door.
 The certificate fit reads one (states x input levels) table of samples,
 with array expressions for its cap, a4 and residuals; a non-finite sample,
 or a forced one whose a4 slope overflows, is a violation and never a bound.
@@ -192,7 +193,7 @@ def _neville_limit(hs, values):
     # Polynomial extrapolation of (h, D(h)) to h = 0 along the last axis;
     # returns the limits and the spread of the last two diagonal entries.
     # Every caller passes at least four step sizes.
-    current = np.asarray(values, dtype=float)
+    current = _real_array(values, "difference quotients")
     diagonal = [current[..., -1]]
     for level in range(1, current.shape[-1]):
         num = current[..., 1:] * hs[:-level] - current[..., :-1] * hs[level:]

@@ -161,9 +161,10 @@ def build_w_q(sys, q) -> QuadraticForm:
     an N-mode truncation is ``lam_N^(2q-1)/2`` and drifts to zero with
     growing N whenever q < 1/2 and the spectrum is unbounded.
     """
+    q = _real_array(q, "q").tolist()
     if not 0.0 <= q <= 0.5 + 1e-12:
         raise ValueError("q must lie in [0, 1/2]")
-    q = min(float(q), 0.5)
+    q = min(q, 0.5)
     return QuadraticForm(**sys.square_function_form(q, f"square-function integral, exponent {q:g}"))
 
 

@@ -37,13 +37,13 @@ never branch on the realization:
   ones sample a graded time grid of ``GRID_SEGMENTS`` segments that
   resolves the relaxation time ``1/rate``.
 
-Every array enters through one door, :func:`_real_array`, as float64:
-complex, text, bytes or ``None`` data raise ``TypeError`` there, so no
-path past it handles a complex number.  States are plain 1-D arrays whose
-length helpers here check against the owning system.  Every dense
-``e^(At)`` but the forced step's is one ``MatrixSystem._semigroup``,
-refused unless finite.  Each dense function imports ``scipy.linalg``
-itself, which keeps scipy out of ``import lyapcert`` and of diagonal runs.
+Every array and scalar parameter enters through one door,
+:func:`_real_array`, as float64: complex, text, bytes or ``None`` data raise
+``TypeError`` there, so no path past it handles a complex number.  States are
+1-D arrays whose length helpers here check against the owning system.  Every
+dense ``e^(At)`` but the forced step's is one ``MatrixSystem._semigroup``,
+refused unless finite.  Each dense function imports ``scipy.linalg`` itself,
+keeping scipy out of ``import lyapcert`` and of diagonal runs.
 """
 
 from __future__ import annotations
@@ -102,7 +102,7 @@ class ConditioningError(RuntimeError):
 
 
 def _real_array(values, what) -> np.ndarray:
-    # The one door for arrays: float64, a float64 array itself and never a copy.
+    # The one door for arrays and scalars: float64, a float64 array itself, never a copy.
     values = np.asarray(values)
     if values.dtype.kind not in "biuf":
         raise TypeError(f"{what} must be real numbers, not {values.dtype}")
@@ -205,13 +205,12 @@ def _graded_backward_grid(fastest_rate, horizon):
 
 
 def _cached(sys, slot, exponent, compute):
-    # Per-instance cache ``slot`` of read-only arrays keyed by the exponent.
-    # The dataclasses are frozen and carry unhashable array fields, so a
-    # functools cache cannot key on the instance.
+    # Per-instance cache ``slot`` of read-only arrays keyed by the exponent as the
+    # door reads it; a functools cache cannot key on the frozen, unhashable instance.
     cache = sys.__dict__.setdefault(slot, {})
-    key = float(exponent)
+    key = _real_array(exponent, "exponents").tolist()
     if key not in cache:
-        cache[key] = _readonly(compute())
+        cache[key] = _readonly(compute(key))
     return cache[key]
 
 
@@ -284,7 +283,7 @@ class SpectralSystem:
 
     def neg_power(self, alpha) -> np.ndarray:
         """Per-mode factors lam_n^alpha of (-A)^alpha."""
-        return _cached(self, "_neg_powers", alpha, lambda: self.eigenvalues ** float(alpha))
+        return _cached(self, "_neg_powers", alpha, lambda a: self.eigenvalues ** a)
 
     def neg_power_apply(self, alpha, x) -> np.ndarray:
         return self.neg_power(alpha) * x
@@ -443,7 +442,7 @@ class MatrixSystem:
 
     def neg_power(self, alpha) -> np.ndarray:
         """The matrix (-A)^alpha; see :func:`matrix_neg_power`."""
-        return _cached(self, "_neg_powers", alpha, lambda: matrix_neg_power(self, alpha))
+        return _cached(self, "_neg_powers", alpha, lambda a: matrix_neg_power(self, a))
 
     def neg_power_apply(self, alpha, x) -> np.ndarray:
         return self.neg_power(alpha) @ x
@@ -451,7 +450,7 @@ class MatrixSystem:
     def _square_function_operator(self, q) -> np.ndarray:
         # P with A^T P + P A = -S^T S, S = (-A)^q, so that
         # <P x, x> = int ||S exp(At) x||^2 dt; one solve per exponent.
-        def solve():
+        def solve(q):
             s = self.neg_power(q)
             p = _solve_lyapunov(self.a_matrix.T, -(s.T @ s))
             return (p + p.T) / 2.0
@@ -601,12 +600,11 @@ def semigroup_apply(sys, t, x) -> np.ndarray:
     use the scaling-and-squaring matrix exponential.  ``t = 0`` returns the
     state unchanged.
     """
+    t = _real_array(t, "times").tolist()
     if t < 0:
         raise ValueError("time must be nonnegative")
     x = as_state(sys, x)
-    if t == 0:
-        return x.copy()
-    return sys.step(x, None, t)
+    return x.copy() if t == 0 else sys.step(x, None, t)
 
 
 def _dyadic_matrix_power(matrix, k, m):
@@ -672,6 +670,7 @@ def extrapolation_norm(sys, gamma, v) -> float:
     ``gamma = 0`` recovers the state norm; larger ``gamma`` discounts fast
     modes more strongly and hosts rougher input columns.
     """
+    gamma = _real_array(gamma, "exponents").tolist()
     if gamma < 0:
         raise ValueError("gamma must be nonnegative")
     return float(np.linalg.norm(fractional_power_apply(sys, -gamma, v)))
@@ -709,20 +708,17 @@ def decay_bound_estimate(sys, powers, delta=None) -> list:
     and on dense ones the maximum over a fixed 601-node grid, not a bound
     between nodes (see :meth:`MatrixSystem.decay_prefactors`).
     """
-    powers = [float(r) for r in powers]
+    powers = _real_array(powers, "powers").tolist()
     if not all(np.isfinite(r) for r in powers):
         raise ValueError("power r must be finite")
     if any(r < 0 for r in powers):
         raise ValueError("power r must be nonnegative")
     gap = sys.spectral_gap
-    if delta is None:
-        delta = gap / 2.0
+    delta = gap / 2.0 if delta is None else _real_array(delta, "delta").tolist()
     if not 0 < delta < gap:
         raise ValueError(f"delta must lie strictly inside the spectral gap (0, {gap:.6g})")
-    return [
-        DecayBound(prefactor=float(top), rate=float(delta), power=r)
-        for r, top in zip(powers, sys.decay_prefactors(powers, delta))
-    ]
+    tops = sys.decay_prefactors(powers, delta)
+    return [DecayBound(prefactor=float(top), rate=delta, power=r) for r, top in zip(powers, tops)]
 
 
 def _is_number(value):

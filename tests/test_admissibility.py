@@ -32,6 +32,18 @@ def test_classify_trend_basic():
     assert classify_trend([4, 16, 64], [0.0, 0.0, 0.0]) == ("bounded", 0.0)
 
 
+@pytest.mark.parametrize(
+    "values", [[1.0, 1.0, math.nan], [1.0, 1.0, math.inf], [math.nan] * 3, [1.0, -1.0, 1.0]],
+    ids=["nan", "inf", "all-nan", "negative"],
+)
+def test_classify_trend_refuses_a_value_that_is_not_finite_and_nonnegative(values):
+    # A NaN or infinite value read as ("inconclusive", nan), a slope the
+    # report's allow_nan=False writer refuses; all NaN raised numpy's
+    # zero-size reduction error.  No value that cannot be ordered is a trend.
+    with pytest.raises(ValueError, match="trend values must be finite and nonnegative"):
+        classify_trend([4, 16, 64], values)
+
+
 def test_counterexample_half_power_scan():
     family = [counterexample_system(n) for n in (4, 16, 64)]
     scan = operator_class_scan(family, 0.5)

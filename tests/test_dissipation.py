@@ -9,6 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import dense_nonnormal
+from lyapcert.admissibility import (
+    AdmissibilityEstimate,
+    OperatorClassReport,
+    admissibility_constant,
+    admissibility_trend,
+    classify_trend,
+)
 from lyapcert.dissipation import (
     ENVELOPE_RTOL,
     InputSignal,
@@ -1003,9 +1010,18 @@ _DOOR_SYSTEM = heat_system("neumann", 8)
 _DOOR_STATE = np.eye(1, 8, 0)[0]
 _DOOR_FORM = build_half_norm(_DOOR_SYSTEM)
 
-# Every entry through which an array or a scalar input level reaches the
-# library, each with a valid float64 argument: a flat list, a nested list
-# or a scalar level.
+
+def _fresh_dense():
+    # A new non-normal system per call, so its exponent caches start empty.
+    return MatrixSystem([[-1.0, 1.0], [0.0, -2.0]], [1.0, 1.0])
+
+
+# Every entry through which an array, a scalar input level, a scalar
+# parameter or a trend record reaches the library, each with a valid
+# float64 argument (a flat list, a nested list or a scalar) exact in int64
+# and float32.  A third item marks the refusals that are not TypeError, per
+# type of the bad value: None is delta's default, and q keeps ValueError for
+# text and None, which the config reports as exit 2.
 _DOOR_ENTRIES = {
     "SpectralSystem eigenvalues": (lambda a: SpectralSystem(a, [1.0, 1.0]), [1.0, 1.0]),
     "SpectralSystem input_coeffs": (lambda a: SpectralSystem([1.0, 2.0], a), [1.0, 0.0]),
@@ -1059,6 +1075,46 @@ _DOOR_ENTRIES = {
         lambda a: fit_dissipation(_DOOR_FORM, _DOOR_SYSTEM, [_DOOR_STATE], sample_inputs=a),
         [0.0, 1.0],
     ),
+    "SpectralSystem.neg_power exponent": (lambda a: heat_system("neumann", 8).neg_power(a), 1.0),
+    "MatrixSystem.neg_power exponent": (lambda a: _fresh_dense().neg_power(a), 1.0),
+    "neg_power_apply exponent": (lambda a: _fresh_dense().neg_power_apply(a, [1.0, 0.0]), 1.0),
+    "fractional_power_apply exponent": (
+        lambda a: fractional_power_apply(heat_system("neumann", 8), a, _DOOR_STATE), 1.0
+    ),
+    "extrapolation_norm gamma": (
+        lambda a: extrapolation_norm(heat_system("neumann", 8), a, _DOOR_STATE), 1.0
+    ),
+    "dense W_q solve exponent": (
+        lambda a: _fresh_dense().square_function_form(a, "W_q")["p_matrix"], 1.0
+    ),
+    "semigroup_apply time": (lambda a: semigroup_apply(_DOOR_SYSTEM, a, _DOOR_STATE), 1.0),
+    "build_w_q q": (lambda a: build_w_q(_fresh_dense(), a), 0.0),
+    "decay_bound_estimate powers": (lambda a: decay_bound_estimate(_DOOR_SYSTEM, a), [0.0, 1.0]),
+    "decay_bound_estimate delta": (
+        lambda a: decay_bound_estimate(SpectralSystem([2.0, 3.0], [1.0, 1.0]), [0.0], delta=a),
+        1.0,
+        {type(None): None},
+    ),
+    "admissibility q": (
+        lambda a: admissibility_constant(_DOOR_SYSTEM, a, 1.0),
+        2.0,
+        {str: ValueError, type(None): ValueError},
+    ),
+    "admissibility_constant horizon": (lambda a: admissibility_constant(_DOOR_SYSTEM, 2, a), 1.0),
+    "admissibility_trend horizons": (
+        lambda a: admissibility_trend([_DOOR_SYSTEM], 2, a), [1.0, 2.0]
+    ),
+    "classify_trend sizes": (lambda a: classify_trend(a, [1.0, 2.0]), [1.0, 2.0]),
+    "classify_trend values": (lambda a: classify_trend([1.0, 2.0], a), [1.0, 1.0]),
+    "OperatorClassReport norms": (
+        lambda a: OperatorClassReport(0.0, (1, 2), a, "bounded", 0.0), [1.0, 1.0]
+    ),
+    "AdmissibilityEstimate constants": (
+        lambda a: AdmissibilityEstimate(2.0, (1.0,), (1, 2), a), [[1.0, 1.0]]
+    ),
+    "_neville_limit table": (
+        lambda a: _neville_limit(np.array([1.0, 0.5, 0.25, 0.125]), a), [1.0, 0.0, 1.0, 0.0]
+    ),
 }
 
 
@@ -1092,9 +1148,15 @@ def test_every_entry_refuses_non_real_data(entry, bad):
     # was cut to its real part with only a ComplexWarning (input levels,
     # SpectralSystem) or kept (MatrixSystem, QuadraticForm, states), a numeric
     # string was parsed, as the config door does not allow, and None read as nan.
-    call, valid = _DOOR_ENTRIES[entry]
+    # Scalar parameters and trend records went through float(), which parsed
+    # text, cut a numpy complex to its real part and, in arrays, read None as nan.
+    call, valid, *marks = _DOOR_ENTRIES[entry]
+    refusal = marks[0].get(type(bad), TypeError) if marks else TypeError
     call(valid)
-    with pytest.raises(TypeError):
+    if refusal is None:  # the parameter's default
+        call(_with_last_entry(valid, bad))
+        return
+    with pytest.raises(refusal):
         call(_with_last_entry(valid, bad))
 
 
@@ -1102,7 +1164,7 @@ def test_every_entry_refuses_non_real_data(entry, bad):
 def test_real_data_of_any_real_type_reads_as_float64(entry):
     # int, bool and float32 arrays of the same values give the bytes of the
     # float64 run, wherever they enter; a bool variant where every value is 0 or 1.
-    call, valid = _DOOR_ENTRIES[entry]
+    call, valid, *_ = _DOOR_ENTRIES[entry]
     expected = _fingerprint(call(np.array(valid)))
     dtypes = [np.int64, np.float32] + ([bool] if set(np.ravel(valid)) <= {0.0, 1.0} else [])
     for dtype in dtypes:

@@ -24,7 +24,7 @@ from lyapcert.admissibility import admissibility_constant
 from lyapcert.analysis import AnalysisConfig, run_analyze
 from lyapcert.dissipation import exact_certificate
 from lyapcert.lyapunov import build_v_half, build_w_plain, contraction_similarity
-from lyapcert.systems import MatrixSystem
+from lyapcert.systems import MatrixSystem, SpectralSystem
 from test_systems import REALIZATION_RTOL, _nonnormal_dense
 
 SOURCES = Path(__file__).resolve().parents[1] / "src" / "lyapcert"
@@ -86,6 +86,68 @@ def test_no_module_but_systems_tests_the_realization_type():
             if lines:
                 found[path.name] = lines
     assert found == {}
+
+
+# Where the library may still convert to float by hand, as (file, function,
+# callee): the array door, the config door, and the two mode grids of models.
+FLOAT_DOORS = [
+    ("models.py", "heat_system", "arange"),
+    ("models.py", "counterexample_system", "arange"),
+    ("systems.py", "_real_array", "astype"),
+    ("systems.py", "_number_array", "astype"),
+]
+
+
+def _is_float_type(node):
+    return (
+        getattr(node, "id", None) == "float"
+        or getattr(node, "attr", None) in {"float64", "double"}
+        or getattr(node, "value", None) in {"float", "float64", "f8"}
+    )
+
+
+def float_conversions(source):
+    """``(function, callee)`` of each ``dtype=float``, ``dtype=np.float64`` or ``.astype(float)``."""
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                callee = getattr(child.func, "attr", None) or getattr(child.func, "id", None)
+                dtypes = [k.value for k in child.keywords if k.arg == "dtype"]
+                if any(map(_is_float_type, dtypes + child.args[:1] * (callee == "astype"))):
+                    found.append((function, callee))
+            named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if named else function)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_the_float_detector_finds_every_spelling():
+    source = "\n".join([
+        "def f(x):",
+        "    a = np.asarray(x, dtype=float)",
+        "    b = np.array(x, dtype=np.float64)",
+        "    c = x.astype(float, copy=False)",
+        "    d = np.zeros(3, dtype='float64')",
+        "    g = lambda y: y.astype(np.double)",
+        "    return float(x), np.asarray(x), x.astype(int), np.arange(3, dtype=int)",
+    ])
+    assert float_conversions(source) == [
+        ("f", "asarray"), ("f", "array"), ("f", "astype"), ("f", "zeros"), ("f", "astype"),
+    ]
+
+
+def test_only_the_doors_convert_to_float():
+    # Every other array, scalar parameter and record reads through
+    # systems._real_array, so one function decides what a number is.
+    found = [
+        (path.name, *where)
+        for path in sorted(SOURCES.glob("*.py"))
+        for where in float_conversions(path.read_text(encoding="utf-8"))
+    ]
+    assert found == FLOAT_DOORS
 
 
 def _dense_request(seed=3, n=8):
@@ -170,3 +232,22 @@ def test_dense_results_are_invariant_under_orthogonal_similarity(seed, n, skew):
     assert got_cond == pytest.approx(ref_cond, rel=REALIZATION_RTOL)
     ref_k1, got_k1 = (admissibility_constant(s, 1, 4.0).constant for s in (base, turned))
     assert got_k1 == pytest.approx(ref_k1, rel=REALIZATION_RTOL)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    lam=st.lists(st.floats(0.1, 50.0), min_size=1, max_size=8).map(sorted),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_diagonal_and_dense_enclosures_of_one_system_overlap(lam, seed):
+    # SpectralSystem(lam, b) and MatrixSystem(-diag(lam), b) are one system,
+    # so each exact pair lies in both enclosures: the intervals value +- radius
+    # of a3max and of a4 must meet, for W_0 and for V_half.
+    b = np.random.default_rng(seed).normal(size=len(lam))
+    diagonal, dense = SpectralSystem(lam, b), MatrixSystem(np.diag(-np.array(lam)), b)
+    for build in (build_w_plain, build_v_half):
+        left, right = (exact_certificate(build(s), s) for s in (diagonal, dense))
+        for name in ("a3max", "a4"):
+            gap = abs(getattr(left, name) - getattr(right, name))
+            reach = getattr(left, f"{name}_radius") + getattr(right, f"{name}_radius")
+            assert gap <= reach, (build.__name__, name, gap, reach)
